@@ -1072,11 +1072,10 @@ let run_topo_probe opts =
    bound.  This probe replays one perturbation sequence through both
    evaluators -- the warm-started {!Cycle_ratio.Incremental} state and
    the from-scratch path (set the relay stations on the network, rebuild
-   the capacity graph, run Howard cold) -- checks they agree exactly at
-   every step, and gates on the speedup. *)
+   the capacity graph, solve it cold with {!Cycle_ratio.minimum}) --
+   checks they agree exactly at every step, and gates on the speedup. *)
 let run_flow_probe opts =
   let module Topology = Wp_topo.Topology in
-  let module Howard = Wp_graph.Howard in
   let name = if opts.smoke then "rand:100" else "rand:1000" in
   let perturbations = if opts.smoke then 60 else 300 in
   let capacity = 2 in
@@ -1116,7 +1115,7 @@ let run_flow_probe opts =
     (fun i (c, rs) ->
       Network.set_relay_stations net c rs;
       let g, tokens, time = Static.capacity_graph ~capacity net in
-      let r = ratio_of (Howard.minimum_cycle_ratio g ~cost:tokens ~time) in
+      let r = ratio_of (Cycle_ratio.minimum g ~cost:tokens ~time) in
       if Cycle_ratio.ratio_compare r incremental_ratios.(i) <> 0 then
         failures :=
           !failures

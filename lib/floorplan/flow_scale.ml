@@ -2,11 +2,8 @@ module Topology = Wp_topo.Topology
 module Network = Wp_sim.Network
 module Static = Wp_sim.Static
 module Cycle_ratio = Wp_graph.Cycle_ratio
-module Howard = Wp_graph.Howard
 module Prng = Wp_util.Prng
 module Pool = Wp_util.Pool
-
-let one = Cycle_ratio.make_ratio 1 1
 
 type point = {
   die_area : float;
@@ -167,11 +164,7 @@ let evaluate ctx cache w =
   | None ->
     let area = bbox_area ctx w.cells in
     let wire = total_wire ctx w.cells in
-    let bound =
-      match Cycle_ratio.Incremental.solve w.eval with
-      | None -> one
-      | Some (r, _) -> if Cycle_ratio.ratio_compare r one > 0 then one else r
-    in
+    let bound, _ = Cycle_ratio.throughput_bound (Cycle_ratio.Incremental.solve w.eval) in
     let rs_total = Array.fold_left ( + ) 0 w.rs in
     let v = (area, wire, bound, rs_total) in
     Mutex.lock cache.lock;
@@ -378,11 +371,7 @@ let derived_network spec (point : point) =
     (Network.channels net);
   net
 
-let scratch_bound ?(capacity = 2) net =
-  let g, tokens, time = Static.capacity_graph ~capacity net in
-  match Howard.minimum_cycle_ratio g ~cost:tokens ~time with
-  | None -> one
-  | Some (r, _) -> if Cycle_ratio.ratio_compare r one > 0 then one else r
+let scratch_bound = Topology.mcr
 
 let run ?(jobs = Pool.default_jobs ()) ?(spec = Flow_spec.default) () =
   let tspec = spec_topology spec in
@@ -428,9 +417,9 @@ let run ?(jobs = Pool.default_jobs ()) ?(spec = Flow_spec.default) () =
   in
   let front = List.stable_sort better merged in
   let best = match front with [] -> assert false | p :: _ -> p in
-  (* The headline invariant: the incremental evaluator's bound for the
-     winning placement must equal a from-scratch Howard solve on the
-     freshly derived network, exactly. *)
+  (* The headline invariant: the warm-started bound for the winning
+     placement must equal a cold solve on the freshly derived network,
+     exactly. *)
   let check = scratch_bound ~capacity:ctx.capacity (derived_network spec best) in
   if Cycle_ratio.ratio_compare check best.wp1_bound <> 0 then
     failwith

@@ -26,9 +26,9 @@
     - every evaluation feeds a dominance-filtered Pareto archive over
       (die area, total wirelength, WP1/static throughput bound).
 
-    The returned best point's bound is re-checked against a from-scratch
-    Howard solve of the freshly derived network before [run] returns —
-    exact rational equality, not a tolerance. *)
+    The returned best point's bound is re-checked against a cold solve
+    ({!scratch_bound}) of the freshly derived network before [run]
+    returns — exact rational equality, not a tolerance. *)
 
 type point = {
   die_area : float;            (** occupied bounding box, cells *)
@@ -67,9 +67,9 @@ val derived_network : Flow_spec.t -> point -> Wp_sim.Network.t
     point stands for. *)
 
 val scratch_bound : ?capacity:int -> Wp_sim.Network.t -> Wp_graph.Cycle_ratio.ratio
-(** From-scratch reference: Howard's solver on a freshly built
-    capacity-extended graph, clamped at 1/1 (capacity defaults to 2,
-    matching the flow). *)
+(** From-scratch reference: {!Wp_topo.Topology.mcr}, a cold solve of a
+    freshly built capacity-extended graph clamped at 1/1 (capacity
+    defaults to 2, matching the flow). *)
 
 val static_rate : ?capacity:int -> Wp_sim.Network.t -> Wp_graph.Cycle_ratio.ratio
 (** The balanced-word firing rate of node 0 under the {!Wp_sim.Static}

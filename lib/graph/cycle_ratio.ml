@@ -22,100 +22,22 @@ let sum_over cycle f = List.fold_left (fun acc e -> acc + f e) 0 cycle
 let cycle_ratio _g ~cost ~time cycle =
   make_ratio (sum_over cycle cost) (sum_over cycle time)
 
-let validate_times g ~time =
-  Digraph.iter_edges g (fun e ->
-      if time e < 0 then invalid_arg "Cycle_ratio: negative time");
-  (* A cycle of zero total time exists iff the subgraph of zero-time edges
-     contains a cycle; reject it, the ratio would be infinite. *)
-  let zero_sub = Digraph.create () in
-  List.iter
-    (fun v -> ignore (Digraph.add_vertex zero_sub ~label:(Digraph.vertex_label g v)))
-    (Digraph.vertices g);
-  Digraph.iter_edges g (fun e ->
-      if time e = 0 then
-        ignore
-          (Digraph.add_edge zero_sub ~src:(Digraph.edge_src g e)
-             ~dst:(Digraph.edge_dst g e) ~label:""));
-  let has_cycle =
-    List.exists (fun comp -> not (Scc.is_trivial zero_sub comp)) (Scc.components zero_sub)
-  in
-  if has_cycle then invalid_arg "Cycle_ratio: cycle with zero total time"
-
-let minimum_by_enumeration g ~cost ~time =
-  validate_times g ~time;
-  let best = ref None in
-  let consider cycle =
-    let r = cycle_ratio g ~cost ~time cycle in
-    match !best with
-    | None -> best := Some (r, cycle)
-    | Some (r0, _) -> if ratio_compare r r0 < 0 then best := Some (r, cycle)
-  in
-  List.iter consider (Cycles.elementary_cycles g);
-  !best
-
-(* Is there a cycle with total (cost - lambda * time) < 0 ?  Exactly the
-   Lawler feasibility test.  [lambda] is a float; edge attributes are
-   integers so the arithmetic is well conditioned. *)
-let has_negative_cycle g ~cost ~time lambda =
-  let weight e = float_of_int (cost e) -. (lambda *. float_of_int (time e)) in
-  match Shortest_path.potentials g ~weight with
-  | Shortest_path.Negative_cycle c -> Some c
-  | Shortest_path.Distances _ -> None
-
-let has_cycle g =
-  List.exists (fun comp -> not (Scc.is_trivial g comp)) (Scc.components g)
-
-let minimum g ~cost ~time =
-  validate_times g ~time;
-  if not (has_cycle g) then None
-  else begin
-    let max_abs_cost =
-      Digraph.fold_edges g ~init:1 ~f:(fun acc e -> max acc (abs (cost e)))
-    in
-    let bound = float_of_int (max_abs_cost * max 1 (Digraph.edge_count g)) +. 1.0 in
-    (* Invariant: a cycle of ratio < hi exists; none of ratio < lo does.
-       After 64 halvings [hi - lo] is far below the smallest gap between
-       two distinct achievable ratios (>= 1 / total_time^2), so the last
-       witness cycle achieves the optimum; its exact integer ratio is the
-       answer. *)
-    let lo = ref (-.bound) and hi = ref bound and witness = ref None in
-    (match has_negative_cycle g ~cost ~time !hi with
-    | Some c -> witness := Some c
-    | None ->
-      (* Every cycle ratio is < bound by construction. *)
-      assert false);
-    for _ = 1 to 64 do
-      let mid = 0.5 *. (!lo +. !hi) in
-      if !hi -. !lo > 1e-12 then
-        match has_negative_cycle g ~cost ~time mid with
-        | Some c ->
-          hi := mid;
-          witness := Some c
-        | None -> lo := mid
-    done;
-    match !witness with
-    | Some c -> Some (cycle_ratio g ~cost ~time c, c)
-    | None -> None
-  end
-
-let maximum g ~cost ~time =
-  match minimum g ~cost:(fun e -> -cost e) ~time with
-  | None -> None
-  | Some (r, c) -> Some (make_ratio (-r.num) r.den, c)
-
 (* ------------------------------------------------------------------ *)
-(* Incremental minimum cycle ratio                                    *)
+(* Policy iteration                                                   *)
 (* ------------------------------------------------------------------ *)
 
 module Incremental = struct
   (* Policy iteration (Howard's scheme) over a fixed topology with
-     mutable edge weights.  The policy — one outgoing edge per vertex —
-     survives weight perturbations: edges chosen at [create] time stay
-     inside the vertex's SCC, and SCCs depend only on the topology, so
-     the previous optimum is always a proper warm start.  After a local
-     perturbation the warm policy is usually optimal or one improvement
-     sweep away, which is where the speedup over a from-scratch solve
-     comes from. *)
+     mutable edge weights.  Each vertex holds one chosen outgoing edge
+     (the policy); evaluation finds the policy graph's cycles, their
+     ratios and the vertex potentials, improvement switches any edge
+     that beats the Bellman equation, and the process converges to the
+     optimum.  The policy survives weight perturbations: edges chosen at
+     [create] time stay inside the vertex's SCC, and SCCs depend only on
+     the topology, so the previous optimum is always a proper warm
+     start.  After a local perturbation the warm policy is usually
+     optimal or one improvement sweep away, which is where the speedup
+     over a cold solve comes from. *)
 
   let epsilon = 1e-9
 
@@ -143,6 +65,8 @@ module Incremental = struct
       (fun t -> if t < 0 then invalid_arg "Cycle_ratio.Incremental.create: negative time")
       times;
     let comp = Scc.component_ids g in
+    (* Initial policy: any out-edge that stays inside the vertex's SCC,
+       so a policy path can always close a cycle; -1 if none exists. *)
     let policy = Array.make (max n 1) (-1) in
     for v = 0 to n - 1 do
       policy.(v) <-
@@ -187,10 +111,35 @@ module Incremental = struct
 
   let solves t = t.solves
 
+  (* A cycle of zero total time exists iff the subgraph of zero-time
+     edges contains a cycle; its ratio would be infinite. *)
+  let reject_zero_time_cycles t =
+    if Array.exists (fun x -> x = 0) t.time then begin
+      let g = t.g in
+      let zero_sub = Digraph.create () in
+      List.iter
+        (fun v -> ignore (Digraph.add_vertex zero_sub ~label:(Digraph.vertex_label g v)))
+        (Digraph.vertices g);
+      Digraph.iter_edges g (fun e ->
+          if t.time.(e) = 0 then
+            ignore
+              (Digraph.add_edge zero_sub ~src:(Digraph.edge_src g e)
+                 ~dst:(Digraph.edge_dst g e) ~label:""));
+      if
+        List.exists
+          (fun comp -> not (Scc.is_trivial zero_sub comp))
+          (Scc.components zero_sub)
+      then invalid_arg "Cycle_ratio: cycle with zero total time"
+    end
+
   (* Evaluate the current policy: per-vertex cycle ratio [lambda],
-     potential, and representative policy cycle.  Same recurrence as the
-     from-scratch solver, but reading weights from the mutable arrays and
-     writing into preallocated scratch. *)
+     potential, and representative policy cycle.  A policy cycle's
+     potentials are anchored at the vertex that closed the walk, which
+     keeps the potential it had after the previous evaluation (Cochet-
+     Terrasson et al., 1998).  A cycle that survives an improvement
+     sweep therefore keeps its potentials, so the tie-breaking
+     comparisons in [improve] are monotone and policy iteration cannot
+     cycle between equally good policies. *)
   let evaluate t =
     let g = t.g in
     let n = Digraph.vertex_count g in
@@ -212,9 +161,11 @@ module Incremental = struct
         let total_time = List.fold_left (fun a e -> a + t.time.(e)) 0 cycle in
         let lam = float_of_int total_cost /. float_of_int total_time in
         t.lambda.(v) <- lam;
-        t.potential.(v) <- 0.0;
         t.cycle_repr.(v) <- cycle;
         t.state.(v) <- 2;
+        (* Propagate backwards from the anchor along the cycle:
+           d(u) = w(e) - lam*t(e) + d(dst e), processing the edges
+           cycle-end first so each destination is already known. *)
         let rec assign = function
           | [] -> ()
           | e :: rest ->
@@ -236,12 +187,14 @@ module Incremental = struct
         t.state.(v) <- 1;
         (match t.policy.(v) with
         | -1 ->
+          (* Dead end: no cycle reachable through the policy. *)
           t.state.(v) <- 2;
           t.lambda.(v) <- infinity
         | e ->
           let x = Digraph.edge_dst g e in
           walk x (e :: path);
           if t.state.(v) <> 2 then begin
+            (* Tail vertex: inherits the cycle it reaches. *)
             t.lambda.(v) <- t.lambda.(x);
             t.potential.(v) <-
               float_of_int t.cost.(e)
@@ -255,6 +208,32 @@ module Incremental = struct
       walk v []
     done
 
+  (* One improvement sweep: switch every vertex whose out-edge reaches a
+     strictly better cycle, or an equally good one at a strictly lower
+     potential.  Returns whether the policy changed. *)
+  let improve t =
+    let g = t.g in
+    let improved = ref false in
+    Digraph.iter_edges g (fun e ->
+        let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
+        if t.comp.(u) = t.comp.(x) && t.lambda.(x) < infinity then begin
+          if t.lambda.(x) < t.lambda.(u) -. epsilon then begin
+            t.policy.(u) <- e;
+            improved := true
+          end
+          else if
+            abs_float (t.lambda.(x) -. t.lambda.(u)) <= epsilon
+            && float_of_int t.cost.(e)
+               -. (t.lambda.(u) *. float_of_int t.time.(e))
+               +. t.potential.(x)
+               < t.potential.(u) -. epsilon
+          then begin
+            t.policy.(u) <- e;
+            improved := true
+          end
+        end);
+    !improved
+
   let solve t =
     if not t.dirty then t.cached
     else begin
@@ -264,29 +243,18 @@ module Incremental = struct
         if n = 0 || Array.for_all (fun e -> e = -1) t.policy then None
         else begin
           t.solves <- t.solves + 1;
+          Array.fill t.potential 0 (Array.length t.potential) 0.0;
           let max_iterations = (n * Digraph.edge_count g) + 16 in
           let rec iterate k =
             evaluate t;
-            let improved = ref false in
-            Digraph.iter_edges g (fun e ->
-                let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
-                if t.comp.(u) = t.comp.(x) && t.lambda.(x) < infinity then begin
-                  if t.lambda.(x) < t.lambda.(u) -. epsilon then begin
-                    t.policy.(u) <- e;
-                    improved := true
-                  end
-                  else if
-                    abs_float (t.lambda.(x) -. t.lambda.(u)) <= epsilon
-                    && float_of_int t.cost.(e)
-                       -. (t.lambda.(u) *. float_of_int t.time.(e))
-                       +. t.potential.(x)
-                       < t.potential.(u) -. epsilon
-                  then begin
-                    t.policy.(u) <- e;
-                    improved := true
-                  end
-                end);
-            if !improved && k < max_iterations then iterate (k + 1)
+            if improve t then begin
+              if k >= max_iterations then
+                failwith
+                  (Printf.sprintf
+                     "Cycle_ratio: policy iteration did not converge in %d iterations"
+                     max_iterations);
+              iterate (k + 1)
+            end
           in
           iterate 0;
           let best = ref (-1) in
@@ -312,3 +280,14 @@ module Incremental = struct
       result
     end
 end
+
+let minimum g ~cost ~time =
+  let t = Incremental.create g ~cost ~time in
+  Incremental.reject_zero_time_cycles t;
+  Incremental.solve t
+
+let one = make_ratio 1 1
+
+let throughput_bound = function
+  | None -> (one, [])
+  | Some (r, cycle) -> ((if ratio_compare r one > 0 then one else r), cycle)

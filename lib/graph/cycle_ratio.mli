@@ -1,4 +1,4 @@
-(** Minimum / maximum cycle ratio.
+(** Minimum cycle ratio.
 
     For edge attributes [cost] and [time] (integers, [time >= 0], every
     cycle having positive total time), the minimum cycle ratio is
@@ -9,10 +9,12 @@
     with [cost e = 1] and [time e = 1 + relay_stations e], the minimum over
     loops of [m / (m + n)] is exactly the minimum cycle ratio.
 
-    Two implementations are provided: an exact enumeration (small graphs)
-    and a scalable parametric search (Lawler binary search over Bellman-Ford
-    negative-cycle tests) whose result is returned as an exact rational
-    certified by the witnessing cycle. *)
+    One solver computes it: Howard's policy iteration, in the stateful
+    form {!Incremental}.  A cold solve ({!minimum}) is
+    {!Incremental.create} then {!Incremental.solve}.  The result is an
+    exact rational certified by the witnessing cycle; the test suite
+    checks it against independent oracles (Lawler's parametric search,
+    Karp's cycle mean, brute-force enumeration). *)
 
 type ratio = {
   num : int;
@@ -34,21 +36,18 @@ val minimum :
   (ratio * Digraph.edge list) option
 (** [None] when the graph is acyclic.  The returned cycle achieves the
     ratio.  @raise Invalid_argument if some [time] is negative or some cycle
-    has zero total time. *)
+    has zero total time.  @raise Failure if policy iteration does not
+    converge within [vertices * edges + 16] improvement sweeps (it always
+    should; the cap turns a defect into an error instead of a hang or an
+    unproven ratio). *)
 
-val maximum :
-  Digraph.t ->
-  cost:(Digraph.edge -> int) ->
-  time:(Digraph.edge -> int) ->
-  (ratio * Digraph.edge list) option
-
-val minimum_by_enumeration :
-  Digraph.t ->
-  cost:(Digraph.edge -> int) ->
-  time:(Digraph.edge -> int) ->
-  (ratio * Digraph.edge list) option
-(** Reference implementation over [Cycles.elementary_cycles]; exponential in
-    the worst case, exact always. *)
+val throughput_bound : (ratio * Digraph.edge list) option -> ratio * Digraph.edge list
+(** The sustainable-throughput bound of a marked graph from its
+    minimum-cycle-ratio result: the ratio clamped at [1/1] (a shell
+    fires at most once per cycle) with its critical cycle, or [1/1] and
+    no cycle when the graph is acyclic.  Used as
+    [throughput_bound (minimum g ~cost ~time)] for a cold solve and
+    [throughput_bound (Incremental.solve t)] for a warm one. *)
 
 val cycle_ratio :
   Digraph.t ->
@@ -58,23 +57,23 @@ val cycle_ratio :
   ratio
 (** Ratio of one given cycle. *)
 
-(** Incremental minimum cycle ratio over a fixed topology with mutable
-    edge weights.
+(** Howard's policy iteration over a fixed topology with mutable edge
+    weights.
 
     Built for the floorplan→throughput co-optimization loop: moving a
     block only changes the weights of the channels incident to it, so
-    the evaluator keeps Howard-style policy-iteration state (the chosen
-    out-edge per vertex, plus the SCC decomposition, which depends only
-    on the never-changing topology) alive across perturbations and
-    warm-starts the next solve from the previous optimal policy.  On
-    local perturbations the warm policy typically needs zero or one
+    the solver keeps its policy-iteration state (the chosen out-edge per
+    vertex, plus the SCC decomposition, which depends only on the
+    never-changing topology) alive across perturbations and warm-starts
+    the next solve from the previous optimal policy.  On local
+    perturbations the warm policy typically needs zero or one
     improvement sweeps, versus a full cold policy iteration plus graph
     reconstruction for a from-scratch solve.
 
     The result of {!Incremental.solve} is always the exact optimum —
-    identical ratio to {!minimum} on the same weights (the test suite
-    proves this differentially over random perturbation sequences); only
-    the work to reach it is amortised. *)
+    the same ratio a cold {!minimum} finds on the same weights (the test
+    suite checks every step of random perturbation sequences against
+    Lawler's search); only the work to reach it is amortised. *)
 module Incremental : sig
   type t
 
@@ -102,7 +101,9 @@ module Incremental : sig
   (** Exact minimum cycle ratio under the current weights, [None] when
       the graph is acyclic.  Returns the memoised result in O(1) when no
       weight changed since the last solve; otherwise runs policy
-      improvement warm-started from the previous optimal policy. *)
+      improvement warm-started from the previous optimal policy.
+      @raise Failure as {!minimum} if policy iteration does not
+      converge. *)
 
   val solves : t -> int
   (** Number of actual policy-iteration runs (i.e. cache misses) so far

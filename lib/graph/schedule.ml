@@ -49,14 +49,8 @@ let word_of ~num ~den ~offset =
   Array.init den (fun i ->
       fdiv (((i + 1) * num) + offset) den > fdiv ((i * num) + offset) den)
 
-let one_one = Cycle_ratio.make_ratio 1 1
-
 let min_ratio g ~tokens ~time =
-  match Howard.minimum_cycle_ratio g ~cost:tokens ~time with
-  | None -> (one_one, [])
-  | Some (r, cyc) ->
-      if Cycle_ratio.ratio_compare r one_one > 0 then (one_one, cyc)
-      else (r, cyc)
+  Cycle_ratio.throughput_bound (Cycle_ratio.minimum g ~cost:tokens ~time)
 
 (* Feasible offsets by Bellman-Ford on the difference constraints; all
    sources at 0.  No negative cycle can exist (see header), so V-1

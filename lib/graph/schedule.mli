@@ -9,10 +9,11 @@
 
       [cum_v t = max 0 (floor ((t * num + offset_v) / den))].
 
-    This module turns the critical-cycle analysis of {!Howard} /
-    {!Cycle_ratio} into that schedule: the rate is the exact minimum
-    cycle ratio (clamped at [1/1] — an actor cannot fire more than once
-    per cycle), the per-vertex phase offsets come from the
+    This module turns the critical-cycle analysis of {!Cycle_ratio}
+    into that schedule: the rate is {!Cycle_ratio.throughput_bound},
+    the exact minimum cycle ratio clamped at [1/1] (an actor cannot
+    fire more than once per cycle), the per-vertex phase offsets come
+    from the
     difference-constraint system
 
       [offset_dst - offset_src <= tokens e * den - time e * num]

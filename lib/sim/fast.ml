@@ -585,17 +585,18 @@ let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
    relay station).  The sustainable throughput of any loop with [m]
    processes and [n] relay stations is therefore [m / (m + n)], and the
    system bound is the minimum over loops — the minimum cycle ratio
-   with cost 1 and time [1 + rs] per edge, which Howard's policy
-   iteration computes exactly. *)
+   with cost 1 and time [1 + rs] per edge, clamped at one token per
+   cycle (an acyclic network is source-limited). *)
 let throughput_bound net =
+  let module Cycle_ratio = Wp_graph.Cycle_ratio in
   let g, chan_of_edge = Network.to_digraph net in
-  match
-    Wp_graph.Howard.minimum_cycle_ratio g
-      ~cost:(fun _ -> 1)
-      ~time:(fun e -> 1 + Network.relay_stations net (chan_of_edge e))
-  with
-  | None -> 1.0 (* acyclic: source-limited, one token per cycle *)
-  | Some (ratio, _) -> min 1.0 (Wp_graph.Cycle_ratio.ratio_to_float ratio)
+  let ratio, _ =
+    Cycle_ratio.throughput_bound
+      (Cycle_ratio.minimum g
+         ~cost:(fun _ -> 1)
+         ~time:(fun e -> 1 + Network.relay_stations net (chan_of_edge e)))
+  in
+  Cycle_ratio.ratio_to_float ratio
 
 let cycle_bound ?(slack_num = 1) ?(slack_den = 4) ~work_cycles net =
   if work_cycles < 0 then invalid_arg "Fast.cycle_bound: negative work";

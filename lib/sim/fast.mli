@@ -94,8 +94,9 @@ val any_halted : t -> bool
     time [1 + rs] per edge. *)
 
 val throughput_bound : Network.t -> float
-(** Exact marked-graph throughput upper bound via Howard's policy
-    iteration; [1.0] for acyclic networks. *)
+(** Exact marked-graph throughput upper bound,
+    {!Wp_graph.Cycle_ratio.throughput_bound} of the network's digraph;
+    [1.0] for acyclic networks. *)
 
 val cycle_bound : ?slack_num:int -> ?slack_den:int -> work_cycles:int -> Network.t -> int
 (** [cycle_bound ~work_cycles net] is a provable-with-margin cycle

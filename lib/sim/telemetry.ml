@@ -538,84 +538,27 @@ let trace_cls_at tr ~step ~node =
 
 (* --- VCD export ---------------------------------------------------- *)
 
-(* Short printable identifiers per VCD convention: '!', '"', '#', ... *)
-let vcd_id n =
-  let base = 94 and first = 33 in
-  let rec build n acc =
-    let digit = Char.chr (first + (n mod base)) in
-    let acc = String.make 1 digit ^ acc in
-    if n < base then acc else build ((n / base) - 1) acc
-  in
-  build n ""
-
-let sanitize label =
-  String.map
-    (fun c ->
-      match c with
-      | ' ' | '\t' -> '_'
-      | c -> c)
-    label
-
+(* Signals in identifier order: a [valid] and a [stop] bit per channel,
+   then a [fire] bit per node (stall class 0). *)
 let vcd_of_trace ?(timescale = "1ns") tr =
-  let n_chans = Array.length tr.chan_labels in
-  let n_nodes = Array.length tr.node_names in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "$date telemetry export $end\n";
-  Buffer.add_string buf "$version wirepipe telemetry $end\n";
-  Buffer.add_string buf (Printf.sprintf "$timescale %s $end\n" timescale);
-  Buffer.add_string buf "$scope module telemetry $end\n";
-  (* ids: 2*c for valid, 2*c+1 for stop, 2*n_chans + n for fire *)
-  Array.iteri
-    (fun c label ->
-      Buffer.add_string buf
-        (Printf.sprintf "$var wire 1 %s %s_valid $end\n" (vcd_id (2 * c))
-           (sanitize label));
-      Buffer.add_string buf
-        (Printf.sprintf "$var wire 1 %s %s_stop $end\n"
-           (vcd_id ((2 * c) + 1))
-           (sanitize label)))
-    tr.chan_labels;
-  Array.iteri
-    (fun n name ->
-      Buffer.add_string buf
-        (Printf.sprintf "$var wire 1 %s %s_fire $end\n"
-           (vcd_id ((2 * n_chans) + n))
-           (sanitize name)))
-    tr.node_names;
-  Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
-  let prev_valid = Array.make (max 1 n_chans) (-1) in
-  let prev_stop = Array.make (max 1 n_chans) (-1) in
-  let prev_fire = Array.make (max 1 n_nodes) (-1) in
-  for step = 0 to tr.steps - 1 do
-    let changes = Buffer.create 64 in
-    for c = 0 to n_chans - 1 do
-      let v = if trace_valid_at tr ~step ~chan:c then 1 else 0 in
-      if v <> prev_valid.(c) then begin
-        prev_valid.(c) <- v;
-        Buffer.add_string changes (Printf.sprintf "%d%s\n" v (vcd_id (2 * c)))
-      end;
-      let s = if trace_stop_at tr ~step ~chan:c then 1 else 0 in
-      if s <> prev_stop.(c) then begin
-        prev_stop.(c) <- s;
-        Buffer.add_string changes
-          (Printf.sprintf "%d%s\n" s (vcd_id ((2 * c) + 1)))
-      end
-    done;
-    for n = 0 to n_nodes - 1 do
-      let f = if trace_cls_at tr ~step ~node:n = 0 then 1 else 0 in
-      if f <> prev_fire.(n) then begin
-        prev_fire.(n) <- f;
-        Buffer.add_string changes
-          (Printf.sprintf "%d%s\n" f (vcd_id ((2 * n_chans) + n)))
-      end
-    done;
-    if Buffer.length changes > 0 then begin
-      Buffer.add_string buf (Printf.sprintf "#%d\n" (tr.t0 + step));
-      Buffer.add_buffer buf changes
-    end
-  done;
-  Buffer.add_string buf (Printf.sprintf "#%d\n" (tr.t0 + tr.steps));
-  Buffer.contents buf
+  let bit name f =
+    {
+      Vcd.vars = [ (1, name) ];
+      sample = (fun step -> Some (if f step then 1 else 0));
+      render = (fun v -> [ string_of_int v ]);
+    }
+  in
+  let channel c label =
+    [
+      bit (label ^ "_valid") (fun step -> trace_valid_at tr ~step ~chan:c);
+      bit (label ^ "_stop") (fun step -> trace_stop_at tr ~step ~chan:c);
+    ]
+  in
+  let node n name = bit (name ^ "_fire") (fun step -> trace_cls_at tr ~step ~node:n = 0) in
+  Vcd.dump ~date:"telemetry export" ~version:"wirepipe telemetry" ~scope:"telemetry"
+    ~timescale ~t0:tr.t0 ~steps:tr.steps
+    (List.concat (Array.to_list (Array.mapi channel tr.chan_labels))
+    @ Array.to_list (Array.mapi node tr.node_names))
 
 (* --- Chrome trace_event export ------------------------------------- *)
 

@@ -60,67 +60,25 @@ let ascii ?(from_cycle = 0) ?(cycles = 40) ?(fmt = string_of_int) traces =
 
 (* --- VCD ------------------------------------------------------------ *)
 
-(* Short printable identifiers: '!', '"', '#', ... per VCD convention. *)
-let vcd_id n =
-  let base = 94 and first = 33 in
-  let rec build n acc =
-    let digit = Char.chr (first + (n mod base)) in
-    let acc = String.make 1 digit ^ acc in
-    if n < base then acc else build ((n / base) - 1) acc
-  in
-  build n ""
-
 let binary_of_int width v =
   String.init width (fun i ->
       let bit = width - 1 - i in
       if (v lsr bit) land 1 = 1 then '1' else '0')
 
+(* One signal per channel: its data word and valid bit are written
+   together whenever the token changes. *)
 let vcd ?(timescale = "1ns") traces =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "$date reproduction run $end\n";
-  Buffer.add_string buf "$version wirepipe $end\n";
-  Buffer.add_string buf (Printf.sprintf "$timescale %s $end\n" timescale);
-  Buffer.add_string buf "$scope module netlist $end\n";
-  let sanitize label =
-    String.map (fun c -> if c = ' ' then '_' else c) label
+  let signal t =
+    let tokens = Array.of_list t.tokens in
+    {
+      Vcd.vars = [ (32, t.wave_label ^ "_data"); (1, t.wave_label ^ "_valid") ];
+      sample = (fun cycle -> if cycle < Array.length tokens then Some tokens.(cycle) else None);
+      render =
+        (function
+        | Token.Valid v -> [ "b" ^ binary_of_int 32 (v land 0xFFFFFFFF); "1" ]
+        | Token.Void -> [ "bx"; "0" ]);
+    }
   in
-  List.iteri
-    (fun i t ->
-      let data_id = vcd_id (2 * i) and valid_id = vcd_id ((2 * i) + 1) in
-      Buffer.add_string buf
-        (Printf.sprintf "$var wire 32 %s %s_data $end\n" data_id (sanitize t.wave_label));
-      Buffer.add_string buf
-        (Printf.sprintf "$var wire 1 %s %s_valid $end\n" valid_id (sanitize t.wave_label)))
-    traces;
-  Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
-  let horizon =
-    List.fold_left (fun acc t -> max acc (List.length t.tokens)) 0 traces
-  in
-  let arrays = List.map (fun t -> Array.of_list t.tokens) traces in
-  let previous = Array.make (List.length traces) None in
-  for cycle = 0 to horizon - 1 do
-    let changes = Buffer.create 64 in
-    List.iteri
-      (fun i tokens ->
-        let token = if cycle < Array.length tokens then Some tokens.(cycle) else None in
-        match token with
-        | None -> ()
-        | Some tok ->
-          if previous.(i) <> Some tok then begin
-            previous.(i) <- Some tok;
-            let data_id = vcd_id (2 * i) and valid_id = vcd_id ((2 * i) + 1) in
-            (match tok with
-            | Token.Valid v ->
-              Buffer.add_string changes
-                (Printf.sprintf "b%s %s\n1%s\n" (binary_of_int 32 (v land 0xFFFFFFFF)) data_id valid_id)
-            | Token.Void ->
-              Buffer.add_string changes (Printf.sprintf "bx %s\n0%s\n" data_id valid_id))
-          end)
-      arrays;
-    if Buffer.length changes > 0 then begin
-      Buffer.add_string buf (Printf.sprintf "#%d\n" cycle);
-      Buffer.add_buffer buf changes
-    end
-  done;
-  Buffer.add_string buf (Printf.sprintf "#%d\n" horizon);
-  Buffer.contents buf
+  let horizon = List.fold_left (fun acc t -> max acc (List.length t.tokens)) 0 traces in
+  Vcd.dump ~date:"reproduction run" ~version:"wirepipe" ~scope:"netlist" ~timescale ~t0:0
+    ~steps:horizon (List.map signal traces)

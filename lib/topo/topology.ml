@@ -363,13 +363,9 @@ let build spec =
 
 let signature = Wp_sim.Batch.signature
 
-let one = Cycle_ratio.make_ratio 1 1
-
 let mcr ?(capacity = 2) net =
   let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity net in
-  match Cycle_ratio.minimum g ~cost:tokens ~time with
-  | None -> one
-  | Some (r, _) -> if Cycle_ratio.ratio_compare r one > 0 then one else r
+  fst (Cycle_ratio.throughput_bound (Cycle_ratio.minimum g ~cost:tokens ~time))
 
 (* --------------------------------------------------------------- *)
 (* Shrinking and repro                                              *)

@@ -213,11 +213,11 @@ let test_stale_tmp_reaped () =
       Unix.mkdir cache 0o755;
       (* A writer that gets SIGKILLed mid-write strands its temp file.
          Simulate one: park a child, stamp a temp file with its PID,
-         kill -9. *)
+         kill -9.  The child is a spawned [sleep], not a fork: OCaml 5
+         refuses [Unix.fork] once earlier tests have started domains. *)
       let child =
-        match Unix.fork () with
-        | 0 -> (while true do Unix.sleep 3600 done); assert false
-        | pid -> pid
+        Unix.create_process "sleep" [| "sleep"; "3600" |] Unix.stdin Unix.stdout
+          Unix.stderr
       in
       let dead = Filename.concat cache (Printf.sprintf "deadbeef.rec.tmp.%d.0" child) in
       let alive = Filename.concat cache (Printf.sprintf "cafe.rec.tmp.%d.0" (Unix.getpid ())) in

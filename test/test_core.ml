@@ -484,10 +484,11 @@ let test_negative_detected_on_both_engines () =
 (* MCR solver agreement on the Table 1 networks                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Three independent minimum-cycle-ratio solvers (Howard's policy
-   iteration, the Lawler parametric search and brute-force enumeration
-   over elementary cycles) must agree exactly on every Table 1 netlist,
-   and the Fast kernel's throughput bound must be that same number. *)
+(* The library's minimum-cycle-ratio solver (Howard's policy iteration)
+   must agree exactly with the two test-side oracles (Lawler's
+   parametric search and brute-force enumeration over elementary cycles)
+   on every Table 1 netlist, and the Fast kernel's throughput bound must
+   be that same number. *)
 let test_mcr_solvers_agree_on_table1 () =
   let configs =
     (Config.zero :: List.map (fun conn -> Config.only conn 1) Datapath.all_connections)
@@ -507,9 +508,9 @@ let test_mcr_solvers_agree_on_table1 () =
               (Config.describe config)
           in
           match
-            ( Wp_graph.Howard.minimum_cycle_ratio g ~cost ~time,
-              Wp_graph.Cycle_ratio.minimum g ~cost ~time,
-              Wp_graph.Cycle_ratio.minimum_by_enumeration g ~cost ~time )
+            ( Wp_graph.Cycle_ratio.minimum g ~cost ~time,
+              Wp_oracle.Lawler.minimum g ~cost ~time,
+              Wp_oracle.Enumeration.minimum g ~cost ~time )
           with
           | Some (r1, _), Some (r2, _), Some (r3, _) ->
             checkb (ctx ^ ": howard = lawler") true

@@ -421,7 +421,7 @@ let test_flow_scale_front_consistent () =
   let r = Flow_scale.run ~jobs:2 ~spec:scale_spec () in
   checkb "best heads the front" true (List.hd r.Flow_scale.front = r.Flow_scale.best);
   (* [run] cross-checks the best point internally; re-check every front
-     point against a from-scratch Howard solve of its derived network. *)
+     point against a cold solve of its derived network. *)
   List.iter
     (fun (p : Flow_scale.point) ->
       let net = Flow_scale.derived_network scale_spec p in
@@ -454,6 +454,21 @@ let test_flow_scale_front_consistent () =
     (Wp_graph.Cycle_ratio.ratio_compare (Flow_scale.static_rate net)
        r.Flow_scale.best.Flow_scale.wp1_bound
     = 0)
+
+(* Regression: at this seed the walkers reach a placement whose capacity
+   graph has many cycles tied at the optimum 5/72, where policy
+   iteration used to swap the same policy edges back and forth until
+   its n*m iteration cap (minutes).  It must return, with the exact
+   bound (which [run] re-checks against a cold solve). *)
+let test_flow_scale_tied_optimum_returns () =
+  let spec =
+    match Flow_spec.of_args ~topology:"rand:1000" ~budget:1000 ~seed:409 () with
+    | Ok spec -> spec
+    | Error e -> failwith e
+  in
+  let r = Flow_scale.run ~jobs:1 ~spec () in
+  Alcotest.(check string) "WP1 bound" "5/72"
+    (Format.asprintf "%a" Wp_graph.Cycle_ratio.ratio_pp r.Flow_scale.best.Flow_scale.wp1_bound)
 
 let () =
   let props =
@@ -513,6 +528,8 @@ let () =
             test_flow_scale_domain_determinism;
           Alcotest.test_case "front is exact and non-dominated" `Quick
             test_flow_scale_front_consistent;
+          Alcotest.test_case "tied optimum returns (rand:1000 seed 409)" `Quick
+            test_flow_scale_tied_optimum_returns;
         ] );
       ("properties", props);
     ]

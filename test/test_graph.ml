@@ -3,9 +3,11 @@
 module Digraph = Wp_graph.Digraph
 module Scc = Wp_graph.Scc
 module Cycles = Wp_graph.Cycles
-module Karp = Wp_graph.Karp
 module Cycle_ratio = Wp_graph.Cycle_ratio
-module Shortest_path = Wp_graph.Shortest_path
+module Karp = Wp_oracle.Karp
+module Lawler = Wp_oracle.Lawler
+module Enumeration = Wp_oracle.Enumeration
+module Shortest_path = Wp_oracle.Shortest_path
 module Topo = Wp_graph.Topo
 module Dot = Wp_graph.Dot
 
@@ -288,14 +290,14 @@ let test_ratio_zero_time_cycle_rejected () =
   Alcotest.check_raises "zero-time cycle" (Invalid_argument "Cycle_ratio: cycle with zero total time")
     (fun () -> ignore (Cycle_ratio.minimum g ~cost:(fun _ -> 1) ~time:(fun _ -> 0)))
 
+(* The two oracles agree with each other before either judges the
+   library solver. *)
 let prop_ratio_matches_enumeration =
   QCheck2.Test.make ~count:200 ~name:"parametric min ratio = enumerated min ratio" gen_graph
     (fun (n, edges) ->
       let g = graph_of n edges in
       let cost = edge_weight and time = edge_time in
-      match
-        (Cycle_ratio.minimum g ~cost ~time, Cycle_ratio.minimum_by_enumeration g ~cost ~time)
-      with
+      match (Lawler.minimum g ~cost ~time, Enumeration.minimum g ~cost ~time) with
       | None, None -> true
       | Some (r1, c1), Some (r2, c2) ->
         Cycle_ratio.ratio_compare r1 r2 = 0
@@ -308,19 +310,19 @@ let prop_ratio_max_min_duality =
     (fun (n, edges) ->
       let g = graph_of n edges in
       let cost = edge_weight and time = edge_time in
-      match (Cycle_ratio.minimum g ~cost ~time, Cycle_ratio.maximum g ~cost ~time) with
+      match (Cycle_ratio.minimum g ~cost ~time, Lawler.maximum g ~cost ~time) with
       | None, None -> true
       | Some (rmin, _), Some (rmax, _) -> Cycle_ratio.ratio_compare rmin rmax <= 0
       | None, Some _ | Some _, None -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Howard                                                             *)
+(* Howard: the library solver against the oracles                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_howard_known () =
   let g = graph_of 2 [ (0, 1); (1, 0) ] in
   let time e = if e = 0 then 2 else 1 in
-  match Wp_graph.Howard.minimum_cycle_ratio g ~cost:(fun _ -> 1) ~time with
+  match Cycle_ratio.minimum g ~cost:(fun _ -> 1) ~time with
   | Some (r, cycle) ->
     checki "num" 2 r.Cycle_ratio.num;
     checki "den" 3 r.Cycle_ratio.den;
@@ -330,7 +332,7 @@ let test_howard_known () =
 let test_howard_acyclic () =
   let g = graph_of 3 [ (0, 1); (1, 2) ] in
   checkb "acyclic -> None" true
-    (Wp_graph.Howard.minimum_cycle_ratio g ~cost:(fun _ -> 1) ~time:(fun _ -> 1) = None)
+    (Cycle_ratio.minimum g ~cost:(fun _ -> 1) ~time:(fun _ -> 1) = None)
 
 let prop_howard_matches_lawler =
   QCheck2.Test.make ~count:300 ~name:"howard = lawler = enumeration" gen_graph
@@ -338,13 +340,45 @@ let prop_howard_matches_lawler =
       let g = graph_of n edges in
       let cost = edge_weight and time = edge_time in
       match
-        ( Wp_graph.Howard.minimum_cycle_ratio g ~cost ~time,
-          Cycle_ratio.minimum_by_enumeration g ~cost ~time )
+        ( Cycle_ratio.minimum g ~cost ~time,
+          Lawler.minimum g ~cost ~time,
+          Enumeration.minimum g ~cost ~time )
       with
-      | None, None -> true
+      | None, None, None -> true
+      | Some (r1, c1), Some (r2, _), Some (r3, _) ->
+        Cycle_ratio.ratio_compare r1 r2 = 0
+        && Cycle_ratio.ratio_compare r1 r3 = 0
+        && Cycles.is_elementary_cycle g c1
+      | _ -> false)
+
+(* Many cycles tied at the optimum: strongly connected graphs of 20-60
+   vertices with costs and times in {1, 2}.  Ties are where policy
+   iteration can oscillate between equally good policies; the solver
+   must still terminate on an exact optimum with a witnessing cycle. *)
+let gen_tie_heavy =
+  QCheck2.Gen.(
+    let* n = int_range 20 60 in
+    let* extra =
+      list_size (int_range n (2 * n)) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    in
+    let edges = List.init n (fun i -> (i, (i + 1) mod n)) @ extra in
+    let* weights =
+      list_size (return (List.length edges)) (pair (int_range 1 2) (int_range 1 2))
+    in
+    return (n, edges, Array.of_list weights))
+
+let prop_howard_matches_lawler_tie_heavy =
+  QCheck2.Test.make ~count:100 ~name:"howard = lawler on tie-heavy strongly connected graphs"
+    gen_tie_heavy
+    (fun (n, edges, weights) ->
+      let g = graph_of n edges in
+      let cost e = fst weights.(e) and time e = snd weights.(e) in
+      match (Cycle_ratio.minimum g ~cost ~time, Lawler.minimum g ~cost ~time) with
       | Some (r1, c1), Some (r2, _) ->
-        Cycle_ratio.ratio_compare r1 r2 = 0 && Cycles.is_elementary_cycle g c1
-      | None, Some _ | Some _, None -> false)
+        Cycle_ratio.ratio_compare r1 r2 = 0
+        && Cycles.is_elementary_cycle g c1
+        && Cycle_ratio.ratio_compare (Cycle_ratio.cycle_ratio g ~cost ~time c1) r1 = 0
+      | _ -> false (* strongly connected => cyclic *))
 
 (* Howard vs Karp on guaranteed-cyclic inputs: superimposing a
    Hamiltonian ring on random extra edges makes every generated digraph
@@ -367,7 +401,7 @@ let prop_howard_matches_karp_sc =
       let g = graph_of n edges in
       let cost = edge_weight in
       match
-        ( Wp_graph.Howard.minimum_cycle_ratio g ~cost ~time:(fun _ -> 1),
+        ( Cycle_ratio.minimum g ~cost ~time:(fun _ -> 1),
           Karp.minimum_cycle_mean g ~weight:(fun e -> float_of_int (cost e)) )
       with
       | Some (r, cycle), Some mean ->
@@ -382,7 +416,7 @@ let prop_howard_matches_karp_max_sc =
       let g = graph_of n edges in
       let cost = edge_weight in
       match
-        ( Cycle_ratio.maximum g ~cost ~time:(fun _ -> 1),
+        ( Lawler.maximum g ~cost ~time:(fun _ -> 1),
           Karp.maximum_cycle_mean g ~weight:(fun e -> float_of_int (cost e)) )
       with
       | Some (r, cycle), Some mean ->
@@ -432,13 +466,13 @@ let test_incremental_memoised () =
   checki "accessors see the weights (cost)" 1 (Incr.cost t 0)
 
 (* The differential battery: one persistent evaluator driven through a
-   50-step random perturbation sequence must agree exactly with a cold
-   Howard solve of the same weights at every step.  [gen_graph] mixes
+   50-step random perturbation sequence must agree exactly with Lawler's
+   search on the same weights at every step.  [gen_graph] mixes
    acyclic, multi-SCC and self-loop shapes, so the warm-started policy
    iteration is exercised across components and through None results. *)
 let prop_incremental_matches_scratch =
   QCheck2.Test.make ~count:100
-    ~name:"incremental mcr = from-scratch howard across 50 perturbations"
+    ~name:"incremental mcr = from-scratch lawler across 50 perturbations"
     QCheck2.Gen.(
       let* n, edges = gen_graph in
       let m = List.length edges in
@@ -462,9 +496,7 @@ let prop_incremental_matches_scratch =
           Incr.set_time inc e t;
           match
             ( Incr.solve inc,
-              Wp_graph.Howard.minimum_cycle_ratio g
-                ~cost:(fun e -> cost.(e))
-                ~time:(fun e -> time.(e)) )
+              Lawler.minimum g ~cost:(fun e -> cost.(e)) ~time:(fun e -> time.(e)) )
           with
           | None, None -> true
           | Some (r1, c1), Some (r2, _) ->
@@ -549,7 +581,7 @@ let prop_schedule_rate_is_mcr =
     ~name:"schedule rate = minimum cycle ratio, exactly as a rational" gen_sc_graph
     (fun (n, edges) ->
       let g, t = schedule_of (n, edges) in
-      match Cycle_ratio.minimum g ~cost:edge_tokens ~time:edge_time with
+      match Lawler.minimum g ~cost:edge_tokens ~time:edge_time with
       | None -> false (* strongly connected => cyclic *)
       | Some (mcr, _) ->
         Cycle_ratio.ratio_compare t.Schedule.rate mcr = 0
@@ -701,6 +733,7 @@ let () =
         prop_karp_matches_enumeration;
         prop_ratio_matches_enumeration;
         prop_howard_matches_lawler;
+        prop_howard_matches_lawler_tie_heavy;
         prop_incremental_matches_scratch;
         prop_howard_matches_karp_sc;
         prop_howard_matches_karp_max_sc;
