@@ -725,18 +725,23 @@ let optimal_cmd =
   let run budget per_max program machine jobs no_cache stats spec gc =
     let runner = make_runner jobs no_cache in
     let (config, value), _ =
-      with_gc_stats gc (fun () ->
-          Wp_core.Runner.timed runner "optimal" (fun () ->
-              Wp_core.Optimizer.optimal
-                ~search:
-                  {
-                    Wp_core.Optimizer.default_search with
-                    Wp_core.Optimizer.budget;
-                    per_connection_max = per_max;
-                  }
-                ~map:(Wp_core.Runner.map runner)
-                ~objective:(Wp_core.Runner.objective_spec ~spec runner ~machine ~program)
-                ()))
+      try
+        with_gc_stats gc (fun () ->
+            Wp_core.Runner.timed runner "optimal" (fun () ->
+                Wp_core.Optimizer.optimal
+                  ~search:
+                    {
+                      Wp_core.Optimizer.default_search with
+                      Wp_core.Optimizer.budget;
+                      per_connection_max = per_max;
+                    }
+                  ~map:(Wp_core.Runner.map runner)
+                  ~objective:(Wp_core.Runner.objective_spec ~spec runner ~machine ~program)
+                  ()))
+      with Invalid_argument msg ->
+        (* An unreachable, negative or otherwise bad --budget/--max. *)
+        Printf.eprintf "wirepipe optimal: %s\n" msg;
+        exit 1
     in
     Printf.printf "best placement of %d relay stations (max %d per connection):\n" budget per_max;
     Printf.printf "  %s\n  simulated WP2 throughput %.3f (static WP1 bound %.3f)\n"

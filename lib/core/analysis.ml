@@ -37,19 +37,18 @@ let edge_connection edge_info e =
   let conn, _, _ = List.assoc e edge_info in
   conn
 
-(* The topology is fixed, so its elementary loops are enumerated once and
-   the worst-loop bound of a configuration reduces to a scan — this is
-   what makes the 180k-placement "Optimal 2" search cheap. *)
 let static_loops =
-  lazy
-    (let g, edge_info = Lazy.force static_graph in
-     List.map
-       (fun cycle ->
-         (List.length cycle, List.map (edge_connection edge_info) cycle))
-       (Cycles.elementary_cycles g))
+  let loops =
+    lazy
+      (let g, edge_info = Lazy.force static_graph in
+       List.map
+         (fun cycle -> (List.length cycle, List.map (edge_connection edge_info) cycle))
+         (Cycles.elementary_cycles g))
+  in
+  fun () -> Lazy.force loops
 
 let wp1_bound config =
-  let loops = Lazy.force static_loops in
+  let loops = static_loops () in
   List.fold_left
     (fun acc (m, conns) ->
       let n = List.fold_left (fun s c -> s + Config.get config c) 0 conns in

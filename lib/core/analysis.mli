@@ -19,6 +19,13 @@ val wp1_bound : Config.t -> Wp_graph.Cycle_ratio.ratio
 
 val wp1_bound_float : Config.t -> float
 
+val static_loops : unit -> (int * Wp_soc.Datapath.connection list) list
+(** Every elementary loop of the case-study netlist as [(m, connections)]:
+    its process count and one connection per channel on the loop, so a
+    connection whose two channels both lie on it appears twice.  The
+    topology is fixed, so the loops are enumerated once; {!wp1_bound} is
+    a scan over them. *)
+
 val critical_loop : Config.t -> loop_report
 (** The loop achieving {!wp1_bound}. *)
 

@@ -36,18 +36,25 @@ let search_digest s =
         s.schedule.Wp_util.Anneal.plateau;
     ]
 
-let unreachable_budget who budget per_connection_max slots =
-  invalid_arg
-    (Printf.sprintf
-       "%s: budget %d exceeds capacity %d (%d connections x %d per connection)" who budget
-       (per_connection_max * slots) slots per_connection_max)
+(* The one validation of a placement space: [slots] connections, at most
+   [per_connection_max] stations each, exactly [budget] in total. *)
+let check_budget who ~budget ~per_connection_max slots =
+  if budget < 0 then invalid_arg (Printf.sprintf "%s: negative budget %d" who budget);
+  if per_connection_max < 0 then
+    invalid_arg
+      (Printf.sprintf "%s: negative per-connection max %d" who per_connection_max);
+  if budget > per_connection_max * slots then
+    invalid_arg
+      (Printf.sprintf
+         "%s: budget %d exceeds capacity %d (%d connections x %d per connection)" who
+         budget (per_connection_max * slots) slots per_connection_max)
+
+let slots_of exclude =
+  List.filter (fun c -> not (List.mem c exclude)) Datapath.all_connections
 
 let enumerate ~budget ~per_connection_max ?(exclude = default_exclude) () =
-  if budget < 0 then
-    invalid_arg (Printf.sprintf "Optimizer.enumerate: negative budget %d" budget);
-  let slots = List.filter (fun c -> not (List.mem c exclude)) Datapath.all_connections in
-  if budget > per_connection_max * List.length slots then
-    unreachable_budget "Optimizer.enumerate" budget per_connection_max (List.length slots);
+  let slots = slots_of exclude in
+  check_budget "Optimizer.enumerate" ~budget ~per_connection_max (List.length slots);
   let results = ref [] in
   let rec distribute remaining config = function
     | [] -> if remaining = 0 then results := config :: !results
@@ -59,43 +66,111 @@ let enumerate ~budget ~per_connection_max ?(exclude = default_exclude) () =
   distribute budget Config.zero slots;
   List.rev !results
 
-(* The static score is evaluated once per placement (decorate-sort), never
-   inside a comparator: the "Optimal 2" search space has ~180k
-   placements. *)
-let static_score config =
-  (Analysis.wp1_bound_float config, -Config.total_channels config)
+(* A placement's static score: its worst-loop bound [num/den], then fewer
+   physical channels.  [seq] orders placements as [enumerate] lists them,
+   the final tie-break. *)
+type entry = { num : int; den : int; channels : int; seq : int; config : Config.t }
+
+(* Negative iff the score (num/den, channels) is better than [e]'s. *)
+let compare_score ~num ~den ~channels e =
+  match compare (e.num * den) (num * e.den) with
+  | 0 -> compare channels e.channels
+  | c -> c
+
+(* Best first. *)
+module Ranking = Set.Make (struct
+  type t = entry
+
+  let compare a b =
+    match compare_score ~num:a.num ~den:a.den ~channels:a.channels b with
+    | 0 -> compare a.seq b.seq
+    | c -> c
+end)
+
+(* The [k] best-ranked placements of the space [enumerate] lists, best
+   first, found by a depth-first walk in enumeration order.  Adding
+   stations never raises a loop's bound nor lowers the channel count, so
+   a partial placement's score bounds every completion of it; a
+   completion also comes later in enumeration order than every entry
+   already kept.  A subtree whose partial score does not strictly beat
+   the [k]-th entry therefore holds no placement of the top [k], and is
+   skipped.  Bad bounds are reported under [enumerate]'s name, as they
+   were when this space was listed in full. *)
+let shortlist ~k ~budget ~per_connection_max ~exclude =
+  let slots = Array.of_list (slots_of exclude) in
+  let nslots = Array.length slots in
+  check_budget "Optimizer.enumerate" ~budget ~per_connection_max nslots;
+  let loops = Array.of_list (Analysis.static_loops ()) in
+  let stations = Array.make (Array.length loops) 0 in
+  (* The loops through each slot, once per channel of the slot on it. *)
+  let crossings =
+    Array.map
+      (fun conn ->
+        List.concat
+          (List.mapi
+             (fun l (_, conns) ->
+               List.filter_map (fun c -> if c = conn then Some l else None) conns)
+             (Array.to_list loops)))
+      slots
+  in
+  let weight = Array.map (fun conn -> Config.total_channels (Config.only conn 1)) slots in
+  let counts = Array.make nslots 0 in
+  let kept = ref Ranking.empty and entered = ref 0 and kth = ref None in
+  let admits num den channels =
+    match !kth with None -> true | Some e -> compare_score ~num ~den ~channels e < 0
+  in
+  let keep num den channels =
+    let config = Config.of_alist (List.combine (Array.to_list slots) (Array.to_list counts)) in
+    kept := Ranking.add { num; den; channels; seq = !entered; config } !kept;
+    incr entered;
+    if !entered > k then kept := Ranking.remove (Ranking.max_elt !kept) !kept;
+    if !entered >= k then kth := Some (Ranking.max_elt !kept)
+  in
+  let set_count i n =
+    let delta = n - counts.(i) in
+    counts.(i) <- n;
+    List.iter (fun l -> stations.(l) <- stations.(l) + delta) crossings.(i)
+  in
+  (* Slots [0..i-1] are assigned, with partial score (num/den, channels). *)
+  let rec visit i remaining num den channels =
+    if admits num den channels then
+      if i = nslots then keep num den channels
+      else begin
+        (* Never leave more stations than the later slots can hold. *)
+        for n = max 0 (remaining - (per_connection_max * (nslots - i - 1)))
+            to min remaining per_connection_max do
+          set_count i n;
+          let num, den =
+            List.fold_left
+              (fun (num, den) l ->
+                let m = fst loops.(l) in
+                if m * den < num * (m + stations.(l)) then (m, m + stations.(l))
+                else (num, den))
+              (num, den) crossings.(i)
+          in
+          visit (i + 1) (remaining - n) num den (channels + (weight.(i) * n))
+        done;
+        set_count i 0
+      end
+  in
+  if k > 0 then visit 0 budget 1 1 0;
+  Ranking.elements !kept
 
 let best_static ~budget ~per_connection_max ?(exclude = default_exclude) () =
-  let configs = enumerate ~budget ~per_connection_max ~exclude () in
-  match configs with
-  | [] -> invalid_arg "Optimizer.best_static: empty search space"
-  | first :: rest ->
-    let best, best_score =
-      List.fold_left
-        (fun (bc, bs) config ->
-          let s = static_score config in
-          if s > bs then (config, s) else (bc, bs))
-        (first, static_score first) rest
-    in
-    (best, fst best_score)
+  match shortlist ~k:1 ~budget ~per_connection_max ~exclude with
+  | [ best ] -> (best.config, float_of_int best.num /. float_of_int best.den)
+  | _ -> assert false
 
 let optimal ~search ?(map = List.map) ~objective () =
   let { budget; per_connection_max; exclude; candidates; _ } = search in
-  let configs = enumerate ~budget ~per_connection_max ~exclude () in
-  let decorated = List.map (fun c -> (static_score c, c)) configs in
-  let ranked = List.sort (fun (sa, _) (sb, _) -> compare sb sa) decorated in
-  let rec take n = function
-    | [] -> []
-    | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-  in
-  match take candidates ranked with
+  match shortlist ~k:candidates ~budget ~per_connection_max ~exclude with
   | [] -> invalid_arg "Optimizer.optimal: empty search space"
   | shortlist ->
     (* Objective evaluations fan out through [map] (e.g. a parallel
        runner); the winner is then folded in shortlist order, so the
        result — including tie-breaking towards the better static rank —
        is identical to the sequential fold. *)
-    let shortlist = List.map snd shortlist in
+    let shortlist = List.map (fun e -> e.config) shortlist in
     let values = map objective shortlist in
     (match List.combine shortlist values with
     | [] -> assert false
@@ -107,12 +182,9 @@ let optimal ~search ?(map = List.map) ~objective () =
 let anneal_placement ~search ?(objective = Analysis.wp1_bound_float) () =
   let { budget; per_connection_max; exclude; seed; schedule; _ } = search in
   let prng = Wp_util.Prng.create ~seed in
-  let slots =
-    Array.of_list (List.filter (fun c -> not (List.mem c exclude)) Datapath.all_connections)
-  in
+  let slots = Array.of_list (slots_of exclude) in
   let n = Array.length slots in
-  if budget > per_connection_max * n then
-    unreachable_budget "Optimizer.anneal_placement" budget per_connection_max n;
+  check_budget "Optimizer.anneal_placement" ~budget ~per_connection_max n;
   (* Deterministic initial spread: round-robin one station at a time. *)
   let init =
     let config = ref Config.zero in

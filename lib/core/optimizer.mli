@@ -36,10 +36,12 @@ val enumerate :
   Config.t list
 (** All configurations with exactly [budget] relay stations in total and
     at most [per_connection_max] per connection; excluded connections stay
-    at zero.  @raise Invalid_argument if the budget is negative or
-    unreachable — the message names the offending budget and the
-    capacity ([connections x per-connection max]) so sweep scripts can
-    report the bad knob directly. *)
+    at zero.  This is the search space of {!best_static} and {!optimal}.
+    @raise Invalid_argument if the budget or the per-connection max is
+    negative, or the budget is unreachable — the message names the
+    offending number and, for an unreachable budget, the capacity
+    ([connections x per-connection max]) so sweep scripts can report the
+    bad knob directly. *)
 
 val best_static :
   budget:int ->
@@ -48,7 +50,9 @@ val best_static :
   unit ->
   Config.t * float
 (** The placement maximising the static WP1 bound (ties broken towards
-    fewer physical relay stations, then enumeration order). *)
+    fewer physical relay stations, then enumeration order) and that
+    bound: the head of {!optimal}'s ranking.
+    @raise Invalid_argument with {!enumerate}'s message on bad bounds. *)
 
 val optimal :
   search:search ->
@@ -56,12 +60,24 @@ val optimal :
   objective:(Config.t -> float) ->
   unit ->
   Config.t * float
-(** Rank all placements by the static bound, keep the [search.candidates]
-    best, evaluate [objective] (e.g. simulated WP2 throughput) on those,
-    return the winner.  [map] (default [List.map]) evaluates the
-    shortlist; pass {!Runner.map} to fan the simulations out across cores
-    — the winner is folded in shortlist order either way, so the result
-    is independent of [map]. *)
+(** Shortlist the [search.candidates] placements of {!enumerate} with
+    the best static WP1 bound (ties broken towards fewer physical relay
+    stations, then enumeration order), evaluate [objective] (e.g.
+    simulated WP2 throughput) on those, return the winner.
+
+    The shortlist and its order are exactly those of scoring, sorting and
+    truncating every placement, but it is found by a depth-first walk in
+    enumeration order that prunes: adding relay stations never raises a
+    loop's bound nor lowers the channel count, so a partial placement
+    whose score does not strictly beat the current [candidates]-th entry
+    has no completion in the shortlist, and its subtree is skipped.  Only
+    shortlisted placements are built as {!Config.t}.
+
+    [map] (default [List.map]) evaluates the shortlist; pass {!Runner.map}
+    to fan the simulations out across cores — the winner is folded in
+    shortlist order either way, so the result is independent of [map].
+    @raise Invalid_argument with {!enumerate}'s message on bad bounds,
+    and when [search.candidates] is not positive (empty shortlist). *)
 
 val anneal_placement :
   search:search ->
@@ -74,5 +90,6 @@ val anneal_placement :
     seeded from [search.seed] so equal specs give equal placements.  The
     default objective is the static WP1 bound (cheap); pass a
     simulation-backed objective for final refinement.
-    @raise Invalid_argument if the budget is unreachable (message names
-    budget and capacity, as {!enumerate}). *)
+    @raise Invalid_argument on a negative budget or per-connection max,
+    or an unreachable budget (the message names the numbers, as
+    {!enumerate}'s). *)

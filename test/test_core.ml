@@ -120,6 +120,15 @@ let test_optimizer_enumerate_bounds () =
   Alcotest.check_raises "negative budget names the budget"
     (Invalid_argument "Optimizer.enumerate: negative budget -3") (fun () ->
       ignore (Optimizer.enumerate ~budget:(-3) ~per_connection_max:1 ()));
+  Alcotest.check_raises "negative max names the max"
+    (Invalid_argument "Optimizer.enumerate: negative per-connection max -1") (fun () ->
+      ignore (Optimizer.enumerate ~budget:0 ~per_connection_max:(-1) ()));
+  Alcotest.check_raises "annealer rejects a negative budget"
+    (Invalid_argument "Optimizer.anneal_placement: negative budget -3") (fun () ->
+      ignore
+        (Optimizer.anneal_placement
+           ~search:{ Optimizer.default_search with Optimizer.budget = -3 }
+           ()));
   checki "budget zero" 1 (List.length (Optimizer.enumerate ~budget:0 ~per_connection_max:1 ()))
 
 let test_optimizer_best_static () =
@@ -146,6 +155,84 @@ let test_optimizer_optimal_calls_objective () =
   checkb "objective evaluated" true (!calls > 0 && !calls <= 9);
   checkb "winner maximises objective among shortlist" true
     (value >= 0.0 && Config.total_connections config = 1)
+
+(* The ranking [Optimizer.optimal]'s shortlist must equal: every
+   placement scored by its worst-loop bound, then fewer physical
+   channels, stably sorted (ties keep enumeration order), first
+   [candidates] kept. *)
+let ranked_shortlist ~budget ~per_connection_max ~exclude ~candidates =
+  let score c = (Analysis.wp1_bound_float c, -Config.total_channels c) in
+  Optimizer.enumerate ~budget ~per_connection_max ~exclude ()
+  |> List.map (fun c -> (score c, c))
+  |> List.stable_sort (fun (a, _) (b, _) -> compare b a)
+  |> List.filteri (fun i _ -> i < candidates)
+  |> function
+  | [] -> invalid_arg "Optimizer.optimal: empty search space"
+  | shortlist -> List.map snd shortlist
+
+(* The shortlist [Optimizer.optimal] hands to its objective, captured
+   through [~map]. *)
+let optimal_shortlist ~budget ~per_connection_max ~exclude ~candidates =
+  let seen = ref [] in
+  let map f configs =
+    seen := configs;
+    List.map f configs
+  in
+  ignore
+    (Optimizer.optimal
+       ~search:
+         {
+           Optimizer.default_search with
+           Optimizer.budget;
+           per_connection_max;
+           exclude;
+           candidates;
+         }
+       ~map ~objective:(fun _ -> 0.0) ());
+  !seen
+
+let same_shortlist ~budget ~per_connection_max ~exclude ~candidates =
+  let outcome f =
+    match f ~budget ~per_connection_max ~exclude ~candidates with
+    | configs -> Ok (List.map Config.describe configs)
+    | exception Invalid_argument msg -> Error msg
+  in
+  outcome ranked_shortlist = outcome optimal_shortlist
+
+let test_optimizer_table1_shortlists () =
+  let exclude = Optimizer.default_search.Optimizer.exclude in
+  List.iter
+    (fun (budget, per_connection_max) ->
+      checkb
+        (Printf.sprintf "budget %d, max %d" budget per_connection_max)
+        true
+        (same_shortlist ~budget ~per_connection_max ~exclude ~candidates:24))
+    [ (9, 2); (18, 4) ];
+  for budget = 0 to 12 do
+    let config, bound = Optimizer.best_static ~budget ~per_connection_max:2 () in
+    let head = ranked_shortlist ~budget ~per_connection_max:2 ~exclude ~candidates:1 in
+    Alcotest.(check (list string))
+      (Printf.sprintf "best static, budget %d" budget)
+      (List.map Config.describe head) [ Config.describe config ];
+    checkf "its bound" (Analysis.wp1_bound_float config) bound
+  done
+
+let prop_optimizer_shortlist_matches_ranking =
+  let gen =
+    QCheck2.Gen.(
+      quad (int_range 0 14) (int_range 0 4)
+        (array_size (return (List.length Datapath.all_connections)) bool)
+        (oneofl [ 0; 1; 5; 24; 100_000 ]))
+  in
+  let print (budget, per_connection_max, excluded, candidates) =
+    Printf.sprintf "budget %d, max %d, exclude [%s], candidates %d" budget per_connection_max
+      (String.concat " " (Array.to_list (Array.map string_of_bool excluded)))
+      candidates
+  in
+  QCheck2.Test.make ~count:300 ~print ~name:"optimal shortlist = exhaustive ranking" gen
+    (fun (budget, per_connection_max, excluded, candidates) ->
+      let exclude = List.filteri (fun i _ -> excluded.(i)) Datapath.all_connections in
+      same_shortlist ~budget ~per_connection_max ~exclude ~candidates)
 
 let test_optimizer_anneal_matches_exhaustive () =
   (* Small budgets: the annealer must find the same static optimum the
@@ -547,6 +634,9 @@ let () =
           Alcotest.test_case "enumerate bounds" `Quick test_optimizer_enumerate_bounds;
           Alcotest.test_case "best static" `Quick test_optimizer_best_static;
           Alcotest.test_case "objective shortlist" `Quick test_optimizer_optimal_calls_objective;
+          Alcotest.test_case "table1 shortlists = exhaustive ranking" `Quick
+            test_optimizer_table1_shortlists;
+          QCheck_alcotest.to_alcotest prop_optimizer_shortlist_matches_ranking;
           Alcotest.test_case "anneal matches exhaustive" `Quick test_optimizer_anneal_matches_exhaustive;
           Alcotest.test_case "anneal respects budget" `Quick test_optimizer_anneal_respects_budget;
         ] );
