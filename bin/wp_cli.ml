@@ -493,7 +493,8 @@ let flow_cmd =
   let budget_arg =
     Arg.(value & opt (some int) None
          & info [ "budget" ] ~docv:"N"
-             ~doc:"Total annealing moves across all walkers (default 4000).")
+             ~doc:"Annealing moves, split evenly across the walkers: each \
+                   makes max(1, N / pool) (default 4000).")
   in
   let seed_arg =
     Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED")

@@ -31,8 +31,9 @@ type result = {
 
 type ctx = {
   n : int;                     (* nodes *)
-  side : int;
   cells_total : int;
+  row : int array;             (* cell -> grid row *)
+  col : int array;             (* cell -> grid column *)
   chans : (int * int) array;   (* channel -> (src node, dst node) *)
   incident : int list array;   (* node -> incident channels, deduped *)
   reach : float;
@@ -41,19 +42,16 @@ type ctx = {
   wire0 : float;
 }
 
-let cell_dist ctx a b =
-  let ra = a / ctx.side and ca = a mod ctx.side in
-  let rb = b / ctx.side and cb = b mod ctx.side in
-  float_of_int (abs (ra - rb) + abs (ca - cb))
+let cell_dist ctx a b = abs (ctx.row.(a) - ctx.row.(b)) + abs (ctx.col.(a) - ctx.col.(b))
 
 let chan_len ctx cells c =
   let a, b = ctx.chans.(c) in
   cell_dist ctx cells.(a) cells.(b)
 
 let total_wire ctx cells =
-  let acc = ref 0.0 in
+  let acc = ref 0 in
   for c = 0 to Array.length ctx.chans - 1 do
-    acc := !acc +. chan_len ctx cells c
+    acc := !acc + chan_len ctx cells c
   done;
   !acc
 
@@ -62,7 +60,7 @@ let bbox_area ctx cells =
   let cmin = ref max_int and cmax = ref min_int in
   Array.iter
     (fun cell ->
-      let r = cell / ctx.side and c = cell mod ctx.side in
+      let r = ctx.row.(cell) and c = ctx.col.(cell) in
       if r < !rmin then rmin := r;
       if r > !rmax then rmax := r;
       if c < !cmin then cmin := c;
@@ -71,7 +69,7 @@ let bbox_area ctx cells =
   if !rmax < !rmin then 0.0
   else float_of_int ((!rmax - !rmin + 1) * (!cmax - !cmin + 1))
 
-let rs_for ctx len = Flow.relay_stations_for ~reach:ctx.reach len
+let rs_for ctx len = Flow.relay_stations_for ~reach:ctx.reach (float_of_int len)
 
 (* ------------------------------------------------------------------ *)
 (* Pareto dominance over (die area min, wirelength min, bound max)    *)
@@ -89,9 +87,12 @@ let same_metrics p q =
 
 (* Insertion keeps first-seen order (deterministic merge): a point equal
    or dominated is dropped, otherwise it evicts what it dominates. *)
-let archive_insert archive p =
-  if List.exists (fun q -> dominates q p || same_metrics q p) archive then archive
-  else List.filter (fun q -> not (dominates p q)) archive @ [ p ]
+let archive_admits archive p =
+  not (List.exists (fun q -> dominates q p || same_metrics q p) archive)
+
+let archive_add archive p = List.filter (fun q -> not (dominates p q)) archive @ [ p ]
+
+let archive_insert archive p = if archive_admits archive p then archive_add archive p else archive
 
 (* ------------------------------------------------------------------ *)
 (* Walkers                                                            *)
@@ -102,6 +103,8 @@ type walker = {
   prng : Prng.t;
   cells : int array;
   cell_of : int array;          (* cell -> node, -1 when empty *)
+  len : int array;              (* channel -> grid length *)
+  mutable wire : int;           (* sum of [len], exact *)
   rs : int array;               (* channel -> relay stations *)
   eval : Cycle_ratio.Incremental.t;
   wa : float;                   (* scalarisation weights *)
@@ -124,9 +127,14 @@ let scalar w (area, wire, bound) ctx =
 
 (* Channel [c] of the capacity graph owns edges [2c] (forward: tokens 1,
    time [1 + rs]) and [2c + 1] (reverse: tokens [capacity + 2 rs - 1],
-   time 1) — [Static.capacity_graph] adds them in channel order. *)
+   time 1) — [Static.capacity_graph] adds them in channel order.  Every
+   cell change goes through here, so [w.len] and [w.wire] track the
+   placement. *)
 let refresh_channel ctx w c =
-  let k = rs_for ctx (chan_len ctx w.cells c) in
+  let len = chan_len ctx w.cells c in
+  w.wire <- w.wire + len - w.len.(c);
+  w.len.(c) <- len;
+  let k = rs_for ctx len in
   if w.rs.(c) <> k then begin
     w.rs.(c) <- k;
     Cycle_ratio.Incremental.set_time w.eval (2 * c) (1 + k);
@@ -145,8 +153,8 @@ type cache = {
 
 (* Score the walker's current placement.  The cache is keyed by the
    placement digest and shared by every walker on every domain: values
-   are pure functions of the cells array (die area and wirelength are
-   recomputed from scratch in a fixed order, the bound is an exact
+   are pure functions of the cells array (the die area is recomputed,
+   the wirelength is an exact integer sum, the bound an exact
    rational), so a hit returns byte-identical data to a recompute and
    the walker trajectories do not depend on which domain filled the
    entry first. *)
@@ -163,7 +171,7 @@ let evaluate ctx cache w =
   | Some v -> v
   | None ->
     let area = bbox_area ctx w.cells in
-    let wire = total_wire ctx w.cells in
+    let wire = float_of_int w.wire in
     let bound, _ = Cycle_ratio.throughput_bound (Cycle_ratio.Incremental.solve w.eval) in
     let rs_total = Array.fold_left ( + ) 0 w.rs in
     let v = (area, wire, bound, rs_total) in
@@ -172,14 +180,21 @@ let evaluate ctx cache w =
     Mutex.unlock cache.lock;
     v
 
+(* The placement is copied only when the point is kept, as an archive
+   entry, as the walker's best, or both (points are never mutated, so
+   the two share the copy). *)
 let observe ctx w (area, wire, bound, rs_total) =
   let cost = scalar w (area, wire, bound) ctx in
-  let mk () = { die_area = area; wirelength = wire; wp1_bound = bound; rs_total;
-                cells = Array.copy w.cells } in
-  w.archive <- archive_insert w.archive (mk ());
-  if cost < w.best_cost then begin
-    w.best_cost <- cost;
-    w.best_point <- mk ()
+  let p = { die_area = area; wirelength = wire; wp1_bound = bound; rs_total; cells = [||] } in
+  let archived = archive_admits w.archive p in
+  let best = cost < w.best_cost in
+  if archived || best then begin
+    let p = { p with cells = Array.copy w.cells } in
+    if archived then w.archive <- archive_add w.archive p;
+    if best then begin
+      w.best_cost <- cost;
+      w.best_point <- p
+    end
   end;
   cost
 
@@ -259,6 +274,7 @@ let make_walker ctx spec g tokens time i =
   let cells = Array.init ctx.n Fun.id in
   let cell_of = Array.make ctx.cells_total (-1) in
   Array.iteri (fun node cell -> cell_of.(cell) <- node) cells;
+  let len = Array.make (Array.length ctx.chans) 0 in
   let rs = Array.make (max 1 (Array.length ctx.chans)) (-1) in
   let eval = Cycle_ratio.Incremental.create g ~cost:tokens ~time in
   let wa, ww, wt = walker_weights spec i in
@@ -272,6 +288,8 @@ let make_walker ctx spec g tokens time i =
       prng = Prng.create ~seed:(spec.Flow_spec.seed lxor (0x9E3779B9 * (i + 1)));
       cells;
       cell_of;
+      len;
+      wire = 0;
       rs;
       eval;
       wa;
@@ -339,8 +357,9 @@ let build_ctx spec tspec =
   let ctx =
     {
       n;
-      side;
       cells_total = side * side;
+      row = Array.init (side * side) (fun cell -> cell / side);
+      col = Array.init (side * side) (fun cell -> cell mod side);
       chans;
       incident;
       reach = spec.Flow_spec.reach;
@@ -351,7 +370,7 @@ let build_ctx spec tspec =
   in
   let cells0 = Array.init n Fun.id in
   let area0 = max (bbox_area ctx cells0) 1.0 in
-  let wire0 = max (total_wire ctx cells0) 1.0 in
+  let wire0 = max (float_of_int (total_wire ctx cells0)) 1.0 in
   (net, { ctx with area0; wire0 })
 
 let spec_topology spec =

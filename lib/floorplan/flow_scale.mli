@@ -52,8 +52,8 @@ type result = {
 
 val run : ?jobs:int -> ?spec:Flow_spec.t -> unit -> result
 (** Run the scaled flow.  [spec.topology] must be
-    {!Flow_spec.Generated}; [spec.budget] total moves are split evenly
-    across [spec.pool] walkers; [jobs] (default
+    {!Flow_spec.Generated}; each of the [spec.pool] walkers makes
+    [max 1 (spec.budget / spec.pool)] moves; [jobs] (default
     {!Wp_util.Pool.default_jobs}) only sets the domain count — the
     result is byte-identical for any [jobs].
     @raise Invalid_argument on {!Flow_spec.Case_study}.

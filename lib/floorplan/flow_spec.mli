@@ -49,8 +49,11 @@ type t = {
   reach : float;    (** signal reach per clock, mm (wire of length [l]
                         needs [ceil (l/reach) - 1] relay stations) *)
   objective : objective;
-  budget : int;     (** total annealing moves (split across the pool in
-                        the scaled flow) *)
+  budget : int;
+      (** annealing moves.  The case study makes exactly [budget]; the
+          scaled flow gives each of its [pool] walkers
+          [max 1 (budget / pool)], so budget 3 with pool 8 makes 8
+          moves and budget 1001 with pool 4 makes 1000. *)
   seed : int;
   schedule : schedule;
   pool : int;       (** population size: annealing walkers (sharded

@@ -43,6 +43,8 @@ module Incremental = struct
 
   type t = {
     g : Digraph.t;
+    src : int array;            (* edge id -> source vertex *)
+    dst : int array;            (* edge id -> destination vertex *)
     cost : int array;           (* edge id -> cost *)
     time : int array;           (* edge id -> time, >= 0 *)
     comp : int array;           (* SCC ids, fixed: topology never changes *)
@@ -50,8 +52,9 @@ module Incremental = struct
     (* Scratch for policy evaluation, reused across solves. *)
     lambda : float array;
     potential : float array;
-    cycle_repr : Digraph.edge list array;
+    anchor : int array;         (* vertex -> vertex that closed its policy cycle *)
     state : int array;          (* 0 white / 1 gray / 2 done *)
+    stack : int array;          (* the policy path being walked *)
     mutable dirty : bool;
     mutable cached : (ratio * Digraph.edge list) option;
     mutable solves : int;       (* policy-iteration runs (cache misses) *)
@@ -64,30 +67,29 @@ module Incremental = struct
     Array.iter
       (fun t -> if t < 0 then invalid_arg "Cycle_ratio.Incremental.create: negative time")
       times;
+    let src = Array.init m (Digraph.edge_src g) in
+    let dst = Array.init m (Digraph.edge_dst g) in
     let comp = Scc.component_ids g in
-    (* Initial policy: any out-edge that stays inside the vertex's SCC,
-       so a policy path can always close a cycle; -1 if none exists. *)
+    (* Initial policy: the lowest-id out-edge that stays inside the
+       vertex's SCC, so a policy path can always close a cycle; -1 if
+       none exists. *)
     let policy = Array.make (max n 1) (-1) in
-    for v = 0 to n - 1 do
-      policy.(v) <-
-        (match
-           List.find_opt
-             (fun e -> comp.(Digraph.edge_dst g e) = comp.(v))
-             (Digraph.out_edges g v)
-         with
-        | Some e -> e
-        | None -> -1)
+    for e = m - 1 downto 0 do
+      if comp.(dst.(e)) = comp.(src.(e)) then policy.(src.(e)) <- e
     done;
     {
       g;
+      src;
+      dst;
       cost = Array.init m cost;
       time = times;
       comp;
       policy;
       lambda = Array.make (max n 1) infinity;
       potential = Array.make (max n 1) 0.0;
-      cycle_repr = Array.make (max n 1) [];
+      anchor = Array.make (max n 1) (-1);
       state = Array.make (max n 1) 0;
+      stack = Array.make (max n 1) 0;
       dirty = true;
       cached = None;
       solves = 0;
@@ -133,106 +135,112 @@ module Incremental = struct
     end
 
   (* Evaluate the current policy: per-vertex cycle ratio [lambda],
-     potential, and representative policy cycle.  A policy cycle's
-     potentials are anchored at the vertex that closed the walk, which
-     keeps the potential it had after the previous evaluation (Cochet-
-     Terrasson et al., 1998).  A cycle that survives an improvement
-     sweep therefore keeps its potentials, so the tie-breaking
-     comparisons in [improve] are monotone and policy iteration cannot
-     cycle between equally good policies. *)
+     potential, and the [anchor] of the policy cycle each vertex
+     reaches.  A policy cycle's potentials are anchored at the vertex
+     that closed the walk, which keeps the potential it had after the
+     previous evaluation (Cochet-Terrasson et al., 1998).  A cycle that
+     survives an improvement sweep therefore keeps its potentials, so
+     the tie-breaking comparisons in [improve] are monotone and policy
+     iteration cannot cycle between equally good policies.
+
+     Each walk follows the policy from a white vertex, graying the path
+     on [stack], until it dead-ends, meets a finished vertex, or closes
+     a cycle at a gray one.  Unwinding the stack newest-first then sets
+     every vertex from its successor, d(u) = w(e) - lam*t(e) + d(dst e):
+     the cycle's vertices from the anchor backwards, then the tail. *)
   let evaluate t =
-    let g = t.g in
-    let n = Digraph.vertex_count g in
-    Array.fill t.state 0 (Array.length t.state) 0;
-    let rec walk v path =
-      match t.state.(v) with
-      | 2 -> ()
-      | 1 ->
-        (* Closed a cycle: [path] holds edges newest-first; the cycle is
-           the suffix of [path] from v's edge. *)
-        let rec cut acc = function
-          | [] -> acc
-          | e :: rest ->
-            let acc = e :: acc in
-            if Digraph.edge_src g e = v then acc else cut acc rest
-        in
-        let cycle = cut [] path in
-        let total_cost = List.fold_left (fun a e -> a + t.cost.(e)) 0 cycle in
-        let total_time = List.fold_left (fun a e -> a + t.time.(e)) 0 cycle in
-        let lam = float_of_int total_cost /. float_of_int total_time in
-        t.lambda.(v) <- lam;
-        t.cycle_repr.(v) <- cycle;
-        t.state.(v) <- 2;
-        (* Propagate backwards from the anchor along the cycle:
-           d(u) = w(e) - lam*t(e) + d(dst e), processing the edges
-           cycle-end first so each destination is already known. *)
-        let rec assign = function
-          | [] -> ()
-          | e :: rest ->
-            let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
-            if t.state.(u) <> 2 then begin
-              assign rest;
-              t.lambda.(u) <- lam;
-              t.potential.(u) <-
-                float_of_int t.cost.(e)
-                -. (lam *. float_of_int t.time.(e))
-                +. t.potential.(x);
-              t.cycle_repr.(u) <- cycle;
-              t.state.(u) <- 2
-            end
-            else assign rest
-        in
-        assign cycle
-      | _ ->
-        t.state.(v) <- 1;
-        (match t.policy.(v) with
-        | -1 ->
-          (* Dead end: no cycle reachable through the policy. *)
-          t.state.(v) <- 2;
-          t.lambda.(v) <- infinity
-        | e ->
-          let x = Digraph.edge_dst g e in
-          walk x (e :: path);
-          if t.state.(v) <> 2 then begin
-            (* Tail vertex: inherits the cycle it reaches. *)
-            t.lambda.(v) <- t.lambda.(x);
-            t.potential.(v) <-
+    let n = Digraph.vertex_count t.g in
+    let state = t.state and stack = t.stack and policy = t.policy in
+    Array.fill state 0 (Array.length state) 0;
+    for v0 = 0 to n - 1 do
+      if state.(v0) = 0 then begin
+        let top = ref 0 and v = ref v0 and walking = ref true in
+        while !walking do
+          let u = !v in
+          state.(u) <- 1;
+          stack.(!top) <- u;
+          incr top;
+          let e = policy.(u) in
+          if e < 0 then begin
+            (* Dead end: no cycle reachable through the policy. *)
+            state.(u) <- 2;
+            t.lambda.(u) <- infinity;
+            walking := false
+          end
+          else begin
+            let x = t.dst.(e) in
+            match state.(x) with
+            | 0 -> v := x
+            | 1 ->
+              (* [e] closed a cycle through [x], which becomes its
+                 anchor. *)
+              let total_cost = ref t.cost.(e) and total_time = ref t.time.(e) in
+              let w = ref x in
+              while !w <> u do
+                let e = policy.(!w) in
+                total_cost := !total_cost + t.cost.(e);
+                total_time := !total_time + t.time.(e);
+                w := t.dst.(e)
+              done;
+              t.lambda.(x) <- float_of_int !total_cost /. float_of_int !total_time;
+              t.anchor.(x) <- x;
+              state.(x) <- 2;
+              walking := false
+            | _ -> walking := false
+          end
+        done;
+        for i = !top - 1 downto 0 do
+          let u = stack.(i) in
+          if state.(u) <> 2 then begin
+            let e = policy.(u) in
+            let x = t.dst.(e) in
+            t.lambda.(u) <- t.lambda.(x);
+            t.potential.(u) <-
               float_of_int t.cost.(e)
               -. (t.lambda.(x) *. float_of_int t.time.(e))
               +. t.potential.(x);
-            t.cycle_repr.(v) <- t.cycle_repr.(x);
-            t.state.(v) <- 2
-          end)
-    in
-    for v = 0 to n - 1 do
-      walk v []
+            t.anchor.(u) <- t.anchor.(x);
+            state.(u) <- 2
+          end
+        done
+      end
     done
 
-  (* One improvement sweep: switch every vertex whose out-edge reaches a
-     strictly better cycle, or an equally good one at a strictly lower
-     potential.  Returns whether the policy changed. *)
+  (* One improvement sweep, in edge-id order: switch every vertex whose
+     out-edge reaches a strictly better cycle, or an equally good one at
+     a strictly lower potential (the last such edge wins).  Every index
+     comes from arrays built at [create], hence the unchecked loads.
+     Returns whether the policy changed. *)
   let improve t =
-    let g = t.g in
+    let lambda = t.lambda and potential = t.potential in
     let improved = ref false in
-    Digraph.iter_edges g (fun e ->
-        let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
-        if t.comp.(u) = t.comp.(x) && t.lambda.(x) < infinity then begin
-          if t.lambda.(x) < t.lambda.(u) -. epsilon then begin
-            t.policy.(u) <- e;
-            improved := true
-          end
-          else if
-            abs_float (t.lambda.(x) -. t.lambda.(u)) <= epsilon
-            && float_of_int t.cost.(e)
-               -. (t.lambda.(u) *. float_of_int t.time.(e))
-               +. t.potential.(x)
-               < t.potential.(u) -. epsilon
-          then begin
-            t.policy.(u) <- e;
-            improved := true
-          end
-        end);
+    for e = 0 to Array.length t.src - 1 do
+      let u = Array.unsafe_get t.src e and x = Array.unsafe_get t.dst e in
+      let lu = Array.unsafe_get lambda u and lx = Array.unsafe_get lambda x in
+      if
+        Array.unsafe_get t.comp u = Array.unsafe_get t.comp x
+        && lx < infinity
+        && (lx < lu -. epsilon
+           || abs_float (lx -. lu) <= epsilon
+              && float_of_int (Array.unsafe_get t.cost e)
+                 -. (lu *. float_of_int (Array.unsafe_get t.time e))
+                 +. Array.unsafe_get potential x
+                 < Array.unsafe_get potential u -. epsilon)
+      then begin
+        Array.unsafe_set t.policy u e;
+        improved := true
+      end
+    done;
     !improved
+
+  (* The policy cycle through [a], in policy order from [a]'s edge. *)
+  let policy_cycle t a =
+    let rec go v acc =
+      let e = t.policy.(v) in
+      let x = t.dst.(e) in
+      if x = a then List.rev (e :: acc) else go x (e :: acc)
+    in
+    go a []
 
   let solve t =
     if not t.dirty then t.cached
@@ -265,7 +273,7 @@ module Incremental = struct
           done;
           if !best < 0 then None
           else begin
-            let cycle = t.cycle_repr.(!best) in
+            let cycle = policy_cycle t t.anchor.(!best) in
             Some
               ( cycle_ratio g
                   ~cost:(fun e -> t.cost.(e))

@@ -70,6 +70,14 @@ val cycle_ratio :
     improvement sweeps, versus a full cold policy iteration plus graph
     reconstruction for a from-scratch solve.
 
+    Cost: {!Incremental.create} copies each edge's endpoints and weights
+    into flat arrays once.  One sweep is then an O(V + E) pass over
+    them that allocates nothing: evaluation follows the policy on a
+    preallocated stack instead of recursing, so a policy path as long
+    as the graph is fine, and improvement is a loop over edge ids.  The
+    critical cycle is rebuilt once per solve, from the vertex that
+    closed it.
+
     The result of {!Incremental.solve} is always the exact optimum —
     the same ratio a cold {!minimum} finds on the same weights (the test
     suite checks every step of random perturbation sequences against

@@ -38,6 +38,20 @@ let block_count t =
   | Ring n | Rand n -> n
   | Mesh (r, c) | Torus (r, c) -> r * c
 
+let max_blocks = 100_000
+
+(* The shapes [build] accepts, shared with the grammar so a spec that
+   parses also builds.  The block cap is checked without forming
+   [r * c], which can overflow. *)
+let shape_error = function
+  | Ring n when n < 2 -> Some "ring needs >= 2 blocks"
+  | Rand n when n < 2 -> Some "rand needs >= 2 blocks"
+  | Mesh (r, c) when r < 1 || c < 1 || (r = 1 && c = 1) -> Some "mesh needs >= 2 blocks"
+  | Torus (r, c) when r < 2 || c < 2 -> Some "torus needs >= 2x2"
+  | Ring n | Rand n when n > max_blocks -> Some "more than 100_000 blocks"
+  | Mesh (r, c) | Torus (r, c) when r > max_blocks / c -> Some "more than 100_000 blocks"
+  | _ -> None
+
 (* --------------------------------------------------------------- *)
 (* Grammar                                                          *)
 (* --------------------------------------------------------------- *)
@@ -88,6 +102,7 @@ let of_string s =
           (Printf.sprintf "unknown topology family %S (ring|mesh|torus|rand)"
              fam)
     in
+    let* () = match shape_error shape with Some e -> Error e | None -> Ok () in
     List.fold_left
       (fun acc opt ->
         let* t = acc in
@@ -210,12 +225,8 @@ let pack_process ~idx ~r =
 let base_edges ~rng spec =
   let n = block_count spec in
   match spec.shape with
-  | Ring n' ->
-    if n' < 2 then invalid_arg "Topology.build: ring needs >= 2 blocks";
-    List.init n (fun i -> (i, (i + 1) mod n))
+  | Ring _ -> List.init n (fun i -> (i, (i + 1) mod n))
   | Mesh (r, c) ->
-    if r < 1 || c < 1 || r * c < 2 then
-      invalid_arg "Topology.build: mesh needs >= 2 blocks";
     let id row col = (row * c) + col in
     let es = ref [] in
     for row = r - 1 downto 0 do
@@ -226,7 +237,6 @@ let base_edges ~rng spec =
     done;
     !es @ [ ((r * c) - 1, 0) ]
   | Torus (r, c) ->
-    if r < 2 || c < 2 then invalid_arg "Topology.build: torus needs >= 2x2";
     let id row col = (row * c) + col in
     let es = ref [] in
     for row = r - 1 downto 0 do
@@ -236,8 +246,7 @@ let base_edges ~rng spec =
       done
     done;
     !es
-  | Rand n' ->
-    if n' < 2 then invalid_arg "Topology.build: rand needs >= 2 blocks";
+  | Rand _ ->
     let seen = Hashtbl.create (2 * n) in
     let es = ref [] in
     let add src dst =
@@ -272,8 +281,7 @@ type node_kind = Block of int | Slice of int * int | Pack of int * int
 (* Slice/Pack carry (adapter index, lane count). *)
 
 let build spec =
-  if block_count spec > 100_000 then
-    invalid_arg "Topology.build: more than 100_000 blocks";
+  Option.iter (fun e -> invalid_arg ("Topology.build: " ^ e)) (shape_error spec.shape);
   if spec.max_rs < 0 then invalid_arg "Topology.build: negative max_rs";
   let rng = Prng.create ~seed:(hash_string (digest spec)) in
   let edges = base_edges ~rng spec in

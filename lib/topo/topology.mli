@@ -60,7 +60,9 @@ val v : ?seed:int -> ?max_rs:int -> ?adapters:bool -> shape -> spec
 val of_string : string -> (spec, string) result
 (** Scenario grammar: [ring:N], [mesh:RxC], [torus:RxC], [rand:N],
     each optionally followed by [:seedK], [:rsK] and [:adapt] in any
-    order — e.g. ["mesh:8x8"], ["rand:64:seed3:rs4:adapt"]. *)
+    order — e.g. ["mesh:8x8"], ["rand:64:seed3:rs4:adapt"].  A shape
+    {!build} refuses is an [Error] with {!build}'s message, e.g.
+    ["ring needs >= 2 blocks"], so every spec that parses builds. *)
 
 val to_string : spec -> string
 (** Canonical grammar round-trip; default fields are omitted, so

@@ -504,6 +504,96 @@ let prop_incremental_matches_scratch =
           | None, Some _ | Some _, None -> false)
         steps)
 
+(* The witness contract, checked directly rather than through
+   [Cycles]: each edge's destination is the next edge's source, the
+   last edge returns to the first edge's source, no vertex repeats, and
+   the cycle's own ratio is the returned one. *)
+let witness_ok g ~cost ~time (r, cycle) =
+  let seen = Array.make (Digraph.vertex_count g) false in
+  let rec closed = function
+    | [] -> false
+    | [ e ] -> Digraph.edge_dst g e = Digraph.edge_src g (List.hd cycle) && fresh e
+    | e :: (e' :: _ as rest) ->
+      Digraph.edge_dst g e = Digraph.edge_src g e' && fresh e && closed rest
+  and fresh e =
+    let u = Digraph.edge_src g e in
+    (not seen.(u)) && (seen.(u) <- true; true)
+  in
+  closed cycle
+  && Cycle_ratio.ratio_compare (Cycle_ratio.cycle_ratio g ~cost ~time cycle) r = 0
+
+(* Small random graphs (acyclic, multi-SCC, self-loops) with costs in
+   [-3, 4], or tie-heavy strongly connected ones with weights in
+   {1, 2}; each with 20 perturbations drawn from the same ranges. *)
+let gen_witness_case =
+  QCheck2.Gen.(
+    let* n, edges, weights, (clo, chi), thi =
+      oneof
+        [
+          (let* n, edges = gen_graph in
+           let weights = Array.of_list (List.mapi (fun e _ -> (edge_weight e, edge_time e)) edges) in
+           return (n, edges, weights, (-3, 4), 3));
+          (let* n, edges, weights = gen_tie_heavy in
+           return (n, edges, weights, (1, 2), 2));
+        ]
+    in
+    let m = List.length edges in
+    let* steps =
+      list_size (return 20)
+        (triple (int_range 0 (max 0 (m - 1))) (int_range clo chi) (int_range 1 thi))
+    in
+    return (n, edges, weights, steps))
+
+let prop_witness_is_closed_elementary_walk =
+  QCheck2.Test.make ~count:200
+    ~name:"witness cycle is a closed elementary walk at the returned ratio" gen_witness_case
+    (fun (n, edges, weights, steps) ->
+      let g = graph_of n edges in
+      let cost = Array.map fst weights and time = Array.map snd weights in
+      let cost_f e = cost.(e) and time_f e = time.(e) in
+      let ok = function
+        | None -> true
+        | Some w -> witness_ok g ~cost:cost_f ~time:time_f w
+      in
+      ok (Cycle_ratio.minimum g ~cost:cost_f ~time:time_f)
+      && (edges = []
+         ||
+         let inc = Incr.create g ~cost:cost_f ~time:time_f in
+         List.for_all
+           (fun (e, c, t) ->
+             cost.(e) <- c;
+             time.(e) <- t;
+             Incr.set_cost inc e c;
+             Incr.set_time inc e t;
+             ok (Incr.solve inc))
+           steps))
+
+(* One directed cycle of 100 000 vertices: the policy path of the first
+   evaluation runs through every vertex, which pins the size of the
+   solver's walk stack. *)
+let test_incremental_long_cycle () =
+  let n = 100_000 in
+  let g = graph_of n (List.init n (fun i -> (i, (i + 1) mod n))) in
+  let time = Array.init n (fun i -> 1 + (i mod 3)) in
+  let cost _ = 1 and time_f e = time.(e) in
+  (* sum of 1 + (i mod 3) over i < n *)
+  let total = n + (3 * (n / 3)) + if n mod 3 = 2 then 1 else 0 in
+  let check label t total =
+    match Incr.solve t with
+    | None -> Alcotest.failf "%s: expected a cycle" label
+    | Some ((r, cycle) as w) ->
+      checkb (label ^ ": closed-form ratio") true
+        (Cycle_ratio.ratio_compare r (Cycle_ratio.make_ratio n total) = 0);
+      checki (label ^ ": n edges") n (List.length cycle);
+      checkb (label ^ ": witness") true (witness_ok g ~cost ~time:time_f w)
+  in
+  let t = Incr.create g ~cost ~time:time_f in
+  check "cold" t total;
+  time.(0) <- 5;
+  Incr.set_time t 0 5;
+  check "after set_time" t (total + 4);
+  checki "two solves" 2 (Incr.solves t)
+
 (* ------------------------------------------------------------------ *)
 (* Schedule                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -735,6 +825,7 @@ let () =
         prop_howard_matches_lawler;
         prop_howard_matches_lawler_tie_heavy;
         prop_incremental_matches_scratch;
+        prop_witness_is_closed_elementary_walk;
         prop_howard_matches_karp_sc;
         prop_howard_matches_karp_max_sc;
         prop_ratio_max_min_duality;
@@ -793,6 +884,7 @@ let () =
         [
           Alcotest.test_case "acyclic" `Quick test_incremental_acyclic;
           Alcotest.test_case "memoisation and perturbation" `Quick test_incremental_memoised;
+          Alcotest.test_case "100k-vertex cycle" `Quick test_incremental_long_cycle;
         ] );
       ( "schedule",
         [

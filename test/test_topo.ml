@@ -137,12 +137,37 @@ let test_grammar () =
   ok "rand:64:seed0" "rand:64";
   ok "torus:3x3:seed7:rs4:adapt" "torus:3x3:seed7:rs4:adapt";
   ok "rand:20:adapt:rs0" "rand:20:rs0:adapt";
+  ok "ring:2" "ring:2";
+  ok "mesh:1x2" "mesh:1x2";
+  ok "torus:2x2" "torus:2x2";
+  ok "rand:100000" "rand:100000";
+  ok "mesh:2x50000" "mesh:2x50000";
   List.iter
     (fun s ->
       match Topology.of_string s with
       | Ok _ -> Alcotest.failf "%s unexpectedly parsed" s
       | Error _ -> ())
-    [ "ring"; "ring:x"; "mesh:4"; "hex:4"; "ring:4:spin3"; "" ]
+    [ "ring"; "ring:x"; "mesh:4"; "hex:4"; "ring:4:spin3"; "" ];
+  (* Shapes [build] refuses fail to parse, with [build]'s message. *)
+  List.iter
+    (fun (s, shape) ->
+      match Topology.of_string s with
+      | Ok _ -> Alcotest.failf "%s unexpectedly parsed" s
+      | Error e ->
+        Alcotest.check_raises s (Invalid_argument ("Topology.build: " ^ e)) (fun () ->
+            ignore (Topology.build (Topology.v shape))))
+    [
+      ("ring:1", Topology.Ring 1);
+      ("rand:1", Topology.Rand 1);
+      ("mesh:1x1", Topology.Mesh (1, 1));
+      ("mesh:0x5", Topology.Mesh (0, 5));
+      ("torus:1x5", Topology.Torus (1, 5));
+      ("torus:2x1", Topology.Torus (2, 1));
+      ("rand:200000", Topology.Rand 200_000);
+      ("ring:100001", Topology.Ring 100_001);
+      ("mesh:2x50001", Topology.Mesh (2, 50_001));
+      ("torus:4611686018427387903x4", Topology.Torus (max_int, 4));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Space-time adapter round trip                                       *)
