@@ -5,10 +5,11 @@
    - Plain-mode, unfaulted lanes are {e statically schedulable}: their
      firing pattern is a pure function of (topology, per-channel
      relay-station counts, FIFO capacity) — a marked graph — so lanes
-     agreeing on those compile ONE count-only prepass table
-     ({!Static.tables}) and replay it together in [Replay] below.  A
-     replay cycle does no stop propagation, no readiness scan and no
-     stall accounting: scheduled shells fire their real process
+     agreeing on those share ONE count-only prepass table
+     ({!Static.tables}, memoised there and shared with Static.create)
+     and replay it together in [Replay] below.  A replay cycle touches
+     only the shells that fire — no stop propagation, no readiness
+     scan, no stall accounting: scheduled shells fire their real process
      closures on values in per-channel rings, and {e everything else}
      (stall counters, delivered counts, buffered occupancies) is
      reconstructed on demand from cumulative schedule tables shared by
@@ -30,9 +31,10 @@
 module Shell = Wp_lis.Shell
 module Token = Wp_lis.Token
 module Process = Wp_lis.Process
-module Ba = Bigarray.Array1
 
-type ia = (int, Bigarray.int_elt, Bigarray.c_layout) Ba.t
+(* Lane state lives in plain [int array]s: the element type is known
+   statically, so reads and writes compile to bare loads and stores. *)
+type ia = int array
 
 type lane = {
   net : Network.t;
@@ -47,10 +49,7 @@ exception Unbatchable of string
 
 let unbatchable fmt = Printf.ksprintf (fun s -> raise (Unbatchable s)) fmt
 
-let ia n =
-  let a = Ba.create Bigarray.int Bigarray.c_layout (max 1 n) in
-  Ba.fill a 0;
-  a
+let ia n = Array.make (max 1 n) 0
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic kernel: Oracle and faulted lanes                           *)
@@ -80,9 +79,10 @@ module Dyn = struct
     out_chan_ids : int array;
     (* per (node, lane) process instances, flat [n * L + l] *)
     instances : Process.instance array;
-    mutable inputs_scratch : int option array array;
-        (* per node; refreshed each step so the arrays stay in the minor
-           heap and [Some v] stores skip the remembered set *)
+    inputs_scratch : int option array array;
+        (* per node, reused every cycle: a [Some v] store into an old
+           slot enters the remembered set at most once per minor
+           collection, so reuse is cheaper than reallocating *)
     plain_masks : bool array array; (* per node *)
     halt_flag : Bytes.t; (* per lane, sticky; updated right after a fire *)
     (* SoA lane state; cell index is [entity * L + lane] unless noted *)
@@ -285,17 +285,17 @@ module Dyn = struct
       }
     in
     let fifo_push_exn ipl capl v =
-      let len = Ba.get t.fifo_len ipl in
+      let len = t.fifo_len.(ipl) in
       if len >= capl then
         failwith "Batch shell: token lost (stop protocol violated)"
       else begin
-        let head = Ba.get t.fifo_head ipl in
+        let head = t.fifo_head.(ipl) in
         (* head < capl and len < capl, so one conditional subtract replaces
            the integer division of [mod]. *)
         let slot = head + len in
         let slot = if slot >= capl then slot - capl else slot in
-        Ba.set t.fifo_buf ((ipl * cap_max) + slot) v;
-        Ba.set t.fifo_len ipl (len + 1)
+        t.fifo_buf.((ipl * cap_max) + slot) <- v;
+        t.fifo_len.(ipl) <- len + 1
       end
     in
     (* A process can in principle be terminal at reset; seed the sticky
@@ -322,14 +322,13 @@ module Dyn = struct
           t.f_can.(cl) <-
             (fun () ->
               not
-                (Ba.get t.fifo_len ipl >= capl
-                && Ba.get t.drop_pending ipl = 0));
+                (t.fifo_len.(ipl) >= capl && t.drop_pending.(ipl) = 0));
           t.f_acc.(cl) <-
             (fun v ->
-              Ba.set t.chan_delivered cl (Ba.get t.chan_delivered cl + 1);
-              if Ba.get t.drop_pending ipl > 0 then begin
-                Ba.set t.drop_pending ipl (Ba.get t.drop_pending ipl - 1);
-                Ba.set t.dropped ipl (Ba.get t.dropped ipl + 1)
+              t.chan_delivered.(cl) <- t.chan_delivered.(cl) + 1;
+              if t.drop_pending.(ipl) > 0 then begin
+                t.drop_pending.(ipl) <- t.drop_pending.(ipl) - 1;
+                t.dropped.(ipl) <- t.dropped.(ipl) + 1
               end
               else fifo_push_exn ipl capl v)
         done
@@ -356,12 +355,6 @@ module Dyn = struct
   let step t =
     let ll = t.n_lanes in
     let cyc = t.clock in
-    (* Fresh (minor-heap) input scratch each cycle: storing a young
-       [Some v] into an old array would go through the remembered set on
-       every token of every firing; a young target makes it a plain
-       store.  Five word-sized arrays per cycle is far cheaper. *)
-    t.inputs_scratch <-
-      Array.map (fun a -> Array.make (Array.length a) None) t.inputs_scratch;
     (* Phase 1: propagate stops backwards along each relay chain. *)
     for c = 0 to t.n_chans - 1 do
       let ip = Array.unsafe_get t.chan_dst_ip c in
@@ -371,8 +364,8 @@ module Dyn = struct
         let cl = (c * ll) + l in
         let stop =
           ref
-            ((Ba.unsafe_get t.fifo_len ipl >= Array.unsafe_get t.cap l
-             && Ba.unsafe_get t.drop_pending ipl = 0)
+            ((Array.unsafe_get t.fifo_len ipl >= Array.unsafe_get t.cap l
+             && Array.unsafe_get t.drop_pending ipl = 0)
             ||
             match Array.unsafe_get t.faults l with
             | None -> false
@@ -383,7 +376,7 @@ module Dyn = struct
         for i = k - 1 downto 0 do
           let r = base + i in
           Bytes.unsafe_set t.stage_stops r (if !stop then '\001' else '\000');
-          stop := !stop && Ba.unsafe_get t.rs_len r >= 2
+          stop := !stop && Array.unsafe_get t.rs_len r >= 2
         done;
         Bytes.unsafe_set t.producer_stop cl (if !stop then '\001' else '\000')
       done
@@ -420,7 +413,7 @@ module Dyn = struct
         for p = 0 to n_in - 1 do
           if
             Array.unsafe_get mask p
-            && Ba.unsafe_get t.fifo_len (((ib + p) * ll) + l) = 0
+            && Array.unsafe_get t.fifo_len (((ib + p) * ll) + l) = 0
           then ready := false
         done;
         if !ready && outputs_clear then begin
@@ -429,29 +422,32 @@ module Dyn = struct
           for p = 0 to n_in - 1 do
             let ipl = ((ib + p) * ll) + l in
             if Array.unsafe_get mask p then begin
-              Ba.unsafe_set t.required_counts ipl
-                (Ba.unsafe_get t.required_counts ipl + 1);
-              let head = Ba.unsafe_get t.fifo_head ipl in
-              let v = Ba.unsafe_get t.fifo_buf ((ipl * t.cap_max) + head) in
+              Array.unsafe_set t.required_counts ipl
+                (Array.unsafe_get t.required_counts ipl + 1);
+              let head = Array.unsafe_get t.fifo_head ipl in
+              let v = Array.unsafe_get t.fifo_buf ((ipl * t.cap_max) + head) in
               let head' = head + 1 in
-              Ba.unsafe_set t.fifo_head ipl (if head' >= capl then 0 else head');
-              Ba.unsafe_set t.fifo_len ipl (Ba.unsafe_get t.fifo_len ipl - 1);
+              Array.unsafe_set t.fifo_head ipl
+                (if head' >= capl then 0 else head');
+              Array.unsafe_set t.fifo_len ipl
+                (Array.unsafe_get t.fifo_len ipl - 1);
               Array.unsafe_set inputs p (Some v)
             end
             else begin
               (* Oracle skip: discard the useless token now or on arrival. *)
-              if Ba.unsafe_get t.fifo_len ipl > 0 then begin
-                let head = Ba.unsafe_get t.fifo_head ipl in
+              if Array.unsafe_get t.fifo_len ipl > 0 then begin
+                let head = Array.unsafe_get t.fifo_head ipl in
                 let head' = head + 1 in
-                Ba.unsafe_set t.fifo_head ipl
+                Array.unsafe_set t.fifo_head ipl
                   (if head' >= capl then 0 else head');
-                Ba.unsafe_set t.fifo_len ipl
-                  (Ba.unsafe_get t.fifo_len ipl - 1);
-                Ba.unsafe_set t.dropped ipl (Ba.unsafe_get t.dropped ipl + 1)
+                Array.unsafe_set t.fifo_len ipl
+                  (Array.unsafe_get t.fifo_len ipl - 1);
+                Array.unsafe_set t.dropped ipl
+                  (Array.unsafe_get t.dropped ipl + 1)
               end
               else
-                Ba.unsafe_set t.drop_pending ipl
-                  (Ba.unsafe_get t.drop_pending ipl + 1);
+                Array.unsafe_set t.drop_pending ipl
+                  (Array.unsafe_get t.drop_pending ipl + 1);
               Array.unsafe_set inputs p None
             end
           done;
@@ -462,10 +458,10 @@ module Dyn = struct
              without paying [n_nodes] closure calls per lane per cycle. *)
           if inst.Process.halted () then Bytes.unsafe_set t.halt_flag l '\001';
           let nl = (n * ll) + l in
-          Ba.unsafe_set t.firings nl (Ba.unsafe_get t.firings nl + 1);
+          Array.unsafe_set t.firings nl (Array.unsafe_get t.firings nl + 1);
           for q = 0 to n_out - 1 do
             let opl = ((op0 + q) * ll) + l in
-            Ba.unsafe_set t.emit_val opl (Array.unsafe_get words q);
+            Array.unsafe_set t.emit_val opl (Array.unsafe_get words q);
             Bytes.unsafe_set t.emit_valid opl '\001'
           done;
           if t.record_traces then
@@ -476,13 +472,13 @@ module Dyn = struct
         end
         else begin
           let nl = (n * ll) + l in
-          Ba.unsafe_set t.stalls nl (Ba.unsafe_get t.stalls nl + 1);
+          Array.unsafe_set t.stalls nl (Array.unsafe_get t.stalls nl + 1);
           if !ready then
-            Ba.unsafe_set t.output_blocked nl
-              (Ba.unsafe_get t.output_blocked nl + 1)
+            Array.unsafe_set t.output_blocked nl
+              (Array.unsafe_get t.output_blocked nl + 1)
           else
-            Ba.unsafe_set t.input_starved nl
-              (Ba.unsafe_get t.input_starved nl + 1);
+            Array.unsafe_set t.input_starved nl
+              (Array.unsafe_get t.input_starved nl + 1);
           for q = 0 to n_out - 1 do
             Bytes.unsafe_set t.emit_valid (((op0 + q) * ll) + l) '\000'
           done;
@@ -506,67 +502,70 @@ module Dyn = struct
         let k = Array.unsafe_get t.rs_cnt cl in
         let tc_valid, tc_val =
           if k = 0 then
-            (Bytes.unsafe_get t.emit_valid opl = '\001', Ba.unsafe_get t.emit_val opl)
+            ( Bytes.unsafe_get t.emit_valid opl = '\001',
+              Array.unsafe_get t.emit_val opl )
           else begin
             for i = 0 to k - 1 do
               let r = base + i in
               if
                 Bytes.unsafe_get t.stage_stops r = '\001'
-                || Ba.unsafe_get t.rs_len r = 0
+                || Array.unsafe_get t.rs_len r = 0
               then Bytes.unsafe_set t.rs_out_valid r '\000'
               else begin
                 Bytes.unsafe_set t.rs_out_valid r '\001';
-                let head = Ba.unsafe_get t.rs_head r in
-                Ba.unsafe_set t.rs_out_val r
-                  (Ba.unsafe_get t.rs_val ((2 * r) + head));
-                Ba.unsafe_set t.rs_head r (1 - head);
-                Ba.unsafe_set t.rs_len r (Ba.unsafe_get t.rs_len r - 1)
+                let head = Array.unsafe_get t.rs_head r in
+                Array.unsafe_set t.rs_out_val r
+                  (Array.unsafe_get t.rs_val ((2 * r) + head));
+                Array.unsafe_set t.rs_head r (1 - head);
+                Array.unsafe_set t.rs_len r (Array.unsafe_get t.rs_len r - 1)
               end
             done;
             let accept r v =
-              if Ba.unsafe_get t.rs_len r >= 2 then
+              if Array.unsafe_get t.rs_len r >= 2 then
                 failwith "Batch relay station: datum lost (stop protocol violated)"
               else begin
-                Ba.unsafe_set t.rs_val
+                Array.unsafe_set t.rs_val
                   ((2 * r)
-                  + ((Ba.unsafe_get t.rs_head r + Ba.unsafe_get t.rs_len r)
+                  + ((Array.unsafe_get t.rs_head r
+                     + Array.unsafe_get t.rs_len r)
                      land 1))
                   v;
-                Ba.unsafe_set t.rs_len r (Ba.unsafe_get t.rs_len r + 1)
+                Array.unsafe_set t.rs_len r (Array.unsafe_get t.rs_len r + 1)
               end
             in
             if Bytes.unsafe_get t.emit_valid opl = '\001' then
-              accept base (Ba.unsafe_get t.emit_val opl);
+              accept base (Array.unsafe_get t.emit_val opl);
             for i = 1 to k - 1 do
               if Bytes.unsafe_get t.rs_out_valid (base + i - 1) = '\001' then
-                accept (base + i) (Ba.unsafe_get t.rs_out_val (base + i - 1))
+                accept (base + i) (Array.unsafe_get t.rs_out_val (base + i - 1))
             done;
             ( Bytes.unsafe_get t.rs_out_valid (base + k - 1) = '\001',
-              Ba.unsafe_get t.rs_out_val (base + k - 1) )
+              Array.unsafe_get t.rs_out_val (base + k - 1) )
           end
         in
         match Array.unsafe_get t.faults l with
         | None ->
           if tc_valid then begin
             let ipl = (ip * ll) + l in
-            Ba.unsafe_set t.chan_delivered cl
-              (Ba.unsafe_get t.chan_delivered cl + 1);
-            if Ba.unsafe_get t.drop_pending ipl > 0 then begin
-              Ba.unsafe_set t.drop_pending ipl
-                (Ba.unsafe_get t.drop_pending ipl - 1);
-              Ba.unsafe_set t.dropped ipl (Ba.unsafe_get t.dropped ipl + 1)
+            Array.unsafe_set t.chan_delivered cl
+              (Array.unsafe_get t.chan_delivered cl + 1);
+            if Array.unsafe_get t.drop_pending ipl > 0 then begin
+              Array.unsafe_set t.drop_pending ipl
+                (Array.unsafe_get t.drop_pending ipl - 1);
+              Array.unsafe_set t.dropped ipl
+                (Array.unsafe_get t.dropped ipl + 1)
             end
             else begin
               let capl = Array.unsafe_get t.cap l in
-              let len = Ba.unsafe_get t.fifo_len ipl in
+              let len = Array.unsafe_get t.fifo_len ipl in
               if len >= capl then
                 failwith "Batch shell: token lost (stop protocol violated)"
               else begin
-                let head = Ba.unsafe_get t.fifo_head ipl in
+                let head = Array.unsafe_get t.fifo_head ipl in
                 let slot = head + len in
                 let slot = if slot >= capl then slot - capl else slot in
-                Ba.unsafe_set t.fifo_buf ((ipl * t.cap_max) + slot) tc_val;
-                Ba.unsafe_set t.fifo_len ipl (len + 1)
+                Array.unsafe_set t.fifo_buf ((ipl * t.cap_max) + slot) tc_val;
+                Array.unsafe_set t.fifo_len ipl (len + 1)
               end
             end
           end
@@ -638,19 +637,19 @@ module Dyn = struct
   let outcome t ~lane = t.finished.(lane)
   let network t ~lane = t.nets.(lane)
   let mode t ~lane = if t.oracle.(lane) then Shell.Oracle else Shell.Plain
-  let delivered t ~lane c = Ba.get t.chan_delivered ((c * t.n_lanes) + lane)
+  let delivered t ~lane c = t.chan_delivered.((c * t.n_lanes) + lane)
 
   let fault_injections t ~lane =
     match t.faults.(lane) with Some f -> Fault.injections f | None -> 0
 
   let node_stats t ~lane n =
     let lo = t.in_base.(n) and hi = t.in_base.(n + 1) in
-    let per a = Array.init (hi - lo) (fun p -> Ba.get a (((lo + p) * t.n_lanes) + lane)) in
+    let per a = Array.init (hi - lo) (fun p -> a.(((lo + p) * t.n_lanes) + lane)) in
     {
-      Shell.firings = Ba.get t.firings ((n * t.n_lanes) + lane);
-      stalls = Ba.get t.stalls ((n * t.n_lanes) + lane);
-      input_starved = Ba.get t.input_starved ((n * t.n_lanes) + lane);
-      output_blocked = Ba.get t.output_blocked ((n * t.n_lanes) + lane);
+      Shell.firings = t.firings.((n * t.n_lanes) + lane);
+      stalls = t.stalls.((n * t.n_lanes) + lane);
+      input_starved = t.input_starved.((n * t.n_lanes) + lane);
+      output_blocked = t.output_blocked.((n * t.n_lanes) + lane);
       required_counts = per t.required_counts;
       dropped = per t.dropped;
     }
@@ -659,7 +658,7 @@ module Dyn = struct
     List.rev t.traces.(((t.out_base.(node) + port) * t.n_lanes) + lane)
 
   let buffered t ~lane node port =
-    Ba.get t.fifo_len (((t.in_base.(node) + port) * t.n_lanes) + lane)
+    t.fifo_len.(((t.in_base.(node) + port) * t.n_lanes) + lane)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -716,7 +715,7 @@ module Replay = struct
     per_starved : int array;
     per_blocked : int array;
     per_deliver : int array; (* per channel *)
-    mutable inputs_scratch : int option array array;
+    inputs_scratch : int option array array; (* per node, as in Dyn *)
     halt_flag : Bytes.t; (* per local lane, sticky *)
     traces : int Token.t list array; (* [(out_port * L) + l] *)
     (* per-channel value rings, cursors shared across lanes *)
@@ -859,7 +858,7 @@ module Replay = struct
     for c = 0 to n_chans - 1 do
       let src_node, src_port = Network.channel_src net0 c in
       for l = 0 to n_lanes - 1 do
-        Ba.set t.q_val (q_base.(c) + l)
+        t.q_val.(q_base.(c) + l) <-
           lane_procs.(l).(src_node).Process.reset_outputs.(src_port)
       done
     done;
@@ -882,62 +881,57 @@ module Replay = struct
     let ll = t.n_lanes in
     let tc = t.table.(table_index t) in
     let fired = tc.Static.tc_fired in
-    if Array.length fired > 0 then begin
-      (* Fresh minor-heap scratch, as in Dyn.step. *)
-      t.inputs_scratch <-
-        Array.map (fun a -> Array.make (Array.length a) None) t.inputs_scratch;
-      for i = 0 to Array.length fired - 1 do
-        let n = Array.unsafe_get fired i in
-        let ib = Array.unsafe_get t.in_base n in
-        let n_in = Array.unsafe_get t.in_base (n + 1) - ib in
-        let op0 = Array.unsafe_get t.out_base n in
-        let n_out = Array.unsafe_get t.out_base (n + 1) - op0 in
-        let inputs = Array.unsafe_get t.inputs_scratch n in
-        for a = 0 to t.n_act - 1 do
-          let l = Array.unsafe_get t.act a in
-          for p = 0 to n_in - 1 do
-            let c = Array.unsafe_get t.ip_chan (ib + p) in
-            Array.unsafe_set inputs p
-              (Some
-                 (Ba.unsafe_get t.q_val
-                    (Array.unsafe_get t.q_base c
-                    + (Array.unsafe_get t.q_head c * ll)
-                    + l)))
-          done;
-          let inst = Array.unsafe_get t.instances ((n * ll) + l) in
-          let words = inst.Process.fire inputs in
-          if inst.Process.halted () then Bytes.unsafe_set t.halt_flag l '\001';
-          for q = 0 to n_out - 1 do
-            let c = Array.unsafe_get t.op_chan (op0 + q) in
-            Ba.unsafe_set t.q_val
-              (Array.unsafe_get t.q_base c
-              + (Array.unsafe_get t.q_tail c * ll)
-              + l)
-              (Array.unsafe_get words q)
-          done;
-          if t.record_traces then
-            for q = 0 to n_out - 1 do
-              let opl = ((op0 + q) * ll) + l in
-              t.traces.(opl) <- Token.Valid words.(q) :: t.traces.(opl)
-            done
-        done;
-        (* Advance the shared cursors once per port, after the lanes. *)
+    for i = 0 to Array.length fired - 1 do
+      let n = Array.unsafe_get fired i in
+      let ib = Array.unsafe_get t.in_base n in
+      let n_in = Array.unsafe_get t.in_base (n + 1) - ib in
+      let op0 = Array.unsafe_get t.out_base n in
+      let n_out = Array.unsafe_get t.out_base (n + 1) - op0 in
+      let inputs = Array.unsafe_get t.inputs_scratch n in
+      for a = 0 to t.n_act - 1 do
+        let l = Array.unsafe_get t.act a in
         for p = 0 to n_in - 1 do
           let c = Array.unsafe_get t.ip_chan (ib + p) in
-          let h = t.q_head.(c) + 1 in
-          t.q_head.(c) <- (if h >= t.q_stride.(c) then 0 else h);
-          t.q_fill.(c) <- t.q_fill.(c) - 1
+          Array.unsafe_set inputs p
+            (Some
+               (Array.unsafe_get t.q_val
+                  (Array.unsafe_get t.q_base c
+                  + (Array.unsafe_get t.q_head c * ll)
+                  + l)))
         done;
+        let inst = Array.unsafe_get t.instances ((n * ll) + l) in
+        let words = inst.Process.fire inputs in
+        if inst.Process.halted () then Bytes.unsafe_set t.halt_flag l '\001';
         for q = 0 to n_out - 1 do
           let c = Array.unsafe_get t.op_chan (op0 + q) in
-          let s = t.q_tail.(c) + 1 in
-          t.q_tail.(c) <- (if s >= t.q_stride.(c) then 0 else s);
-          t.q_fill.(c) <- t.q_fill.(c) + 1;
-          if t.q_fill.(c) > t.q_stride.(c) then
-            failwith "Batch replay: value ring overflow (schedule violated)"
-        done
+          Array.unsafe_set t.q_val
+            (Array.unsafe_get t.q_base c
+            + (Array.unsafe_get t.q_tail c * ll)
+            + l)
+            (Array.unsafe_get words q)
+        done;
+        if t.record_traces then
+          for q = 0 to n_out - 1 do
+            let opl = ((op0 + q) * ll) + l in
+            t.traces.(opl) <- Token.Valid words.(q) :: t.traces.(opl)
+          done
+      done;
+      (* Advance the shared cursors once per port, after the lanes. *)
+      for p = 0 to n_in - 1 do
+        let c = Array.unsafe_get t.ip_chan (ib + p) in
+        let h = t.q_head.(c) + 1 in
+        t.q_head.(c) <- (if h >= t.q_stride.(c) then 0 else h);
+        t.q_fill.(c) <- t.q_fill.(c) - 1
+      done;
+      for q = 0 to n_out - 1 do
+        let c = Array.unsafe_get t.op_chan (op0 + q) in
+        let s = t.q_tail.(c) + 1 in
+        t.q_tail.(c) <- (if s >= t.q_stride.(c) then 0 else s);
+        t.q_fill.(c) <- t.q_fill.(c) + 1;
+        if t.q_fill.(c) > t.q_stride.(c) then
+          failwith "Batch replay: value ring overflow (schedule violated)"
       done
-    end;
+    done;
     if t.record_traces then begin
       let voids cls =
         for i = 0 to Array.length cls - 1 do
@@ -1054,55 +1048,6 @@ module Replay = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Schedule memo                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* A schedule depends only on (capacity, per-channel relay stations,
-   topology shape) — never on process data — and the serve daemon
-   replays the same machines all day, so memoize tables across [create]
-   calls.  The key spells out everything the prepass reads.  Guarded by
-   a mutex: runner pools call [create] from several domains.  Cached
-   tables are immutable once built, so sharing them is safe. *)
-
-let schedule_cache : (string, int * int * Static.table_cycle array) Hashtbl.t =
-  Hashtbl.create 64
-
-let schedule_mutex = Mutex.create ()
-
-let schedule_key ~capacity net =
-  let b = Buffer.create 128 in
-  let n_nodes = Network.node_count net in
-  let n_chans = Network.channel_count net in
-  Printf.bprintf b "%d|%d|%d" capacity n_nodes n_chans;
-  for n = 0 to n_nodes - 1 do
-    let p = Network.node_process net n in
-    Printf.bprintf b "|%d.%d" (Process.n_inputs p) (Process.n_outputs p)
-  done;
-  for c = 0 to n_chans - 1 do
-    let sn, sp = Network.channel_src net c in
-    let dn, dp = Network.channel_dst net c in
-    Printf.bprintf b "|%d.%d.%d.%d.%d" sn sp dn dp
-      (Network.relay_stations net c)
-  done;
-  Buffer.contents b
-
-let cached_tables ~capacity net =
-  let key = schedule_key ~capacity net in
-  Mutex.lock schedule_mutex;
-  let hit = Hashtbl.find_opt schedule_cache key in
-  Mutex.unlock schedule_mutex;
-  match hit with
-  | Some s -> s
-  | None ->
-    let s = Static.tables ~capacity net in
-    Mutex.lock schedule_mutex;
-    if Hashtbl.length schedule_cache >= 256 then Hashtbl.reset schedule_cache;
-    Hashtbl.replace schedule_cache key s;
-    Mutex.unlock schedule_mutex;
-    s
-
-
-(* ------------------------------------------------------------------ *)
 (* Topology signature                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1185,7 +1130,7 @@ let create_homo ~record_traces ~global lanes =
     (fun ((capacity, _) as k) ->
       let ids = Hashtbl.find by_key k in
       let rep = List.hd ids in
-      match cached_tables ~capacity lanes.(rep).net with
+      match Static.tables ~capacity lanes.(rep).net with
       | schedule ->
         let local = Array.of_list ids in
         let sub = Array.map (fun l -> lanes.(l)) local in

@@ -17,12 +17,13 @@
     - {b Static replay} — Plain, unfaulted lanes are grouped by
       (capacity, per-channel relay-station counts); such a group is a
       marked graph, so one count-only {!Static.tables} prepass per group
-      (memoized across calls) yields a shared firing schedule that every
-      lane in the group replays in lockstep.  Per-cycle stall/delivery
-      bookkeeping disappears entirely: statistics are reconstructed in
-      O(1) from cumulative schedule tables, and the inner loop only
-      fires scheduled processes, lane-innermost over shared value-ring
-      cursors so neighbouring lanes' tokens stay contiguous.
+      (memoised there and shared with {!Static.create}) yields a shared
+      firing schedule that every lane in the group replays in lockstep.
+      Per-cycle stall/delivery bookkeeping disappears entirely:
+      statistics are reconstructed in O(1) from cumulative schedule
+      tables, and the inner loop only fires scheduled processes,
+      lane-innermost over shared value-ring cursors so neighbouring
+      lanes' tokens stay contiguous.
     - {b Dynamic SoA} — Oracle-mode and faulted lanes (whose firing is
       data- or fault-dependent) run the full three-phase handshake with
       state laid out structure-of-arrays: for entity [e] (input port,

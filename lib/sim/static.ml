@@ -37,7 +37,6 @@ type table_cycle = {
 type t = {
   net : Network.t;
   record_traces : bool;
-  n_nodes : int;
   n_chans : int;
   instances : Process.instance array;
   in_base : int array;
@@ -69,6 +68,10 @@ type t = {
   chan_delivered : int array;
   (* clocking *)
   mutable clock : int;
+  mutable halted : bool;
+      (* sticky: some process reports [halted].  [halted] depends only on
+         process state and state only advances in [fire], so probing right
+         after each firing keeps this as fresh as a scan of every shell. *)
   mutable last_fired : bool;
   mutable quiet_cycles : int;
   quiescence : int;
@@ -296,14 +299,99 @@ let meta_of net =
     m_op_chan = op_chan;
   }
 
-let tables ~capacity net =
-  if capacity <= 0 then
-    unschedulable "unbounded FIFOs have no finite occupancy state";
-  let m = meta_of net in
+let prepass_of_meta ~capacity m =
   prepass ~capacity ~n_nodes:m.m_n_nodes ~n_chans:m.m_n_chans
     ~in_base:m.m_in_base ~out_base:m.m_out_base ~chan_src_op:m.m_chan_src_op
     ~chan_dst_ip:m.m_chan_dst_ip ~chan_rs_base:m.m_chan_rs_base
     ~out_chan_base:m.m_out_chan_base ~out_chan_ids:m.m_out_chan_ids
+
+(* ------------------------------------------------------------------ *)
+(* Schedule memo                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A schedule depends only on (capacity, per-channel relay stations,
+   topology shape) — never on process data.  A sweep scenario replays
+   one schedule on the batch kernel and again here, and the serve daemon
+   replays the same machines all day, so tables are memoised across
+   calls.  The key spells out everything the prepass reads.  Guarded by
+   a mutex: runner pools call in from several domains.  Cached tables
+   are immutable once built, so sharing them is safe.
+
+   The memo is bounded by entries and by the words its tables retain:
+   an insert that would cross either bound empties it first, and a
+   table larger than the whole word budget is returned uncached. *)
+
+let memo_entries = 256
+let memo_words = 2_000_000 (* 16 MB of 64-bit words *)
+
+let memo : (string, int * int * table_cycle array) Hashtbl.t = Hashtbl.create 64
+let memo_mutex = Mutex.create ()
+let memo_held = ref 0 (* words retained by [memo]'s tables *)
+
+let schedule_key ~capacity net =
+  let b = Buffer.create 128 in
+  let n_nodes = Network.node_count net in
+  let n_chans = Network.channel_count net in
+  Printf.bprintf b "%d|%d|%d" capacity n_nodes n_chans;
+  for n = 0 to n_nodes - 1 do
+    let p = Network.node_process net n in
+    Printf.bprintf b "|%d.%d" (Process.n_inputs p) (Process.n_outputs p)
+  done;
+  for c = 0 to n_chans - 1 do
+    let sn, sp = Network.channel_src net c in
+    let dn, dp = Network.channel_dst net c in
+    Printf.bprintf b "|%d.%d.%d.%d.%d" sn sp dn dp
+      (Network.relay_stations net c)
+  done;
+  Buffer.contents b
+
+(* Heap words of a table: one slot per row, each row a 5-field record
+   and four int arrays with their headers. *)
+let table_words (_, _, table) =
+  Array.fold_left
+    (fun acc tc ->
+      acc + 11
+      + Array.length tc.tc_fired + Array.length tc.tc_starved
+      + Array.length tc.tc_blocked + Array.length tc.tc_deliver)
+    (1 + Array.length table) table
+
+let memoised ~capacity net compute =
+  let key = schedule_key ~capacity net in
+  Mutex.lock memo_mutex;
+  let hit = Hashtbl.find_opt memo key in
+  Mutex.unlock memo_mutex;
+  match hit with
+  | Some s -> s
+  | None ->
+    let s = compute () in
+    let words = table_words s in
+    Mutex.lock memo_mutex;
+    (* Another domain may have cached the same key meanwhile: keep its
+       copy, so every caller shares one table. *)
+    let s =
+      match Hashtbl.find_opt memo key with
+      | Some s' -> s'
+      | None ->
+        if words <= memo_words then begin
+          if
+            Hashtbl.length memo >= memo_entries
+            || !memo_held + words > memo_words
+          then begin
+            Hashtbl.reset memo;
+            memo_held := 0
+          end;
+          Hashtbl.add memo key s;
+          memo_held := !memo_held + words
+        end;
+        s
+    in
+    Mutex.unlock memo_mutex;
+    s
+
+let tables ~capacity net =
+  if capacity <= 0 then
+    unschedulable "unbounded FIFOs have no finite occupancy state";
+  memoised ~capacity net (fun () -> prepass_of_meta ~capacity (meta_of net))
 
 (* ------------------------------------------------------------------ *)
 (* Compile                                                            *)
@@ -345,10 +433,7 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
   let chan_dst_ip = m.m_chan_dst_ip in
   let total_rs = m.m_chan_rs_base.(n_chans) in
   let transient, period, table =
-    prepass ~capacity ~n_nodes ~n_chans ~in_base ~out_base
-      ~chan_src_op:m.m_chan_src_op ~chan_dst_ip
-      ~chan_rs_base:m.m_chan_rs_base ~out_chan_base:m.m_out_chan_base
-      ~out_chan_ids:m.m_out_chan_ids
+    memoised ~capacity net (fun () -> prepass_of_meta ~capacity m)
   in
   let quiescence = 16 + (4 * (n_nodes + n_chans + total_rs)) in
   let q_buf = Array.init (max 1 n_chans) (fun _ -> Array.make 16 0) in
@@ -362,7 +447,6 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
   {
     net;
     record_traces;
-    n_nodes;
     n_chans;
     instances;
     in_base;
@@ -388,6 +472,7 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
     consumed = Array.make (max 1 n_chans) 0;
     chan_delivered = Array.make (max 1 n_chans) 0;
     clock = 0;
+    halted = Array.exists (fun i -> i.Process.halted ()) instances;
     last_fired = false;
     quiet_cycles = 0;
     quiescence;
@@ -453,7 +538,9 @@ let step t =
       inputs.(p) <- Some t.q_buf.(c).(t.consumed.(c) - t.q_off.(c));
       t.consumed.(c) <- t.consumed.(c) + 1
     done;
-    let words = (t.instances.(n)).Process.fire inputs in
+    let inst = t.instances.(n) in
+    let words = inst.Process.fire inputs in
+    if inst.Process.halted () then t.halted <- true;
     t.firings.(n) <- t.firings.(n) + 1;
     let op0 = t.out_base.(n) in
     let n_out = t.out_base.(n + 1) - op0 in
@@ -477,13 +564,7 @@ let step t =
   if tc.tc_any then t.quiet_cycles <- 0
   else t.quiet_cycles <- t.quiet_cycles + 1
 
-let any_halted t =
-  let n = ref 0 and halted = ref false in
-  while (not !halted) && !n < t.n_nodes do
-    if (t.instances.(!n)).Process.halted () then halted := true;
-    incr n
-  done;
-  !halted
+let any_halted t = t.halted
 
 let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
   let poll = not (Wp_util.Cancel.is_never cancel) in

@@ -72,13 +72,16 @@ val telemetry_report : t -> Telemetry.report option
 val node_stats : t -> Network.node -> Wp_lis.Shell.stats
 val output_trace : t -> Network.node -> int -> int Wp_lis.Token.t list
 val buffered : t -> Network.node -> int -> int
+
 val any_halted : t -> bool
+(** Whether some process reports [halted].  A sticky flag, seeded from
+    the fresh instances at {!create} and probed right after each firing:
+    [halted] depends only on process state, which only [fire] advances. *)
 
 (** {1 Count-only prepass}
 
-    The raw firing table, exposed so the batch kernel can compile one
-    schedule per group of topology-identical lanes and replay it across
-    all of them. *)
+    The raw firing table, exposed so the batch kernel can replay one
+    schedule across every lane of a group of topology-identical lanes. *)
 
 type table_cycle = {
   tc_fired : int array;  (** shells firing this cycle, ascending *)
@@ -95,6 +98,14 @@ val tables : capacity:int -> Network.t -> int * int * table_cycle array
     period).  Depends only on the topology, per-channel relay-station
     counts and [capacity] — never on process data — so one table serves
     every simulation sharing those.
+
+    Memoised process-wide under a mutex, keyed by exactly those inputs.
+    {!create} and the batch kernel's replay groups read the same memo,
+    so a network replayed on both pays for one prepass, and a repeated
+    call returns the physically same tables while they stay cached.  The
+    memo holds at most 256 tables and 2M heap words of them: an insert
+    that would cross either bound empties it first, and a table larger
+    than the word budget is returned without being cached.
     @raise Unschedulable as for {!create}. *)
 
 (** {1 The schedule itself} *)

@@ -147,9 +147,14 @@ let gold = 0x2545F4914F6CDD1D
 
 let never_halted () = false
 
+(* Output word [q] of a block whose inputs folded to [h]. *)
+let mix h q = (h + ((q + 1) * 0x9e3779b9)) * gold land mask48
+
 (* A synthetic IP block: each firing folds all consumed words with the
    block id and emits one mixed word per output port.  Stateless, so
-   every engine (and every batch lane) reconstructs identical data. *)
+   every engine (and every batch lane) reconstructs identical data.
+   [fire] runs once per firing on every engine, so it is written as a
+   plain loop with literal result arrays for the common fan-outs. *)
 let block_process ~id ~n_in ~n_out =
   let input_names = Array.init n_in (Printf.sprintf "i%d") in
   let output_names = Array.init n_out (Printf.sprintf "o%d") in
@@ -159,11 +164,23 @@ let block_process ~id ~n_in ~n_out =
   in
   let fire inputs =
     let h = ref ((id + 0x9e3779b9) land mask48) in
-    Array.iter
-      (function
-        | Some v -> h := (!h lxor v) * fnv_prime land mask48 | None -> ())
-      inputs;
-    Array.init n_out (fun q -> (!h + ((q + 1) * 0x9e3779b9)) * gold land mask48)
+    for p = 0 to Array.length inputs - 1 do
+      match inputs.(p) with
+      | Some v -> h := (!h lxor v) * fnv_prime land mask48
+      | None -> ()
+    done;
+    let h = !h in
+    match n_out with
+    | 1 -> [| mix h 0 |]
+    | 2 -> [| mix h 0; mix h 1 |]
+    | 3 -> [| mix h 0; mix h 1; mix h 2 |]
+    | 4 -> [| mix h 0; mix h 1; mix h 2; mix h 3 |]
+    | _ ->
+      let out = Array.make n_out 0 in
+      for q = 0 to n_out - 1 do
+        out.(q) <- mix h q
+      done;
+      out
   in
   {
     Process.name = Printf.sprintf "b%d" id;

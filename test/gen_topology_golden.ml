@@ -1,16 +1,41 @@
 (* Golden generator for the topology module: pins the canonical
    generated instances — node/channel counts, relay-station totals, the
-   Howard-MCR rate and the static firing word of block 0 — so any
-   change to the generator's seeding, edge order or adapter placement
-   shows up as a diff against topology.expected. *)
+   Howard-MCR rate, the static firing word of block 0 and a digest of
+   every value the blocks emit over a traced run — so any change to the
+   generator's seeding, edge order, adapter placement or block
+   arithmetic shows up as a diff against topology.expected. *)
 
 module Topology = Wp_topo.Topology
 module Network = Wp_sim.Network
 module Static = Wp_sim.Static
 module Shell = Wp_lis.Shell
+module Token = Wp_lis.Token
+module Process = Wp_lis.Process
 module Cycle_ratio = Wp_graph.Cycle_ratio
 
 let ratio r = Format.asprintf "%a" Cycle_ratio.ratio_pp r
+
+(* Cycles of the traced run behind the data digest. *)
+let data_cycles = 256
+
+(* MD5 over every output port's token stream, node by node, port by
+   port: a valid token prints its value, a void one prints [-]. *)
+let data_digest net =
+  let st = Static.create ~capacity:2 ~record_traces:true ~mode:Shell.Plain net in
+  ignore (Static.run ~max_cycles:data_cycles st);
+  let b = Buffer.create 4096 in
+  for n = 0 to Network.node_count net - 1 do
+    for q = 0 to Process.n_outputs (Network.node_process net n) - 1 do
+      Printf.bprintf b "%d.%d:" n q;
+      List.iter
+        (function
+          | Token.Valid v -> Printf.bprintf b "%d," v
+          | Token.Void -> Buffer.add_string b "-,")
+        (Static.output_trace st n q);
+      Buffer.add_char b '\n'
+    done
+  done;
+  (Static.cycles st, Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let pin name =
   let spec =
@@ -34,8 +59,11 @@ let pin name =
     (Static.period st)
     (ratio (Static.rate st 0));
   let word = Static.word st 0 in
-  Printf.printf "word[b0] %s\n\n"
-    (String.init (Array.length word) (fun i -> if word.(i) then '1' else '0'))
+  Printf.printf "word[b0] %s\n"
+    (String.init (Array.length word) (fun i -> if word.(i) then '1' else '0'));
+  let cycles, hex = data_digest net in
+  Printf.printf "data %d cycles %s\n\n" cycles hex
 
 let () =
-  List.iter pin [ "ring:16"; "mesh:4x4"; "torus:3x3"; "rand:64:seed0" ]
+  List.iter pin
+    [ "ring:16"; "mesh:4x4"; "torus:3x3"; "rand:64:seed0"; "torus:3x3:adapt" ]

@@ -11,6 +11,9 @@ module Shell = Wp_lis.Shell
 module Network = Wp_sim.Network
 module Engine = Wp_sim.Engine
 module Fast = Wp_sim.Fast
+module Static = Wp_sim.Static
+module Batch = Wp_sim.Batch
+module Fault = Wp_sim.Fault
 module Sim = Wp_sim.Sim
 module Monitor = Wp_sim.Monitor
 
@@ -236,6 +239,60 @@ let test_oracle_drop_accounting () =
     (abs (s.Shell.dropped.(1) - (s.Shell.firings / 2)) <= 2)
 
 (* ------------------------------------------------------------------ *)
+(* Halting on every kernel                                            *)
+(* ------------------------------------------------------------------ *)
+
+let test_halting_all_kernels () =
+  (* A source halted at reset ([limit = 0]) and one that halts after 50
+     firings, on Reference, Fast, Static and a 1-lane Batch.  The
+     compiled kernels keep a sticky halt flag that is seeded from the
+     fresh instances and then probed right after each firing; the reset
+     case pins the seeding. *)
+  List.iter
+    (fun (limit, rs) ->
+      let case = Printf.sprintf "limit %d rs %d" limit rs in
+      let net = halting_chain ~limit ~rs in
+      let max_cycles = 10_000 in
+      let e = Engine.create ~capacity:2 ~mode:Shell.Plain net in
+      let f = Fast.create ~capacity:2 ~mode:Shell.Plain net in
+      let s = Static.create ~capacity:2 ~mode:Shell.Plain net in
+      let b =
+        Batch.create
+          [|
+            {
+              Batch.net;
+              mode = Shell.Plain;
+              capacity = 2;
+              fault = Fault.none;
+              max_cycles;
+              cancel = Wp_util.Cancel.never;
+            };
+          |]
+      in
+      let outcomes =
+        [
+          Engine.run ~max_cycles e;
+          Fast.run ~max_cycles f;
+          Static.run ~max_cycles s;
+          (Batch.run b).(0);
+        ]
+      in
+      let expected = Engine.Halted (if limit = 0 then 0 else Engine.cycles e) in
+      List.iter (fun o -> checkb (case ^ ": halted, same cycle") true (o = expected)) outcomes;
+      List.iter
+        (fun c -> checki (case ^ ": cycle count") (Engine.cycles e) c)
+        [ Fast.cycles f; Static.cycles s; Batch.lane_cycles b ~lane:0 ];
+      List.iter
+        (fun n ->
+          let se = Shell.stats (Engine.shell e n) in
+          checkb (case ^ ": Fast stats") true (se = Fast.node_stats f n);
+          checkb (case ^ ": Static stats") true (se = Static.node_stats s n);
+          checkb (case ^ ": Batch stats") true (se = Batch.node_stats b ~lane:0 n))
+        (Network.nodes net);
+      checki (case ^ ": source firings") limit (Shell.stats (Engine.shell e 0)).Shell.firings)
+    [ (0, 0); (0, 2); (50, 0); (50, 2) ]
+
+(* ------------------------------------------------------------------ *)
 (* Facade and monitor integration                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -312,6 +369,7 @@ let () =
           Alcotest.test_case "zero-RS chain" `Quick test_zero_rs_chain;
           Alcotest.test_case "unbounded FIFO growth" `Quick test_unbounded_growth;
           Alcotest.test_case "oracle drop accounting" `Quick test_oracle_drop_accounting;
+          Alcotest.test_case "halting on all four kernels" `Quick test_halting_all_kernels;
         ] );
       ( "facade",
         [

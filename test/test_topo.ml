@@ -431,6 +431,66 @@ let test_expand_and_replay () =
   let cmd = Sweep.replay_command (List.hd scs) in
   checkb "replay names the seed" true (contains cmd "ring:4:seed5")
 
+(* ------------------------------------------------------------------ *)
+(* Schedule memo                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [Static.tables] memoises by topology, relay-station counts and
+   capacity, and [Static.create] and [Batch.create] share the memo.
+   Observed through physical equality of the returned tables. *)
+
+let build_of s =
+  match Topology.of_string s with
+  | Ok t -> Topology.build t
+  | Error e -> failwith e
+
+let test_memo_shared () =
+  let net = build_of "mesh:8x8:seed7301" in
+  let a = Static.tables ~capacity:2 net in
+  checkb "second call returns the cached tables" true
+    (Static.tables ~capacity:2 net == a);
+  checkb "a rebuilt net has the same key" true
+    (Static.tables ~capacity:2 (build_of "mesh:8x8:seed7301") == a);
+  checkb "capacity is part of the key" true (Static.tables ~capacity:3 net != a);
+  let c = List.hd (Network.channels net) in
+  Network.set_relay_stations net c (Network.relay_stations net c + 1);
+  checkb "a relay-station count is part of the key" true
+    (Static.tables ~capacity:2 net != a)
+
+let test_memo_word_budget () =
+  (* ring:1000's table (period 2048) is larger than the memo's whole
+     word budget: it is returned but never cached. *)
+  let net = build_of "ring:1000" in
+  let _, period, _ = Static.tables ~capacity:2 net in
+  checki "period" 2048 period;
+  checkb "an oversized table is not cached" true
+    (Static.tables ~capacity:2 net != Static.tables ~capacity:2 net)
+
+let test_memo_cold_warm () =
+  (* The first create of a fresh spec runs the prepass; the second
+     replays the memoised tables.  Every observable must match. *)
+  let net = build_of "rand:64:seed7919" in
+  let run () =
+    let st = Static.create ~capacity:2 ~record_traces:true ~mode:Shell.Plain net in
+    let o = Static.run ~max_cycles:1500 st in
+    ( o,
+      Static.cycles st,
+      List.map
+        (fun n ->
+          ( Static.node_stats st n,
+            List.init
+              (Process.n_outputs (Network.node_process net n))
+              (Static.output_trace st n) ))
+        (Network.nodes net),
+      List.map (Static.delivered st) (Network.channels net) )
+  in
+  let cold = run () in
+  let tables = Static.tables ~capacity:2 net in
+  let warm = run () in
+  checkb "the cold run cached its tables" true
+    (Static.tables ~capacity:2 net == tables);
+  checkb "cold and warm runs identical" true (cold = warm)
+
 let () =
   Alcotest.run "topo"
     [
@@ -466,5 +526,11 @@ let () =
           Alcotest.test_case "faulted scenarios run" `Quick
             test_sweep_faulted_runs;
           Alcotest.test_case "expand and replay" `Quick test_expand_and_replay;
+        ] );
+      ( "schedule memo",
+        [
+          Alcotest.test_case "shared tables and key" `Quick test_memo_shared;
+          Alcotest.test_case "word budget" `Quick test_memo_word_budget;
+          Alcotest.test_case "cold and warm identical" `Quick test_memo_cold_warm;
         ] );
     ]
