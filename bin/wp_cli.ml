@@ -54,7 +54,10 @@ let config_arg =
 let engine_str_arg =
   Arg.(value & opt (some string) None
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Simulation kernel: $(b,fast) (compiled, default), $(b,ref) \
+           ~doc:"Simulation kernel: $(b,fast) (compiled, default: the \
+                 batch kernel's table replay or dynamic SoA loop for \
+                 batchable specs, the $(b,Fast) kernel for destructive \
+                 faults, protection, telemetry or capacity 0), $(b,ref) \
                  (reference interpreter) or $(b,static) (precomputed \
                  balanced-word firing table; plain-mode, fault-free, \
                  unprotected configurations only — anything else is refused \
@@ -260,6 +263,21 @@ let report_stats runner stats =
   if stats then
     Format.eprintf "%a@." Wp_core.Runner.pp_stats (Wp_core.Runner.stats runner)
 
+(* A simulation that raises, e.g. a block derailed by a destructive fault
+   on an unprotected link or a program the ISS cannot execute, fails the
+   command with one line and exit 1.  [Unschedulable] passes through to
+   the top-level handler's exit code 2. *)
+let or_exit cmd f =
+  let fail msg =
+    flush stdout;
+    Printf.eprintf "wirepipe %s: %s\n%!" cmd msg;
+    exit 1
+  in
+  try f () with
+  | Wp_sim.Static.Unschedulable _ as e -> raise e
+  | Failure msg | Invalid_argument msg | Wp_soc.Iss.Fault msg -> fail msg
+  | e -> fail (Printexc.to_string e)
+
 (* --- table1 --------------------------------------------------------- *)
 
 let table1_cmd =
@@ -286,13 +304,17 @@ let table1_cmd =
     let spec = ensure_trace ~depth:8192 ~vcd:trace_vcd ~json:trace_json spec in
     let runner = make_runner jobs no_cache in
     let rows, _ =
-      with_gc_stats gc (fun () ->
-          Wp_core.Runner.timed runner "table1" (fun () ->
-              match workload with
-              | `Sort ->
-                let values = Programs.sort_values ~seed:1 ~n:(Option.value size ~default:16) in
-                Wp_core.Table1.sort_rows ~spec ~values ~runner ~machine ()
-              | `Matmul -> Wp_core.Table1.matmul_rows ~spec ?n:size ~runner ~machine ()))
+      or_exit "table1" (fun () ->
+          with_gc_stats gc (fun () ->
+              Wp_core.Runner.timed runner "table1" (fun () ->
+                  match workload with
+                  | `Sort ->
+                    let values =
+                      Programs.sort_values ~seed:1 ~n:(Option.value size ~default:16)
+                    in
+                    Wp_core.Table1.sort_rows ~spec ~values ~runner ~machine ()
+                  | `Matmul ->
+                    Wp_core.Table1.matmul_rows ~spec ?n:size ~runner ~machine ())))
     in
     let title =
       Printf.sprintf "Table 1 — %s (%s)"
@@ -357,6 +379,7 @@ let run_cmd =
   let run program machine config mode verbose spec trace_vcd trace_json gc =
     let spec = ensure_trace ~depth:65536 ~vcd:trace_vcd ~json:trace_json spec in
     let engine = spec.Wp_core.Run_spec.engine in
+    or_exit "run" @@ fun () ->
     with_gc_stats gc (fun () ->
         let golden = Wp_core.Experiment.golden ~engine ~machine program in
         Printf.printf "program %s on the %s machine; golden run: %d cycles (%s engine)\n"
@@ -698,6 +721,7 @@ let exec_cmd =
           result_region = (base, len);
         }
       in
+      or_exit "exec" @@ fun () ->
       let iss = Wp_soc.Program.reference_run program in
       Printf.printf "ISS: %d instructions\n" iss.Wp_soc.Iss.instructions;
       let golden = Wp_soc.Cpu.run_golden ~machine program in

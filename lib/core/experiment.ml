@@ -156,7 +156,7 @@ let run_spec ?cancel ~spec ~machine ~program config =
    Per-request failures (deadlock, exhausted budget, wrong result) come
    back as [Error] in place — they must not poison the other lanes —
    while a kernel-level raise (which only a non-benign fault can cause,
-   and [Runner.batchable] excludes those) propagates to the caller. *)
+   and [Run_spec.batchable] excludes those) propagates to the caller. *)
 let run_batch_spec ?cancels ~machine
     (requests : (Run_spec.t * Program.t * Config.t) array) =
   let n = Array.length requests in

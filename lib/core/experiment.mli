@@ -71,7 +71,7 @@ val run_batch_spec :
     the kernel and its siblings' results stay byte-identical.
     [cancels] (one token per request, both of a request's lanes share
     it) overrides each spec's own [deadline_ms]; its length must equal
-    the request count.  Specs must satisfy {!Runner.batchable}-style constraints:
+    the request count.  Specs should satisfy {!Run_spec.batchable}:
     @raise Invalid_argument if any spec's engine is not [Fast];
     @raise Wp_sim.Batch.Unbatchable on capacity 0 or protection. *)
 

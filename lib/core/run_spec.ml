@@ -121,11 +121,20 @@ let of_args ?engine ?(capacity = 2) ?max_cycles ?fault ?(fault_seed = 0)
   in
   Ok { engine; capacity; max_cycles; fault; protect; telemetry; deadline_ms }
 
+let batchable t =
+  (* The batch kernel runs one lane exactly as [Fast] runs it alone.
+     Destructive (non-benign) faults are excluded because they may
+     legitimately make a process closure raise, identically on both
+     kernels, but a raise in a fused loop poisons every lane of the
+     batch.  Protection and telemetry carry per-run state the SoA kernel
+     does not model, and unbounded FIFOs have no ring to lay out. *)
+  t.engine = Sim.Fast
+  && Fault.benign t.fault
+  && t.capacity >= 1
+  && Protect.is_none t.protect
+  && Telemetry.is_off t.telemetry
+
 let run_cpu ?cancel ?mcr_work ~spec ~machine ~mode ~rs program =
-  let protect =
-    if Protect.is_none spec.protect then None
-    else Some (Protect.to_fun spec.protect)
-  in
   (* An explicit token (the serve daemon's, stamped at request arrival)
      wins over the spec's relative deadline, which wins over [never]. *)
   let cancel =
@@ -134,6 +143,28 @@ let run_cpu ?cancel ?mcr_work ~spec ~machine ~mode ~rs program =
     | None, Some ms -> Wp_util.Cancel.create ~deadline_ms:ms ()
     | None, None -> Wp_util.Cancel.never
   in
-  Cpu.run ~engine:spec.engine ~capacity:spec.capacity ~cancel
-    ?max_cycles:spec.max_cycles ?mcr_work ~fault:spec.fault ?protect
-    ~telemetry:spec.telemetry ~machine ~mode ~rs program
+  if batchable spec then
+    (* A one-lane batch: an unfaulted Plain lane replays the balanced
+       firing word instead of stepping the handshake, with identical
+       results. *)
+    (Cpu.run_batch ~machine
+       [|
+         {
+           Cpu.b_mode = mode;
+           b_rs = rs;
+           b_capacity = spec.capacity;
+           b_max_cycles = spec.max_cycles;
+           b_mcr_work = mcr_work;
+           b_fault = spec.fault;
+           b_cancel = cancel;
+           b_program = program;
+         };
+       |]).(0)
+  else
+    let protect =
+      if Protect.is_none spec.protect then None
+      else Some (Protect.to_fun spec.protect)
+    in
+    Cpu.run ~engine:spec.engine ~capacity:spec.capacity ~cancel
+      ?max_cycles:spec.max_cycles ?mcr_work ~fault:spec.fault ?protect
+      ~telemetry:spec.telemetry ~machine ~mode ~rs program

@@ -78,13 +78,20 @@ val of_args :
   unit ->
   (t, string) result
 (** The single CLI parser: every subcommand maps its flags onto these
-    string/int arguments.  [engine] accepts ["fast"]/["ref"] (default:
-    {!Wp_sim.Sim.default_kind}); [fault] uses the {!Wp_sim.Fault}
+    string/int arguments.  [engine] accepts ["fast"]/["ref"]/["static"]
+    (default: {!Wp_sim.Sim.default_kind}); [fault] uses the {!Wp_sim.Fault}
     grammar seeded with [fault_seed]; [protect] uses the {!Protect}
     grammar with [link_window]/[link_timeout] (0 = auto) as defaults;
     [stall_report] enables telemetry counters; [trace_depth > 0]
     additionally enables the bounded event trace.  Any syntax error in
     any field comes back as [Error msg] — no exceptions, no [exit]. *)
+
+val batchable : t -> bool
+(** Whether the {!Wp_sim.Batch} kernel admits a spec: engine [Fast],
+    benign (stall-only) fault, capacity >= 1, no link protection,
+    telemetry off.  The one admission rule: {!run_cpu}, [Runner]'s
+    batched requests and [Sweep]'s shards all route on it, so a spec
+    gets the same kernel whether it runs alone or in a batch. *)
 
 val run_cpu :
   ?cancel:Wp_util.Cancel.t ->
@@ -95,9 +102,14 @@ val run_cpu :
   rs:(Wp_soc.Datapath.connection -> int) ->
   Wp_soc.Program.t ->
   Wp_soc.Cpu.result
-(** {!Wp_soc.Cpu.run} driven by a spec: unpacks the fields (converting
-    {!Protect.t} to the function form {!Wp_soc.Datapath.build} expects)
-    so callers above the SoC layer never touch the optional-argument
-    form.  An explicit [cancel] token (e.g. the serve daemon's,
+(** Run one simulation under a spec, so callers above the SoC layer
+    never touch {!Wp_soc.Cpu}'s optional-argument form.  A {!batchable}
+    spec runs as a one-lane {!Wp_soc.Cpu.run_batch}: an unfaulted Plain
+    lane replays the balanced firing word, and any other lane steps the
+    dynamic SoA kernel.  Every other spec ([ref], [static], destructive
+    faults, protection, telemetry, capacity 0) runs on
+    {!Wp_soc.Cpu.run}, which for engine [fast] is the [Fast] kernel.
+    For a batchable spec both kernels return structurally equal
+    results.  An explicit [cancel] token (e.g. the serve daemon's,
     stamped at request arrival so queueing counts against the budget)
     takes precedence over the spec's own [deadline_ms]. *)

@@ -498,20 +498,6 @@ type request = {
   req_cancel : Wp_util.Cancel.t;
 }
 
-let batchable (spec : Run_spec.t) =
-  (* The batch kernel IS the Fast engine, one lane per run.  Destructive
-     (non-benign) faults are excluded because they may legitimately make
-     a process closure raise — identically to the solo run, but a raise
-     in a fused loop poisons every lane of the batch.  Protection and
-     telemetry carry per-run state the SoA kernel does not model, and a
-     record computed by the batch must be byte-identical to the one the
-     solo path would cache under the same key. *)
-  spec.Run_spec.engine = Wp_sim.Sim.Fast
-  && Wp_sim.Fault.benign spec.Run_spec.fault
-  && spec.Run_spec.capacity >= 1
-  && Protect.is_none spec.Run_spec.protect
-  && Telemetry.is_off spec.Run_spec.telemetry
-
 (* Cache probe without compute: memory table first, then the
    digest-guarded disk layer (promoted into memory on hit, first stored
    value winning as in [lookup]).  Does not touch the hit/miss counters
@@ -601,7 +587,7 @@ let experiments_batch_spec ?attempts ?retry_seed ?(shard = 8) t requests =
       results.(i) <- Some (Expired "deadline exceeded before dispatch", false))
     dead_misses;
   let batch_misses, solo_misses =
-    List.partition (fun i -> batchable reqs.(i).req_spec) misses
+    List.partition (fun i -> Run_spec.batchable reqs.(i).req_spec) misses
   in
   let fallback i =
     let r = reqs.(i) in

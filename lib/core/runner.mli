@@ -187,12 +187,6 @@ type request = {
 (** One experiment request of a heterogeneous batch (the unit of work
     the [wp_cli serve] daemon receives). *)
 
-val batchable : Run_spec.t -> bool
-(** Whether a spec may ride the structure-of-arrays batch kernel:
-    [Fast] engine, benign (stall-only) fault, capacity >= 1, no link
-    protection, telemetry off.  Non-batchable specs still work through
-    {!experiments_batch_spec} — they just take the solo guarded path. *)
-
 val experiments_batch_spec :
   ?attempts:int ->
   ?retry_seed:int ->
@@ -201,9 +195,9 @@ val experiments_batch_spec :
   request list ->
   (outcome * bool) list
 (** Serve a heterogeneous request batch: cache probe first (the [bool]
-    is [true] for requests answered from cache), then the {!batchable}
-    misses grouped by machine and run as lanes of shared
-    {!Experiment.run_batch_spec} kernels, [shard] requests (default 8,
+    is [true] for requests answered from cache), then the
+    {!Run_spec.batchable} misses grouped by machine and run as lanes of
+    shared {!Experiment.run_batch_spec} kernels, [shard] requests (default 8,
     i.e. 16 lanes) per pool task.  Everything else — non-batchable
     specs, and requests the batch reports as failing — goes through
     {!experiment_guarded_spec} with its bounded retries, so a poisoned

@@ -23,79 +23,78 @@ let no_relay_stations (_ : Datapath.connection) = 0
 
 let default_max_cycles = 2_000_000
 
+(* The cycle budget of one run.  An explicit [max_cycles] wins.
+   Otherwise [mcr_work] (typically the golden run's cycle count) bounds
+   the run at [Fast.cycle_bound], provable from the marked-graph
+   throughput plus engineering slack.  Injected stalls, ARQ recovery
+   episodes and credit stalls ([perturbed]) push throughput below that
+   bound, so the MCR budget would routinely exhaust and force a double
+   run: go straight to the full budget. *)
+let budget ?max_cycles ?mcr_work ~perturbed (dp : Datapath.t) =
+  match max_cycles, mcr_work with
+  | Some m, _ -> m
+  | None, Some work when not perturbed ->
+    min (Fast.cycle_bound ~work_cycles:work dp.Datapath.network)
+      default_max_cycles
+  | None, _ -> default_max_cycles
+
+(* A run that exhausted a tight MCR bound (the slack makes it rare) is
+   retried at the full budget, so outcomes stay identical to the
+   unbounded configuration. *)
+let retry ?max_cycles bound result =
+  result.outcome = Out_of_cycles
+  && Option.is_none max_cycles
+  && bound < default_max_cycles
+
+(* The observable result of a finished run: the taps' final memory and
+   registers, checked against the ISS reference. *)
+let result_of ~program (dp : Datapath.t) out ~report ~telemetry =
+  let outcome, cycles =
+    match out with
+    | Engine.Halted c -> (Completed, c)
+    | Engine.Deadlocked c -> (Deadlocked, c)
+    | Engine.Exhausted c -> (Out_of_cycles, c)
+    | Engine.Cancelled c -> (Cancelled, c)
+  in
+  let memory =
+    match !(dp.Datapath.memory_tap) with Some get -> get () | None -> [||]
+  in
+  let registers =
+    match !(dp.Datapath.register_tap) with Some get -> get () | None -> [||]
+  in
+  let result_ok =
+    outcome = Completed
+    &&
+    let base, len = program.Program.result_region in
+    let expected = Program.expected_result program in
+    len = 0
+    || (Array.length memory >= base + len
+       && Array.for_all2 ( = ) expected (Array.sub memory base len))
+  in
+  { cycles; outcome; memory; registers; result_ok; report; telemetry }
+
 let run ?engine ?(capacity = 2) ?cancel ?max_cycles ?mcr_work ?fault ?protect
     ?telemetry ~machine ~mode ~rs (program : Program.t) =
-  (* [mcr_work] enables the MCR-guided cycle budget: instead of stepping
-     up to the full default budget, bound the run at
-     [Fast.cycle_bound ~work_cycles:mcr_work net] — provable from the
-     marked-graph throughput, plus engineering slack.  If the bounded
-     run exhausts (the bound was too tight, which the slack makes
-     rare), fall back to the full budget so observable outcomes stay
-     identical to the unbounded configuration. *)
-  let attempt_dp dp max_cycles =
+  (* [Process.make] allocates every piece of mutable state afresh and
+     re-seats the taps, so one built datapath serves any number of
+     engine creations: the full-budget retry does not rebuild it. *)
+  let dp = Datapath.build ?protect ~machine ~rs program in
+  let attempt max_cycles =
     let sim =
       Sim.create ?engine ~capacity ?fault ?telemetry ~mode dp.Datapath.network
     in
-    let outcome, cycles =
-      match Sim.run ?cancel ~max_cycles sim with
-      | Engine.Halted c -> (Completed, c)
-      | Engine.Deadlocked c -> (Deadlocked, c)
-      | Engine.Exhausted c -> (Out_of_cycles, c)
-      | Engine.Cancelled c -> (Cancelled, c)
-    in
-    let memory =
-      match !(dp.Datapath.memory_tap) with Some get -> get () | None -> [||]
-    in
-    let registers =
-      match !(dp.Datapath.register_tap) with Some get -> get () | None -> [||]
-    in
-    let result_ok =
-      outcome = Completed
-      &&
-      let base, len = program.Program.result_region in
-      let expected = Program.expected_result program in
-      len = 0
-      || (Array.length memory >= base + len
-         && Array.for_all2 ( = ) expected (Array.sub memory base len))
-    in
-    {
-      cycles;
-      outcome;
-      memory;
-      registers;
-      result_ok;
-      report = Monitor.collect_sim sim;
-      telemetry = Sim.telemetry_report sim;
-    }
+    let out = Sim.run ?cancel ~max_cycles sim in
+    result_of ~program dp out ~report:(Monitor.collect_sim sim)
+      ~telemetry:(Sim.telemetry_report sim)
   in
-  (* [Process.make] allocates every piece of mutable state afresh and
-     re-seats the taps, so one built datapath serves any number of
-     engine creations; [attempt] rebuilding each time would pay netlist
-     construction twice on the MCR path below. *)
-  let attempt max_cycles =
-    attempt_dp (Datapath.build ?protect ~machine ~rs program) max_cycles
+  let perturbed =
+    Option.is_some protect
+    || match fault with Some f -> not (Wp_sim.Fault.is_none f) | None -> false
   in
-  let faulted =
-    match fault with Some f -> not (Wp_sim.Fault.is_none f) | None -> false
-  in
-  let protected_ = match protect with Some _ -> true | None -> false in
-  match max_cycles, mcr_work with
-  | Some m, _ -> attempt m
-  | None, None -> attempt default_max_cycles
-  | None, Some _ when faulted || protected_ ->
-    (* Injected stalls (and ARQ recovery episodes / credit stalls on
-       protected links) push throughput below the marked-graph bound, so
-       the MCR budget would routinely exhaust and force a double run —
-       go straight to the full budget. *)
-    attempt default_max_cycles
-  | None, Some work ->
-    let dp = Datapath.build ~machine ~rs program in
-    let bound = Fast.cycle_bound ~work_cycles:work dp.Datapath.network in
-    let bound = min bound default_max_cycles in
-    let result = attempt_dp dp bound in
-    if result.outcome = Out_of_cycles && bound < default_max_cycles then
-      attempt_dp dp default_max_cycles
-    else result
+  let bound = budget ?max_cycles ?mcr_work ~perturbed dp in
+  let result = attempt bound in
+  if retry ?max_cycles bound result then attempt default_max_cycles
+  else result
 
 type batch_item = {
   b_mode : Wp_lis.Shell.mode;
@@ -113,86 +112,31 @@ let run_batch ~machine (items : batch_item array) =
   let n = Array.length items in
   if n = 0 then [||]
   else begin
-    (* Per-item budget: the same decision tree as [run] above — an
-       explicit bound wins, faults disable the MCR fast path, otherwise
-       the marked-graph bound with full-budget fallback. *)
-    let budget = Array.make n default_max_cycles in
-    let tight = Array.make n false in
-    (* Datapaths built for the MCR bound are kept and reused as the
-       simulation lanes below — [Process.make] re-creates all mutable
-       state per engine, so nothing is built twice. *)
-    let prebuilt : Datapath.t option array = Array.make n None in
-    let build_item i =
-      Datapath.build ~machine ~rs:items.(i).b_rs items.(i).b_program
+    (* As in [run], each lane's datapath is built once and serves both
+       the budget and every attempt. *)
+    let dps =
+      Array.map
+        (fun it -> Datapath.build ~machine ~rs:it.b_rs it.b_program)
+        items
     in
-    Array.iteri
-      (fun i it ->
-        match it.b_max_cycles, it.b_mcr_work with
-        | Some m, _ -> budget.(i) <- m
-        | None, None -> ()
-        | None, Some _ when not (Wp_sim.Fault.is_none it.b_fault) -> ()
-        | None, Some work ->
-          let dp = build_item i in
-          prebuilt.(i) <- Some dp;
-          let bound = Fast.cycle_bound ~work_cycles:work dp.Datapath.network in
-          let bound = min bound default_max_cycles in
-          budget.(i) <- bound;
-          tight.(i) <- bound < default_max_cycles)
-      items;
-    let assemble dp b lane out program =
-      let outcome, cycles =
-        match out with
-        | Engine.Halted c -> (Completed, c)
-        | Engine.Deadlocked c -> (Deadlocked, c)
-        | Engine.Exhausted c -> (Out_of_cycles, c)
-        | Engine.Cancelled c -> (Cancelled, c)
-      in
-      let memory =
-        match !(dp.Datapath.memory_tap) with Some get -> get () | None -> [||]
-      in
-      let registers =
-        match !(dp.Datapath.register_tap) with Some get -> get () | None -> [||]
-      in
-      let result_ok =
-        outcome = Completed
-        &&
-        let base, len = program.Program.result_region in
-        let expected = Program.expected_result program in
-        len = 0
-        || (Array.length memory >= base + len
-           && Array.for_all2 ( = ) expected (Array.sub memory base len))
-      in
-      {
-        cycles;
-        outcome;
-        memory;
-        registers;
-        result_ok;
-        report = Monitor.collect_batch b ~lane;
-        telemetry = None;
-      }
+    let budgets =
+      Array.mapi
+        (fun i it ->
+          budget ?max_cycles:it.b_max_cycles ?mcr_work:it.b_mcr_work
+            ~perturbed:(not (Wp_sim.Fault.is_none it.b_fault))
+            dps.(i))
+        items
     in
-    let attempt idxs budgets =
-      let dps =
-        Array.map
-          (fun i ->
-            match prebuilt.(i) with
-            | Some dp -> dp
-            | None ->
-              let dp = build_item i in
-              prebuilt.(i) <- Some dp;
-              dp)
-          idxs
-      in
+    let attempt idxs bounds =
       let lanes =
         Array.mapi
           (fun j i ->
             {
-              Batch.net = dps.(j).Datapath.network;
+              Batch.net = dps.(i).Datapath.network;
               mode = items.(i).b_mode;
               capacity = items.(i).b_capacity;
               fault = items.(i).b_fault;
-              max_cycles = budgets.(j);
+              max_cycles = bounds.(j);
               cancel = items.(i).b_cancel;
             })
           idxs
@@ -200,22 +144,25 @@ let run_batch ~machine (items : batch_item array) =
       let b = Batch.create lanes in
       let outs = Batch.run b in
       Array.mapi
-        (fun j i -> assemble dps.(j) b j outs.(j) items.(i).b_program)
+        (fun j i ->
+          result_of ~program:items.(i).b_program dps.(i) outs.(j)
+            ~report:(Monitor.collect_batch b ~lane:j) ~telemetry:None)
         idxs
     in
-    let all = Array.init n (fun i -> i) in
-    let results = attempt all budget in
-    let retry =
+    let all = Array.init n Fun.id in
+    let results = attempt all budgets in
+    let again =
       Array.of_list
         (List.filter
-           (fun i -> results.(i).outcome = Out_of_cycles && tight.(i))
+           (fun i ->
+             retry ?max_cycles:items.(i).b_max_cycles budgets.(i) results.(i))
            (Array.to_list all))
     in
-    if Array.length retry > 0 then begin
+    if Array.length again > 0 then begin
       let fresh =
-        attempt retry (Array.map (fun _ -> default_max_cycles) retry)
+        attempt again (Array.map (fun _ -> default_max_cycles) again)
       in
-      Array.iteri (fun j i -> results.(i) <- fresh.(j)) retry
+      Array.iteri (fun j i -> results.(i) <- fresh.(j)) again
     end;
     results
   end

@@ -258,12 +258,6 @@ let schedulable spec =
   && (not (protected_spec spec))
   && Telemetry.is_off spec.telemetry
 
-let batchable spec =
-  spec.Run_spec.engine = Sim.Fast
-  && spec.capacity >= 1
-  && (not (protected_spec spec))
-  && Telemetry.is_off spec.telemetry
-
 (* Reference replays are the costliest check; bound them to small nets
    and a deterministic quarter of the seeds (always including the
    family's base seed 0). *)
@@ -294,7 +288,7 @@ let process_shard ~check_engines (shard : scenario array) : result array =
     List.filter
       (fun i ->
         match ctx.(i) with
-        | Ok (sc, _) -> batchable sc.spec
+        | Ok (sc, _) -> Run_spec.batchable sc.spec
         | Error _ -> false)
       (List.init n Fun.id)
   in
@@ -331,7 +325,7 @@ let process_shard ~check_engines (shard : scenario array) : result array =
         ids
     | exception _ -> () (* fall through to the solo path below *)))
   ;
-  (* Solo paths: non-batchable engines, and any batch fallout. *)
+  (* Solo paths: non-batchable specs, and any batch fallout. *)
   Array.iteri
     (fun i c ->
       match (c, primary.(i)) with

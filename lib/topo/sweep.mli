@@ -3,9 +3,10 @@
     A sweep expands a scenario grammar — a list of {!Topology.spec}
     families times a seed count times one {!Wp_core.Run_spec.t} — into
     concrete scenarios, shards them across the {!Wp_util.Pool}, rides
-    the {!Wp_sim.Batch} kernel wherever the spec is batchable (the
-    topology-generic signature grouping means one batch call covers a
-    heterogeneous shard), and cross-checks engines against each other:
+    the {!Wp_sim.Batch} kernel wherever {!Wp_core.Run_spec.batchable}
+    admits the spec (the topology-generic signature grouping means one
+    batch call covers a heterogeneous shard), and cross-checks engines
+    against each other:
 
     - every statically schedulable scenario is replayed on
       {!Wp_sim.Static} and must agree with the primary engine on

@@ -341,6 +341,198 @@ let test_run_batch_matches_run () =
     items;
   checki "batch size" (List.length items) (Array.length batch)
 
+(* ------------------------------------------------------------------ *)
+(* Run_spec.run_cpu: batchable specs on Batch, the rest on Fast         *)
+(* ------------------------------------------------------------------ *)
+
+module Run_spec = Wp_core.Run_spec
+
+let fast_spec = Run_spec.v ~engine:Sim.Fast ()
+
+let spec_of_args ?fault ?protect ?stall_report ?capacity () =
+  match
+    Run_spec.of_args ~engine:"fast" ?fault ?protect ?stall_report ?capacity ()
+  with
+  | Ok s -> s
+  | Error m -> Alcotest.fail m
+
+let solo_fast ?cancel ?mcr_work (spec : Run_spec.t) ~machine ~mode ~rs program =
+  let protect =
+    if Wp_core.Protect.is_none spec.Run_spec.protect then None
+    else Some (Wp_core.Protect.to_fun spec.Run_spec.protect)
+  in
+  Cpu.run ~engine:Sim.Fast ~capacity:spec.Run_spec.capacity ?cancel
+    ?max_cycles:spec.Run_spec.max_cycles ?mcr_work ~fault:spec.Run_spec.fault
+    ?protect ~telemetry:spec.Run_spec.telemetry ~machine ~mode ~rs program
+
+(* Every row of Table 1 (the golden's inputs: sort over 10 values and a
+   3x3 matmul, both machines), on both wrappers: the one-lane batch that
+   [run_cpu] runs returns what the Fast kernel returns. *)
+let test_run_cpu_table1_rows () =
+  let values = Programs.sort_values ~seed:1 ~n:10 in
+  let sort = Programs.extraction_sort ~values in
+  let matmul =
+    Programs.matrix_multiply ~n:3 ~a:(Programs.matrix_values ~seed:2 ~n:3)
+      ~b:(Programs.matrix_values ~seed:3 ~n:3)
+  in
+  let runner = Wp_core.Runner.create ~jobs:1 ~cache:false () in
+  let compared = ref 0 in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (program, rows) ->
+          let golden =
+            Wp_core.Experiment.golden ~engine:Sim.Fast ~machine program
+          in
+          let mcr_work = golden.Cpu.cycles in
+          List.iter
+            (fun (row : Wp_core.Table1.row) ->
+              let record = row.Wp_core.Table1.record in
+              let rs = Config.to_fun record.Wp_core.Experiment.config in
+              List.iter
+                (fun (mode, tabled) ->
+                  let r =
+                    Run_spec.run_cpu ~mcr_work ~spec:fast_spec ~machine ~mode ~rs
+                      program
+                  in
+                  let solo = solo_fast ~mcr_work fast_spec ~machine ~mode ~rs program in
+                  incr compared;
+                  checkb
+                    (Printf.sprintf "%s %s row %d %s = Fast"
+                       (Datapath.machine_name machine) program.Program.name
+                       row.Wp_core.Table1.index (mode_name mode))
+                    true
+                    (r = solo && tabled = solo))
+                [
+                  (Shell.Plain, record.Wp_core.Experiment.wp1);
+                  (Shell.Oracle, record.Wp_core.Experiment.wp2);
+                ])
+            rows)
+        [
+          (sort, Wp_core.Table1.sort_rows ~spec:fast_spec ~values ~runner ~machine ());
+          (matmul, Wp_core.Table1.matmul_rows ~spec:fast_spec ~n:3 ~runner ~machine ());
+        ])
+    [ Datapath.Pipelined; Datapath.Multicycle ];
+  Wp_core.Runner.shutdown runner;
+  checki "Table 1 runs compared" (2 * 2 * (13 + 25)) !compared
+
+(* The battery's seeds: random programs, RS configurations, capacities
+   and benign faults, on both machines and both wrappers. *)
+let test_run_cpu_battery () =
+  for seed = 0 to battery_seeds - 1 do
+    let machine =
+      if seed mod 2 = 0 then Datapath.Pipelined else Datapath.Multicycle
+    in
+    let program = Random_program.generate ~seed () in
+    let rs = Config.to_fun (battery_config seed) in
+    let spec =
+      {
+        fast_spec with
+        Run_spec.capacity = 1 + (seed mod 3);
+        fault = battery_fault seed;
+      }
+    in
+    checkb (Printf.sprintf "seed %d batchable" seed) true (Run_spec.batchable spec);
+    let mcr_work = (Cpu.run_golden ~machine program).Cpu.cycles in
+    List.iter
+      (fun mode ->
+        checkb
+          (Printf.sprintf "seed %d %s = Fast" seed (mode_name mode))
+          true
+          (Run_spec.run_cpu ~mcr_work ~spec ~machine ~mode ~rs program
+          = solo_fast ~mcr_work spec ~machine ~mode ~rs program))
+      [ Shell.Plain; Shell.Oracle ]
+  done
+
+let matmul2 () = Result.get_ok (Programs.of_string "matmul:2")
+
+(* Specs the batch kernel refuses still run, on the Fast kernel: Batch
+   has no telemetry, no unbounded FIFOs and no link layer. *)
+let test_run_cpu_unbatchable () =
+  let machine = Datapath.Pipelined in
+  let program = matmul2 () in
+  let rs = Config.to_fun (battery_config 7) in
+  let mcr_work = (Cpu.run_golden ~machine program).Cpu.cycles in
+  let run spec mode = Run_spec.run_cpu ~mcr_work ~spec ~machine ~mode ~rs program in
+  let telemetered = spec_of_args ~stall_report:true () in
+  let unbounded = spec_of_args ~capacity:0 () in
+  let protected_ = spec_of_args ~fault:"drop:3:1" ~protect:"all" () in
+  List.iter
+    (fun spec ->
+      checkb (Run_spec.describe spec ^ " unbatchable") false (Run_spec.batchable spec))
+    [
+      telemetered;
+      unbounded;
+      protected_;
+      Run_spec.v ~engine:Sim.Reference ();
+      Run_spec.v ~engine:Sim.Static ();
+    ];
+  List.iter
+    (fun mode ->
+      let m = mode_name mode in
+      checkb (m ^ " telemetry reported") true
+        ((run telemetered mode).Cpu.telemetry <> None);
+      List.iter
+        (fun (what, spec) ->
+          let r = run spec mode in
+          checkb (Printf.sprintf "%s %s completes correctly" m what) true
+            (r.Cpu.outcome = Cpu.Completed && r.Cpu.result_ok);
+          checkb (Printf.sprintf "%s %s = Fast" m what) true
+            (r = solo_fast ~mcr_work spec ~machine ~mode ~rs program))
+        [ ("capacity 0", unbounded); ("protect all + drop", protected_) ])
+    [ Shell.Plain; Shell.Oracle ]
+
+(* A destructive fault on an unprotected link derails the CU; the error
+   [wp_cli run] prints is the same whichever kernel ran the spec. *)
+let test_run_cpu_destructive_error () =
+  let machine = Datapath.Pipelined in
+  let program = matmul2 () in
+  let rs = Cpu.no_relay_stations in
+  let spec = spec_of_args ~fault:"drop:3:1" () in
+  checkb "destructive fault unbatchable" false (Run_spec.batchable spec);
+  let error f = match f () with _ -> None | exception Failure m -> Some m in
+  List.iter
+    (fun mode ->
+      let via_run_cpu =
+        error (fun () -> Run_spec.run_cpu ~spec ~machine ~mode ~rs program)
+      in
+      let via_fast = error (fun () -> solo_fast spec ~machine ~mode ~rs program) in
+      let via_batch =
+        error (fun () ->
+            Cpu.run_batch ~machine
+              [|
+                {
+                  Cpu.b_mode = mode;
+                  b_rs = rs;
+                  b_capacity = 2;
+                  b_max_cycles = None;
+                  b_mcr_work = None;
+                  b_fault = spec.Run_spec.fault;
+                  b_cancel = Wp_util.Cancel.never;
+                  b_program = program;
+                };
+              |])
+      in
+      checkb (mode_name mode ^ " raised") true (via_run_cpu <> None);
+      checkb (mode_name mode ^ " same message on every path") true
+        (via_run_cpu = via_fast && via_fast = via_batch))
+    [ Shell.Plain; Shell.Oracle ]
+
+let test_run_cpu_cancelled () =
+  let machine = Datapath.Pipelined in
+  let program = matmul2 () in
+  let rs = Config.to_fun (battery_config 3) in
+  let cancel = Wp_util.Cancel.create () in
+  Wp_util.Cancel.cancel cancel;
+  List.iter
+    (fun mode ->
+      let r = Run_spec.run_cpu ~cancel ~spec:fast_spec ~machine ~mode ~rs program in
+      let solo = solo_fast ~cancel fast_spec ~machine ~mode ~rs program in
+      checkb (mode_name mode ^ " cancelled") true (r.Cpu.outcome = Cpu.Cancelled);
+      checki (mode_name mode ^ " same cycle") solo.Cpu.cycles r.Cpu.cycles;
+      checkb (mode_name mode ^ " = Fast") true (r = solo))
+    [ Shell.Plain; Shell.Oracle ]
+
 let () =
   Alcotest.run "batch"
     [
@@ -365,5 +557,16 @@ let () =
       ( "cpu",
         [
           Alcotest.test_case "run_batch = run" `Quick test_run_batch_matches_run;
+        ] );
+      ( "run_cpu",
+        [
+          Alcotest.test_case "Table 1 rows = Fast" `Quick test_run_cpu_table1_rows;
+          Alcotest.test_case "50-seed battery = Fast" `Quick test_run_cpu_battery;
+          Alcotest.test_case "unbatchable specs run on Fast" `Quick
+            test_run_cpu_unbatchable;
+          Alcotest.test_case "destructive fault: one error on every path" `Quick
+            test_run_cpu_destructive_error;
+          Alcotest.test_case "cancelled token: same cycle" `Quick
+            test_run_cpu_cancelled;
         ] );
     ]
