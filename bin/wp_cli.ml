@@ -370,6 +370,14 @@ let table1_cmd =
 
 (* --- run ------------------------------------------------------------ *)
 
+(* A wire-pipelined run's throughput against the golden run; only a
+   completed run has one (an unfinished run's cycle count says nothing
+   about the program's speed). *)
+let throughput_text ~golden (r : Wp_soc.Cpu.result) =
+  match r.Wp_soc.Cpu.outcome with
+  | Wp_soc.Cpu.Completed -> Printf.sprintf "%.3f" (Wp_soc.Cpu.throughput ~golden r)
+  | Wp_soc.Cpu.Deadlocked | Wp_soc.Cpu.Out_of_cycles | Wp_soc.Cpu.Cancelled -> "-"
+
 let run_cmd =
   let mode =
     Arg.(value & opt (enum [ ("wp1", `Wp1); ("wp2", `Wp2); ("both", `Both) ]) `Both
@@ -399,9 +407,8 @@ let run_cmd =
             Wp_core.Run_spec.run_cpu ~mcr_work:golden.Wp_soc.Cpu.cycles ~spec
               ~machine ~mode:shell_mode ~rs:(Config.to_fun config) program
           in
-          let th = Wp_soc.Cpu.throughput ~golden r in
-          Printf.printf "%s: %d cycles, throughput %.3f, result %s%s\n" label r.Wp_soc.Cpu.cycles
-            th
+          Printf.printf "%s: %d cycles, throughput %s, result %s%s\n" label r.Wp_soc.Cpu.cycles
+            (throughput_text ~golden r)
             (if r.Wp_soc.Cpu.result_ok then "correct" else "WRONG")
             (match r.Wp_soc.Cpu.outcome with
             | Wp_soc.Cpu.Completed -> ""
@@ -729,9 +736,9 @@ let exec_cmd =
       let r =
         Wp_soc.Cpu.run ~machine ~mode:Shell.Oracle ~rs:(Config.to_fun config) program
       in
-      Printf.printf "WP2 under %s: %d cycles (throughput %.3f), result %s\n"
+      Printf.printf "WP2 under %s: %d cycles (throughput %s), result %s\n"
         (Config.describe config) r.Wp_soc.Cpu.cycles
-        (Wp_soc.Cpu.throughput ~golden r)
+        (throughput_text ~golden r)
         (if r.Wp_soc.Cpu.result_ok then "correct" else "WRONG");
       Printf.printf "memory[%d..%d]:" base (base + len - 1);
       Array.iteri

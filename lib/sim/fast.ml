@@ -1,602 +1,776 @@
-(* Compiled, allocation-free simulation kernel.
+(* Compiled, allocation-free handshake kernel.
 
    [Engine] is the readable reference interpreter: every cycle it boxes
    tokens ([Token.Valid]), allocates emission arrays, pops options out of
    ring FIFOs and walks channel lists through closures.  This module
-   compiles a validated {!Network.t} into flat integer arrays once, then
-   steps with zero heap allocation per cycle in the steady state (the
+   compiles validated networks into flat integer arrays once, then steps
+   them with zero heap allocation per cycle in the steady state (the
    only remaining allocations are inside the user-supplied
    [Process.instance] closures when a node actually fires, and trace
    conses when [record_traces] is requested).
 
-   Layout (all indices are dense ints):
-   - input ports are flattened: global id [ip = in_base.(node) + port];
-     each FIFO is a preallocated [int array] plus head/len cursors —
-     void never enters a FIFO, so no validity bit is needed there;
-   - output ports are flattened the same way; per-cycle emissions live
-     in [emit_val] with a parallel [emit_valid] bitmask instead of boxed
-     [Token.t];
-   - channels form a CSR adjacency: [out_chan_base]/[out_chan_ids] list
-     each node's outgoing channels, and [chan_rs_base] gives each
-     channel's slice of the global relay-station slot pool;
-   - every relay station is the same 2-register micro-FIFO as
-     {!Wp_lis.Relay_station}, stored as two int slots plus head/len.
+   It is the library's only compiled handshake loop.  One kernel steps
+   [L] independent lanes sharing one topology signature: a solo
+   [create] is a one-lane kernel, and the batch kernel's dynamic lanes
+   (Oracle mode, faults) are a many-lane one.  Each lane has its own
+   process instances, relay-station counts, FIFO capacity, fault
+   program and link layer.
 
-   The step function reproduces the reference engine's three phases
-   (stop propagation, firing, simultaneous shift) in the identical
-   order, so outcomes, delivered counts, per-shell statistics and traces
-   are byte-identical — the test battery asserts exactly that. *)
+   Layout (all indices are dense ints):
+   - ports and channels follow {!Static.meta_of}: global input port
+     [in_base.(node) + port], output ports likewise, and a CSR list of
+     each node's outgoing channels in increasing channel order;
+   - lane state is structure-of-arrays: entity [e] (input port, output
+     port, channel or node) of lane [l] lives at [e * L + l], so the
+     lane-inner loops touch adjacent cells and per-entity setup is
+     amortized across lanes;
+   - each FIFO is a ring of [stride] slots in [fifo_buf] — void never
+     enters a FIFO, so no validity bit is needed there — and per-cycle
+     emissions live in [emit_val] with a parallel [emit_valid] bitmask
+     instead of boxed [Token.t];
+   - every relay station is the same 2-register micro-FIFO as
+     {!Wp_lis.Relay_station}, stored as two int slots plus head/len in
+     a pool where each (channel, lane) owns a slice.
+
+   The step reproduces the reference engine's three phases (stop
+   propagation, firing, simultaneous shift) in the identical order, so
+   outcomes, delivered counts, per-shell statistics and traces are
+   byte-identical — the test batteries assert exactly that.
+
+   Three features are rare, so per-kernel flags guard them outside the
+   lane loops, and a kernel without them pays one branch per phase:
+   - link protection ([linked]): the link layer owns a protected wire,
+     so the channel gets no relay slots, its producer stop comes from
+     {!Link.producer_stop}, and its shift is {!Link.channel_step};
+   - unbounded FIFOs ([unbounded]): before each shift every such ring
+     keeps room for what one cycle can bring, doubling [stride] when it
+     runs short;
+   - telemetry ([tel]), on one-lane kernels only, through the runtime's
+     bulk scratch protocol. *)
 
 module Shell = Wp_lis.Shell
 module Token = Wp_lis.Token
 module Process = Wp_lis.Process
 
-type t = {
+(* Lane state lives in plain [int array]s: the element type is known
+   statically, so reads and writes compile to bare loads and stores. *)
+type ia = int array
+
+type lane = {
   net : Network.t;
-  engine_mode : Shell.mode;
-  record_traces : bool;
-  n_nodes : int;
-  n_chans : int;
-  instances : Process.instance array;
-  (* input ports *)
-  in_base : int array; (* n_nodes + 1 *)
-  fifo_buf : int array array; (* per global input port *)
-  fifo_head : int array;
-  fifo_len : int array;
-  fifo_cap : int; (* 0 = unbounded *)
-  drop_pending : int array;
-  required_counts : int array;
-  dropped : int array;
-  (* output ports *)
-  out_base : int array; (* n_nodes + 1 *)
-  emit_val : int array;
-  emit_valid : bool array;
-  traces : int Token.t list array; (* newest first; only if record_traces *)
-  (* per-node stats and reusable scratch *)
-  firings : int array;
-  stalls : int array;
-  input_starved : int array;
-  output_blocked : int array;
-  inputs_scratch : int option array array;
-  plain_masks : bool array array;
-  (* channels *)
-  chan_src_op : int array;
-  chan_dst_ip : int array;
-  chan_rs_base : int array; (* n_chans + 1 *)
-  chan_delivered : int array;
-  producer_stop : bool array;
-  out_chan_base : int array; (* n_nodes + 1 *)
-  out_chan_ids : int array;
-  fault : Fault.t option;
-  telemetry : Telemetry.t option;
-  (* link layer: protected channels bypass the relay pool entirely *)
-  link : Link.t option;
-  link_protected : bool array;
-  link_can : (unit -> bool) array; (* per channel, tied after construction *)
-  link_acc : (int -> unit) array;
-  (* relay stations: 2 register slots each *)
-  rs_val : int array; (* 2 * total_rs *)
-  rs_head : int array;
-  rs_len : int array;
-  stage_stops : bool array;
-  rs_out_val : int array;
-  rs_out_valid : bool array;
-  (* clocking *)
-  mutable clock : int;
-  mutable last_fired : bool;
-  mutable quiet_cycles : int;
-  quiescence : int;
+  mode : Shell.mode;
+  capacity : int;
+  fault : Fault.spec;
+  max_cycles : int;
+  cancel : Wp_util.Cancel.t;
 }
 
-(* ------------------------------------------------------------------ *)
-(* FIFO primitives on the flattened pool                              *)
-(* ------------------------------------------------------------------ *)
+type t = {
+  n_lanes : int;
+  n_nodes : int;
+  n_chans : int;
+  n_in : int; (* input ports per lane *)
+  record_traces : bool;
+  nets : Network.t array; (* per lane *)
+  oracle : bool array; (* per lane *)
+  cap : int array; (* per lane: a FIFO is full at [cap]; max_int if unbounded *)
+  ring : int array; (* per lane: FIFO ring size; [cap] when bounded *)
+  unbounded : bool; (* some lane has unbounded FIFOs *)
+  mutable stride : int; (* ring slots per (input port, lane) *)
+  faults : Fault.t option array; (* per lane *)
+  links : Link.t option array; (* per lane *)
+  linked : bool; (* some lane protects a channel *)
+  tel : Telemetry.t option; (* one-lane kernels only *)
+  quiescence : int array; (* per lane *)
+  (* shared structure: the lanes' common layout *)
+  in_base : int array; (* n_nodes + 1 *)
+  out_base : int array; (* n_nodes + 1 *)
+  chan_src_op : int array;
+  chan_dst_ip : int array;
+  out_chan_base : int array; (* n_nodes + 1 *)
+  out_chan_ids : int array;
+  instances : Process.instance array; (* [n * L + l] *)
+  inputs_scratch : int option array array;
+      (* per node, reused every cycle: a [Some v] store into an old
+         slot enters the remembered set at most once per minor
+         collection, so reuse is cheaper than reallocating *)
+  plain_masks : bool array array; (* per node *)
+  halt_flag : Bytes.t; (* per lane, sticky; set right after a firing *)
+  (* SoA lane state; cell index is [entity * L + lane] unless noted *)
+  mutable fifo_buf : ia; (* [(ip * L + l) * stride + slot], ring mod ring.(l) *)
+  fifo_head : ia;
+  fifo_len : ia;
+  drop_pending : ia;
+  required_counts : ia;
+  dropped : ia;
+  emit_val : ia;
+  emit_valid : Bytes.t;
+  firings : ia;
+  stalls : ia;
+  input_starved : ia;
+  output_blocked : ia;
+  chan_delivered : ia;
+  producer_stop : Bytes.t;
+  hook : Bytes.t;
+      (* per (chan, lane): how the shift delivers — '\000' straight into
+         the FIFO, '\001' through Fault.deliver, '\002' through the link *)
+  rs_off : int array; (* n_chans * L *)
+  rs_cnt : int array; (* n_chans * L *)
+  rs_val : ia; (* 2 * total_slots *)
+  rs_head : ia;
+  rs_len : ia;
+  stage_stops : Bytes.t;
+  rs_out_val : ia;
+  rs_out_valid : Bytes.t;
+  (* consumer hooks of faulted and protected (chan, lane), at [c * L + l] *)
+  f_can : (unit -> bool) array;
+  f_acc : (int -> unit) array;
+  traces : int Token.t list array; (* [(out_port * L) + l]; newest first *)
+  (* scheduling *)
+  mutable clock : int;
+  act : int array; (* running lane ids, first n_act entries *)
+  mutable n_act : int;
+  finished : Engine.outcome option array; (* per lane *)
+  lane_end : int array; (* per lane: clock at finish *)
+  quiet : int array; (* per lane *)
+  fired : Bytes.t; (* per lane, per-cycle scratch *)
+}
 
-let fifo_is_empty t ip = t.fifo_len.(ip) = 0
-let fifo_is_full t ip = t.fifo_cap > 0 && t.fifo_len.(ip) >= t.fifo_cap
+let ia n = Array.make (max 1 n) 0
 
-let fifo_push t ip v =
-  if fifo_is_full t ip then false
-  else begin
-    let buf = t.fifo_buf.(ip) in
-    let size = Array.length buf in
-    let buf =
-      if t.fifo_len.(ip) = size then begin
-        (* unbounded growth; never reached in bounded mode *)
-        let fresh = Array.make (2 * size) 0 in
-        for i = 0 to t.fifo_len.(ip) - 1 do
-          fresh.(i) <- buf.((t.fifo_head.(ip) + i) mod size)
-        done;
-        t.fifo_buf.(ip) <- fresh;
-        t.fifo_head.(ip) <- 0;
-        fresh
-      end
-      else buf
-    in
-    let size = Array.length buf in
-    buf.((t.fifo_head.(ip) + t.fifo_len.(ip)) mod size) <- v;
-    t.fifo_len.(ip) <- t.fifo_len.(ip) + 1;
-    true
-  end
+let token_lost () = failwith "Fast shell: token lost (stop protocol violated)"
 
-let fifo_pop t ip =
-  let buf = t.fifo_buf.(ip) in
-  let v = buf.(t.fifo_head.(ip)) in
-  t.fifo_head.(ip) <- (t.fifo_head.(ip) + 1) mod Array.length buf;
-  t.fifo_len.(ip) <- t.fifo_len.(ip) - 1;
-  v
+(* Push onto the FIFO of input port-lane [ipl]. *)
+let push t ipl l v =
+  let len = t.fifo_len.(ipl) in
+  if len >= t.cap.(l) then token_lost ();
+  let r = t.ring.(l) in
+  let slot = t.fifo_head.(ipl) + len in
+  let slot = if slot >= r then slot - r else slot in
+  t.fifo_buf.((ipl * t.stride) + slot) <- v;
+  t.fifo_len.(ipl) <- len + 1
+
+let rs_accept t r v =
+  let len = Array.unsafe_get t.rs_len r in
+  if len >= 2 then
+    failwith "Fast relay station: datum lost (stop protocol violated)";
+  Array.unsafe_set t.rs_val ((2 * r) + ((Array.unsafe_get t.rs_head r + len) land 1)) v;
+  Array.unsafe_set t.rs_len r (len + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Compile                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(capacity = 2) ?(record_traces = false) ?fault
-    ?(telemetry = Telemetry.off) ~mode net =
-  if capacity < 0 then invalid_arg "Fast.create: negative capacity";
-  Network.validate net;
-  let n_nodes = Network.node_count net in
-  let n_chans = Network.channel_count net in
-  let fault_rt =
-    match fault with
-    | None -> None
-    | Some spec when Fault.is_none spec -> None
-    | Some spec -> Some (Fault.make spec ~n_chans)
+(* Lanes agree on the topology signature; [telemetry] needs one lane. *)
+let compile ~record_traces ~telemetry lanes =
+  let n_lanes = Array.length lanes in
+  let net0 = lanes.(0).net in
+  let m = Static.meta_of net0 in
+  let n_nodes = m.Static.m_n_nodes and n_chans = m.Static.m_n_chans in
+  let in_base = m.Static.m_in_base and out_base = m.Static.m_out_base in
+  let chan_dst_ip = m.Static.m_chan_dst_ip in
+  let n_in = in_base.(n_nodes) and n_out = out_base.(n_nodes) in
+  let faults =
+    Array.map
+      (fun ln ->
+        if Fault.is_none ln.fault then None
+        else Some (Fault.make ln.fault ~n_chans))
+      lanes
   in
-  let procs = Array.init n_nodes (fun n -> Network.node_process net n) in
-  let instances = Array.make n_nodes { Process.required = (fun () -> [||]); fire = (fun _ -> [||]); halted = (fun () -> false) } in
-  for n = 0 to n_nodes - 1 do
-    instances.(n) <- procs.(n).Process.make ()
-  done;
-  let prefix f =
-    let base = Array.make (n_nodes + 1) 0 in
-    for n = 0 to n_nodes - 1 do
-      base.(n + 1) <- base.(n) + f procs.(n)
-    done;
-    base
-  in
-  let in_base = prefix Process.n_inputs in
-  let out_base = prefix Process.n_outputs in
-  let n_in_total = in_base.(n_nodes) in
-  let n_out_total = out_base.(n_nodes) in
-  let initial_fifo = max 1 (if capacity = 0 then 8 else capacity) in
-  (* channels *)
-  let chan_src_op = Array.make (max 1 n_chans) 0 in
-  let chan_dst_ip = Array.make (max 1 n_chans) 0 in
-  let chan_src_node = Array.make (max 1 n_chans) 0 in
-  let chan_rs_base = Array.make (n_chans + 1) 0 in
+  let links = Array.mapi (fun l ln -> Link.make ?fault:faults.(l) ln.net) lanes in
+  let rs l c = Network.relay_stations lanes.(l).net c in
+  (* Relay pool: per-(chan, lane) slices, lanes of a channel contiguous.
+     A protected wire belongs to its link layer and gets no slots. *)
+  let rs_off = ia (n_chans * n_lanes) and rs_cnt = ia (n_chans * n_lanes) in
+  let hook = Bytes.make (max 1 (n_chans * n_lanes)) '\000' in
+  let slots = ref 0 in
   for c = 0 to n_chans - 1 do
-    let src_node, src_port = Network.channel_src net c in
-    let dst_node, dst_port = Network.channel_dst net c in
-    chan_src_node.(c) <- src_node;
-    chan_src_op.(c) <- out_base.(src_node) + src_port;
-    chan_dst_ip.(c) <- in_base.(dst_node) + dst_port;
-    chan_rs_base.(c + 1) <- chan_rs_base.(c) + Network.relay_stations net c
+    for l = 0 to n_lanes - 1 do
+      let cl = (c * n_lanes) + l in
+      match links.(l) with
+      | Some k when Link.is_protected k ~chan:c -> Bytes.set hook cl '\002'
+      | _ ->
+        if Option.is_some faults.(l) then Bytes.set hook cl '\001';
+        rs_off.(cl) <- !slots;
+        rs_cnt.(cl) <- rs l c;
+        slots := !slots + rs l c
+    done
   done;
-  let total_rs = chan_rs_base.(n_chans) in
-  (* CSR of outgoing channels per node, channels in increasing order *)
-  let out_chan_base = Array.make (n_nodes + 1) 0 in
-  for c = 0 to n_chans - 1 do
-    let n = chan_src_node.(c) in
-    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + 1
-  done;
-  for n = 0 to n_nodes - 1 do
-    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + out_chan_base.(n)
-  done;
-  let out_chan_ids = Array.make (max 1 n_chans) 0 in
-  let cursor = Array.copy out_chan_base in
-  for c = 0 to n_chans - 1 do
-    let n = chan_src_node.(c) in
-    out_chan_ids.(cursor.(n)) <- c;
-    cursor.(n) <- cursor.(n) + 1
-  done;
-  let link = Link.make ?fault:fault_rt net in
-  let link_protected = Array.make (max 1 n_chans) false in
-  (match link with
-  | Some l ->
-      for c = 0 to n_chans - 1 do
-        link_protected.(c) <- Link.is_protected l ~chan:c
-      done
-  | None -> ());
   let quiescence =
-    16
-    + (4 * (n_nodes + n_chans + total_rs))
-    + (match link with Some l -> Link.quiescence_bonus l | None -> 0)
+    Array.mapi
+      (fun l ln ->
+        let total_rs =
+          List.fold_left (fun acc c -> acc + rs l c) 0 (Network.channels ln.net)
+        in
+        16
+        + (4 * (n_nodes + n_chans + total_rs))
+        + match links.(l) with Some k -> Link.quiescence_bonus k | None -> 0)
+      lanes
   in
+  let stride =
+    Array.fold_left
+      (fun acc ln -> max acc (if ln.capacity = 0 then 8 else ln.capacity))
+      1 lanes
+  in
+  let instances =
+    Array.init (n_nodes * n_lanes) (fun i ->
+        (Network.node_process lanes.(i mod n_lanes).net (i / n_lanes))
+          .Process.make ())
+  in
+  let n_inputs n = in_base.(n + 1) - in_base.(n) in
   let no_can () = false in
   let t =
     {
-      net;
-      engine_mode = mode;
-      record_traces;
+      n_lanes;
       n_nodes;
       n_chans;
-      instances;
-      in_base;
-      fifo_buf = Array.init n_in_total (fun _ -> Array.make initial_fifo 0);
-      fifo_head = Array.make (max 1 n_in_total) 0;
-      fifo_len = Array.make (max 1 n_in_total) 0;
-      fifo_cap = capacity;
-      drop_pending = Array.make (max 1 n_in_total) 0;
-      required_counts = Array.make (max 1 n_in_total) 0;
-      dropped = Array.make (max 1 n_in_total) 0;
-      out_base;
-      emit_val = Array.make (max 1 n_out_total) 0;
-      emit_valid = Array.make (max 1 n_out_total) false;
-      traces = Array.make (max 1 n_out_total) [];
-      firings = Array.make (max 1 n_nodes) 0;
-      stalls = Array.make (max 1 n_nodes) 0;
-      input_starved = Array.make (max 1 n_nodes) 0;
-      output_blocked = Array.make (max 1 n_nodes) 0;
-      inputs_scratch =
-        Array.init n_nodes (fun n -> Array.make (Process.n_inputs procs.(n)) None);
-      plain_masks =
-        Array.init n_nodes (fun n -> Array.make (Process.n_inputs procs.(n)) true);
-      chan_src_op;
-      chan_dst_ip;
-      chan_rs_base;
-      chan_delivered = Array.make (max 1 n_chans) 0;
-      producer_stop = Array.make (max 1 n_chans) false;
-      out_chan_base;
-      out_chan_ids;
-      fault = fault_rt;
-      telemetry = Telemetry.make telemetry net;
-      link;
-      link_protected;
-      link_can = Array.make (max 1 n_chans) no_can;
-      link_acc = Array.make (max 1 n_chans) ignore;
-      rs_val = Array.make (max 1 (2 * total_rs)) 0;
-      rs_head = Array.make (max 1 total_rs) 0;
-      rs_len = Array.make (max 1 total_rs) 0;
-      stage_stops = Array.make (max 1 total_rs) false;
-      rs_out_val = Array.make (max 1 total_rs) 0;
-      rs_out_valid = Array.make (max 1 total_rs) false;
-      clock = 0;
-      last_fired = false;
-      quiet_cycles = 0;
+      n_in;
+      record_traces;
+      nets = Array.map (fun ln -> ln.net) lanes;
+      oracle = Array.map (fun ln -> ln.mode = Shell.Oracle) lanes;
+      cap = Array.map (fun ln -> if ln.capacity = 0 then max_int else ln.capacity) lanes;
+      ring = Array.map (fun ln -> if ln.capacity = 0 then stride else ln.capacity) lanes;
+      unbounded = Array.exists (fun ln -> ln.capacity = 0) lanes;
+      stride;
+      faults;
+      links;
+      linked = Array.exists Option.is_some links;
+      tel = Telemetry.make telemetry net0;
       quiescence;
+      in_base;
+      out_base;
+      chan_src_op = m.Static.m_chan_src_op;
+      chan_dst_ip;
+      out_chan_base = m.Static.m_out_chan_base;
+      out_chan_ids = m.Static.m_out_chan_ids;
+      instances;
+      inputs_scratch = Array.init n_nodes (fun n -> Array.make (n_inputs n) None);
+      plain_masks = Array.init n_nodes (fun n -> Array.make (n_inputs n) true);
+      halt_flag = Bytes.make n_lanes '\000';
+      fifo_buf = ia (n_in * n_lanes * stride);
+      fifo_head = ia (n_in * n_lanes);
+      fifo_len = ia (n_in * n_lanes);
+      drop_pending = ia (n_in * n_lanes);
+      required_counts = ia (n_in * n_lanes);
+      dropped = ia (n_in * n_lanes);
+      emit_val = ia (n_out * n_lanes);
+      emit_valid = Bytes.make (max 1 (n_out * n_lanes)) '\000';
+      firings = ia (n_nodes * n_lanes);
+      stalls = ia (n_nodes * n_lanes);
+      input_starved = ia (n_nodes * n_lanes);
+      output_blocked = ia (n_nodes * n_lanes);
+      chan_delivered = ia (n_chans * n_lanes);
+      producer_stop = Bytes.make (max 1 (n_chans * n_lanes)) '\000';
+      hook;
+      rs_off;
+      rs_cnt;
+      rs_val = ia (2 * !slots);
+      rs_head = ia !slots;
+      rs_len = ia !slots;
+      stage_stops = Bytes.make (max 1 !slots) '\000';
+      rs_out_val = ia !slots;
+      rs_out_valid = Bytes.make (max 1 !slots) '\000';
+      f_can = Array.make (max 1 (n_chans * n_lanes)) no_can;
+      f_acc = Array.make (max 1 (n_chans * n_lanes)) ignore;
+      traces = Array.make (max 1 (n_out * n_lanes)) [];
+      clock = 0;
+      act = Array.init n_lanes Fun.id;
+      n_act = n_lanes;
+      finished = Array.make n_lanes None;
+      lane_end = Array.make n_lanes 0;
+      quiet = Array.make n_lanes 0;
+      fired = Bytes.make n_lanes '\000';
     }
   in
-  (* Tie the per-channel consumer-side hooks for protected channels —
-     they capture [t], so they can only be built now.  They are
-     allocated once here; the per-cycle path reuses them. *)
+  (* Consumer hooks for Fault.deliver and Link.channel_step need live
+     closures: allocate them once here, not per cycle. *)
   for c = 0 to n_chans - 1 do
-    if link_protected.(c) then begin
-      let ip = chan_dst_ip.(c) in
-      t.link_can.(c) <-
-        (fun () -> not (fifo_is_full t ip && t.drop_pending.(ip) = 0));
-      t.link_acc.(c) <-
-        (fun v ->
-          t.chan_delivered.(c) <- t.chan_delivered.(c) + 1;
-          if t.drop_pending.(ip) > 0 then begin
-            t.drop_pending.(ip) <- t.drop_pending.(ip) - 1;
-            t.dropped.(ip) <- t.dropped.(ip) + 1
-          end
-          else if not (fifo_push t ip v) then
-            failwith "Fast shell: token lost (stop protocol violated)")
-    end
+    for l = 0 to n_lanes - 1 do
+      let cl = (c * n_lanes) + l in
+      if Bytes.get hook cl <> '\000' then begin
+        let ipl = (chan_dst_ip.(c) * n_lanes) + l in
+        t.f_can.(cl) <-
+          (fun () ->
+            not (t.fifo_len.(ipl) >= t.cap.(l) && t.drop_pending.(ipl) = 0));
+        t.f_acc.(cl) <-
+          (fun v ->
+            t.chan_delivered.(cl) <- t.chan_delivered.(cl) + 1;
+            if t.drop_pending.(ipl) > 0 then begin
+              t.drop_pending.(ipl) <- t.drop_pending.(ipl) - 1;
+              t.dropped.(ipl) <- t.dropped.(ipl) + 1
+            end
+            else push t ipl l v)
+      end
+    done
   done;
-  (* Reset: one initial token per channel — the reset value of the
-     producer's output register, latched in the consumer FIFO. *)
-  for c = 0 to n_chans - 1 do
-    let src_node, src_port = Network.channel_src net c in
-    let reset_value = procs.(src_node).Process.reset_outputs.(src_port) in
-    ignore (fifo_push t chan_dst_ip.(c) reset_value);
-    match fault_rt with
-    | Some f -> Fault.note_reset f ~chan:c ~value:reset_value
-    | None -> ()
+  (* Reset: one initial token per channel per lane — the reset value of
+     the producer's output register, latched in the consumer FIFO. *)
+  for l = 0 to n_lanes - 1 do
+    for c = 0 to n_chans - 1 do
+      let src_node, src_port = Network.channel_src net0 c in
+      let v =
+        (Network.node_process lanes.(l).net src_node).Process.reset_outputs
+          .(src_port)
+      in
+      push t ((chan_dst_ip.(c) * n_lanes) + l) l v;
+      Option.iter (fun f -> Fault.note_reset f ~chan:c ~value:v) faults.(l)
+    done
+  done;
+  (* A process can be terminal at reset; the first check must see it. *)
+  for l = 0 to n_lanes - 1 do
+    for n = 0 to n_nodes - 1 do
+      if instances.((n * n_lanes) + l).Process.halted () then
+        Bytes.set t.halt_flag l '\001'
+    done
   done;
   t
 
-let cycles t = t.clock
-let mode t = t.engine_mode
-let network t = t.net
-let delivered t c = t.chan_delivered.(c)
-let fired_last_cycle t = t.last_fired
-let quiescence_window t = t.quiescence
+let create ?(capacity = 2) ?(record_traces = false) ?(fault = Fault.none)
+    ?(telemetry = Telemetry.off) ~mode net =
+  if capacity < 0 then invalid_arg "Fast.create: negative capacity";
+  Network.validate net;
+  compile ~record_traces ~telemetry
+    [|
+      {
+        net;
+        mode;
+        capacity;
+        fault;
+        max_cycles = max_int;
+        cancel = Wp_util.Cancel.never;
+      };
+    |]
 
-let fault_injections t =
-  match t.fault with Some f -> Fault.injections f | None -> 0
+let create_lanes ?(record_traces = false) lanes =
+  compile ~record_traces ~telemetry:Telemetry.off lanes
 
-let link_stats t = match t.link with Some l -> Link.stats l | None -> []
-let link_summary t = Option.map Link.summary t.link
+(* ------------------------------------------------------------------ *)
+(* Rare features                                                      *)
+(* ------------------------------------------------------------------ *)
 
-let telemetry_report t =
-  Option.map
-    (fun tl -> Telemetry.report_of tl ~link:(link_summary t))
-    t.telemetry
-let buffered t node port = t.fifo_len.(t.in_base.(node) + port)
+(* Unbounded lanes: re-lay every ring at twice the stride, oldest token
+   first. *)
+let grow t =
+  let ll = t.n_lanes and s = t.stride in
+  let s' = 2 * s in
+  let buf = ia (t.n_in * ll * s') in
+  for ipl = 0 to (t.n_in * ll) - 1 do
+    let r = t.ring.(ipl mod ll) and h = t.fifo_head.(ipl) in
+    for i = 0 to t.fifo_len.(ipl) - 1 do
+      let slot = if h + i >= r then h + i - r else h + i in
+      buf.((ipl * s') + i) <- t.fifo_buf.((ipl * s) + slot)
+    done;
+    t.fifo_head.(ipl) <- 0
+  done;
+  Array.iteri (fun l c -> if c = max_int then t.ring.(l) <- s') t.cap;
+  t.fifo_buf <- buf;
+  t.stride <- s'
 
-let node_stats t n =
-  let lo = t.in_base.(n) and hi = t.in_base.(n + 1) in
-  {
-    Shell.firings = t.firings.(n);
-    stalls = t.stalls.(n);
-    input_starved = t.input_starved.(n);
-    output_blocked = t.output_blocked.(n);
-    required_counts = Array.sub t.required_counts lo (hi - lo);
-    dropped = Array.sub t.dropped lo (hi - lo);
-  }
+(* Before the shift, every unbounded ring keeps room for the two tokens
+   one cycle can bring: a delivery and a fault's duplicate. *)
+let reserve t =
+  let ll = t.n_lanes in
+  let short = ref false in
+  for ipl = 0 to (t.n_in * ll) - 1 do
+    let l = ipl mod ll in
+    if t.cap.(l) = max_int && t.fifo_len.(ipl) + 2 > t.ring.(l) then
+      short := true
+  done;
+  if !short then grow t
 
-let output_trace t node port = List.rev t.traces.(t.out_base.(node) + port)
+(* Protected wires: the producer stalls on window or credit exhaustion,
+   never on a propagated stop. *)
+let link_stops t =
+  let ll = t.n_lanes in
+  for a = 0 to t.n_act - 1 do
+    let l = t.act.(a) in
+    match t.links.(l) with
+    | None -> ()
+    | Some k ->
+      for c = 0 to t.n_chans - 1 do
+        let cl = (c * ll) + l in
+        if Bytes.get t.hook cl = '\002' then
+          Bytes.set t.producer_stop cl
+            (if Link.producer_stop k ~chan:c then '\001' else '\000')
+      done
+  done
+
+(* Start-of-cycle telemetry of a one-lane kernel, where cell [e * 1 + 0]
+   is [e]: occupancy and stop samples, then every shell's stall class,
+   written straight into the runtime's scratch (the bulk protocol; one
+   cross-module call per phase, not per element).  Firing pops only a
+   shell's own FIFOs and [required] is pure, so classifying before any
+   shell fires sees what the firing loop sees.  The decision tree
+   mirrors Telemetry.classify / cls_code exactly (the cross-engine
+   differential tests pin the agreement). *)
+let observe t tl =
+  let occ = Telemetry.occ_scratch tl
+  and stop = Telemetry.stop_scratch tl
+  and cls = Telemetry.cls_scratch tl in
+  for c = 0 to t.n_chans - 1 do
+    occ.(c) <- t.fifo_len.(t.chan_dst_ip.(c));
+    stop.(c) <- Bytes.get t.producer_stop c = '\001'
+  done;
+  for n = 0 to t.n_nodes - 1 do
+    let inst = t.instances.(n) in
+    let ib = t.in_base.(n) in
+    let missing mask =
+      let miss = ref false in
+      for p = 0 to t.in_base.(n + 1) - ib - 1 do
+        if mask.(p) && t.fifo_len.(ib + p) = 0 then miss := true
+      done;
+      !miss
+    in
+    (* first refusing output channel in CSR (increasing channel) order *)
+    let first = ref (-1) in
+    for j = t.out_chan_base.(n + 1) - 1 downto t.out_chan_base.(n) do
+      let c = t.out_chan_ids.(j) in
+      if Bytes.get t.producer_stop c = '\001' then first := c
+    done;
+    let ready =
+      not (missing (if t.oracle.(0) then inst.Process.required () else t.plain_masks.(n)))
+    in
+    cls.(n) <-
+      (if ready && !first < 0 then 0 (* fired *)
+       else if ready then
+         if Bytes.get t.hook !first = '\002' then 4 (* link-credit *)
+         else 3 (* output-backpressure *)
+       else if !first < 0 && not (missing (inst.Process.required ())) then
+         1 (* oracle-skip *)
+       else 2 (* missing-input *))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Step                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let step t =
+(* One cycle for every running lane. *)
+let advance t =
+  let ll = t.n_lanes in
+  let cyc = t.clock in
   (* Phase 1: propagate stops backwards along each relay chain. *)
   for c = 0 to t.n_chans - 1 do
-    if t.link_protected.(c) then
-      (* Link-owned wire: producer stalls on window/credit exhaustion,
-         never on a propagated stop. *)
-      t.producer_stop.(c) <-
-        (match t.link with
-        | Some l -> Link.producer_stop l ~chan:c
-        | None -> false)
-    else begin
-    let ip = t.chan_dst_ip.(c) in
-    let stop =
-      ref
-        ((fifo_is_full t ip && t.drop_pending.(ip) = 0)
-        ||
-        match t.fault with
-        | None -> false
-        | Some f -> Fault.stalled f ~cycle:t.clock ~chan:c)
-    in
-    let base = t.chan_rs_base.(c) in
-    for i = t.chan_rs_base.(c + 1) - 1 - base downto 0 do
-      let r = base + i in
-      t.stage_stops.(r) <- !stop;
-      (* stop_out = stop_in && both registers full *)
-      stop := !stop && t.rs_len.(r) >= 2
-    done;
-    t.producer_stop.(c) <- !stop
-    end
+    let ip = Array.unsafe_get t.chan_dst_ip c in
+    for a = 0 to t.n_act - 1 do
+      let l = Array.unsafe_get t.act a in
+      let ipl = (ip * ll) + l in
+      let cl = (c * ll) + l in
+      let stop =
+        ref
+          ((Array.unsafe_get t.fifo_len ipl >= Array.unsafe_get t.cap l
+           && Array.unsafe_get t.drop_pending ipl = 0)
+          ||
+          match Array.unsafe_get t.faults l with
+          | None -> false
+          | Some f -> Fault.stalled f ~cycle:cyc ~chan:c)
+      in
+      let base = Array.unsafe_get t.rs_off cl in
+      let k = Array.unsafe_get t.rs_cnt cl in
+      for i = k - 1 downto 0 do
+        let r = base + i in
+        Bytes.unsafe_set t.stage_stops r (if !stop then '\001' else '\000');
+        (* stop_out = stop_in && both registers full *)
+        stop := !stop && Array.unsafe_get t.rs_len r >= 2
+      done;
+      Bytes.unsafe_set t.producer_stop cl (if !stop then '\001' else '\000')
+    done
   done;
-  (match t.telemetry with
-  | None -> ()
-  | Some tl ->
-      (* Start-of-cycle observables, in the same channel order as the
-         reference engine — written straight into the runtime's scratch
-         (the bulk protocol; one cross-module call per phase, not per
-         element). *)
-      let occ = Telemetry.occ_scratch tl
-      and stop = Telemetry.stop_scratch tl in
-      for c = 0 to t.n_chans - 1 do
-        occ.(c) <- t.fifo_len.(t.chan_dst_ip.(c));
-        stop.(c) <- t.producer_stop.(c)
-      done);
+  if t.linked then link_stops t;
+  (match t.tel with None -> () | Some tl -> observe t tl);
   (* Phase 2: firing decisions, emissions into the flat scratch. *)
-  let tel_cls =
-    match t.telemetry with
-    | None -> None
-    | Some tl -> Some (Telemetry.cls_scratch tl)
-  in
-  let fired_any = ref false in
+  let buf = t.fifo_buf and stride = t.stride in
   for n = 0 to t.n_nodes - 1 do
-    let outputs_clear =
-      let ok = ref true in
-      for j = t.out_chan_base.(n) to t.out_chan_base.(n + 1) - 1 do
-        if t.producer_stop.(t.out_chan_ids.(j)) then ok := false
-      done;
-      !ok
-    in
-    let n_in = t.in_base.(n + 1) - t.in_base.(n) in
-    let mask =
-      match t.engine_mode with
-      | Shell.Plain -> t.plain_masks.(n)
-      | Shell.Oracle -> (t.instances.(n)).Process.required ()
-    in
-    let ready = ref true in
-    for p = 0 to n_in - 1 do
-      if mask.(p) && fifo_is_empty t (t.in_base.(n) + p) then ready := false
-    done;
-    let op0 = t.out_base.(n) in
-    let n_out = t.out_base.(n + 1) - op0 in
-    (match tel_cls with
-    | None -> ()
-    | Some cls ->
-        (* Class codes written directly into the telemetry scratch; the
-           decision tree mirrors Telemetry.classify / cls_code exactly
-           (the cross-engine differential tests pin the agreement), with
-           each predicate evaluated only on the branch that needs it. *)
-        let code =
-          if !ready && outputs_clear then 0 (* fired *)
-          else if !ready then begin
-            (* first refusing output channel in CSR (increasing channel)
-               order — matches the reference engine's list scan *)
-            let first = ref (-1) in
-            let j = ref t.out_chan_base.(n) in
-            while !first < 0 && !j < t.out_chan_base.(n + 1) do
-              let c = t.out_chan_ids.(!j) in
-              if t.producer_stop.(c) then first := c;
-              incr j
-            done;
-            if !first >= 0 && t.link_protected.(!first) then 4 (* link-credit *)
-            else 3 (* output-backpressure *)
-          end
-          else if
-            outputs_clear
-            &&
-            let omask = (t.instances.(n)).Process.required () in
-            let ok = ref true in
-            for p = 0 to n_in - 1 do
-              if omask.(p) && fifo_is_empty t (t.in_base.(n) + p) then
-                ok := false
-            done;
-            !ok
-          then 1 (* oracle-skip *)
-          else 2 (* missing-input *)
-        in
-        cls.(n) <- code);
-    if !ready && outputs_clear then begin
-      fired_any := true;
-      let inputs = t.inputs_scratch.(n) in
+    let ocb = Array.unsafe_get t.out_chan_base n in
+    let oce = Array.unsafe_get t.out_chan_base (n + 1) in
+    let ib = Array.unsafe_get t.in_base n in
+    let n_in = Array.unsafe_get t.in_base (n + 1) - ib in
+    let op0 = Array.unsafe_get t.out_base n in
+    let n_out = Array.unsafe_get t.out_base (n + 1) - op0 in
+    let inputs = Array.unsafe_get t.inputs_scratch n in
+    let plain = Array.unsafe_get t.plain_masks n in
+    for a = 0 to t.n_act - 1 do
+      let l = Array.unsafe_get t.act a in
+      let inst = Array.unsafe_get t.instances ((n * ll) + l) in
+      let outputs_clear =
+        let ok = ref true in
+        for j = ocb to oce - 1 do
+          if
+            Bytes.unsafe_get t.producer_stop
+              ((Array.unsafe_get t.out_chan_ids j * ll) + l)
+            = '\001'
+          then ok := false
+        done;
+        !ok
+      in
+      let mask =
+        if Array.unsafe_get t.oracle l then inst.Process.required () else plain
+      in
+      let ready = ref true in
       for p = 0 to n_in - 1 do
-        let ip = t.in_base.(n) + p in
-        if mask.(p) then begin
-          t.required_counts.(ip) <- t.required_counts.(ip) + 1;
-          inputs.(p) <- Some (fifo_pop t ip)
-        end
-        else begin
-          (* Oracle skip: the token of the current tag is useless —
-             discard it now if buffered, or on arrival. *)
-          if not (fifo_is_empty t ip) then begin
-            ignore (fifo_pop t ip);
-            t.dropped.(ip) <- t.dropped.(ip) + 1
+        if
+          Array.unsafe_get mask p
+          && Array.unsafe_get t.fifo_len (((ib + p) * ll) + l) = 0
+        then ready := false
+      done;
+      if !ready && outputs_clear then begin
+        Bytes.unsafe_set t.fired l '\001';
+        let ring = Array.unsafe_get t.ring l in
+        for p = 0 to n_in - 1 do
+          let ipl = ((ib + p) * ll) + l in
+          if Array.unsafe_get mask p then begin
+            Array.unsafe_set t.required_counts ipl
+              (Array.unsafe_get t.required_counts ipl + 1);
+            let head = Array.unsafe_get t.fifo_head ipl in
+            let v = Array.unsafe_get buf ((ipl * stride) + head) in
+            let head' = head + 1 in
+            Array.unsafe_set t.fifo_head ipl (if head' >= ring then 0 else head');
+            Array.unsafe_set t.fifo_len ipl (Array.unsafe_get t.fifo_len ipl - 1);
+            Array.unsafe_set inputs p (Some v)
           end
-          else t.drop_pending.(ip) <- t.drop_pending.(ip) + 1;
-          inputs.(p) <- None
-        end
-      done;
-      let words = (t.instances.(n)).Process.fire inputs in
-      t.firings.(n) <- t.firings.(n) + 1;
-      for q = 0 to n_out - 1 do
-        t.emit_val.(op0 + q) <- words.(q);
-        t.emit_valid.(op0 + q) <- true
-      done;
-      if t.record_traces then
+          else begin
+            (* Oracle skip: the token of the current tag is useless —
+               discard it now if buffered, or on arrival. *)
+            if Array.unsafe_get t.fifo_len ipl > 0 then begin
+              let head' = Array.unsafe_get t.fifo_head ipl + 1 in
+              Array.unsafe_set t.fifo_head ipl (if head' >= ring then 0 else head');
+              Array.unsafe_set t.fifo_len ipl (Array.unsafe_get t.fifo_len ipl - 1);
+              Array.unsafe_set t.dropped ipl (Array.unsafe_get t.dropped ipl + 1)
+            end
+            else
+              Array.unsafe_set t.drop_pending ipl
+                (Array.unsafe_get t.drop_pending ipl + 1);
+            Array.unsafe_set inputs p None
+          end
+        done;
+        let words = inst.Process.fire inputs in
+        (* [halted] is a pure function of process state and state only
+           advances in [fire], so probing right here keeps the sticky
+           flag as fresh as a scan of every shell each cycle. *)
+        if inst.Process.halted () then Bytes.unsafe_set t.halt_flag l '\001';
+        let nl = (n * ll) + l in
+        Array.unsafe_set t.firings nl (Array.unsafe_get t.firings nl + 1);
         for q = 0 to n_out - 1 do
-          t.traces.(op0 + q) <- Token.Valid words.(q) :: t.traces.(op0 + q)
-        done
-    end
-    else begin
-      t.stalls.(n) <- t.stalls.(n) + 1;
-      if !ready then t.output_blocked.(n) <- t.output_blocked.(n) + 1
-      else t.input_starved.(n) <- t.input_starved.(n) + 1;
-      for q = 0 to n_out - 1 do
-        t.emit_valid.(op0 + q) <- false
-      done;
-      if t.record_traces then
+          let opl = ((op0 + q) * ll) + l in
+          Array.unsafe_set t.emit_val opl (Array.unsafe_get words q);
+          Bytes.unsafe_set t.emit_valid opl '\001'
+        done;
+        if t.record_traces then
+          for q = 0 to n_out - 1 do
+            let opl = ((op0 + q) * ll) + l in
+            t.traces.(opl) <- Token.Valid words.(q) :: t.traces.(opl)
+          done
+      end
+      else begin
+        let nl = (n * ll) + l in
+        Array.unsafe_set t.stalls nl (Array.unsafe_get t.stalls nl + 1);
+        if !ready then
+          Array.unsafe_set t.output_blocked nl
+            (Array.unsafe_get t.output_blocked nl + 1)
+        else
+          Array.unsafe_set t.input_starved nl
+            (Array.unsafe_get t.input_starved nl + 1);
         for q = 0 to n_out - 1 do
-          t.traces.(op0 + q) <- Token.Void :: t.traces.(op0 + q)
-        done
-    end
+          Bytes.unsafe_set t.emit_valid (((op0 + q) * ll) + l) '\000'
+        done;
+        if t.record_traces then
+          for q = 0 to n_out - 1 do
+            let opl = ((op0 + q) * ll) + l in
+            t.traces.(opl) <- Token.Void :: t.traces.(opl)
+          done
+      end
+    done
   done;
   (* Phase 3: simultaneous shift — all relay emissions are computed from
      the pre-shift state before any acceptance. *)
+  if t.unbounded then reserve t;
+  let buf = t.fifo_buf and stride = t.stride in
   for c = 0 to t.n_chans - 1 do
-    if t.link_protected.(c) then begin
-      let op = t.chan_src_op.(c) in
-      let link = match t.link with Some l -> l | None -> assert false in
-      Link.channel_step link ~chan:c ~cycle:t.clock
-        ~produced_valid:t.emit_valid.(op) ~produced_value:t.emit_val.(op)
-        ~can_accept:t.link_can.(c) ~accept:t.link_acc.(c)
-    end
-    else begin
-    let op = t.chan_src_op.(c) in
-    let base = t.chan_rs_base.(c) in
-    let k = t.chan_rs_base.(c + 1) - base in
-    let tc_valid, tc_val =
-      if k = 0 then (t.emit_valid.(op), t.emit_val.(op))
-      else begin
-        for i = 0 to k - 1 do
-          let r = base + i in
-          if t.stage_stops.(r) || t.rs_len.(r) = 0 then t.rs_out_valid.(r) <- false
-          else begin
-            t.rs_out_valid.(r) <- true;
-            t.rs_out_val.(r) <- t.rs_val.((2 * r) + t.rs_head.(r));
-            t.rs_head.(r) <- 1 - t.rs_head.(r);
-            t.rs_len.(r) <- t.rs_len.(r) - 1
-          end
-        done;
-        let accept r v =
-          if t.rs_len.(r) >= 2 then
-            failwith "Fast relay station: datum lost (stop protocol violated)"
-          else begin
-            t.rs_val.((2 * r) + ((t.rs_head.(r) + t.rs_len.(r)) land 1)) <- v;
-            t.rs_len.(r) <- t.rs_len.(r) + 1
-          end
-        in
-        if t.emit_valid.(op) then accept base t.emit_val.(op);
-        for i = 1 to k - 1 do
-          if t.rs_out_valid.(base + i - 1) then accept (base + i) t.rs_out_val.(base + i - 1)
-        done;
-        (t.rs_out_valid.(base + k - 1), t.rs_out_val.(base + k - 1))
-      end
-    in
-    (match t.fault with
-    | None ->
-        if tc_valid then begin
-          t.chan_delivered.(c) <- t.chan_delivered.(c) + 1;
-          let ip = t.chan_dst_ip.(c) in
-          if t.drop_pending.(ip) > 0 then begin
-            t.drop_pending.(ip) <- t.drop_pending.(ip) - 1;
-            t.dropped.(ip) <- t.dropped.(ip) + 1
-          end
-          else if not (fifo_push t ip tc_val) then
-            failwith "Fast shell: token lost (stop protocol violated)"
-        end
-    | Some f ->
-        let ip = t.chan_dst_ip.(c) in
-        Fault.deliver f ~chan:c ~valid:tc_valid ~value:tc_val
-          ~can_accept:(fun () ->
-            not (fifo_is_full t ip && t.drop_pending.(ip) = 0))
-          ~accept:(fun v ->
-            t.chan_delivered.(c) <- t.chan_delivered.(c) + 1;
-            if t.drop_pending.(ip) > 0 then begin
-              t.drop_pending.(ip) <- t.drop_pending.(ip) - 1;
-              t.dropped.(ip) <- t.dropped.(ip) + 1
+    let op = Array.unsafe_get t.chan_src_op c in
+    let ip = Array.unsafe_get t.chan_dst_ip c in
+    for a = 0 to t.n_act - 1 do
+      let l = Array.unsafe_get t.act a in
+      let cl = (c * ll) + l in
+      let opl = (op * ll) + l in
+      let base = Array.unsafe_get t.rs_off cl in
+      let k = Array.unsafe_get t.rs_cnt cl in
+      let tc_valid, tc_val =
+        if k = 0 then
+          (Bytes.unsafe_get t.emit_valid opl = '\001', Array.unsafe_get t.emit_val opl)
+        else begin
+          for i = 0 to k - 1 do
+            let r = base + i in
+            if
+              Bytes.unsafe_get t.stage_stops r = '\001'
+              || Array.unsafe_get t.rs_len r = 0
+            then Bytes.unsafe_set t.rs_out_valid r '\000'
+            else begin
+              Bytes.unsafe_set t.rs_out_valid r '\001';
+              let head = Array.unsafe_get t.rs_head r in
+              Array.unsafe_set t.rs_out_val r
+                (Array.unsafe_get t.rs_val ((2 * r) + head));
+              Array.unsafe_set t.rs_head r (1 - head);
+              Array.unsafe_set t.rs_len r (Array.unsafe_get t.rs_len r - 1)
             end
-            else if not (fifo_push t ip v) then
-              failwith "Fast shell: token lost (stop protocol violated)"))
-    end
+          done;
+          if Bytes.unsafe_get t.emit_valid opl = '\001' then
+            rs_accept t base (Array.unsafe_get t.emit_val opl);
+          for i = 1 to k - 1 do
+            if Bytes.unsafe_get t.rs_out_valid (base + i - 1) = '\001' then
+              rs_accept t (base + i) (Array.unsafe_get t.rs_out_val (base + i - 1))
+          done;
+          ( Bytes.unsafe_get t.rs_out_valid (base + k - 1) = '\001',
+            Array.unsafe_get t.rs_out_val (base + k - 1) )
+        end
+      in
+      let h = Bytes.unsafe_get t.hook cl in
+      if h = '\000' then begin
+        if tc_valid then begin
+          let ipl = (ip * ll) + l in
+          Array.unsafe_set t.chan_delivered cl
+            (Array.unsafe_get t.chan_delivered cl + 1);
+          if Array.unsafe_get t.drop_pending ipl > 0 then begin
+            Array.unsafe_set t.drop_pending ipl
+              (Array.unsafe_get t.drop_pending ipl - 1);
+            Array.unsafe_set t.dropped ipl (Array.unsafe_get t.dropped ipl + 1)
+          end
+          else begin
+            let len = Array.unsafe_get t.fifo_len ipl in
+            if len >= Array.unsafe_get t.cap l then token_lost ();
+            let ring = Array.unsafe_get t.ring l in
+            let slot = Array.unsafe_get t.fifo_head ipl + len in
+            let slot = if slot >= ring then slot - ring else slot in
+            Array.unsafe_set buf ((ipl * stride) + slot) tc_val;
+            Array.unsafe_set t.fifo_len ipl (len + 1)
+          end
+        end
+      end
+      else begin
+        match Array.unsafe_get t.faults l, Array.unsafe_get t.links l with
+        | Some f, _ when h = '\001' ->
+          Fault.deliver f ~chan:c ~valid:tc_valid ~value:tc_val
+            ~can_accept:(Array.unsafe_get t.f_can cl)
+            ~accept:(Array.unsafe_get t.f_acc cl)
+        | _, Some k ->
+          Link.channel_step k ~chan:c ~cycle:cyc ~produced_valid:tc_valid
+            ~produced_value:tc_val ~can_accept:(Array.unsafe_get t.f_can cl)
+            ~accept:(Array.unsafe_get t.f_acc cl)
+        | _ -> assert false
+      end
+    done
   done;
-  (match t.telemetry with
+  (match t.tel with
   | None -> ()
   | Some tl -> Telemetry.commit_cycle tl ~delivered:t.chan_delivered);
   t.clock <- t.clock + 1;
-  t.last_fired <- !fired_any;
-  if !fired_any then t.quiet_cycles <- 0 else t.quiet_cycles <- t.quiet_cycles + 1
+  for a = 0 to t.n_act - 1 do
+    let l = Array.unsafe_get t.act a in
+    if Bytes.unsafe_get t.fired l = '\001' then t.quiet.(l) <- 0
+    else t.quiet.(l) <- t.quiet.(l) + 1;
+    Bytes.unsafe_set t.fired l '\000'
+  done
 
-let any_halted t =
-  let n = ref 0 and halted = ref false in
-  while (not !halted) && !n < t.n_nodes do
-    if (t.instances.(!n)).Process.halted () then halted := true;
-    incr n
+(* Lanes whose state is at the current clock — all of them at creation,
+   those that finished at this clock after a run — step again, so a run
+   can be resumed with a larger budget. *)
+let reopen t =
+  t.n_act <- 0;
+  for l = 0 to t.n_lanes - 1 do
+    if Option.is_none t.finished.(l) || t.lane_end.(l) = t.clock then begin
+      t.finished.(l) <- None;
+      t.act.(t.n_act) <- l;
+      t.n_act <- t.n_act + 1
+    end
+  done
+
+let step t =
+  reopen t;
+  advance t
+
+let run_lanes t ~budgets ~cancels =
+  reopen t;
+  let has_cancel = Array.exists (fun c -> not (Wp_util.Cancel.is_never c)) cancels in
+  while t.n_act > 0 do
+    (* The termination check, in Engine.run's order: halt, quiescence
+       window, the cycle budget, then the cancellation poll (every
+       [Engine.cancel_interval] cycles, one clock sample per round).  A
+       finished or cancelled lane leaves the running set, so the others
+       keep byte-identical results. *)
+    let poll_cancel =
+      has_cancel && t.clock land (Engine.cancel_interval - 1) = 0
+    in
+    let now = if poll_cancel then Wp_util.Cancel.now () else 0. in
+    let w = ref 0 in
+    for a = 0 to t.n_act - 1 do
+      let l = t.act.(a) in
+      let fin =
+        if Bytes.unsafe_get t.halt_flag l = '\001' then Some (Engine.Halted t.clock)
+        else if t.quiet.(l) > t.quiescence.(l) then Some (Engine.Deadlocked t.clock)
+        else if t.clock >= budgets.(l) then Some (Engine.Exhausted t.clock)
+        else if poll_cancel && Wp_util.Cancel.cancelled_at ~now cancels.(l) then
+          Some (Engine.Cancelled t.clock)
+        else None
+      in
+      match fin with
+      | Some _ ->
+        t.finished.(l) <- fin;
+        t.lane_end.(l) <- t.clock
+      | None ->
+        t.act.(!w) <- l;
+        incr w
+    done;
+    t.n_act <- !w;
+    if t.n_act > 0 then advance t
   done;
-  !halted
+  Array.map Option.get t.finished
 
 let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
-  let poll = not (Wp_util.Cancel.is_never cancel) in
-  let rec loop () =
-    if any_halted t then Engine.Halted t.clock
-    else if t.quiet_cycles > t.quiescence then Engine.Deadlocked t.clock
-    else if t.clock >= max_cycles then Engine.Exhausted t.clock
-    else if
-      poll
-      && t.clock land (Engine.cancel_interval - 1) = 0
-      && Wp_util.Cancel.cancelled cancel
-    then Engine.Cancelled t.clock
-    else begin
-      step t;
-      loop ()
-    end
-  in
-  loop ()
+  (run_lanes t ~budgets:[| max_cycles |] ~cancels:[| cancel |]).(0)
+
+(* ------------------------------------------------------------------ *)
+(* Accessors                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let cycles ?(lane = 0) t =
+  match t.finished.(lane) with Some _ -> t.lane_end.(lane) | None -> t.clock
+
+let outcome t ~lane = t.finished.(lane)
+let network ?(lane = 0) t = t.nets.(lane)
+let delivered ?(lane = 0) t c = t.chan_delivered.((c * t.n_lanes) + lane)
+
+let fault_injections ?(lane = 0) t =
+  match t.faults.(lane) with Some f -> Fault.injections f | None -> 0
+
+let link_summary t = Option.map Link.summary t.links.(0)
+
+let telemetry_report t =
+  Option.map (fun tl -> Telemetry.report_of tl ~link:(link_summary t)) t.tel
+
+let node_stats ?(lane = 0) t n =
+  let ll = t.n_lanes in
+  let lo = t.in_base.(n) and hi = t.in_base.(n + 1) in
+  let per a = Array.init (hi - lo) (fun p -> a.(((lo + p) * ll) + lane)) in
+  {
+    Shell.firings = t.firings.((n * ll) + lane);
+    stalls = t.stalls.((n * ll) + lane);
+    input_starved = t.input_starved.((n * ll) + lane);
+    output_blocked = t.output_blocked.((n * ll) + lane);
+    required_counts = per t.required_counts;
+    dropped = per t.dropped;
+  }
+
+let output_trace ?(lane = 0) t node port =
+  List.rev t.traces.(((t.out_base.(node) + port) * t.n_lanes) + lane)
 
 (* ------------------------------------------------------------------ *)
 (* MCR-guided cycle bounds                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The network is a marked graph: every channel holds exactly one
-   initial token at reset, and a token needs [1 + relay_stations]
-   cycles to traverse a channel (the producer's register plus one per
-   relay station).  The sustainable throughput of any loop with [m]
-   processes and [n] relay stations is therefore [m / (m + n)], and the
-   system bound is the minimum over loops — the minimum cycle ratio
-   with cost 1 and time [1 + rs] per edge, clamped at one token per
-   cycle (an acyclic network is source-limited). *)
+(* The reset marking puts one token on every channel and a token needs
+   [1 + relay_stations] cycles to traverse one, so a loop of [m]
+   processes and [n] relay stations sustains [m / (m + n)]: the bound
+   is {!Static.mcr} of the forward-only (unbounded-FIFO) graph. *)
 let throughput_bound net =
-  let module Cycle_ratio = Wp_graph.Cycle_ratio in
-  let g, chan_of_edge = Network.to_digraph net in
-  let ratio, _ =
-    Cycle_ratio.throughput_bound
-      (Cycle_ratio.minimum g
-         ~cost:(fun _ -> 1)
-         ~time:(fun e -> 1 + Network.relay_stations net (chan_of_edge e)))
-  in
-  Cycle_ratio.ratio_to_float ratio
+  Wp_graph.Cycle_ratio.ratio_to_float (Static.mcr ~capacity:0 net)
 
 let cycle_bound ?(slack_num = 1) ?(slack_den = 4) ~work_cycles net =
   if work_cycles < 0 then invalid_arg "Fast.cycle_bound: negative work";

@@ -1,5 +1,4 @@
 module Shell = Wp_lis.Shell
-module Token = Wp_lis.Token
 
 type kind =
   | Reference
@@ -29,8 +28,6 @@ type t =
 
 let kind = function Ref _ -> Reference | Fst _ -> Fast | Sta _ -> Static
 let of_engine e = Ref e
-let of_fast f = Fst f
-let of_static s = Sta s
 
 let create ?(engine = default_kind) ?capacity ?record_traces ?fault ?telemetry
     ~mode net =
@@ -42,11 +39,6 @@ let create ?(engine = default_kind) ?capacity ?record_traces ?fault ?telemetry
   | Static ->
       Sta (Static.create ?capacity ?record_traces ?fault ?telemetry ~mode net)
 
-let step = function
-  | Ref e -> Engine.step e
-  | Fst f -> Fast.step f
-  | Sta s -> Static.step s
-
 let run ?cancel ?max_cycles = function
   | Ref e -> Engine.run ?cancel ?max_cycles e
   | Fst f -> Fast.run ?cancel ?max_cycles f
@@ -56,11 +48,6 @@ let cycles = function
   | Ref e -> Engine.cycles e
   | Fst f -> Fast.cycles f
   | Sta s -> Static.cycles s
-
-let mode = function
-  | Ref e -> Engine.mode e
-  | Fst f -> Fast.mode f
-  | Sta s -> Static.mode s
 
 let network = function
   | Ref e -> Engine.network e
@@ -73,35 +60,21 @@ let delivered t c =
   | Fst f -> Fast.delivered f c
   | Sta s -> Static.delivered s c
 
-let fired_last_cycle = function
-  | Ref e -> Engine.fired_last_cycle e
-  | Fst f -> Fast.fired_last_cycle f
-  | Sta s -> Static.fired_last_cycle s
-
-let quiescence_window = function
-  | Ref e -> Engine.quiescence_window e
-  | Fst f -> Fast.quiescence_window f
-  | Sta s -> Static.quiescence_window s
-
+(* A statically scheduled run has no faults, link layer or telemetry. *)
 let fault_injections = function
   | Ref e -> Engine.fault_injections e
   | Fst f -> Fast.fault_injections f
-  | Sta s -> Static.fault_injections s
-
-let link_stats = function
-  | Ref e -> Engine.link_stats e
-  | Fst f -> Fast.link_stats f
-  | Sta s -> Static.link_stats s
+  | Sta _ -> 0
 
 let link_summary = function
   | Ref e -> Engine.link_summary e
   | Fst f -> Fast.link_summary f
-  | Sta s -> Static.link_summary s
+  | Sta _ -> None
 
 let telemetry_report = function
   | Ref e -> Engine.telemetry_report e
   | Fst f -> Fast.telemetry_report f
-  | Sta s -> Static.telemetry_report s
+  | Sta _ -> None
 
 let node_stats t n =
   match t with
@@ -114,9 +87,3 @@ let output_trace t n p =
   | Ref e -> Shell.output_trace (Engine.shell e n) p
   | Fst f -> Fast.output_trace f n p
   | Sta s -> Static.output_trace s n p
-
-let buffered t n p =
-  match t with
-  | Ref e -> Shell.buffered (Engine.shell e n) p
-  | Fst f -> Fast.buffered f n p
-  | Sta s -> Static.buffered s n p

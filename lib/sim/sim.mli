@@ -1,13 +1,14 @@
 (** Engine-agnostic simulation facade.
 
     Every experiment can run on the readable reference interpreter
-    ({!Engine}), the compiled allocation-free kernel ({!Fast}), or the
-    table-driven static-schedule kernel ({!Static}); the three are
-    byte-identical in observable behaviour (outcomes, cycle counts,
-    delivered tokens, shell statistics, traces) wherever they all
-    apply, and the differential test battery asserts it.  This module
-    hides the choice behind one type so callers thread a single
-    [?engine] argument instead of duplicating code paths.
+    ({!Engine}) or on one of the library's two compiled kernels: the
+    handshake kernel ({!Fast}) and the table-replay kernel ({!Static}).
+    The three are byte-identical in observable behaviour (outcomes,
+    cycle counts, delivered tokens, shell statistics, traces) wherever
+    they all apply, and the differential test battery asserts it.  This
+    module hides the choice behind one type so callers thread a single
+    [?engine] argument instead of duplicating code paths.  Many runs at
+    once go through {!Batch}, which drives the same two kernels.
 
     {!Static} only covers statically schedulable configurations (Plain
     mode, no faults, no link protection, no telemetry, bounded FIFOs);
@@ -52,24 +53,15 @@ val create :
     protection, telemetry, or unbounded FIFOs). *)
 
 val of_engine : Engine.t -> t
-val of_fast : Fast.t -> t
-val of_static : Static.t -> t
 val kind : t -> kind
 
-val step : t -> unit
 val run : ?cancel:Wp_util.Cancel.t -> ?max_cycles:int -> t -> Engine.outcome
 val cycles : t -> int
-val mode : t -> Wp_lis.Shell.mode
 val network : t -> Network.t
 val delivered : t -> Network.channel -> int
-val fired_last_cycle : t -> bool
-val quiescence_window : t -> int
 
 val fault_injections : t -> int
 (** Destructive fault events performed so far; 0 without a fault spec. *)
-
-val link_stats : t -> Link.chan_stats list
-(** Per-protected-channel ARQ statistics; [[]] when nothing is protected. *)
 
 val link_summary : t -> Link.summary option
 (** Aggregate link-layer statistics; [None] when nothing is protected. *)
@@ -81,4 +73,3 @@ val telemetry_report : t -> Telemetry.report option
 
 val node_stats : t -> Network.node -> Wp_lis.Shell.stats
 val output_trace : t -> Network.node -> int -> int Wp_lis.Token.t list
-val buffered : t -> Network.node -> int -> int

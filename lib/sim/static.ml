@@ -5,14 +5,21 @@
    faults these determine firing exactly), hashing the state vector
    each cycle until it repeats.  That yields a transient prefix plus a
    period, and per-cycle tables of fired / starved / blocked shells
-   and delivered channels.  Replay then walks the table: scheduled
-   shells fire their real process closures on real data (values travel
-   through per-channel append-only queues instead of FIFOs — channel
-   order is FIFO order because [Network.connect] makes ports and
-   channels one-to-one), scheduled stalls bump the same counters Fast
-   bumps, scheduled deliveries bump [delivered].  Everything
-   observable stays byte-identical to the dynamic engines while the
-   per-cycle cost drops to a few array reads. *)
+   and delivered channels.
+
+   The replay kernel below is the library's only table-replay loop: a
+   solo [create] is a one-lane instance, and each of the batch kernel's
+   replay groups is a many-lane one.  All lanes of an instance share
+   (topology, per-channel relay-station counts, capacity), hence the
+   exact same firing schedule, the same quiescence window and — while
+   active — the same clock.  A replay cycle touches only the shells
+   that fire: they fire their real process closures on real data, and
+   everything else (stall counters, delivered counts) is reconstructed
+   on demand from cumulative schedule tables, built once per schedule
+   next to the table in the memo.  Stall-heavy configurations — exactly
+   the wire-pipelined ones this library studies — cost almost nothing
+   per cycle, and everything observable stays byte-identical to the
+   dynamic engines. *)
 
 module Shell = Wp_lis.Shell
 module Token = Wp_lis.Token
@@ -34,48 +41,85 @@ type table_cycle = {
   tc_any : bool;
 }
 
-type t = {
-  net : Network.t;
-  record_traces : bool;
-  n_chans : int;
-  instances : Process.instance array;
-  in_base : int array;
-  out_base : int array;
-  ip_chan : int array;  (* global input port -> feeding channel *)
-  op_chan : int array;  (* global output port -> driven channel *)
-  chan_dst_ip : int array;
-  (* the schedule *)
-  transient : int;
-  period : int;
-  table : table_cycle array;  (* length transient + period *)
-  (* per-shell statistics, identical meaning to Fast's *)
-  firings : int array;
-  stalls : int array;
-  input_starved : int array;
-  output_blocked : int array;
-  required_counts : int array;
-  dropped : int array;  (* always 0: oracle skips are unschedulable *)
-  inputs_scratch : int option array array;
-  traces : int Token.t list array;  (* newest first *)
-  (* per-channel value stream: absolute index 0 is the reset token;
-     [q_buf.(c)] holds indices [q_off.(c) ..< q_off.(c) + q_len.(c)]
-     (the consumed prefix is compacted away on growth, so the buffer
-     stays bounded by the tokens actually in flight) *)
-  q_buf : int array array;
-  q_off : int array;
-  q_len : int array;
-  consumed : int array;
-  chan_delivered : int array;
-  (* clocking *)
-  mutable clock : int;
-  mutable halted : bool;
-      (* sticky: some process reports [halted].  [halted] depends only on
-         process state and state only advances in [fire], so probing right
-         after each firing keeps this as fresh as a scan of every shell. *)
-  mutable last_fired : bool;
-  mutable quiet_cycles : int;
-  quiescence : int;
+(* ------------------------------------------------------------------ *)
+(* Shared CSR metadata                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Flattened topology: both compiled kernels and the prepass read the
+   same arrays, derived once here from a network. *)
+type meta = {
+  m_n_nodes : int;
+  m_n_chans : int;
+  m_in_base : int array;
+  m_out_base : int array;
+  m_chan_src_op : int array;
+  m_chan_dst_ip : int array;
+  m_chan_rs_base : int array;
+  m_out_chan_base : int array;
+  m_out_chan_ids : int array;
+  m_ip_chan : int array;
+  m_op_chan : int array;
 }
+
+let meta_of net =
+  let n_nodes = Network.node_count net in
+  let n_chans = Network.channel_count net in
+  let procs = Array.init n_nodes (fun n -> Network.node_process net n) in
+  let prefix f =
+    let base = Array.make (n_nodes + 1) 0 in
+    for n = 0 to n_nodes - 1 do
+      base.(n + 1) <- base.(n) + f procs.(n)
+    done;
+    base
+  in
+  let in_base = prefix Process.n_inputs in
+  let out_base = prefix Process.n_outputs in
+  let n_in_total = in_base.(n_nodes) in
+  let n_out_total = out_base.(n_nodes) in
+  let chan_src_op = Array.make (max 1 n_chans) 0 in
+  let chan_dst_ip = Array.make (max 1 n_chans) 0 in
+  let chan_src_node = Array.make (max 1 n_chans) 0 in
+  let chan_rs_base = Array.make (n_chans + 1) 0 in
+  let ip_chan = Array.make (max 1 n_in_total) (-1) in
+  let op_chan = Array.make (max 1 n_out_total) (-1) in
+  for c = 0 to n_chans - 1 do
+    let src_node, src_port = Network.channel_src net c in
+    let dst_node, dst_port = Network.channel_dst net c in
+    chan_src_node.(c) <- src_node;
+    chan_src_op.(c) <- out_base.(src_node) + src_port;
+    chan_dst_ip.(c) <- in_base.(dst_node) + dst_port;
+    ip_chan.(chan_dst_ip.(c)) <- c;
+    op_chan.(chan_src_op.(c)) <- c;
+    chan_rs_base.(c + 1) <- chan_rs_base.(c) + Network.relay_stations net c
+  done;
+  let out_chan_base = Array.make (n_nodes + 1) 0 in
+  for c = 0 to n_chans - 1 do
+    let n = chan_src_node.(c) in
+    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + 1
+  done;
+  for n = 0 to n_nodes - 1 do
+    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + out_chan_base.(n)
+  done;
+  let out_chan_ids = Array.make (max 1 n_chans) 0 in
+  let cursor = Array.copy out_chan_base in
+  for c = 0 to n_chans - 1 do
+    let n = chan_src_node.(c) in
+    out_chan_ids.(cursor.(n)) <- c;
+    cursor.(n) <- cursor.(n) + 1
+  done;
+  {
+    m_n_nodes = n_nodes;
+    m_n_chans = n_chans;
+    m_in_base = in_base;
+    m_out_base = out_base;
+    m_chan_src_op = chan_src_op;
+    m_chan_dst_ip = chan_dst_ip;
+    m_chan_rs_base = chan_rs_base;
+    m_out_chan_base = out_chan_base;
+    m_out_chan_ids = out_chan_ids;
+    m_ip_chan = ip_chan;
+    m_op_chan = op_chan;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Count-only prepass                                                 *)
@@ -86,8 +130,12 @@ type t = {
    could wander longer before closing its orbit. *)
 let prepass_budget = 1 lsl 16
 
-let prepass ~capacity ~n_nodes ~n_chans ~in_base ~out_base ~chan_src_op
-    ~chan_dst_ip ~chan_rs_base ~out_chan_base ~out_chan_ids =
+let prepass ~capacity m =
+  let n_nodes = m.m_n_nodes and n_chans = m.m_n_chans in
+  let in_base = m.m_in_base and out_base = m.m_out_base in
+  let chan_src_op = m.m_chan_src_op and chan_dst_ip = m.m_chan_dst_ip in
+  let chan_rs_base = m.m_chan_rs_base in
+  let out_chan_base = m.m_out_chan_base and out_chan_ids = m.m_out_chan_ids in
   let n_in_total = in_base.(n_nodes) in
   let total_rs = chan_rs_base.(n_chans) in
   let fifo_len = Array.make (max 1 n_in_total) 0 in
@@ -218,92 +266,42 @@ let prepass ~capacity ~n_nodes ~n_chans ~in_base ~out_base ~chan_src_op
   let all = Array.of_list (List.rev !records) in
   (transient, period, Array.sub all 0 (transient + period))
 
-(* ------------------------------------------------------------------ *)
-(* Shared CSR metadata                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Flattened topology: every engine in this library derives the same
-   arrays from a network; factoring them out lets {!tables} serve both
-   this module and the batch kernel's static lane groups. *)
-type meta = {
-  m_n_nodes : int;
-  m_n_chans : int;
-  m_in_base : int array;
-  m_out_base : int array;
-  m_chan_src_op : int array;
-  m_chan_dst_ip : int array;
-  m_chan_rs_base : int array;
-  m_out_chan_base : int array;
-  m_out_chan_ids : int array;
-  m_ip_chan : int array;
-  m_op_chan : int array;
+(* Cumulative schedule counts: row [j] covers cycles [0, j), rows
+   0 .. transient + period; beyond that, counts extrapolate by whole
+   periods.  Every shell fires, blocks or starves in each cycle, so the
+   starved counts are what the other two leave. *)
+type cum = {
+  cum_fired : int array; (* (row * n_nodes) + n *)
+  cum_blocked : int array;
+  cum_deliver : int array; (* (row * n_chans) + c *)
 }
 
-let meta_of net =
-  let n_nodes = Network.node_count net in
-  let n_chans = Network.channel_count net in
-  let procs = Array.init n_nodes (fun n -> Network.node_process net n) in
-  let prefix f =
-    let base = Array.make (n_nodes + 1) 0 in
-    for n = 0 to n_nodes - 1 do
-      base.(n + 1) <- base.(n) + f procs.(n)
+let cum_of m (transient, period, table) =
+  let tp = transient + period in
+  let build n_ent proj =
+    let cum = Array.make (max 1 ((tp + 1) * n_ent)) 0 in
+    for j = 0 to tp - 1 do
+      Array.blit cum (j * n_ent) cum ((j + 1) * n_ent) n_ent;
+      let ids = proj table.(j) in
+      for i = 0 to Array.length ids - 1 do
+        let e = ((j + 1) * n_ent) + ids.(i) in
+        cum.(e) <- cum.(e) + 1
+      done
     done;
-    base
+    cum
   in
-  let in_base = prefix Process.n_inputs in
-  let out_base = prefix Process.n_outputs in
-  let n_in_total = in_base.(n_nodes) in
-  let n_out_total = out_base.(n_nodes) in
-  let chan_src_op = Array.make (max 1 n_chans) 0 in
-  let chan_dst_ip = Array.make (max 1 n_chans) 0 in
-  let chan_src_node = Array.make (max 1 n_chans) 0 in
-  let chan_rs_base = Array.make (n_chans + 1) 0 in
-  let ip_chan = Array.make (max 1 n_in_total) (-1) in
-  let op_chan = Array.make (max 1 n_out_total) (-1) in
-  for c = 0 to n_chans - 1 do
-    let src_node, src_port = Network.channel_src net c in
-    let dst_node, dst_port = Network.channel_dst net c in
-    chan_src_node.(c) <- src_node;
-    chan_src_op.(c) <- out_base.(src_node) + src_port;
-    chan_dst_ip.(c) <- in_base.(dst_node) + dst_port;
-    ip_chan.(chan_dst_ip.(c)) <- c;
-    op_chan.(chan_src_op.(c)) <- c;
-    chan_rs_base.(c + 1) <- chan_rs_base.(c) + Network.relay_stations net c
-  done;
-  let out_chan_base = Array.make (n_nodes + 1) 0 in
-  for c = 0 to n_chans - 1 do
-    let n = chan_src_node.(c) in
-    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + 1
-  done;
-  for n = 0 to n_nodes - 1 do
-    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + out_chan_base.(n)
-  done;
-  let out_chan_ids = Array.make (max 1 n_chans) 0 in
-  let cursor = Array.copy out_chan_base in
-  for c = 0 to n_chans - 1 do
-    let n = chan_src_node.(c) in
-    out_chan_ids.(cursor.(n)) <- c;
-    cursor.(n) <- cursor.(n) + 1
-  done;
   {
-    m_n_nodes = n_nodes;
-    m_n_chans = n_chans;
-    m_in_base = in_base;
-    m_out_base = out_base;
-    m_chan_src_op = chan_src_op;
-    m_chan_dst_ip = chan_dst_ip;
-    m_chan_rs_base = chan_rs_base;
-    m_out_chan_base = out_chan_base;
-    m_out_chan_ids = out_chan_ids;
-    m_ip_chan = ip_chan;
-    m_op_chan = op_chan;
+    cum_fired = build m.m_n_nodes (fun tc -> tc.tc_fired);
+    cum_blocked = build m.m_n_nodes (fun tc -> tc.tc_blocked);
+    cum_deliver = build m.m_n_chans (fun tc -> tc.tc_deliver);
   }
 
-let prepass_of_meta ~capacity m =
-  prepass ~capacity ~n_nodes:m.m_n_nodes ~n_chans:m.m_n_chans
-    ~in_base:m.m_in_base ~out_base:m.m_out_base ~chan_src_op:m.m_chan_src_op
-    ~chan_dst_ip:m.m_chan_dst_ip ~chan_rs_base:m.m_chan_rs_base
-    ~out_chan_base:m.m_out_chan_base ~out_chan_ids:m.m_out_chan_ids
+(* A schedule: the table and the cumulative counts replays read. *)
+type sched = { s_tables : int * int * table_cycle array; s_cum : cum }
+
+let sched_of ~capacity m =
+  let tables = prepass ~capacity m in
+  { s_tables = tables; s_cum = cum_of m tables }
 
 (* ------------------------------------------------------------------ *)
 (* Schedule memo                                                      *)
@@ -312,21 +310,22 @@ let prepass_of_meta ~capacity m =
 (* A schedule depends only on (capacity, per-channel relay stations,
    topology shape) — never on process data.  A sweep scenario replays
    one schedule on the batch kernel and again here, and the serve daemon
-   replays the same machines all day, so tables are memoised across
+   replays the same machines all day, so schedules are memoised across
    calls.  The key spells out everything the prepass reads.  Guarded by
-   a mutex: runner pools call in from several domains.  Cached tables
+   a mutex: runner pools call in from several domains.  Cached schedules
    are immutable once built, so sharing them is safe.
 
-   The memo is bounded by entries and by the words its tables retain:
-   an insert that would cross either bound empties it first, and a
-   table larger than the whole word budget is returned uncached. *)
+   The memo is bounded by entries and by the words its schedules
+   retain: an insert that would cross either bound empties it first,
+   and a schedule larger than the whole word budget is returned
+   uncached. *)
 
 let memo_entries = 256
 let memo_words = 2_000_000 (* 16 MB of 64-bit words *)
 
-let memo : (string, int * int * table_cycle array) Hashtbl.t = Hashtbl.create 64
+let memo : (string, sched) Hashtbl.t = Hashtbl.create 64
 let memo_mutex = Mutex.create ()
-let memo_held = ref 0 (* words retained by [memo]'s tables *)
+let memo_held = ref 0 (* words retained by [memo]'s schedules *)
 
 let schedule_key ~capacity net =
   let b = Buffer.create 128 in
@@ -345,17 +344,24 @@ let schedule_key ~capacity net =
   done;
   Buffer.contents b
 
-(* Heap words of a table: one slot per row, each row a 5-field record
-   and four int arrays with their headers. *)
-let table_words (_, _, table) =
+(* Heap words of a schedule: one slot per table row, each row a 5-field
+   record and four int arrays with their headers, plus the three
+   cumulative arrays and the two records holding it all. *)
+let sched_words s =
+  let _, _, table = s.s_tables in
+  let c = s.s_cum in
   Array.fold_left
     (fun acc tc ->
       acc + 11
       + Array.length tc.tc_fired + Array.length tc.tc_starved
       + Array.length tc.tc_blocked + Array.length tc.tc_deliver)
     (1 + Array.length table) table
+  + Array.length c.cum_fired + Array.length c.cum_blocked
+  + Array.length c.cum_deliver + 14
 
-let memoised ~capacity net compute =
+let lookup ~capacity net compute =
+  if capacity <= 0 then
+    unschedulable "unbounded FIFOs have no finite occupancy state";
   let key = schedule_key ~capacity net in
   Mutex.lock memo_mutex;
   let hit = Hashtbl.find_opt memo key in
@@ -364,10 +370,10 @@ let memoised ~capacity net compute =
   | Some s -> s
   | None ->
     let s = compute () in
-    let words = table_words s in
+    let words = sched_words s in
     Mutex.lock memo_mutex;
     (* Another domain may have cached the same key meanwhile: keep its
-       copy, so every caller shares one table. *)
+       copy, so every caller shares one schedule. *)
     let s =
       match Hashtbl.find_opt memo key with
       | Some s' -> s'
@@ -389,13 +395,128 @@ let memoised ~capacity net compute =
     s
 
 let tables ~capacity net =
-  if capacity <= 0 then
-    unschedulable "unbounded FIFOs have no finite occupancy state";
-  memoised ~capacity net (fun () -> prepass_of_meta ~capacity (meta_of net))
+  (lookup ~capacity net (fun () -> sched_of ~capacity (meta_of net))).s_tables
 
 (* ------------------------------------------------------------------ *)
-(* Compile                                                            *)
+(* Replay kernel                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* Values flow through per-channel rings whose head/tail cursors are
+   shared by every lane: active lanes have consumed and produced the
+   same token counts at every cycle, so cursor maintenance is paid once
+   per channel, not once per lane.  Cell [(c, slot, l)] lives at
+   [q_base.(c) + slot * L + l], lane-inner for contiguity.
+
+   A ring never overflows: a channel with capacity [C] and [k] relay
+   stations holds at most [C + 2k] tokens in flight at a cycle
+   boundary, plus one transiently when a producer fires earlier in the
+   table row than its consumer — stride [C + 2k + 2] leaves a spare
+   slot on top of that. *)
+
+type t = {
+  n_lanes : int;
+  record_traces : bool;
+  nets : Network.t array; (* per lane *)
+  n_nodes : int;
+  n_chans : int;
+  instances : Process.instance array; (* [n * L + l] *)
+  in_base : int array;
+  out_base : int array;
+  ip_chan : int array; (* global input port -> feeding channel *)
+  op_chan : int array; (* global output port -> driven channel *)
+  transient : int;
+  period : int;
+  table : table_cycle array;
+  cum : cum;
+  inputs_scratch : int option array array; (* per node, reused *)
+  halt_flag : Bytes.t; (* per lane, sticky; set right after a firing *)
+  traces : int Token.t list array; (* [(out_port * L) + l]; newest first *)
+  q_val : int array;
+  q_base : int array;
+  q_stride : int array;
+  q_head : int array;
+  q_tail : int array;
+  q_fill : int array;
+  quiescence : int;
+  mutable quiet : int; (* shared: every lane fires the same pattern *)
+  mutable clock : int;
+  act : int array; (* running lane ids, first n_act entries *)
+  mutable n_act : int;
+  finished : Engine.outcome option array;
+  lane_end : int array;
+}
+
+let create_lanes ?(record_traces = false) ~capacity nets =
+  let n_lanes = Array.length nets in
+  let net0 = nets.(0) in
+  let m = meta_of net0 in
+  let s = lookup ~capacity net0 (fun () -> sched_of ~capacity m) in
+  let transient, period, table = s.s_tables in
+  let n_nodes = m.m_n_nodes and n_chans = m.m_n_chans in
+  let rs_base = m.m_chan_rs_base in
+  let q_stride =
+    Array.init n_chans (fun c -> capacity + (2 * (rs_base.(c + 1) - rs_base.(c))) + 2)
+  in
+  let q_base = Array.make (n_chans + 1) 0 in
+  for c = 0 to n_chans - 1 do
+    q_base.(c + 1) <- q_base.(c) + (q_stride.(c) * n_lanes)
+  done;
+  let proc l n = Network.node_process nets.(l) n in
+  let instances =
+    Array.init (n_nodes * n_lanes) (fun i ->
+        (proc (i mod n_lanes) (i / n_lanes)).Process.make ())
+  in
+  let t =
+    {
+      n_lanes;
+      record_traces;
+      nets;
+      n_nodes;
+      n_chans;
+      instances;
+      in_base = m.m_in_base;
+      out_base = m.m_out_base;
+      ip_chan = m.m_ip_chan;
+      op_chan = m.m_op_chan;
+      transient;
+      period;
+      table;
+      cum = s.s_cum;
+      inputs_scratch =
+        Array.init n_nodes (fun n ->
+            Array.make (m.m_in_base.(n + 1) - m.m_in_base.(n)) None);
+      halt_flag = Bytes.make n_lanes '\000';
+      traces = Array.make (max 1 (m.m_out_base.(n_nodes) * n_lanes)) [];
+      q_val = Array.make (max 1 q_base.(n_chans)) 0;
+      q_base;
+      q_stride;
+      q_head = Array.make (max 1 n_chans) 0;
+      q_tail = Array.make (max 1 n_chans) 1;
+      q_fill = Array.make (max 1 n_chans) 1;
+      quiescence = 16 + (4 * (n_nodes + n_chans + rs_base.(n_chans)));
+      quiet = 0;
+      clock = 0;
+      act = Array.init n_lanes Fun.id;
+      n_act = n_lanes;
+      finished = Array.make n_lanes None;
+      lane_end = Array.make n_lanes 0;
+    }
+  in
+  (* Reset: slot 0 of every ring holds the channel's reset token. *)
+  for c = 0 to n_chans - 1 do
+    let src_node, src_port = Network.channel_src net0 c in
+    for l = 0 to n_lanes - 1 do
+      t.q_val.(q_base.(c) + l) <- (proc l src_node).Process.reset_outputs.(src_port)
+    done
+  done;
+  (* A process can be terminal at reset; the first check must see it. *)
+  for l = 0 to n_lanes - 1 do
+    for n = 0 to n_nodes - 1 do
+      if instances.((n * n_lanes) + l).Process.halted () then
+        Bytes.set t.halt_flag l '\001'
+    done
+  done;
+  t
 
 let create ?(capacity = 2) ?(record_traces = false) ?fault
     ?(telemetry = Telemetry.off) ~mode net =
@@ -413,208 +534,197 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
     unschedulable "telemetry instrumentation needs per-cycle observation";
   if capacity = 0 then
     unschedulable "unbounded FIFOs have no finite occupancy state";
-  let n_nodes = Network.node_count net in
-  let n_chans = Network.channel_count net in
-  for c = 0 to n_chans - 1 do
+  for c = 0 to Network.channel_count net - 1 do
     if Network.protection net c <> None then
       unschedulable "channel %d is link-protected" c
   done;
-  let procs = Array.init n_nodes (fun n -> Network.node_process net n) in
-  let instances =
-    Array.init n_nodes (fun n -> procs.(n).Process.make ())
-  in
-  let m = meta_of net in
-  let in_base = m.m_in_base in
-  let out_base = m.m_out_base in
-  let n_in_total = in_base.(n_nodes) in
-  let n_out_total = out_base.(n_nodes) in
-  let ip_chan = m.m_ip_chan in
-  let op_chan = m.m_op_chan in
-  let chan_dst_ip = m.m_chan_dst_ip in
-  let total_rs = m.m_chan_rs_base.(n_chans) in
-  let transient, period, table =
-    memoised ~capacity net (fun () -> prepass_of_meta ~capacity m)
-  in
-  let quiescence = 16 + (4 * (n_nodes + n_chans + total_rs)) in
-  let q_buf = Array.init (max 1 n_chans) (fun _ -> Array.make 16 0) in
-  let q_len = Array.make (max 1 n_chans) 0 in
-  (* Reset values seed each channel's stream. *)
-  for c = 0 to n_chans - 1 do
-    let src_node, src_port = Network.channel_src net c in
-    q_buf.(c).(0) <- procs.(src_node).Process.reset_outputs.(src_port);
-    q_len.(c) <- 1
-  done;
-  {
-    net;
-    record_traces;
-    n_chans;
-    instances;
-    in_base;
-    out_base;
-    ip_chan;
-    op_chan;
-    chan_dst_ip;
-    transient;
-    period;
-    table;
-    firings = Array.make (max 1 n_nodes) 0;
-    stalls = Array.make (max 1 n_nodes) 0;
-    input_starved = Array.make (max 1 n_nodes) 0;
-    output_blocked = Array.make (max 1 n_nodes) 0;
-    required_counts = Array.make (max 1 n_in_total) 0;
-    dropped = Array.make (max 1 n_in_total) 0;
-    inputs_scratch =
-      Array.init n_nodes (fun n -> Array.make (Process.n_inputs procs.(n)) None);
-    traces = Array.make (max 1 n_out_total) [];
-    q_buf;
-    q_off = Array.make (max 1 n_chans) 0;
-    q_len;
-    consumed = Array.make (max 1 n_chans) 0;
-    chan_delivered = Array.make (max 1 n_chans) 0;
-    clock = 0;
-    halted = Array.exists (fun i -> i.Process.halted ()) instances;
-    last_fired = false;
-    quiet_cycles = 0;
-    quiescence;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Replay                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let queue_push t c v =
-  let buf = t.q_buf.(c) in
-  let len = t.q_len.(c) in
-  let buf =
-    if len = Array.length buf then begin
-      let keep = t.q_off.(c) + len - t.consumed.(c) in
-      if 2 * keep <= len then begin
-        (* Compact: drop the consumed prefix instead of growing. *)
-        Array.blit buf (t.consumed.(c) - t.q_off.(c)) buf 0 keep;
-        t.q_off.(c) <- t.consumed.(c);
-        t.q_len.(c) <- keep;
-        buf
-      end
-      else begin
-        let fresh = Array.make (2 * len) 0 in
-        Array.blit buf 0 fresh 0 len;
-        t.q_buf.(c) <- fresh;
-        fresh
-      end
-    end
-    else buf
-  in
-  buf.(t.q_len.(c)) <- v;
-  t.q_len.(c) <- t.q_len.(c) + 1
+  create_lanes ~record_traces ~capacity [| net |]
 
 let table_index t =
   if t.clock < t.transient then t.clock
   else t.transient + ((t.clock - t.transient) mod t.period)
 
-let apply_stalls t cls attr =
-  for i = 0 to Array.length cls - 1 do
-    let n = cls.(i) in
-    t.stalls.(n) <- t.stalls.(n) + 1;
-    attr.(n) <- attr.(n) + 1;
-    if t.record_traces then begin
-      let op0 = t.out_base.(n) in
-      for q = 0 to t.out_base.(n + 1) - op0 - 1 do
-        t.traces.(op0 + q) <- Token.Void :: t.traces.(op0 + q)
+(* One cycle for every running lane. *)
+let advance t =
+  let ll = t.n_lanes in
+  let tc = t.table.(table_index t) in
+  let fired = tc.tc_fired in
+  for i = 0 to Array.length fired - 1 do
+    let n = Array.unsafe_get fired i in
+    let ib = Array.unsafe_get t.in_base n in
+    let n_in = Array.unsafe_get t.in_base (n + 1) - ib in
+    let op0 = Array.unsafe_get t.out_base n in
+    let n_out = Array.unsafe_get t.out_base (n + 1) - op0 in
+    let inputs = Array.unsafe_get t.inputs_scratch n in
+    for a = 0 to t.n_act - 1 do
+      let l = Array.unsafe_get t.act a in
+      for p = 0 to n_in - 1 do
+        let c = Array.unsafe_get t.ip_chan (ib + p) in
+        Array.unsafe_set inputs p
+          (Some
+             (Array.unsafe_get t.q_val
+                (Array.unsafe_get t.q_base c
+                + (Array.unsafe_get t.q_head c * ll)
+                + l)))
+      done;
+      let inst = Array.unsafe_get t.instances ((n * ll) + l) in
+      let words = inst.Process.fire inputs in
+      (* [halted] is a pure function of process state and state only
+         advances in [fire], so probing right here keeps the sticky flag
+         as fresh as a scan of every shell each cycle. *)
+      if inst.Process.halted () then Bytes.unsafe_set t.halt_flag l '\001';
+      for q = 0 to n_out - 1 do
+        let c = Array.unsafe_get t.op_chan (op0 + q) in
+        Array.unsafe_set t.q_val
+          (Array.unsafe_get t.q_base c
+          + (Array.unsafe_get t.q_tail c * ll)
+          + l)
+          (Array.unsafe_get words q)
+      done;
+      if t.record_traces then
+        for q = 0 to n_out - 1 do
+          let opl = ((op0 + q) * ll) + l in
+          t.traces.(opl) <- Token.Valid words.(q) :: t.traces.(opl)
+        done
+    done;
+    (* Advance the shared cursors once per port, after the lanes. *)
+    for p = 0 to n_in - 1 do
+      let c = Array.unsafe_get t.ip_chan (ib + p) in
+      let h = t.q_head.(c) + 1 in
+      t.q_head.(c) <- (if h >= t.q_stride.(c) then 0 else h);
+      t.q_fill.(c) <- t.q_fill.(c) - 1
+    done;
+    for q = 0 to n_out - 1 do
+      let c = Array.unsafe_get t.op_chan (op0 + q) in
+      let s = t.q_tail.(c) + 1 in
+      t.q_tail.(c) <- (if s >= t.q_stride.(c) then 0 else s);
+      t.q_fill.(c) <- t.q_fill.(c) + 1;
+      if t.q_fill.(c) > t.q_stride.(c) then
+        failwith "Static replay: value ring overflow (schedule violated)"
+    done
+  done;
+  if t.record_traces then begin
+    let voids cls =
+      for i = 0 to Array.length cls - 1 do
+        let n = cls.(i) in
+        let op0 = t.out_base.(n) in
+        for q = 0 to t.out_base.(n + 1) - op0 - 1 do
+          for a = 0 to t.n_act - 1 do
+            let l = t.act.(a) in
+            let opl = ((op0 + q) * ll) + l in
+            t.traces.(opl) <- Token.Void :: t.traces.(opl)
+          done
+        done
       done
+    in
+    voids tc.tc_starved;
+    voids tc.tc_blocked
+  end;
+  t.clock <- t.clock + 1;
+  if tc.tc_any then t.quiet <- 0 else t.quiet <- t.quiet + 1
+
+(* Lanes whose state is at the current clock — all of them at creation,
+   those that finished at this clock after a run — step again, so a run
+   can be resumed with a larger budget. *)
+let reopen t =
+  t.n_act <- 0;
+  for l = 0 to t.n_lanes - 1 do
+    if Option.is_none t.finished.(l) || t.lane_end.(l) = t.clock then begin
+      t.finished.(l) <- None;
+      t.act.(t.n_act) <- l;
+      t.n_act <- t.n_act + 1
     end
   done
 
 let step t =
-  let tc = t.table.(table_index t) in
-  let fired = tc.tc_fired in
-  for i = 0 to Array.length fired - 1 do
-    let n = fired.(i) in
-    let inputs = t.inputs_scratch.(n) in
-    let n_in = t.in_base.(n + 1) - t.in_base.(n) in
-    for p = 0 to n_in - 1 do
-      let ip = t.in_base.(n) + p in
-      t.required_counts.(ip) <- t.required_counts.(ip) + 1;
-      let c = t.ip_chan.(ip) in
-      inputs.(p) <- Some t.q_buf.(c).(t.consumed.(c) - t.q_off.(c));
-      t.consumed.(c) <- t.consumed.(c) + 1
-    done;
-    let inst = t.instances.(n) in
-    let words = inst.Process.fire inputs in
-    if inst.Process.halted () then t.halted <- true;
-    t.firings.(n) <- t.firings.(n) + 1;
-    let op0 = t.out_base.(n) in
-    let n_out = t.out_base.(n + 1) - op0 in
-    for q = 0 to n_out - 1 do
-      queue_push t t.op_chan.(op0 + q) words.(q)
-    done;
-    if t.record_traces then
-      for q = 0 to n_out - 1 do
-        t.traces.(op0 + q) <- Token.Valid words.(q) :: t.traces.(op0 + q)
-      done
-  done;
-  apply_stalls t tc.tc_starved t.input_starved;
-  apply_stalls t tc.tc_blocked t.output_blocked;
-  let deliver = tc.tc_deliver in
-  for i = 0 to Array.length deliver - 1 do
-    let c = deliver.(i) in
-    t.chan_delivered.(c) <- t.chan_delivered.(c) + 1
-  done;
-  t.clock <- t.clock + 1;
-  t.last_fired <- tc.tc_any;
-  if tc.tc_any then t.quiet_cycles <- 0
-  else t.quiet_cycles <- t.quiet_cycles + 1
+  reopen t;
+  advance t
 
-let any_halted t = t.halted
+let run_lanes t ~budgets ~cancels =
+  reopen t;
+  let has_cancel = Array.exists (fun c -> not (Wp_util.Cancel.is_never c)) cancels in
+  while t.n_act > 0 do
+    (* The termination check, in Engine.run's order: halt, quiescence
+       window, the cycle budget, then the cancellation poll (every
+       [Engine.cancel_interval] cycles, one clock sample per round).
+       The quiet counter is shared: the firing pattern — hence every
+       silent-cycle run — is identical across the lanes.  A finished
+       lane leaves the running set; the schedule replay is
+       lane-independent, so the others keep byte-identical results. *)
+    let poll_cancel =
+      has_cancel && t.clock land (Engine.cancel_interval - 1) = 0
+    in
+    let now = if poll_cancel then Wp_util.Cancel.now () else 0. in
+    let w = ref 0 in
+    for a = 0 to t.n_act - 1 do
+      let l = t.act.(a) in
+      let fin =
+        if Bytes.unsafe_get t.halt_flag l = '\001' then
+          Some (Engine.Halted t.clock)
+        else if t.quiet > t.quiescence then Some (Engine.Deadlocked t.clock)
+        else if t.clock >= budgets.(l) then Some (Engine.Exhausted t.clock)
+        else if poll_cancel && Wp_util.Cancel.cancelled_at ~now cancels.(l)
+        then Some (Engine.Cancelled t.clock)
+        else None
+      in
+      match fin with
+      | Some _ ->
+        t.finished.(l) <- fin;
+        t.lane_end.(l) <- t.clock
+      | None ->
+        t.act.(!w) <- l;
+        incr w
+    done;
+    t.n_act <- !w;
+    if t.n_act > 0 then advance t
+  done;
+  Array.map Option.get t.finished
 
 let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
-  let poll = not (Wp_util.Cancel.is_never cancel) in
-  let rec loop () =
-    if any_halted t then Engine.Halted t.clock
-    else if t.quiet_cycles > t.quiescence then Engine.Deadlocked t.clock
-    else if t.clock >= max_cycles then Engine.Exhausted t.clock
-    else if
-      poll
-      && t.clock land (Engine.cancel_interval - 1) = 0
-      && Wp_util.Cancel.cancelled cancel
-    then Engine.Cancelled t.clock
-    else begin
-      step t;
-      loop ()
-    end
-  in
-  loop ()
+  (run_lanes t ~budgets:[| max_cycles |] ~cancels:[| cancel |]).(0)
 
 (* ------------------------------------------------------------------ *)
-(* Accessors                                                          *)
+(* Accessors: schedule-table arithmetic, O(1) per query               *)
 (* ------------------------------------------------------------------ *)
 
-let cycles t = t.clock
-let mode _ = Shell.Plain
-let network t = t.net
-let delivered t c = t.chan_delivered.(c)
-let fired_last_cycle t = t.last_fired
-let quiescence_window t = t.quiescence
-let fault_injections _ = 0
-let link_stats _ = []
-let link_summary _ = None
-let telemetry_report _ = None
+(* Occurrences of entity [e] during cycles [0, cycles). *)
+let count t cum n_ent e cycles =
+  let tp = t.transient + t.period in
+  if cycles <= tp then cum.((cycles * n_ent) + e)
+  else begin
+    let r = (cycles - t.transient) mod t.period in
+    let k = (cycles - t.transient) / t.period in
+    cum.(((t.transient + r) * n_ent) + e)
+    + (k * (cum.((tp * n_ent) + e) - cum.((t.transient * n_ent) + e)))
+  end
 
-let buffered t node port =
-  let c = t.ip_chan.(t.in_base.(node) + port) in
-  1 + t.chan_delivered.(c) - t.consumed.(c)
+let cycles ?(lane = 0) t =
+  match t.finished.(lane) with Some _ -> t.lane_end.(lane) | None -> t.clock
 
-let node_stats t n =
-  let lo = t.in_base.(n) and hi = t.in_base.(n + 1) in
+let outcome t ~lane = t.finished.(lane)
+let network ?(lane = 0) t = t.nets.(lane)
+
+let delivered ?(lane = 0) t c =
+  count t t.cum.cum_deliver t.n_chans c (cycles ~lane t)
+
+let node_stats ?(lane = 0) t n =
+  let e = cycles ~lane t in
+  let f = count t t.cum.cum_fired t.n_nodes n e in
+  let blocked = count t t.cum.cum_blocked t.n_nodes n e in
+  let n_in = t.in_base.(n + 1) - t.in_base.(n) in
   {
-    Shell.firings = t.firings.(n);
-    stalls = t.stalls.(n);
-    input_starved = t.input_starved.(n);
-    output_blocked = t.output_blocked.(n);
-    required_counts = Array.sub t.required_counts lo (hi - lo);
-    dropped = Array.sub t.dropped lo (hi - lo);
+    Shell.firings = f;
+    stalls = e - f;
+    input_starved = e - f - blocked;
+    output_blocked = blocked;
+    (* Plain mode consumes every input port once per firing and never
+       skips a token. *)
+    required_counts = Array.make n_in f;
+    dropped = Array.make n_in 0;
   }
 
-let output_trace t node port = List.rev t.traces.(t.out_base.(node) + port)
+let output_trace ?(lane = 0) t node port =
+  List.rev t.traces.(((t.out_base.(node) + port) * t.n_lanes) + lane)
 
 (* ------------------------------------------------------------------ *)
 (* The schedule itself                                                *)
@@ -638,8 +748,8 @@ let rate t n =
 (* ------------------------------------------------------------------ *)
 
 let capacity_graph ?(capacity = 2) net =
-  if capacity <= 0 then
-    invalid_arg "Static.capacity_graph: capacity must be positive";
+  if capacity < 0 then
+    invalid_arg "Static.capacity_graph: negative capacity";
   Network.validate net;
   let g = Digraph.create () in
   let n_nodes = Network.node_count net in
@@ -659,11 +769,18 @@ let capacity_graph ?(capacity = 2) net =
       let fwd = Digraph.add_edge g ~src ~dst ~label in
       tokens.(fwd) <- 1;
       time.(fwd) <- 1 + k;
-      let rev = Digraph.add_edge g ~src:dst ~dst:src ~label:(label ^ "'") in
-      tokens.(rev) <- capacity + (2 * k) - 1;
-      time.(rev) <- 1)
+      (* Unbounded FIFOs never push back: no slot edge. *)
+      if capacity > 0 then begin
+        let rev = Digraph.add_edge g ~src:dst ~dst:src ~label:(label ^ "'") in
+        tokens.(rev) <- capacity + (2 * k) - 1;
+        time.(rev) <- 1
+      end)
     (Network.channels net);
   (g, (fun e -> tokens.(e)), fun e -> time.(e))
+
+let mcr ?capacity net =
+  let g, tokens, time = capacity_graph ?capacity net in
+  fst (Cycle_ratio.throughput_bound (Cycle_ratio.minimum g ~cost:tokens ~time))
 
 let schedule ?capacity net =
   let g, tokens, time = capacity_graph ?capacity net in

@@ -9,15 +9,19 @@
     steady-state firing word per shell, exactly the balanced binary
     words of {!Wp_graph.Schedule}.  After that prepass, {!step} is a
     table lookup: fire the scheduled shells (real process closures,
-    real data, so outputs and halting behave exactly as in {!Fast}),
-    bump the scheduled stall and delivery counters, and advance the
-    clock — no per-cycle stop propagation, readiness scan or FIFO
-    shuffling.
+    real data, so outputs and halting behave exactly as in {!Fast}) and
+    advance the clock — no per-cycle stop propagation, readiness scan,
+    FIFO shuffling or stall counting.  Statistics are reconstructed on
+    demand from cumulative schedule tables built once per schedule.
+
+    This is the library's only table-replay kernel: a solo {!create} is
+    a one-lane replay, and {!Batch} runs each group of lanes sharing a
+    schedule as one many-lane replay ({!create_lanes}).  The dynamic
+    handshake lives in {!Fast}.
 
     Observable behaviour (outcome, cycle count, delivered counts,
-    per-shell statistics, traces, buffered occupancies) is
-    byte-identical to {!Engine} and {!Fast}; the differential battery
-    asserts it.
+    per-shell statistics, traces) is byte-identical to {!Engine} and
+    {!Fast}; the differential battery asserts it.
 
     Configurations whose firing pattern is {e not} statically
     determined — {!Shell.Oracle} mode (data-dependent input masks),
@@ -42,46 +46,72 @@ val create :
   mode:Wp_lis.Shell.mode ->
   Network.t ->
   t
-(** Compile the network and precompute its firing table.  Arguments
+(** Compile the network and look up its firing table.  Arguments
     mirror {!Fast.create}.
     @raise Unschedulable on any configuration listed above.
     @raise Invalid_argument if the network fails {!Network.validate}
     or [capacity] is negative. *)
 
+val create_lanes : ?record_traces:bool -> capacity:int -> Network.t array -> t
+(** One replay over networks that agree on the topology, per-channel
+    relay-station counts and [capacity] — hence on the schedule — each
+    with its own processes.  The networks are not validated here:
+    {!Batch.create} does it.  @raise Unschedulable when the prepass
+    finds no periodic steady state or [capacity < 1]. *)
+
 val step : t -> unit
-(** Advance one cycle by table lookup. *)
+(** Advance every lane whose state is at the current clock by one cycle,
+    by table lookup. *)
 
 val run : ?cancel:Wp_util.Cancel.t -> ?max_cycles:int -> t -> Engine.outcome
-(** Same loop and outcomes as {!Fast.run}, including the
-    {!Engine.cancel_interval} cancellation poll. *)
+(** Same loop and outcomes as {!Fast.run} on a one-lane replay,
+    including the {!Engine.cancel_interval} cancellation poll.  A later
+    call with a larger budget resumes the run. *)
 
-val cycles : t -> int
-val mode : t -> Wp_lis.Shell.mode
-val network : t -> Network.t
-val delivered : t -> Network.channel -> int
-val fired_last_cycle : t -> bool
-val quiescence_window : t -> int
+val run_lanes :
+  t -> budgets:int array -> cancels:Wp_util.Cancel.t array -> Engine.outcome array
+(** {!run} for every lane at once, as {!Fast.run_lanes}. *)
 
-val fault_injections : t -> int
-(** Always [0]: faulted configurations are unschedulable. *)
+(** {1 Observables}
 
-val link_stats : t -> Link.chan_stats list
-val link_summary : t -> Link.summary option
-val telemetry_report : t -> Telemetry.report option
+    [?lane] defaults to 0, the only lane of a solo replay. *)
 
-val node_stats : t -> Network.node -> Wp_lis.Shell.stats
-val output_trace : t -> Network.node -> int -> int Wp_lis.Token.t list
-val buffered : t -> Network.node -> int -> int
+val cycles : ?lane:int -> t -> int
+val outcome : t -> lane:int -> Engine.outcome option
+val network : ?lane:int -> t -> Network.t
+val delivered : ?lane:int -> t -> Network.channel -> int
+val node_stats : ?lane:int -> t -> Network.node -> Wp_lis.Shell.stats
+val output_trace : ?lane:int -> t -> Network.node -> int -> int Wp_lis.Token.t list
 
-val any_halted : t -> bool
-(** Whether some process reports [halted].  A sticky flag, seeded from
-    the fresh instances at {!create} and probed right after each firing:
-    [halted] depends only on process state, which only [fire] advances. *)
+(** {1 Shared layout}
+
+    The flattened port and channel layout both compiled kernels and the
+    prepass use: global input port [in_base.(node) + port] (output
+    ports likewise), each channel's producer port, consumer port and
+    slice [chan_rs_base.(c) ..< chan_rs_base.(c + 1)] of a relay-slot
+    pool, and each node's outgoing channels, in increasing channel
+    order, at [out_chan_ids.(out_chan_base.(n) ..< out_chan_base.(n + 1))]. *)
+
+type meta = {
+  m_n_nodes : int;
+  m_n_chans : int;
+  m_in_base : int array;  (** n_nodes + 1 *)
+  m_out_base : int array;  (** n_nodes + 1 *)
+  m_chan_src_op : int array;
+  m_chan_dst_ip : int array;
+  m_chan_rs_base : int array;  (** n_chans + 1 *)
+  m_out_chan_base : int array;  (** n_nodes + 1 *)
+  m_out_chan_ids : int array;
+  m_ip_chan : int array;  (** global input port -> feeding channel *)
+  m_op_chan : int array;  (** global output port -> driven channel *)
+}
+
+val meta_of : Network.t -> meta
 
 (** {1 Count-only prepass}
 
-    The raw firing table, exposed so the batch kernel can replay one
-    schedule across every lane of a group of topology-identical lanes. *)
+    The raw firing table, memoised so every replay of one schedule
+    shares it. *)
 
 type table_cycle = {
   tc_fired : int array;  (** shells firing this cycle, ascending *)
@@ -99,13 +129,14 @@ val tables : capacity:int -> Network.t -> int * int * table_cycle array
     counts and [capacity] — never on process data — so one table serves
     every simulation sharing those.
 
-    Memoised process-wide under a mutex, keyed by exactly those inputs.
-    {!create} and the batch kernel's replay groups read the same memo,
-    so a network replayed on both pays for one prepass, and a repeated
-    call returns the physically same tables while they stay cached.  The
-    memo holds at most 256 tables and 2M heap words of them: an insert
-    that would cross either bound empties it first, and a table larger
-    than the word budget is returned without being cached.
+    Memoised process-wide under a mutex, keyed by exactly those inputs,
+    together with the replay's cumulative count tables.  Every replay
+    reads the same memo, so a network replayed twice pays for one
+    prepass, and a repeated call returns the physically same tables
+    while they stay cached.  The memo holds at most 256 schedules and
+    2M heap words of them: an insert that would cross either bound
+    empties it first, and a schedule larger than the word budget is
+    returned without being cached.
     @raise Unschedulable as for {!create}. *)
 
 (** {1 The schedule itself} *)
@@ -133,7 +164,8 @@ val rate : t -> Network.node -> Wp_graph.Cycle_ratio.ratio
     producer next cycle) turns the bounded-buffer network into a pure
     marked graph whose minimum cycle ratio is the sustained throughput
     of every shell — including rate 0 for configurations that deadlock
-    at reset. *)
+    at reset.  Unbounded FIFOs ([C = 0]) never push back, so their
+    graph has the forward edges only. *)
 
 val capacity_graph :
   ?capacity:int ->
@@ -143,9 +175,14 @@ val capacity_graph :
   * (Wp_graph.Digraph.edge -> int)
 (** [(g, tokens, time)]: vertices are node ids; each channel [c]
     contributes a forward edge (label [Network.channel_label], tokens
-    1, time [1 + rs]) and a reverse edge (label suffixed ['],
-    tokens [capacity + 2 rs - 1], time 1).  [capacity] defaults to 2
-    and must be positive. *)
+    1, time [1 + rs]) and, when [capacity > 0], a reverse edge (label
+    suffixed ['], tokens [capacity + 2 rs - 1], time 1).  [capacity]
+    defaults to 2 and must not be negative. *)
+
+val mcr : ?capacity:int -> Network.t -> Wp_graph.Cycle_ratio.ratio
+(** {!Wp_graph.Cycle_ratio.throughput_bound} of {!capacity_graph}: its
+    minimum cycle ratio clamped at [1/1] — the sustained-throughput
+    bound every shell of a strongly connected network attains. *)
 
 val schedule : ?capacity:int -> Network.t -> Wp_graph.Schedule.t
 (** {!Wp_graph.Schedule.build} over {!capacity_graph}: the analytic

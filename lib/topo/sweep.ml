@@ -396,7 +396,7 @@ let process_shard ~check_engines (shard : scenario array) : result array =
           r_outcome = p.p_view.v_outcome;
           r_cycles = p.p_view.v_cycles;
           r_firings = p.p_view.v_firings.(0);
-          r_bound = Topology.mcr ~capacity:(max 1 sc.spec.Run_spec.capacity) net;
+          r_bound = Topology.mcr ~capacity:sc.spec.Run_spec.capacity net;
           r_word_rate = Option.map fst p.p_word;
           r_word_ok = Option.map snd p.p_word;
           r_disagreements = !disagreements;

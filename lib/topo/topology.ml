@@ -2,7 +2,6 @@ module Process = Wp_lis.Process
 module Network = Wp_sim.Network
 module Prng = Wp_util.Prng
 module Sexp = Wp_util.Shrink.Sexp
-module Cycle_ratio = Wp_graph.Cycle_ratio
 
 type shape = Ring of int | Mesh of int * int | Torus of int * int | Rand of int
 
@@ -388,9 +387,7 @@ let build spec =
 
 let signature = Wp_sim.Batch.signature
 
-let mcr ?(capacity = 2) net =
-  let g, tokens, time = Wp_sim.Static.capacity_graph ~capacity net in
-  fst (Cycle_ratio.throughput_bound (Cycle_ratio.minimum g ~cost:tokens ~time))
+let mcr = Wp_sim.Static.mcr
 
 (* --------------------------------------------------------------- *)
 (* Shrinking and repro                                              *)

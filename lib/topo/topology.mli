@@ -92,11 +92,12 @@ val signature : Wp_sim.Network.t -> string
     {!Wp_sim.Batch} groups by. *)
 
 val mcr : ?capacity:int -> Wp_sim.Network.t -> Wp_graph.Cycle_ratio.ratio
-(** {!Wp_graph.Cycle_ratio.throughput_bound} of the capacity-extended
-    marked graph ({!Wp_sim.Static.capacity_graph}): its minimum cycle
-    ratio clamped at [1/1] — the sustained-throughput bound every shell
-    of a strongly connected instance attains.  [capacity] defaults to
-    2. *)
+(** {!Wp_sim.Static.mcr}: the minimum cycle ratio of the
+    capacity-extended marked graph ({!Wp_sim.Static.capacity_graph}),
+    clamped at [1/1] — the sustained-throughput bound every shell of a
+    strongly connected instance attains.  [capacity] defaults to 2;
+    capacity 0 (unbounded FIFOs) gives the forward-only bound, cost 1
+    and time [1 + rs] per channel. *)
 
 val shrink_candidates : spec -> spec Seq.t
 (** Simplification candidates for {!Wp_util.Shrink.fixpoint}: smaller

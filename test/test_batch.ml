@@ -1,10 +1,12 @@
 (* Batch kernel differential battery: every lane of a Wp_sim.Batch run
-   must be byte-identical to running the same spec alone on the Fast
-   kernel — same outcome, cycle count, delivered counts, per-shell
-   statistics, output traces and fault injections.  Lanes deliberately
-   differ in program, RS configuration, FIFO capacity, shell mode and
-   fault spec, so the structure-of-arrays state of neighbouring lanes
-   is never accidentally interchangeable. *)
+   must be byte-identical to running the same spec alone, both on the
+   Fast kernel (the same code at one lane: this checks lane isolation)
+   and on the reference interpreter (an independent oracle) — same
+   outcome, cycle count, delivered counts, per-shell statistics, output
+   traces and fault injections.  Lanes deliberately differ in program,
+   RS configuration, FIFO capacity, shell mode and fault spec, so the
+   structure-of-arrays state of neighbouring lanes is never
+   accidentally interchangeable. *)
 
 module Shell = Wp_lis.Shell
 module Process = Wp_lis.Process
@@ -57,50 +59,59 @@ let battery_fault seed =
 
 let mode_name = function Shell.Plain -> "plain" | Shell.Oracle -> "oracle"
 
-(* Compare one batch lane against a freshly built solo Fast run of the
-   identical spec. *)
-let compare_lane ~note ~seed ~ctx b ~lane ~machine ~mode ~capacity ~fault
-    program config =
+(* Compare one batch lane against a freshly built solo run of the
+   identical spec on [engine]. *)
+let compare_solo ~engine ~note ~seed ~ctx b ~lane ~machine ~mode ~capacity
+    ~fault program config =
+  let who = Sim.kind_to_string engine in
   let note fmt = Printf.ksprintf note fmt in
   let rs = Config.to_fun config in
   let dp = Datapath.build ~machine ~rs program in
   let sim =
-    Sim.create ~engine:Sim.Fast ~capacity ~record_traces:true ~fault ~mode
+    Sim.create ~engine ~capacity ~record_traces:true ~fault ~mode
       dp.Datapath.network
   in
   match Sim.run ~max_cycles sim with
-  | exception e -> note "seed %d: %s solo Fast raised %s" seed ctx (Printexc.to_string e)
+  | exception e -> note "seed %d: %s solo %s raised %s" seed ctx who (Printexc.to_string e)
   | solo_out ->
     let net = Sim.network sim in
     (match Batch.outcome b ~lane with
     | None -> note "seed %d: %s lane %d never finished" seed ctx lane
     | Some out ->
       if out <> solo_out then
-        note "seed %d: %s lane %d outcome differs from solo Fast" seed ctx lane);
+        note "seed %d: %s lane %d outcome differs from solo %s" seed ctx lane who);
     if Batch.lane_cycles b ~lane <> Sim.cycles sim then
-      note "seed %d: %s lane %d cycle count %d differs from solo %d" seed ctx
-        lane (Batch.lane_cycles b ~lane) (Sim.cycles sim);
+      note "seed %d: %s lane %d cycle count %d differs from solo %s %d" seed ctx
+        lane (Batch.lane_cycles b ~lane) who (Sim.cycles sim);
     if Batch.fault_injections b ~lane <> Sim.fault_injections sim then
-      note "seed %d: %s lane %d fault injections differ" seed ctx lane;
+      note "seed %d: %s lane %d fault injections differ from %s" seed ctx lane who;
     List.iter
       (fun c ->
         if Batch.delivered b ~lane c <> Sim.delivered sim c then
-          note "seed %d: %s lane %d disagrees on delivered(%s)" seed ctx lane
-            (Network.channel_label net c))
+          note "seed %d: %s lane %d disagrees with %s on delivered(%s)" seed ctx
+            lane who (Network.channel_label net c))
       (Network.channels net);
     List.iter
       (fun n ->
         let proc = Network.node_process net n in
         if Batch.node_stats b ~lane n <> Sim.node_stats sim n then
-          note "seed %d: %s lane %d disagrees on stats(%s)" seed ctx lane
-            proc.Process.name;
+          note "seed %d: %s lane %d disagrees with %s on stats(%s)" seed ctx lane
+            who proc.Process.name;
         Array.iteri
           (fun p _ ->
             if Batch.output_trace b ~lane n p <> Sim.output_trace sim n p then
-              note "seed %d: %s lane %d disagrees on trace %s.%s" seed ctx lane
-                proc.Process.name proc.Process.output_names.(p))
+              note "seed %d: %s lane %d disagrees with %s on trace %s.%s" seed
+                ctx lane who proc.Process.name proc.Process.output_names.(p))
           proc.Process.output_names)
       (Network.nodes net)
+
+let compare_lane ~note ~seed ~ctx b ~lane ~machine ~mode ~capacity ~fault
+    program config =
+  List.iter
+    (fun engine ->
+      compare_solo ~engine ~note ~seed ~ctx b ~lane ~machine ~mode ~capacity
+        ~fault program config)
+    [ Sim.Fast; Sim.Reference ]
 
 let battery_for_machine machine =
   let failures = ref [] in

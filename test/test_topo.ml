@@ -421,6 +421,38 @@ let test_sweep_faulted_runs () =
   let results = Sweep.run ~jobs:1 (Sweep.expand ~topos ~seeds:3 ~spec) in
   List.iter (fun r -> if not (Sweep.ok r) then fail_sweep r) results
 
+(* Unbounded FIFOs never push back, so a ring's bound at capacity 0 is
+   the forward-only marked-graph ratio 8 / (8 + total RS) — at least
+   what any bounded capacity allows, and not a bound the capacity-0
+   runs could beat. *)
+let test_sweep_capacity0_bound () =
+  let spec = Run_spec.v ~engine:Sim.Fast ~capacity:0 ~max_cycles:300 () in
+  let topos = [ Topology.v (Topology.Ring 8) ] in
+  let results = Sweep.run ~jobs:1 (Sweep.expand ~topos ~seeds:4 ~spec) in
+  checki "scenario count" 4 (List.length results);
+  let at_least a b =
+    a.Cycle_ratio.num * b.Cycle_ratio.den >= b.Cycle_ratio.num * a.Cycle_ratio.den
+  in
+  List.iter
+    (fun r ->
+      if not (Sweep.ok r) then fail_sweep r;
+      let net = Topology.build r.Sweep.r_scenario.Sweep.topo in
+      let rs =
+        List.fold_left (fun acc c -> acc + Network.relay_stations net c) 0
+          (Network.channels net)
+      in
+      let seed = r.Sweep.r_scenario.Sweep.topo.Topology.seed in
+      checkb (Printf.sprintf "seed %d: bound 8/(8+%d)" seed rs) true
+        (r.Sweep.r_bound = Cycle_ratio.make_ratio 8 (8 + rs));
+      List.iter
+        (fun capacity ->
+          checkb
+            (Printf.sprintf "seed %d: bound >= capacity-%d bound" seed capacity)
+            true
+            (at_least r.Sweep.r_bound (Topology.mcr ~capacity net)))
+        [ 1; 2 ])
+    results
+
 let test_expand_and_replay () =
   let spec = Run_spec.v ~engine:Sim.Fast () in
   let topos = [ Topology.v ~seed:5 (Topology.Ring 4) ] in
@@ -525,6 +557,7 @@ let () =
             test_sweep_fast_agreement;
           Alcotest.test_case "faulted scenarios run" `Quick
             test_sweep_faulted_runs;
+          Alcotest.test_case "capacity-0 bound" `Quick test_sweep_capacity0_bound;
           Alcotest.test_case "expand and replay" `Quick test_expand_and_replay;
         ] );
       ( "schedule memo",
