@@ -31,6 +31,7 @@ type result = {
 
 type ctx = {
   n : int;                     (* nodes *)
+  side : int;                  (* grid rows = grid columns *)
   cells_total : int;
   row : int array;             (* cell -> grid row *)
   col : int array;             (* cell -> grid column *)
@@ -55,19 +56,37 @@ let total_wire ctx cells =
   done;
   !acc
 
-let bbox_area ctx cells =
-  let rmin = ref max_int and rmax = ref min_int in
-  let cmin = ref max_int and cmax = ref min_int in
+(* The die is the bounding box of the occupied cells.  It is kept as
+   the number of occupied cells in each grid row and column, which a
+   move into an empty cell changes by one each; the box's edges are the
+   first and last non-zero counts. *)
+let count_cells ctx cells rows cols =
+  Array.fill rows 0 ctx.side 0;
+  Array.fill cols 0 ctx.side 0;
   Array.iter
     (fun cell ->
-      let r = ctx.row.(cell) and c = ctx.col.(cell) in
-      if r < !rmin then rmin := r;
-      if r > !rmax then rmax := r;
-      if c < !cmin then cmin := c;
-      if c > !cmax then cmax := c)
-    cells;
-  if !rmax < !rmin then 0.0
-  else float_of_int ((!rmax - !rmin + 1) * (!cmax - !cmin + 1))
+      rows.(ctx.row.(cell)) <- rows.(ctx.row.(cell)) + 1;
+      cols.(ctx.col.(cell)) <- cols.(ctx.col.(cell)) + 1)
+    cells
+
+let move_cell ctx rows cols ~from ~into =
+  rows.(ctx.row.(from)) <- rows.(ctx.row.(from)) - 1;
+  cols.(ctx.col.(from)) <- cols.(ctx.col.(from)) - 1;
+  rows.(ctx.row.(into)) <- rows.(ctx.row.(into)) + 1;
+  cols.(ctx.col.(into)) <- cols.(ctx.col.(into)) + 1
+
+let bbox_area rows cols =
+  let first a =
+    let i = ref 0 in
+    while !i < Array.length a && a.(!i) = 0 do incr i done;
+    !i
+  and last a =
+    let i = ref (Array.length a - 1) in
+    while !i >= 0 && a.(!i) = 0 do decr i done;
+    !i
+  in
+  let r0 = first rows and r1 = last rows in
+  if r1 < r0 then 0.0 else float_of_int ((r1 - r0 + 1) * (last cols - first cols + 1))
 
 let rs_for ctx len = Flow.relay_stations_for ~reach:ctx.reach (float_of_int len)
 
@@ -103,9 +122,12 @@ type walker = {
   prng : Prng.t;
   cells : int array;
   cell_of : int array;          (* cell -> node, -1 when empty *)
+  rows : int array;             (* grid row -> occupied cells *)
+  cols : int array;             (* grid column -> occupied cells *)
   len : int array;              (* channel -> grid length *)
   mutable wire : int;           (* sum of [len], exact *)
   rs : int array;               (* channel -> relay stations *)
+  mutable rs_total : int;       (* sum of [rs], exact *)
   eval : Cycle_ratio.Incremental.t;
   wa : float;                   (* scalarisation weights *)
   ww : float;
@@ -128,14 +150,15 @@ let scalar w (area, wire, bound) ctx =
 (* Channel [c] of the capacity graph owns edges [2c] (forward: tokens 1,
    time [1 + rs]) and [2c + 1] (reverse: tokens [capacity + 2 rs - 1],
    time 1) — [Static.capacity_graph] adds them in channel order.  Every
-   cell change goes through here, so [w.len] and [w.wire] track the
-   placement. *)
+   cell change goes through here, so [w.len], [w.wire], [w.rs] and
+   [w.rs_total] track the placement. *)
 let refresh_channel ctx w c =
   let len = chan_len ctx w.cells c in
   w.wire <- w.wire + len - w.len.(c);
   w.len.(c) <- len;
   let k = rs_for ctx len in
   if w.rs.(c) <> k then begin
+    w.rs_total <- w.rs_total + k - w.rs.(c);
     w.rs.(c) <- k;
     Cycle_ratio.Incremental.set_time w.eval (2 * c) (1 + k);
     Cycle_ratio.Incremental.set_cost w.eval ((2 * c) + 1) (ctx.capacity + (2 * k) - 1)
@@ -158,7 +181,7 @@ type cache = {
    rational), so a hit returns byte-identical data to a recompute and
    the walker trajectories do not depend on which domain filled the
    entry first. *)
-let evaluate ctx cache w =
+let evaluate cache w =
   w.lookups <- w.lookups + 1;
   let key = Digest.string (Marshal.to_string w.cells []) in
   let cached =
@@ -170,11 +193,10 @@ let evaluate ctx cache w =
   match cached with
   | Some v -> v
   | None ->
-    let area = bbox_area ctx w.cells in
+    let area = bbox_area w.rows w.cols in
     let wire = float_of_int w.wire in
     let bound, _ = Cycle_ratio.throughput_bound (Cycle_ratio.Incremental.solve w.eval) in
-    let rs_total = Array.fold_left ( + ) 0 w.rs in
-    let v = (area, wire, bound, rs_total) in
+    let v = (area, wire, bound, w.rs_total) in
     Mutex.lock cache.lock;
     if not (Hashtbl.mem cache.table key) then Hashtbl.add cache.table key v;
     Mutex.unlock cache.lock;
@@ -209,7 +231,10 @@ let apply_move ctx w u target =
     w.cells.(v) <- cur;
     w.cell_of.(cur) <- v
   end
-  else w.cell_of.(cur) <- -1;
+  else begin
+    w.cell_of.(cur) <- -1;
+    move_cell ctx w.rows w.cols ~from:cur ~into:target
+  end;
   let dirty =
     if v >= 0 && v <> u then
       List.sort_uniq compare (ctx.incident.(u) @ ctx.incident.(v))
@@ -226,7 +251,10 @@ let undo_move ctx w u (cur, v, dirty) =
     w.cells.(v) <- target;
     w.cell_of.(target) <- v
   end
-  else w.cell_of.(target) <- -1;
+  else begin
+    w.cell_of.(target) <- -1;
+    move_cell ctx w.rows w.cols ~from:target ~into:cur
+  end;
   List.iter (refresh_channel ctx w) dirty
 
 let cool schedule w =
@@ -242,7 +270,7 @@ let step ctx cache schedule w =
   let target = Prng.int w.prng ctx.cells_total in
   if target <> w.cells.(u) then begin
     let undo = apply_move ctx w u target in
-    let v = evaluate ctx cache w in
+    let v = evaluate cache w in
     let cost = observe ctx w v in
     let d = cost -. w.current in
     let accept =
@@ -274,6 +302,8 @@ let make_walker ctx spec g tokens time i =
   let cells = Array.init ctx.n Fun.id in
   let cell_of = Array.make ctx.cells_total (-1) in
   Array.iteri (fun node cell -> cell_of.(cell) <- node) cells;
+  let rows = Array.make ctx.side 0 and cols = Array.make ctx.side 0 in
+  count_cells ctx cells rows cols;
   let len = Array.make (Array.length ctx.chans) 0 in
   let rs = Array.make (max 1 (Array.length ctx.chans)) (-1) in
   let eval = Cycle_ratio.Incremental.create g ~cost:tokens ~time in
@@ -288,9 +318,14 @@ let make_walker ctx spec g tokens time i =
       prng = Prng.create ~seed:(spec.Flow_spec.seed lxor (0x9E3779B9 * (i + 1)));
       cells;
       cell_of;
+      rows;
+      cols;
       len;
       wire = 0;
       rs;
+      (* Each channel's first refresh adds its count and takes back the
+         -1 that [rs] starts at. *)
+      rs_total = - Array.length ctx.chans;
       eval;
       wa;
       ww;
@@ -314,6 +349,7 @@ let adopt ctx w (p : point) cost =
   Array.blit p.cells 0 w.cells 0 Array.(length p.cells);
   Array.fill w.cell_of 0 (Array.length w.cell_of) (-1);
   Array.iteri (fun node cell -> w.cell_of.(cell) <- node) w.cells;
+  count_cells ctx w.cells w.rows w.cols;
   refresh_all ctx w;
   w.current <- cost;
   w.best_cost <- cost;
@@ -357,6 +393,7 @@ let build_ctx spec tspec =
   let ctx =
     {
       n;
+      side;
       cells_total = side * side;
       row = Array.init (side * side) (fun cell -> cell / side);
       col = Array.init (side * side) (fun cell -> cell mod side);
@@ -369,7 +406,9 @@ let build_ctx spec tspec =
     }
   in
   let cells0 = Array.init n Fun.id in
-  let area0 = max (bbox_area ctx cells0) 1.0 in
+  let rows = Array.make side 0 and cols = Array.make side 0 in
+  count_cells ctx cells0 rows cols;
+  let area0 = max (bbox_area rows cols) 1.0 in
   let wire0 = max (float_of_int (total_wire ctx cells0)) 1.0 in
   (net, { ctx with area0; wire0 })
 
@@ -403,7 +442,7 @@ let run ?(jobs = Pool.default_jobs ()) ?(spec = Flow_spec.default) () =
      defined current cost and one archive entry. *)
   Array.iter
     (fun w ->
-      let v = evaluate ctx cache w in
+      let v = evaluate cache w in
       w.current <- observe ctx w v)
     walkers;
   let steps_per_walker = max 1 (spec.Flow_spec.budget / k) in

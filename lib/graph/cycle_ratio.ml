@@ -29,32 +29,60 @@ let cycle_ratio _g ~cost ~time cycle =
 module Incremental = struct
   (* Policy iteration (Howard's scheme) over a fixed topology with
      mutable edge weights.  Each vertex holds one chosen outgoing edge
-     (the policy); evaluation finds the policy graph's cycles, their
-     ratios and the vertex potentials, improvement switches any edge
+     (the policy); evaluation gives every vertex the ratio of the policy
+     cycle it reaches and a potential, improvement switches any edge
      that beats the Bellman equation, and the process converges to the
-     optimum.  The policy survives weight perturbations: edges chosen at
-     [create] time stay inside the vertex's SCC, and SCCs depend only on
-     the topology, so the previous optimum is always a proper warm
-     start.  After a local perturbation the warm policy is usually
-     optimal or one improvement sweep away, which is where the speedup
-     over a cold solve comes from. *)
+     optimum.  Policy edges stay inside their SCC, and SCCs depend only
+     on the topology, so a policy stays proper under any weights and the
+     previous optimum is always a warm start.
+
+     An iteration recomputes only what can have changed.  A vertex's
+     value depends only on its policy path, so only the policy in-trees
+     of the vertices whose policy edge switched (or was reweighted) are
+     re-walked.  An edge's improvement test depends only on its weights
+     and its endpoints' values, so only the out-edges of re-walked
+     vertices, of their in-neighbours and of reweighted edges' sources
+     are re-tested.  Every other vertex keeps its value and, having had
+     no improving edge, still has none.  When the in-trees cover more
+     than a quarter of the graph, the iteration re-walks and re-tests
+     everything instead, which costs less there. *)
 
   let epsilon = 1e-9
 
   type t = {
     g : Digraph.t;
-    src : int array;            (* edge id -> source vertex *)
-    dst : int array;            (* edge id -> destination vertex *)
-    cost : int array;           (* edge id -> cost *)
-    time : int array;           (* edge id -> time, >= 0 *)
-    comp : int array;           (* SCC ids, fixed: topology never changes *)
-    policy : int array;         (* vertex -> chosen out-edge, -1 if none *)
-    (* Scratch for policy evaluation, reused across solves. *)
+    n : int;
+    slot : int array;           (* edge id -> slot *)
+    edge : int array;           (* slot -> edge id *)
+    (* Slots [out_start.(u), out_start.(u + 1)) are u's out-edges inside
+       its SCC, in edge-id order.  Edges between SCCs, which no policy
+       can use, take the slots from [out_start.(n)] on. *)
+    out_start : int array;
+    dst : int array;            (* slot -> destination vertex *)
+    cost : int array;           (* slot -> cost *)
+    time : int array;           (* slot -> time, >= 0 *)
+    (* Entries [in_start.(x), in_start.(x + 1)) of [in_src] are the
+       sources of the in-SCC edges into [x]. *)
+    in_start : int array;
+    in_src : int array;
+    policy : int array;         (* vertex -> slot of its chosen out-edge, -1 if none *)
     lambda : float array;
     potential : float array;
-    anchor : int array;         (* vertex -> vertex that closed its policy cycle *)
-    state : int array;          (* 0 white / 1 gray / 2 done *)
+    state : int array;          (* 0 white / 1 gray / 2 evaluated *)
     stack : int array;          (* the policy path being walked *)
+    (* Worklists; each holds a vertex or an edge at most once. *)
+    stale : int array;          (* vertices to re-walk, then re-test *)
+    switched : int array;       (* vertices whose policy edge just switched *)
+    mutable switched_count : int;
+    (* In-SCC edges reweighted since the last solve, and a flag per edge
+       while it is listed; both allocated at the first reweighting, so
+       a cold-only solver does not pay for them. *)
+    mutable reweighted : int array;
+    mutable reweighted_count : int;
+    mutable pending : Bytes.t;
+    tested : int array;         (* vertex -> [stamp] when last re-tested or marked *)
+    mutable stamp : int;
+    mutable warm : bool;        (* values are the last solve's, for [policy] *)
     mutable dirty : bool;
     mutable cached : (ratio * Digraph.edge list) option;
     mutable solves : int;       (* policy-iteration runs (cache misses) *)
@@ -63,52 +91,125 @@ module Incremental = struct
   let create g ~cost ~time =
     let n = Digraph.vertex_count g in
     let m = Digraph.edge_count g in
-    let times = Array.init m time in
-    Array.iter
-      (fun t -> if t < 0 then invalid_arg "Cycle_ratio.Incremental.create: negative time")
-      times;
-    let src = Array.init m (Digraph.edge_src g) in
-    let dst = Array.init m (Digraph.edge_dst g) in
     let comp = Scc.component_ids g in
+    let inside e = comp.(Digraph.edge_src g e) = comp.(Digraph.edge_dst g e) in
+    (* Counting sorts of the in-SCC edges by source (the slots) and by
+       destination (the in-lists), both stable in edge id: count into
+       [start.(v + 1)], sum, then place with [start.(v)] as v's cursor,
+       which leaves it at [v + 1]'s start. *)
+    let out_start = Array.make (n + 1) 0 and in_start = Array.make (n + 1) 0 in
+    for e = 0 to m - 1 do
+      if inside e then begin
+        let u = Digraph.edge_src g e + 1 and x = Digraph.edge_dst g e + 1 in
+        out_start.(u) <- out_start.(u) + 1;
+        in_start.(x) <- in_start.(x) + 1
+      end
+    done;
+    for v = 1 to n do
+      out_start.(v) <- out_start.(v) + out_start.(v - 1);
+      in_start.(v) <- in_start.(v) + in_start.(v - 1)
+    done;
+    let inner = out_start.(n) in
+    let slot = Array.make m 0 and edge = Array.make m 0 and dst = Array.make m 0 in
+    let costs = Array.make m 0 and times = Array.make m 0 in
+    let in_src = Array.make inner 0 in
+    let cross = ref inner in
+    for e = 0 to m - 1 do
+      let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
+      let s =
+        if inside e then begin
+          let s = out_start.(u) in
+          out_start.(u) <- s + 1;
+          in_src.(in_start.(x)) <- u;
+          in_start.(x) <- in_start.(x) + 1;
+          s
+        end
+        else begin
+          incr cross;
+          !cross - 1
+        end
+      in
+      let w = time e in
+      if w < 0 then invalid_arg "Cycle_ratio.Incremental.create: negative time";
+      slot.(e) <- s;
+      edge.(s) <- e;
+      dst.(s) <- x;
+      costs.(s) <- cost e;
+      times.(s) <- w
+    done;
+    for v = n downto 1 do
+      out_start.(v) <- out_start.(v - 1);
+      in_start.(v) <- in_start.(v - 1)
+    done;
+    out_start.(0) <- 0;
+    in_start.(0) <- 0;
+    let nv = max n 1 in
     (* Initial policy: the lowest-id out-edge that stays inside the
-       vertex's SCC, so a policy path can always close a cycle; -1 if
-       none exists. *)
-    let policy = Array.make (max n 1) (-1) in
-    for e = m - 1 downto 0 do
-      if comp.(dst.(e)) = comp.(src.(e)) then policy.(src.(e)) <- e
+       vertex's SCC, so a policy path can always close a cycle. *)
+    let policy = Array.make nv (-1) in
+    for u = 0 to n - 1 do
+      if out_start.(u) < out_start.(u + 1) then policy.(u) <- out_start.(u)
     done;
     {
       g;
-      src;
+      n;
+      slot;
+      edge;
+      out_start;
       dst;
-      cost = Array.init m cost;
+      cost = costs;
       time = times;
-      comp;
+      in_start;
+      in_src;
       policy;
-      lambda = Array.make (max n 1) infinity;
-      potential = Array.make (max n 1) 0.0;
-      anchor = Array.make (max n 1) (-1);
-      state = Array.make (max n 1) 0;
-      stack = Array.make (max n 1) 0;
+      lambda = Array.make nv infinity;
+      potential = Array.make nv 0.0;
+      state = Array.make nv 0;
+      stack = Array.make nv 0;
+      stale = Array.make nv 0;
+      switched = Array.make nv 0;
+      switched_count = 0;
+      reweighted = [||];
+      reweighted_count = 0;
+      pending = Bytes.empty;
+      tested = Array.make nv 0;
+      stamp = 0;
+      warm = false;
       dirty = true;
       cached = None;
       solves = 0;
     }
 
-  let cost t e = t.cost.(e)
-  let time t e = t.time.(e)
+  let cost t e = t.cost.(t.slot.(e))
+  let time t e = t.time.(t.slot.(e))
+
+  (* Record a reweighted in-SCC edge for the next warm solve. *)
+  let reweigh t e =
+    t.dirty <- true;
+    let inner = t.out_start.(t.n) in
+    if Bytes.length t.pending = 0 then begin
+      t.reweighted <- Array.make inner 0;
+      t.pending <- Bytes.make (Array.length t.slot) '\000'
+    end;
+    if t.slot.(e) < inner && Bytes.get t.pending e = '\000' then begin
+      Bytes.set t.pending e '\001';
+      t.reweighted.(t.reweighted_count) <- e;
+      t.reweighted_count <- t.reweighted_count + 1
+    end
 
   let set_cost t e c =
-    if t.cost.(e) <> c then begin
-      t.cost.(e) <- c;
-      t.dirty <- true
+    let s = t.slot.(e) in
+    if t.cost.(s) <> c then begin
+      t.cost.(s) <- c;
+      reweigh t e
     end
 
   let set_time t e x =
     if x < 0 then invalid_arg "Cycle_ratio.Incremental.set_time: negative time";
-    if t.time.(e) <> x then begin
-      t.time.(e) <- x;
-      t.dirty <- true
+    let s = t.slot.(e) in
+    if t.time.(s) <> x then begin
+      t.time.(s) <- x;
+      reweigh t e
     end
 
   let solves t = t.solves
@@ -123,7 +224,7 @@ module Incremental = struct
         (fun v -> ignore (Digraph.add_vertex zero_sub ~label:(Digraph.vertex_label g v)))
         (Digraph.vertices g);
       Digraph.iter_edges g (fun e ->
-          if t.time.(e) = 0 then
+          if time t e = 0 then
             ignore
               (Digraph.add_edge zero_sub ~src:(Digraph.edge_src g e)
                  ~dst:(Digraph.edge_dst g e) ~label:""));
@@ -134,155 +235,286 @@ module Incremental = struct
       then invalid_arg "Cycle_ratio: cycle with zero total time"
     end
 
-  (* Evaluate the current policy: per-vertex cycle ratio [lambda],
-     potential, and the [anchor] of the policy cycle each vertex
-     reaches.  A policy cycle's potentials are anchored at the vertex
-     that closed the walk, which keeps the potential it had after the
-     previous evaluation (Cochet-Terrasson et al., 1998).  A cycle that
-     survives an improvement sweep therefore keeps its potentials, so
-     the tie-breaking comparisons in [improve] are monotone and policy
-     iteration cannot cycle between equally good policies.
+  (* Evaluate the policy from white vertex [v0]: set the ratio [lambda]
+     of the policy cycle each vertex on the path reaches, and its
+     potential.  A policy cycle's potentials are anchored at the vertex
+     that closed the walk, which keeps the potential it had before
+     (Cochet-Terrasson et al., 1998).  A cycle that survives an
+     improvement therefore keeps its potentials, so the tie-breaking
+     comparisons in [improve] are monotone and policy iteration cannot
+     cycle between equally good policies.
 
-     Each walk follows the policy from a white vertex, graying the path
-     on [stack], until it dead-ends, meets a finished vertex, or closes
-     a cycle at a gray one.  Unwinding the stack newest-first then sets
+     The walk follows the policy from [v0], graying the path on
+     [stack], until it dead-ends, meets an evaluated vertex, or closes a
+     cycle at a gray one.  Unwinding the stack newest-first then sets
      every vertex from its successor, d(u) = w(e) - lam*t(e) + d(dst e):
      the cycle's vertices from the anchor backwards, then the tail. *)
-  let evaluate t =
-    let n = Digraph.vertex_count t.g in
+  let walk t v0 =
     let state = t.state and stack = t.stack and policy = t.policy in
-    Array.fill state 0 (Array.length state) 0;
-    for v0 = 0 to n - 1 do
-      if state.(v0) = 0 then begin
-        let top = ref 0 and v = ref v0 and walking = ref true in
-        while !walking do
-          let u = !v in
-          state.(u) <- 1;
-          stack.(!top) <- u;
-          incr top;
-          let e = policy.(u) in
-          if e < 0 then begin
-            (* Dead end: no cycle reachable through the policy. *)
-            state.(u) <- 2;
-            t.lambda.(u) <- infinity;
-            walking := false
-          end
-          else begin
-            let x = t.dst.(e) in
-            match state.(x) with
-            | 0 -> v := x
-            | 1 ->
-              (* [e] closed a cycle through [x], which becomes its
-                 anchor. *)
-              let total_cost = ref t.cost.(e) and total_time = ref t.time.(e) in
-              let w = ref x in
-              while !w <> u do
-                let e = policy.(!w) in
-                total_cost := !total_cost + t.cost.(e);
-                total_time := !total_time + t.time.(e);
-                w := t.dst.(e)
-              done;
-              t.lambda.(x) <- float_of_int !total_cost /. float_of_int !total_time;
-              t.anchor.(x) <- x;
-              state.(x) <- 2;
-              walking := false
-            | _ -> walking := false
-          end
-        done;
-        for i = !top - 1 downto 0 do
-          let u = stack.(i) in
-          if state.(u) <> 2 then begin
-            let e = policy.(u) in
-            let x = t.dst.(e) in
-            t.lambda.(u) <- t.lambda.(x);
-            t.potential.(u) <-
-              float_of_int t.cost.(e)
-              -. (t.lambda.(x) *. float_of_int t.time.(e))
-              +. t.potential.(x);
-            t.anchor.(u) <- t.anchor.(x);
-            state.(u) <- 2
-          end
-        done
+    let dst = t.dst and cost = t.cost and time = t.time in
+    let lambda = t.lambda and potential = t.potential in
+    let top = ref 0 and v = ref v0 and walking = ref true in
+    while !walking do
+      let u = !v in
+      state.(u) <- 1;
+      stack.(!top) <- u;
+      incr top;
+      let s = policy.(u) in
+      if s < 0 then begin
+        (* Dead end: no cycle reachable through the policy. *)
+        state.(u) <- 2;
+        lambda.(u) <- infinity;
+        walking := false
+      end
+      else begin
+        let x = dst.(s) in
+        match state.(x) with
+        | 0 -> v := x
+        | 1 ->
+          (* [s] closed a cycle through [x], which becomes its anchor. *)
+          let total_cost = ref cost.(s) and total_time = ref time.(s) in
+          let w = ref x in
+          while !w <> u do
+            let s = policy.(!w) in
+            total_cost := !total_cost + cost.(s);
+            total_time := !total_time + time.(s);
+            w := dst.(s)
+          done;
+          lambda.(x) <- float_of_int !total_cost /. float_of_int !total_time;
+          state.(x) <- 2;
+          walking := false
+        | _ -> walking := false
+      end
+    done;
+    for i = !top - 1 downto 0 do
+      let u = stack.(i) in
+      if state.(u) <> 2 then begin
+        let s = policy.(u) in
+        let x = dst.(s) in
+        lambda.(u) <- lambda.(x);
+        potential.(u) <-
+          float_of_int cost.(s) -. (lambda.(x) *. float_of_int time.(s)) +. potential.(x);
+        state.(u) <- 2
       end
     done
 
-  (* One improvement sweep, in edge-id order: switch every vertex whose
-     out-edge reaches a strictly better cycle, or an equally good one at
-     a strictly lower potential (the last such edge wins).  Every index
-     comes from arrays built at [create], hence the unchecked loads.
-     Returns whether the policy changed. *)
-  let improve t =
+  (* Switch [u] to its last out-edge, in edge-id order, that reaches a
+     strictly better cycle, or an equally good one at a strictly lower
+     potential; list [u] in [switched] if it has one.  Every index comes
+     from arrays built at [create], hence the unchecked loads. *)
+  let improve t u =
     let lambda = t.lambda and potential = t.potential in
-    let improved = ref false in
-    for e = 0 to Array.length t.src - 1 do
-      let u = Array.unsafe_get t.src e and x = Array.unsafe_get t.dst e in
-      let lu = Array.unsafe_get lambda u and lx = Array.unsafe_get lambda x in
+    let lu = Array.unsafe_get lambda u and pu = Array.unsafe_get potential u in
+    let first = Array.unsafe_get t.out_start u in
+    let s = ref (Array.unsafe_get t.out_start (u + 1) - 1) in
+    while !s >= first do
+      let x = Array.unsafe_get t.dst !s in
+      let lx = Array.unsafe_get lambda x in
       if
-        Array.unsafe_get t.comp u = Array.unsafe_get t.comp x
-        && lx < infinity
-        && (lx < lu -. epsilon
-           || abs_float (lx -. lu) <= epsilon
-              && float_of_int (Array.unsafe_get t.cost e)
-                 -. (lu *. float_of_int (Array.unsafe_get t.time e))
-                 +. Array.unsafe_get potential x
-                 < Array.unsafe_get potential u -. epsilon)
+        lx < lu -. epsilon
+        || abs_float (lx -. lu) <= epsilon
+           && float_of_int (Array.unsafe_get t.cost !s)
+              -. (lu *. float_of_int (Array.unsafe_get t.time !s))
+              +. Array.unsafe_get potential x
+              < pu -. epsilon
       then begin
-        Array.unsafe_set t.policy u e;
-        improved := true
+        Array.unsafe_set t.policy u !s;
+        Array.unsafe_set t.switched t.switched_count u;
+        t.switched_count <- t.switched_count + 1;
+        s := -1
       end
-    done;
-    !improved
+      else decr s
+    done
 
-  (* The policy cycle through [a], in policy order from [a]'s edge. *)
-  let policy_cycle t a =
-    let rec go v acc =
-      let e = t.policy.(v) in
-      let x = t.dst.(e) in
-      if x = a then List.rev (e :: acc) else go x (e :: acc)
-    in
-    go a []
+  (* A whole-graph iteration: evaluate from every vertex in id order,
+     then test every vertex. *)
+  let whole t =
+    Array.fill t.state 0 t.n 0;
+    for v = 0 to t.n - 1 do
+      if t.state.(v) = 0 then walk t v
+    done;
+    t.switched_count <- 0;
+    for u = 0 to t.n - 1 do
+      improve t u
+    done
+
+  (* Restore the max-heap property of [a.(0 .. stop - 1)] below [root]. *)
+  let rec sift (a : int array) root stop =
+    let child = (2 * root) + 1 in
+    if child < stop then begin
+      let child = if child + 1 < stop && a.(child) < a.(child + 1) then child + 1 else child in
+      if a.(root) < a.(child) then begin
+        let x = a.(root) in
+        a.(root) <- a.(child);
+        a.(child) <- x;
+        sift a child stop
+      end
+    end
+
+  (* Sort [a.(0 .. k - 1)] ascending, in place: insertion sort for the
+     short lists most iterations have, heapsort beyond. *)
+  let sort_prefix (a : int array) k =
+    if k <= 32 then
+      for i = 1 to k - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done
+    else begin
+      for root = (k / 2) - 1 downto 0 do
+        sift a root k
+      done;
+      for stop = k - 1 downto 1 do
+        let x = a.(0) in
+        a.(0) <- a.(stop);
+        a.(stop) <- x;
+        sift a 0 stop
+      done
+    end
+
+  (* Gather into [stale] the policy in-trees of the [switched] vertices,
+     marking them white; -1 once they exceed a quarter of the graph.  A
+     vertex is in [x]'s in-tree when its policy edge leads to [x]. *)
+  let collect_stale t =
+    let limit = t.n / 4 in
+    let k = ref 0 in
+    for i = 0 to t.switched_count - 1 do
+      let r = t.switched.(i) in
+      t.state.(r) <- 0;
+      t.stale.(!k) <- r;
+      incr k
+    done;
+    let head = ref 0 in
+    while !head < !k && !k <= limit do
+      let x = t.stale.(!head) in
+      incr head;
+      for j = t.in_start.(x) to t.in_start.(x + 1) - 1 do
+        let u = t.in_src.(j) in
+        if t.state.(u) = 2 && t.dst.(t.policy.(u)) = x then begin
+          t.state.(u) <- 0;
+          t.stale.(!k) <- u;
+          incr k
+        end
+      done
+    done;
+    if !k > limit then -1 else !k
+
+  let retest t u =
+    if t.tested.(u) <> t.stamp then begin
+      t.tested.(u) <- t.stamp;
+      improve t u
+    end
+
+  (* One iteration after the [switched] vertices changed policy edge:
+     re-walk their in-trees in increasing vertex id (so each new cycle
+     is closed, and anchored, where a whole-graph evaluation closes it),
+     then re-test the re-walked vertices, their in-neighbours and, with
+     [reweighted], the sources of the reweighted edges. *)
+  let step t ~reweighted =
+    let k = collect_stale t in
+    if k < 0 then whole t
+    else begin
+      t.switched_count <- 0;
+      sort_prefix t.stale k;
+      for i = 0 to k - 1 do
+        let v = t.stale.(i) in
+        if t.state.(v) = 0 then walk t v
+      done;
+      t.stamp <- t.stamp + 1;
+      for i = 0 to k - 1 do
+        let x = t.stale.(i) in
+        retest t x;
+        for j = t.in_start.(x) to t.in_start.(x + 1) - 1 do
+          retest t t.in_src.(j)
+        done
+      done;
+      if reweighted then
+        for i = 0 to t.reweighted_count - 1 do
+          retest t (Digraph.edge_src t.g t.reweighted.(i))
+        done
+    end
+
+  (* Policy iteration to the optimum.  A cold solve zeroes the
+     potentials and starts with a whole-graph iteration; a warm one
+     starts from the last solve's values, with the sources of
+     reweighted policy edges as the switched vertices. *)
+  let iterate t =
+    let cold = not t.warm in
+    t.warm <- false;
+    t.switched_count <- 0;
+    if cold then begin
+      Array.fill t.potential 0 t.n 0.0;
+      whole t
+    end
+    else begin
+      for i = 0 to t.reweighted_count - 1 do
+        let e = t.reweighted.(i) in
+        let u = Digraph.edge_src t.g e in
+        if t.policy.(u) = t.slot.(e) then begin
+          t.switched.(t.switched_count) <- u;
+          t.switched_count <- t.switched_count + 1
+        end
+      done;
+      step t ~reweighted:true
+    end;
+    let max_iterations = (t.n * Array.length t.edge) + 16 in
+    let k = ref 0 in
+    while t.switched_count > 0 do
+      if !k >= max_iterations then
+        failwith
+          (Printf.sprintf "Cycle_ratio: policy iteration did not converge in %d iterations"
+             max_iterations);
+      incr k;
+      step t ~reweighted:false
+    done;
+    t.warm <- true
+
+  (* The critical cycle: the policy cycle of the lowest-id vertex with
+     the least ratio, starting where that vertex's policy path enters
+     it — the vertex a whole-graph evaluation anchors it at. *)
+  let witness t =
+    let best = ref (-1) in
+    for v = 0 to t.n - 1 do
+      if t.lambda.(v) < infinity && (!best < 0 || t.lambda.(v) < t.lambda.(!best)) then best := v
+    done;
+    if !best < 0 then None
+    else begin
+      t.stamp <- t.stamp + 1;
+      let a = ref !best in
+      while t.tested.(!a) <> t.stamp do
+        t.tested.(!a) <- t.stamp;
+        a := t.dst.(t.policy.(!a))
+      done;
+      let rec go v total_cost total_time acc =
+        let s = t.policy.(v) in
+        let total_cost = total_cost + t.cost.(s) and total_time = total_time + t.time.(s) in
+        let acc = t.edge.(s) :: acc in
+        let x = t.dst.(s) in
+        if x = !a then (make_ratio total_cost total_time, List.rev acc)
+        else go x total_cost total_time acc
+      in
+      Some (go !a 0 0 [])
+    end
 
   let solve t =
     if not t.dirty then t.cached
     else begin
-      let g = t.g in
-      let n = Digraph.vertex_count g in
       let result =
-        if n = 0 || Array.for_all (fun e -> e = -1) t.policy then None
+        if t.out_start.(t.n) = 0 then None
         else begin
           t.solves <- t.solves + 1;
-          Array.fill t.potential 0 (Array.length t.potential) 0.0;
-          let max_iterations = (n * Digraph.edge_count g) + 16 in
-          let rec iterate k =
-            evaluate t;
-            if improve t then begin
-              if k >= max_iterations then
-                failwith
-                  (Printf.sprintf
-                     "Cycle_ratio: policy iteration did not converge in %d iterations"
-                     max_iterations);
-              iterate (k + 1)
-            end
-          in
-          iterate 0;
-          let best = ref (-1) in
-          for v = 0 to n - 1 do
-            if t.lambda.(v) < infinity
-               && (!best < 0 || t.lambda.(v) < t.lambda.(!best))
-            then best := v
-          done;
-          if !best < 0 then None
-          else begin
-            let cycle = policy_cycle t t.anchor.(!best) in
-            Some
-              ( cycle_ratio g
-                  ~cost:(fun e -> t.cost.(e))
-                  ~time:(fun e -> t.time.(e))
-                  cycle,
-                cycle )
-          end
+          iterate t;
+          witness t
         end
       in
+      for i = 0 to t.reweighted_count - 1 do
+        Bytes.set t.pending t.reweighted.(i) '\000'
+      done;
+      t.reweighted_count <- 0;
       t.dirty <- false;
       t.cached <- result;
       result

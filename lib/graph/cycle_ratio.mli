@@ -11,10 +11,14 @@
 
     One solver computes it: Howard's policy iteration, in the stateful
     form {!Incremental}.  A cold solve ({!minimum}) is
-    {!Incremental.create} then {!Incremental.solve}.  The result is an
-    exact rational certified by the witnessing cycle; the test suite
-    checks it against independent oracles (Lawler's parametric search,
-    Karp's cycle mean, brute-force enumeration). *)
+    {!Incremental.create} then {!Incremental.solve}.  Each iteration
+    re-evaluates only the vertices whose policy path changed and
+    re-tests only the edges next to them.  On a long ring, where each
+    iteration switches one or two vertices, a cold solve therefore
+    touches a few vertices per iteration instead of the whole graph.  The
+    result is an exact rational certified by the witnessing cycle; the
+    test suite checks it against independent oracles (Lawler's
+    parametric search, Karp's cycle mean, brute-force enumeration). *)
 
 type ratio = {
   num : int;
@@ -63,25 +67,41 @@ val cycle_ratio :
     Built for the floorplan→throughput co-optimization loop: moving a
     block only changes the weights of the channels incident to it, so
     the solver keeps its policy-iteration state (the chosen out-edge per
-    vertex, plus the SCC decomposition, which depends only on the
-    never-changing topology) alive across perturbations and warm-starts
-    the next solve from the previous optimal policy.  On local
-    perturbations the warm policy typically needs zero or one
-    improvement sweeps, versus a full cold policy iteration plus graph
-    reconstruction for a from-scratch solve.
+    vertex, each vertex's cycle ratio and potential, and the SCC
+    decomposition, which depends only on the never-changing topology)
+    alive across perturbations.
 
-    Cost: {!Incremental.create} copies each edge's endpoints and weights
-    into flat arrays once.  One sweep is then an O(V + E) pass over
-    them that allocates nothing: evaluation follows the policy on a
-    preallocated stack instead of recursing, so a policy path as long
-    as the graph is fine, and improvement is a loop over edge ids.  The
-    critical cycle is rebuilt once per solve, from the vertex that
-    closed it.
+    Each iteration pays only for what changed.  A vertex's value
+    depends only on its policy path, so an iteration re-walks just the
+    policy in-trees of the vertices whose policy edge switched or was
+    reweighted, in increasing vertex id; an edge's improvement test
+    depends only on its weights and its endpoints' values, so it
+    re-tests just the out-edges of the re-walked vertices, of their
+    in-neighbours and of the reweighted edges' sources.  An iteration
+    whose in-trees cover more than a quarter of the vertices re-walks
+    and re-tests the whole graph instead.  Either way the policy
+    sequence is the one whole-graph iterations would take.
+
+    A cold solve (the first, or after a raise) zeroes the potentials
+    and starts with a whole-graph iteration.  A warm solve starts from
+    the previous solve's values, with the reweighted edges as its only
+    changes; on [rand:1000]'s flow it takes about 3.2 iterations, most
+    of them re-walking a few dozen vertices.  Ties cannot make policy
+    iteration cycle: a policy cycle that survives an improvement keeps
+    the potential of the vertex that closed it (Cochet-Terrasson et
+    al., 1998).
+
+    Cost: {!Incremental.create} lays the in-SCC edges out by source and
+    by destination in flat arrays, with preallocated worklists.
+    Iterations allocate nothing; evaluation follows the policy on a
+    preallocated stack, so a policy path as long as the graph is fine.
+    The critical cycle is built once per solve.
 
     The result of {!Incremental.solve} is always the exact optimum —
     the same ratio a cold {!minimum} finds on the same weights (the test
-    suite checks every step of random perturbation sequences against
-    Lawler's search); only the work to reach it is amortised. *)
+    suite checks every step of random change sequences against a cold
+    solve and Lawler's search); only the work to reach it is
+    amortised. *)
 module Incremental : sig
   type t
 
@@ -90,14 +110,16 @@ module Incremental : sig
     cost:(Digraph.edge -> int) ->
     time:(Digraph.edge -> int) ->
     t
-  (** Snapshot the weights and precompute the SCC decomposition and an
-      initial proper policy.  The graph topology must not change after
-      this call (weights change through {!set_cost}/{!set_time}).
+  (** Snapshot the weights and precompute the SCC decomposition, the
+      edge layout and an initial proper policy (each vertex's lowest-id
+      out-edge inside its SCC).  The graph topology must not change
+      after this call (weights change through {!set_cost}/{!set_time}).
       @raise Invalid_argument if some [time] is negative. *)
 
   val set_cost : t -> Digraph.edge -> int -> unit
   val set_time : t -> Digraph.edge -> int -> unit
-  (** Perturb one edge's weight; O(1), marks the state dirty.  As with
+  (** Perturb one edge's weight; O(1), marks the state dirty and records
+      the edge for the next warm solve.  As with
       {!minimum}, every cycle must keep positive total time — this is
       the caller's invariant (relay-station weights are always >= 1
       on forward edges). @raise Invalid_argument on negative time. *)
@@ -109,9 +131,12 @@ module Incremental : sig
   (** Exact minimum cycle ratio under the current weights, [None] when
       the graph is acyclic.  Returns the memoised result in O(1) when no
       weight changed since the last solve; otherwise runs policy
-      improvement warm-started from the previous optimal policy.
+      iteration warm-started from the previous solve's policy and
+      values.  The witness is the policy cycle of the lowest-id vertex
+      with the least ratio, starting where that vertex's policy path
+      enters it.
       @raise Failure as {!minimum} if policy iteration does not
-      converge. *)
+      converge; the next solve is then cold. *)
 
   val solves : t -> int
   (** Number of actual policy-iteration runs (i.e. cache misses) so far

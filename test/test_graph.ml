@@ -568,6 +568,126 @@ let prop_witness_is_closed_elementary_walk =
              ok (Incr.solve inc))
            steps))
 
+(* The worklist differential: one evaluator driven through 200 changes
+   of three kinds, each step checked against a fresh cold solve and
+   Lawler's search.  A single-edge change re-walks one in-tree; a bulk
+   change of up to a quarter of the edges (the flow re-deriving every
+   channel after adopting a placement) can tip an iteration into the
+   whole-graph fallback; a change to an edge of the previous witness
+   reweights the critical cycle that most in-trees drain into. *)
+type change =
+  | Edge of int * (int * int)
+  | Bulk of (int * (int * int)) list
+  | On_witness of int * (int * int)
+
+let gen_worklist_case =
+  QCheck2.Gen.(
+    let* n, edges, weights, (clo, chi), thi =
+      oneof
+        [
+          (let* n, edges = gen_graph in
+           let weights = Array.of_list (List.mapi (fun e _ -> (edge_weight e, edge_time e)) edges) in
+           return (n, edges, weights, (-3, 4), 3));
+          (let* n, edges, weights = gen_tie_heavy in
+           return (n, edges, weights, (1, 2), 2));
+        ]
+    in
+    let m = List.length edges in
+    let weight = pair (int_range clo chi) (int_range 1 thi) in
+    let edge = pair (int_range 0 (max 0 (m - 1))) weight in
+    let change =
+      frequency
+        [
+          (3, map (fun (e, w) -> Edge (e, w)) edge);
+          ( 1,
+            let* k = int_range 1 (max 1 (m / 4)) in
+            map (fun l -> Bulk l) (list_size (return k) edge) );
+          (2, map (fun (i, w) -> On_witness (i, w)) (pair nat weight));
+        ]
+    in
+    let* steps = list_size (return 200) change in
+    return (n, edges, weights, steps))
+
+let prop_worklist_differential =
+  QCheck2.Test.make ~count:15
+    ~name:"worklist mcr = cold howard = lawler over 200 mixed changes" gen_worklist_case
+    (fun (n, edges, weights, steps) ->
+      edges = []
+      ||
+      let g = graph_of n edges in
+      let cost = Array.map fst weights and time = Array.map snd weights in
+      let cost_f e = cost.(e) and time_f e = time.(e) in
+      let inc = Incr.create g ~cost:cost_f ~time:time_f in
+      let set (e, (c, t)) =
+        cost.(e) <- c;
+        time.(e) <- t;
+        Incr.set_cost inc e c;
+        Incr.set_time inc e t
+      in
+      let witness = ref [] in
+      List.for_all
+        (fun change ->
+          (match change with
+          | Edge (e, w) -> set (e, w)
+          | Bulk l -> List.iter set l
+          | On_witness (i, w) ->
+            if !witness <> [] then set (List.nth !witness (i mod List.length !witness), w));
+          let warm = Incr.solve inc in
+          witness := (match warm with Some (_, c) -> c | None -> []);
+          let same a b =
+            match (a, b) with
+            | None, None -> true
+            | Some (r1, _), Some (r2, _) -> Cycle_ratio.ratio_compare r1 r2 = 0
+            | _ -> false
+          in
+          same warm (Cycle_ratio.minimum g ~cost:cost_f ~time:time_f)
+          && same warm (Lawler.minimum g ~cost:cost_f ~time:time_f)
+          && match warm with None -> true | Some w -> witness_ok g ~cost:cost_f ~time:time_f w)
+        steps)
+
+(* 20 000 flow-like moves on rand:1000's capacity graph (channel c owns
+   edge 2c, time 1 + rs, and edge 2c + 1, cost capacity + 2 rs - 1):
+   each move re-derives the relay stations of one to four channels,
+   and every 200th re-derives a quarter of them.  Every 500 steps the
+   warm result must equal a cold solve of the same weights. *)
+let test_incremental_long_run () =
+  let net =
+    match Wp_topo.Topology.of_string "rand:1000" with
+    | Ok t -> Wp_topo.Topology.build t
+    | Error e -> Alcotest.fail e
+  in
+  let g, tokens, time0 = Wp_sim.Static.capacity_graph ~capacity:2 net in
+  let m = Digraph.edge_count g in
+  let cost = Array.init m tokens and time = Array.init m time0 in
+  let cost_f e = cost.(e) and time_f e = time.(e) in
+  let inc = Incr.create g ~cost:cost_f ~time:time_f in
+  let channels = m / 2 in
+  let prng = Wp_util.Prng.create ~seed:7 in
+  let reroute c =
+    let rs = Wp_util.Prng.int prng 4 in
+    time.(2 * c) <- 1 + rs;
+    cost.((2 * c) + 1) <- 2 + (2 * rs) - 1;
+    Incr.set_time inc (2 * c) time.(2 * c);
+    Incr.set_cost inc ((2 * c) + 1) cost.((2 * c) + 1)
+  in
+  for step = 1 to 20_000 do
+    let moved = if step mod 200 = 0 then channels / 4 else 1 + Wp_util.Prng.int prng 4 in
+    for _ = 1 to moved do
+      reroute (Wp_util.Prng.int prng channels)
+    done;
+    let warm = Incr.solve inc in
+    if step mod 500 = 0 then
+      match (warm, Cycle_ratio.minimum g ~cost:cost_f ~time:time_f) with
+      | Some ((r1, _) as w), Some (r2, _) ->
+        if Cycle_ratio.ratio_compare r1 r2 <> 0 then
+          Alcotest.failf "step %d: warm %s, cold %s" step
+            (Format.asprintf "%a" Cycle_ratio.ratio_pp r1)
+            (Format.asprintf "%a" Cycle_ratio.ratio_pp r2);
+        checkb (Printf.sprintf "step %d: witness" step) true
+          (witness_ok g ~cost:cost_f ~time:time_f w)
+      | _ -> Alcotest.failf "step %d: expected a cycle on both sides" step
+  done
+
 (* One directed cycle of 100 000 vertices: the policy path of the first
    evaluation runs through every vertex, which pins the size of the
    solver's walk stack. *)
@@ -826,6 +946,7 @@ let () =
         prop_howard_matches_lawler_tie_heavy;
         prop_incremental_matches_scratch;
         prop_witness_is_closed_elementary_walk;
+        prop_worklist_differential;
         prop_howard_matches_karp_sc;
         prop_howard_matches_karp_max_sc;
         prop_ratio_max_min_duality;
@@ -885,6 +1006,7 @@ let () =
           Alcotest.test_case "acyclic" `Quick test_incremental_acyclic;
           Alcotest.test_case "memoisation and perturbation" `Quick test_incremental_memoised;
           Alcotest.test_case "100k-vertex cycle" `Quick test_incremental_long_cycle;
+          Alcotest.test_case "20k flow-like moves on rand:1000" `Slow test_incremental_long_run;
         ] );
       ( "schedule",
         [

@@ -349,8 +349,13 @@ let test_off_zero_alloc () =
 (* ------------------------------------------------------------------ *)
 
 let test_run_spec () =
+  checkb "fast digest" true
+    (Run_spec.digest (Run_spec.v ~engine:Sim.Fast ()) = "fast|cap2|mcr|nofault|noprot|notel");
+  (* The default engine follows WIREPIPE_ENGINE, and so does the default
+     spec's digest. *)
   let d = Run_spec.digest Run_spec.default in
-  checkb "default digest" true (d = "fast|cap2|mcr|nofault|noprot|notel");
+  checkb "default digest" true
+    (d = Sim.kind_to_string Sim.default_kind ^ "|cap2|mcr|nofault|noprot|notel");
   let s1 = Run_spec.v ~telemetry:Telemetry.counters () in
   checkb "telemetry changes the digest" false (Run_spec.digest s1 = d);
   checkb "equal by digest" true (Run_spec.equal Run_spec.default Run_spec.default);
