@@ -52,6 +52,7 @@ module Incremental = struct
   type t = {
     g : Digraph.t;
     n : int;
+    rep : int array;            (* vertex -> lowest-id vertex of its SCC *)
     slot : int array;           (* edge id -> slot *)
     edge : int array;           (* slot -> edge id *)
     (* Slots [out_start.(u), out_start.(u + 1)) are u's out-edges inside
@@ -70,16 +71,15 @@ module Incremental = struct
     potential : float array;
     state : int array;          (* 0 white / 1 gray / 2 evaluated *)
     stack : int array;          (* the policy path being walked *)
-    (* Worklists; each holds a vertex or an edge at most once. *)
+    (* Worklists; each holds a vertex at most once. *)
     stale : int array;          (* vertices to re-walk, then re-test *)
-    switched : int array;       (* vertices whose policy edge just switched *)
+    switched : int array;       (* vertices whose policy edge switched or was reweighted *)
     mutable switched_count : int;
-    (* In-SCC edges reweighted since the last solve, and a flag per edge
-       while it is listed; both allocated at the first reweighting, so
-       a cold-only solver does not pay for them. *)
-    mutable reweighted : int array;
-    mutable reweighted_count : int;
-    mutable pending : Bytes.t;
+    touched : int array;        (* sources of in-SCC edges reweighted since the last solve *)
+    mutable touched_count : int;
+    (* Per vertex: 1 once listed in [touched], 2 once also in [switched]
+       (its policy edge was reweighted). *)
+    mark : Bytes.t;
     tested : int array;         (* vertex -> [stamp] when last re-tested or marked *)
     mutable stamp : int;
     mutable warm : bool;        (* values are the last solve's, for [policy] *)
@@ -91,59 +91,64 @@ module Incremental = struct
   let create g ~cost ~time =
     let n = Digraph.vertex_count g in
     let m = Digraph.edge_count g in
-    let comp = Scc.component_ids g in
-    let inside e = comp.(Digraph.edge_src g e) = comp.(Digraph.edge_dst g e) in
+    let nv = max n 1 in
+    let rep = Array.make nv 0 in
+    List.iter
+      (fun c ->
+        let r = List.fold_left Int.min max_int c in
+        List.iter (fun v -> rep.(v) <- r) c)
+      (Scc.components g);
     (* Counting sorts of the in-SCC edges by source (the slots) and by
-       destination (the in-lists), both stable in edge id: count into
-       [start.(v + 1)], sum, then place with [start.(v)] as v's cursor,
-       which leaves it at [v + 1]'s start. *)
+       destination (the in-lists), both stable in edge id.  The first
+       pass counts each vertex's edges into [start.(v)] and parks each
+       edge's destination in [edge.(e)] and its source (-1 between
+       SCCs) in [slot.(e)]; prefix sums make [start.(v)] the end of v's
+       range; the second pass, in decreasing edge id, fills each range
+       from its end, which leaves [start.(v)] at its beginning. *)
     let out_start = Array.make (n + 1) 0 and in_start = Array.make (n + 1) 0 in
+    let slot = Array.make m 0 and edge = Array.make m 0 in
     for e = 0 to m - 1 do
-      if inside e then begin
-        let u = Digraph.edge_src g e + 1 and x = Digraph.edge_dst g e + 1 in
+      let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
+      edge.(e) <- x;
+      if rep.(u) = rep.(x) then begin
+        slot.(e) <- u;
         out_start.(u) <- out_start.(u) + 1;
         in_start.(x) <- in_start.(x) + 1
       end
+      else slot.(e) <- -1
     done;
     for v = 1 to n do
       out_start.(v) <- out_start.(v) + out_start.(v - 1);
       in_start.(v) <- in_start.(v) + in_start.(v - 1)
     done;
     let inner = out_start.(n) in
-    let slot = Array.make m 0 and edge = Array.make m 0 and dst = Array.make m 0 in
-    let costs = Array.make m 0 and times = Array.make m 0 in
+    let dst = Array.make m 0 and costs = Array.make m 0 and times = Array.make m 0 in
     let in_src = Array.make inner 0 in
-    let cross = ref inner in
-    for e = 0 to m - 1 do
-      let u = Digraph.edge_src g e and x = Digraph.edge_dst g e in
+    let cross = ref m in
+    for e = m - 1 downto 0 do
+      let u = slot.(e) and x = edge.(e) in
       let s =
-        if inside e then begin
-          let s = out_start.(u) in
-          out_start.(u) <- s + 1;
+        if u >= 0 then begin
+          out_start.(u) <- out_start.(u) - 1;
+          in_start.(x) <- in_start.(x) - 1;
           in_src.(in_start.(x)) <- u;
-          in_start.(x) <- in_start.(x) + 1;
-          s
+          out_start.(u)
         end
         else begin
-          incr cross;
-          !cross - 1
+          decr cross;
+          !cross
         end
       in
       let w = time e in
       if w < 0 then invalid_arg "Cycle_ratio.Incremental.create: negative time";
       slot.(e) <- s;
-      edge.(s) <- e;
       dst.(s) <- x;
       costs.(s) <- cost e;
       times.(s) <- w
     done;
-    for v = n downto 1 do
-      out_start.(v) <- out_start.(v - 1);
-      in_start.(v) <- in_start.(v - 1)
+    for e = 0 to m - 1 do
+      edge.(slot.(e)) <- e
     done;
-    out_start.(0) <- 0;
-    in_start.(0) <- 0;
-    let nv = max n 1 in
     (* Initial policy: the lowest-id out-edge that stays inside the
        vertex's SCC, so a policy path can always close a cycle. *)
     let policy = Array.make nv (-1) in
@@ -153,6 +158,7 @@ module Incremental = struct
     {
       g;
       n;
+      rep;
       slot;
       edge;
       out_start;
@@ -169,9 +175,9 @@ module Incremental = struct
       stale = Array.make nv 0;
       switched = Array.make nv 0;
       switched_count = 0;
-      reweighted = [||];
-      reweighted_count = 0;
-      pending = Bytes.empty;
+      touched = Array.make nv 0;
+      touched_count = 0;
+      mark = Bytes.make nv '\000';
       tested = Array.make nv 0;
       stamp = 0;
       warm = false;
@@ -183,18 +189,24 @@ module Incremental = struct
   let cost t e = t.cost.(t.slot.(e))
   let time t e = t.time.(t.slot.(e))
 
-  (* Record a reweighted in-SCC edge for the next warm solve. *)
+  (* Record a reweighted in-SCC edge for the next warm solve: list its
+     source in [touched] and, when it is the source's policy edge, in
+     [switched] too. *)
   let reweigh t e =
     t.dirty <- true;
-    let inner = t.out_start.(t.n) in
-    if Bytes.length t.pending = 0 then begin
-      t.reweighted <- Array.make inner 0;
-      t.pending <- Bytes.make (Array.length t.slot) '\000'
-    end;
-    if t.slot.(e) < inner && Bytes.get t.pending e = '\000' then begin
-      Bytes.set t.pending e '\001';
-      t.reweighted.(t.reweighted_count) <- e;
-      t.reweighted_count <- t.reweighted_count + 1
+    let s = t.slot.(e) in
+    if s < t.out_start.(t.n) then begin
+      let u = Digraph.edge_src t.g e in
+      if Bytes.get t.mark u = '\000' then begin
+        Bytes.set t.mark u '\001';
+        t.touched.(t.touched_count) <- u;
+        t.touched_count <- t.touched_count + 1
+      end;
+      if t.policy.(u) = s && Bytes.get t.mark u = '\001' then begin
+        Bytes.set t.mark u '\002';
+        t.switched.(t.switched_count) <- u;
+        t.switched_count <- t.switched_count + 1
+      end
     end
 
   let set_cost t e c =
@@ -248,7 +260,9 @@ module Incremental = struct
      [stack], until it dead-ends, meets an evaluated vertex, or closes a
      cycle at a gray one.  Unwinding the stack newest-first then sets
      every vertex from its successor, d(u) = w(e) - lam*t(e) + d(dst e):
-     the cycle's vertices from the anchor backwards, then the tail. *)
+     the cycle's vertices from the anchor backwards, then the tail.
+     Vertices and slots come from arrays built at [create], and a path
+     holds each vertex once, so the loads are unchecked. *)
   let walk t v0 =
     let state = t.state and stack = t.stack and policy = t.policy in
     let dst = t.dst and cost = t.cost and time = t.time in
@@ -256,45 +270,49 @@ module Incremental = struct
     let top = ref 0 and v = ref v0 and walking = ref true in
     while !walking do
       let u = !v in
-      state.(u) <- 1;
-      stack.(!top) <- u;
+      Array.unsafe_set state u 1;
+      Array.unsafe_set stack !top u;
       incr top;
-      let s = policy.(u) in
+      let s = Array.unsafe_get policy u in
       if s < 0 then begin
         (* Dead end: no cycle reachable through the policy. *)
-        state.(u) <- 2;
-        lambda.(u) <- infinity;
+        Array.unsafe_set state u 2;
+        Array.unsafe_set lambda u infinity;
         walking := false
       end
       else begin
-        let x = dst.(s) in
-        match state.(x) with
+        let x = Array.unsafe_get dst s in
+        match Array.unsafe_get state x with
         | 0 -> v := x
         | 1 ->
           (* [s] closed a cycle through [x], which becomes its anchor. *)
-          let total_cost = ref cost.(s) and total_time = ref time.(s) in
+          let total_cost = ref (Array.unsafe_get cost s) in
+          let total_time = ref (Array.unsafe_get time s) in
           let w = ref x in
           while !w <> u do
-            let s = policy.(!w) in
-            total_cost := !total_cost + cost.(s);
-            total_time := !total_time + time.(s);
-            w := dst.(s)
+            let s = Array.unsafe_get policy !w in
+            total_cost := !total_cost + Array.unsafe_get cost s;
+            total_time := !total_time + Array.unsafe_get time s;
+            w := Array.unsafe_get dst s
           done;
-          lambda.(x) <- float_of_int !total_cost /. float_of_int !total_time;
-          state.(x) <- 2;
+          Array.unsafe_set lambda x (float_of_int !total_cost /. float_of_int !total_time);
+          Array.unsafe_set state x 2;
           walking := false
         | _ -> walking := false
       end
     done;
     for i = !top - 1 downto 0 do
-      let u = stack.(i) in
-      if state.(u) <> 2 then begin
-        let s = policy.(u) in
-        let x = dst.(s) in
-        lambda.(u) <- lambda.(x);
-        potential.(u) <-
-          float_of_int cost.(s) -. (lambda.(x) *. float_of_int time.(s)) +. potential.(x);
-        state.(u) <- 2
+      let u = Array.unsafe_get stack i in
+      if Array.unsafe_get state u <> 2 then begin
+        let s = Array.unsafe_get policy u in
+        let x = Array.unsafe_get dst s in
+        let lx = Array.unsafe_get lambda x in
+        Array.unsafe_set lambda u lx;
+        Array.unsafe_set potential u
+          (float_of_int (Array.unsafe_get cost s)
+          -. (lx *. float_of_int (Array.unsafe_get time s))
+          +. Array.unsafe_get potential x);
+        Array.unsafe_set state u 2
       end
     done
 
@@ -351,56 +369,44 @@ module Incremental = struct
       end
     end
 
-  (* Sort [a.(0 .. k - 1)] ascending, in place: insertion sort for the
-     short lists most iterations have, heapsort beyond. *)
+  (* Heapsort [a.(0 .. k - 1)] ascending, in place. *)
   let sort_prefix (a : int array) k =
-    if k <= 32 then
-      for i = 1 to k - 1 do
-        let x = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && a.(!j) > x do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- x
-      done
-    else begin
-      for root = (k / 2) - 1 downto 0 do
-        sift a root k
-      done;
-      for stop = k - 1 downto 1 do
-        let x = a.(0) in
-        a.(0) <- a.(stop);
-        a.(stop) <- x;
-        sift a 0 stop
-      done
-    end
+    for root = (k / 2) - 1 downto 0 do
+      sift a root k
+    done;
+    for stop = k - 1 downto 1 do
+      let x = a.(0) in
+      a.(0) <- a.(stop);
+      a.(stop) <- x;
+      sift a 0 stop
+    done
 
   (* Gather into [stale] the policy in-trees of the [switched] vertices,
      marking them white; -1 once they exceed a quarter of the graph.  A
      vertex is in [x]'s in-tree when its policy edge leads to [x]. *)
   let collect_stale t =
     let limit = t.n / 4 in
-    let k = ref 0 in
-    for i = 0 to t.switched_count - 1 do
-      let r = t.switched.(i) in
-      t.state.(r) <- 0;
-      t.stale.(!k) <- r;
-      incr k
-    done;
-    let head = ref 0 in
-    while !head < !k && !k <= limit do
-      let x = t.stale.(!head) in
-      incr head;
-      for j = t.in_start.(x) to t.in_start.(x + 1) - 1 do
-        let u = t.in_src.(j) in
-        if t.state.(u) = 2 && t.dst.(t.policy.(u)) = x then begin
-          t.state.(u) <- 0;
-          t.stale.(!k) <- u;
-          incr k
-        end
+    let k = ref t.switched_count in
+    if !k <= limit then begin
+      for i = 0 to !k - 1 do
+        let r = t.switched.(i) in
+        t.state.(r) <- 0;
+        t.stale.(i) <- r
+      done;
+      let head = ref 0 in
+      while !head < !k && !k <= limit do
+        let x = t.stale.(!head) in
+        incr head;
+        for j = t.in_start.(x) to t.in_start.(x + 1) - 1 do
+          let u = t.in_src.(j) in
+          if t.state.(u) = 2 && t.dst.(t.policy.(u)) = x then begin
+            t.state.(u) <- 0;
+            t.stale.(!k) <- u;
+            incr k
+          end
+        done
       done
-    done;
+    end;
     if !k > limit then -1 else !k
 
   let retest t u =
@@ -413,10 +419,14 @@ module Incremental = struct
      re-walk their in-trees in increasing vertex id (so each new cycle
      is closed, and anchored, where a whole-graph evaluation closes it),
      then re-test the re-walked vertices, their in-neighbours and, with
-     [reweighted], the sources of the reweighted edges. *)
-  let step t ~reweighted =
+     [touched], the sources of the reweighted edges.  Returns true when
+     it ran on the whole graph instead. *)
+  let step t ~touched =
     let k = collect_stale t in
-    if k < 0 then whole t
+    if k < 0 then begin
+      whole t;
+      true
+    end
     else begin
       t.switched_count <- 0;
       sort_prefix t.stale k;
@@ -432,45 +442,52 @@ module Incremental = struct
           retest t t.in_src.(j)
         done
       done;
-      if reweighted then
-        for i = 0 to t.reweighted_count - 1 do
-          retest t (Digraph.edge_src t.g t.reweighted.(i))
-        done
+      if touched then
+        for i = 0 to t.touched_count - 1 do
+          retest t t.touched.(i)
+        done;
+      false
     end
+
+  (* Subtract from each SCC's potentials the potential of its lowest-id
+     vertex, which the descending order shifts last.  Anchoring lets
+     the potentials of warm solves drift, each SCC by its own offset; a
+     shift that is uniform per SCC changes no comparison. *)
+  let level t =
+    for v = t.n - 1 downto 0 do
+      t.potential.(v) <- t.potential.(v) -. t.potential.(t.rep.(v))
+    done
 
   (* Policy iteration to the optimum.  A cold solve zeroes the
      potentials and starts with a whole-graph iteration; a warm one
      starts from the last solve's values, with the sources of
-     reweighted policy edges as the switched vertices. *)
+     reweighted policy edges, listed by [reweigh], as the switched
+     vertices.  A solve that ran a whole-graph iteration, which costs
+     O(n + m) anyway, ends by re-levelling the potentials, so their
+     drift stays bounded by what the worklist iterations between two
+     whole-graph ones add. *)
   let iterate t =
     let cold = not t.warm in
     t.warm <- false;
-    t.switched_count <- 0;
+    let whole_ran = ref cold in
     if cold then begin
       Array.fill t.potential 0 t.n 0.0;
       whole t
     end
-    else begin
-      for i = 0 to t.reweighted_count - 1 do
-        let e = t.reweighted.(i) in
-        let u = Digraph.edge_src t.g e in
-        if t.policy.(u) = t.slot.(e) then begin
-          t.switched.(t.switched_count) <- u;
-          t.switched_count <- t.switched_count + 1
-        end
-      done;
-      step t ~reweighted:true
-    end;
+    else whole_ran := step t ~touched:true;
     let max_iterations = (t.n * Array.length t.edge) + 16 in
     let k = ref 0 in
     while t.switched_count > 0 do
-      if !k >= max_iterations then
+      if !k >= max_iterations then begin
+        t.switched_count <- 0;
         failwith
           (Printf.sprintf "Cycle_ratio: policy iteration did not converge in %d iterations"
-             max_iterations);
+             max_iterations)
+      end;
       incr k;
-      step t ~reweighted:false
+      if step t ~touched:false then whole_ran := true
     done;
+    if !whole_ran then level t;
     t.warm <- true
 
   (* The critical cycle: the policy cycle of the lowest-id vertex with
@@ -511,10 +528,10 @@ module Incremental = struct
           witness t
         end
       in
-      for i = 0 to t.reweighted_count - 1 do
-        Bytes.set t.pending t.reweighted.(i) '\000'
+      for i = 0 to t.touched_count - 1 do
+        Bytes.set t.mark t.touched.(i) '\000'
       done;
-      t.reweighted_count <- 0;
+      t.touched_count <- 0;
       t.dirty <- false;
       t.cached <- result;
       result

@@ -89,7 +89,10 @@ val cycle_ratio :
     of them re-walking a few dozen vertices.  Ties cannot make policy
     iteration cycle: a policy cycle that survives an improvement keeps
     the potential of the vertex that closed it (Cochet-Terrasson et
-    al., 1998).
+    al., 1998).  That rule lets the potentials of a long run of warm
+    solves drift; a solve that ran a whole-graph iteration ends by
+    shifting each SCC's potentials so that its lowest-id vertex is at
+    0, which keeps them bounded and changes no comparison.
 
     Cost: {!Incremental.create} lays the in-SCC edges out by source and
     by destination in flat arrays, with preallocated worklists.

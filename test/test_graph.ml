@@ -524,8 +524,9 @@ let witness_ok g ~cost ~time (r, cycle) =
 
 (* Small random graphs (acyclic, multi-SCC, self-loops) with costs in
    [-3, 4], or tie-heavy strongly connected ones with weights in
-   {1, 2}; each with 20 perturbations drawn from the same ranges. *)
-let gen_witness_case =
+   {1, 2}: each with its (cost, time) per edge, and a generator of new
+   (cost, time) pairs from the same ranges. *)
+let gen_weighted_graph =
   QCheck2.Gen.(
     let* n, edges, weights, (clo, chi), thi =
       oneof
@@ -537,11 +538,14 @@ let gen_witness_case =
            return (n, edges, weights, (1, 2), 2));
         ]
     in
-    let m = List.length edges in
-    let* steps =
-      list_size (return 20)
-        (triple (int_range 0 (max 0 (m - 1))) (int_range clo chi) (int_range 1 thi))
-    in
+    return (n, edges, weights, pair (int_range clo chi) (int_range 1 thi)))
+
+(* Each graph with 20 perturbations. *)
+let gen_witness_case =
+  QCheck2.Gen.(
+    let* n, edges, weights, weight = gen_weighted_graph in
+    let edge = pair (int_range 0 (max 0 (List.length edges - 1))) weight in
+    let* steps = list_size (return 20) edge in
     return (n, edges, weights, steps))
 
 let prop_witness_is_closed_elementary_walk =
@@ -560,7 +564,7 @@ let prop_witness_is_closed_elementary_walk =
          ||
          let inc = Incr.create g ~cost:cost_f ~time:time_f in
          List.for_all
-           (fun (e, c, t) ->
+           (fun (e, (c, t)) ->
              cost.(e) <- c;
              time.(e) <- t;
              Incr.set_cost inc e c;
@@ -582,18 +586,8 @@ type change =
 
 let gen_worklist_case =
   QCheck2.Gen.(
-    let* n, edges, weights, (clo, chi), thi =
-      oneof
-        [
-          (let* n, edges = gen_graph in
-           let weights = Array.of_list (List.mapi (fun e _ -> (edge_weight e, edge_time e)) edges) in
-           return (n, edges, weights, (-3, 4), 3));
-          (let* n, edges, weights = gen_tie_heavy in
-           return (n, edges, weights, (1, 2), 2));
-        ]
-    in
+    let* n, edges, weights, weight = gen_weighted_graph in
     let m = List.length edges in
-    let weight = pair (int_range clo chi) (int_range 1 thi) in
     let edge = pair (int_range 0 (max 0 (m - 1))) weight in
     let change =
       frequency
@@ -644,49 +638,6 @@ let prop_worklist_differential =
           && same warm (Lawler.minimum g ~cost:cost_f ~time:time_f)
           && match warm with None -> true | Some w -> witness_ok g ~cost:cost_f ~time:time_f w)
         steps)
-
-(* 20 000 flow-like moves on rand:1000's capacity graph (channel c owns
-   edge 2c, time 1 + rs, and edge 2c + 1, cost capacity + 2 rs - 1):
-   each move re-derives the relay stations of one to four channels,
-   and every 200th re-derives a quarter of them.  Every 500 steps the
-   warm result must equal a cold solve of the same weights. *)
-let test_incremental_long_run () =
-  let net =
-    match Wp_topo.Topology.of_string "rand:1000" with
-    | Ok t -> Wp_topo.Topology.build t
-    | Error e -> Alcotest.fail e
-  in
-  let g, tokens, time0 = Wp_sim.Static.capacity_graph ~capacity:2 net in
-  let m = Digraph.edge_count g in
-  let cost = Array.init m tokens and time = Array.init m time0 in
-  let cost_f e = cost.(e) and time_f e = time.(e) in
-  let inc = Incr.create g ~cost:cost_f ~time:time_f in
-  let channels = m / 2 in
-  let prng = Wp_util.Prng.create ~seed:7 in
-  let reroute c =
-    let rs = Wp_util.Prng.int prng 4 in
-    time.(2 * c) <- 1 + rs;
-    cost.((2 * c) + 1) <- 2 + (2 * rs) - 1;
-    Incr.set_time inc (2 * c) time.(2 * c);
-    Incr.set_cost inc ((2 * c) + 1) cost.((2 * c) + 1)
-  in
-  for step = 1 to 20_000 do
-    let moved = if step mod 200 = 0 then channels / 4 else 1 + Wp_util.Prng.int prng 4 in
-    for _ = 1 to moved do
-      reroute (Wp_util.Prng.int prng channels)
-    done;
-    let warm = Incr.solve inc in
-    if step mod 500 = 0 then
-      match (warm, Cycle_ratio.minimum g ~cost:cost_f ~time:time_f) with
-      | Some ((r1, _) as w), Some (r2, _) ->
-        if Cycle_ratio.ratio_compare r1 r2 <> 0 then
-          Alcotest.failf "step %d: warm %s, cold %s" step
-            (Format.asprintf "%a" Cycle_ratio.ratio_pp r1)
-            (Format.asprintf "%a" Cycle_ratio.ratio_pp r2);
-        checkb (Printf.sprintf "step %d: witness" step) true
-          (witness_ok g ~cost:cost_f ~time:time_f w)
-      | _ -> Alcotest.failf "step %d: expected a cycle on both sides" step
-  done
 
 (* One directed cycle of 100 000 vertices: the policy path of the first
    evaluation runs through every vertex, which pins the size of the
@@ -1006,7 +957,6 @@ let () =
           Alcotest.test_case "acyclic" `Quick test_incremental_acyclic;
           Alcotest.test_case "memoisation and perturbation" `Quick test_incremental_memoised;
           Alcotest.test_case "100k-vertex cycle" `Quick test_incremental_long_cycle;
-          Alcotest.test_case "20k flow-like moves on rand:1000" `Slow test_incremental_long_run;
         ] );
       ( "schedule",
         [

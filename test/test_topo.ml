@@ -28,6 +28,7 @@ module Process = Wp_lis.Process
 module Schedule = Wp_graph.Schedule
 module Scc = Wp_graph.Scc
 module Cycle_ratio = Wp_graph.Cycle_ratio
+module Incr = Cycle_ratio.Incremental
 module Run_spec = Wp_core.Run_spec
 module Shrink = Wp_util.Shrink
 module Prng = Wp_util.Prng
@@ -205,6 +206,48 @@ let test_build_10k () =
   checkb "10k blocks" true (Network.node_count net >= 10_000);
   checkb "connected" true
     (List.length (Scc.components (fst (Network.to_digraph net))) = 1)
+
+(* 20 000 flow-like moves on rand:1000's capacity graph (channel c owns
+   edge 2c, time 1 + rs, and edge 2c + 1, cost capacity + 2 rs - 1),
+   replayed through one incremental solver: each move re-derives the
+   relay stations of one to four channels, and every 200th re-derives a
+   quarter of them.  Every 500 steps the warm result must equal a cold
+   solve of the same weights, with an elementary critical cycle at that
+   ratio. *)
+let test_incremental_long_run () =
+  let net = Topology.build (Topology.v (Topology.Rand 1000)) in
+  let g, tokens, time0 = Static.capacity_graph ~capacity:2 net in
+  let m = Wp_graph.Digraph.edge_count g in
+  let cost = Array.init m tokens and time = Array.init m time0 in
+  let cost_f e = cost.(e) and time_f e = time.(e) in
+  let inc = Incr.create g ~cost:cost_f ~time:time_f in
+  let channels = m / 2 in
+  let prng = Prng.create ~seed:7 in
+  let reroute c =
+    let rs = Prng.int prng 4 in
+    time.(2 * c) <- 1 + rs;
+    cost.((2 * c) + 1) <- 2 + (2 * rs) - 1;
+    Incr.set_time inc (2 * c) time.(2 * c);
+    Incr.set_cost inc ((2 * c) + 1) cost.((2 * c) + 1)
+  in
+  for step = 1 to 20_000 do
+    let moved = if step mod 200 = 0 then channels / 4 else 1 + Prng.int prng 4 in
+    for _ = 1 to moved do
+      reroute (Prng.int prng channels)
+    done;
+    let warm = Incr.solve inc in
+    if step mod 500 = 0 then
+      match (warm, Cycle_ratio.minimum g ~cost:cost_f ~time:time_f) with
+      | Some (r1, cycle), Some (r2, _) ->
+        if Cycle_ratio.ratio_compare r1 r2 <> 0 then
+          Alcotest.failf "step %d: warm %s, cold %s" step
+            (Format.asprintf "%a" Cycle_ratio.ratio_pp r1)
+            (Format.asprintf "%a" Cycle_ratio.ratio_pp r2);
+        let own = Cycle_ratio.cycle_ratio g ~cost:cost_f ~time:time_f cycle in
+        checkb (Printf.sprintf "step %d: witness" step) true
+          (Wp_graph.Cycles.is_elementary_cycle g cycle && Cycle_ratio.ratio_compare own r1 = 0)
+      | _ -> Alcotest.failf "step %d: expected a cycle on both sides" step
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Differential battery over >= 30 generated topologies               *)
@@ -541,6 +584,11 @@ let () =
           Alcotest.test_case "grammar corner cases" `Quick test_grammar;
           Alcotest.test_case "adapter round trip" `Quick test_adapter_roundtrip;
           Alcotest.test_case "10k-block build" `Quick test_build_10k;
+        ] );
+      ( "incremental mcr",
+        [
+          Alcotest.test_case "20k flow-like moves on rand:1000" `Slow
+            test_incremental_long_run;
         ] );
       ( "differential",
         [
