@@ -27,32 +27,35 @@ module Runner = Wp_core.Runner
 
 let fast = Sys.getenv_opt "WIREPIPE_BENCH_FAST" <> None
 
-(* --engine {fast,ref} selects the simulation kernel behind every
-   section (also settable via WIREPIPE_ENGINE); --gc-stats adds an
-   allocation report.  Unknown flags abort so typos don't silently run
-   the default configuration. *)
+(* --engine selects the simulation kernel behind every section (also
+   settable via WIREPIPE_ENGINE); --gc-stats adds an allocation report. *)
 let engine, gc_stats =
-  let engine = ref Wp_sim.Sim.default_kind in
-  let gc_stats = ref false in
-  let argv = Sys.argv in
-  let i = ref 1 in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "--engine" ->
-      incr i;
-      let v = if !i < Array.length argv then argv.(!i) else "" in
-      (match Wp_sim.Sim.kind_of_string v with
-      | Some k -> engine := k
-      | None ->
-        Printf.eprintf "bench: --engine wants fast|ref, got %S\n" v;
-        exit 2)
-    | "--gc-stats" -> gc_stats := true
-    | a ->
-      Printf.eprintf "bench: unknown argument %S\n" a;
-      exit 2);
-    incr i
-  done;
-  (!engine, !gc_stats)
+  let open Cmdliner in
+  let engine =
+    let parse s =
+      match Wp_sim.Sim.kind_of_string s with
+      | Some k -> Ok k
+      | None -> Error (`Msg (Printf.sprintf "unknown engine %S (want fast|ref)" s))
+    in
+    let print ppf k = Format.pp_print_string ppf (Wp_sim.Sim.kind_to_string k) in
+    Arg.(value & opt (conv (parse, print)) Wp_sim.Sim.default_kind
+         & info [ "engine" ] ~docv:"ENGINE"
+             ~doc:"Simulation kernel behind every section: $(b,fast) (the default, \
+                   unless $(b,WIREPIPE_ENGINE) names another) or $(b,ref).")
+  in
+  let gc_stats =
+    Arg.(value & flag
+         & info [ "gc-stats" ] ~doc:"Report minor-heap words allocated by each section.")
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "main" ~doc:"Regenerate the paper's tables and time the kernels behind them")
+      Term.(const (fun e g -> (e, g)) $ engine $ gc_stats)
+  in
+  match Cmd.eval_value cmd with
+  | Ok (`Ok flags) -> flags
+  | Ok (`Help | `Version) -> exit 0
+  | Error _ -> exit Cmd.Exit.cli_error
 
 (* One runner for the whole harness: WIREPIPE_JOBS workers, shared result
    cache.  Later sections (ablation, depth sweep) re-request rows the

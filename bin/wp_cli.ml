@@ -1144,8 +1144,10 @@ let client_cmd =
 (* Self-contained fault-boundary drill: every hostile-client scenario the
    service defends against, exercised against a real daemon, plus a
    SIGKILL-and-restart pass over a shared disk cache.  Exit 0 iff every
-   scenario holds, including the latency gate: p99 under attack must
-   stay within 3x the unloaded p99. *)
+   scenario holds, including the latency gates: p99 under attack must
+   stay within 3x the unloaded p99, both for cached requests and for
+   concurrent clients of distinct uncached programs, and those clients
+   must get nothing but results. *)
 let chaos_cmd =
   let module Frame = Wp_util.Frame in
   let requests_arg =
@@ -1190,28 +1192,56 @@ let chaos_cmd =
          ~config:"CU-AL=1")
       with Wire.rq_priority = 2 (* the good client is the critical tenant *) }
   in
-  (* p99 (ms) over [n] cached requests, riding out Busy shedding. *)
-  let p99_ms socket n =
-    let conn = Service.Client.connect socket in
-    Fun.protect ~finally:(fun () -> Service.Client.close conn)
-      (fun () ->
-        let lat = Array.make n 0.0 in
-        for i = 0 to n - 1 do
-          let t0 = Unix.gettimeofday () in
-          let rec get () =
-            match Service.Client.call conn ~tag:i (Wire.Run chaos_args) with
-            | Wire.Busy { retry_after_ms } ->
-              Thread.delay (float_of_int (max 1 retry_after_ms) /. 1000.);
-              get ()
-            | Wire.Result _ -> ()
-            | _ -> failwith "chaos: unexpected reply to the probe request"
-          in
-          get ();
-          lat.(i) <- Unix.gettimeofday () -. t0
-        done;
-        Array.sort compare lat;
-        lat.(n * 99 / 100) *. 1e3)
+  (* Well-behaved load: [clients] concurrent connections, each keeping
+     up to [window] of its [n] requests in flight and riding out Busy
+     shedding; request [k] of client [c] is [args (c * n + k)].  Returns
+     the p99 latency (ms, first send to reply) and the number of replies
+     that were not a Result. *)
+  let load socket ~clients ~window ~n args =
+    let lat = Array.make (clients * n) 0.0 in
+    let bad = Atomic.make 0 in
+    let client c =
+      try
+        let conn = Service.Client.connect socket in
+        Fun.protect ~finally:(fun () -> Service.Client.close conn) @@ fun () ->
+        let send k = Service.Client.send conn ~tag:k (Wire.Run (args ((c * n) + k))) in
+        let sent_at = Array.make n 0.0 in
+        let sent = ref 0 and recvd = ref 0 in
+        while !recvd < n do
+          while !sent < n && !sent - !recvd < window do
+            sent_at.(!sent) <- Unix.gettimeofday ();
+            send !sent;
+            incr sent
+          done;
+          match Service.Client.recv conn with
+          | None -> failwith "daemon closed a well-behaved client"
+          | Some (k, Wire.Busy { retry_after_ms }) ->
+            Thread.delay (float_of_int (max 1 retry_after_ms) /. 1000.);
+            send k
+          | Some (k, reply) ->
+            lat.((c * n) + k) <- Unix.gettimeofday () -. sent_at.(k);
+            incr recvd;
+            (match reply with Wire.Result _ -> () | _ -> Atomic.incr bad)
+        done
+      with e ->
+        Printf.eprintf "chaos: client %d: %s\n%!" c (Printexc.to_string e);
+        Atomic.incr bad
+    in
+    List.iter Thread.join (List.init clients (Thread.create client));
+    Array.sort compare lat;
+    (lat.(clients * n * 99 / 100) *. 1e3, Atomic.get bad)
   in
+  let cached socket n = load socket ~clients:1 ~window:1 ~n (fun _ -> chaos_args) in
+  (* Four clients, window 2, 32 distinct random programs each, so every
+     request is real simulation work rather than a cache hit. *)
+  let uncached socket ~base =
+    load socket ~clients:4 ~window:2 ~n:32 (fun k ->
+        Wire.run_defaults ~program:(Printf.sprintf "random:%d" (base + k))
+          ~machine:"pipelined" ~config:"none")
+  in
+  (* 3x the unloaded p99, with a floor so a microsecond baseline does not
+     turn scheduler noise into a failure. *)
+  let limit baseline = Float.max (3.0 *. baseline) (baseline +. 25.0) in
   let run jobs requests =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let failures = ref 0 in
@@ -1236,11 +1266,13 @@ let chaos_cmd =
       Service.create ~reply_bound:32 ~write_timeout:0.3 ~stall_timeout:0.5
         ~runner socket
     in
-    (* Warm the cache so both latency measurements serve hits. *)
-    ignore (p99_ms socket 1);
-    let baseline = p99_ms socket requests in
+    (* Warm the cache so both cached measurements serve hits. *)
+    ignore (cached socket 1);
+    let baseline, baseline_bad = cached socket requests in
     Printf.printf "baseline p99 over %d cached requests: %.2f ms\n%!" requests
       baseline;
+    let clean, clean_bad = uncached socket ~base:40_000 in
+    Printf.printf "clean p99 over 4 x 32 uncached requests: %.2f ms\n%!" clean;
 
     (* Garbage frame: answered Error, connection survives. *)
     (let fd = raw_connect socket in
@@ -1359,15 +1391,18 @@ let chaos_cmd =
            done)
          ()
      in
-     let attacked = p99_ms socket requests in
+     let attacked, attacked_bad = cached socket requests in
+     let loaded, loaded_bad = uncached socket ~base:50_000 in
      hostile_stop := true;
      Thread.join garbage_flooder;
      Thread.join silent_flooder;
-     (* 3x the unloaded p99, with a floor so a microsecond baseline does
-        not turn scheduler noise into a failure. *)
-     let limit = Float.max (3.0 *. baseline) (baseline +. 25.0) in
-     scenario "p99 under attack within 3x baseline" (attacked <= limit)
-       (Printf.sprintf "%.2f ms vs limit %.2f ms" attacked limit));
+     scenario "p99 under attack within 3x baseline" (attacked <= limit baseline)
+       (Printf.sprintf "%.2f ms vs limit %.2f ms" attacked (limit baseline));
+     scenario "uncached p99 under attack within 3x clean" (loaded <= limit clean)
+       (Printf.sprintf "%.2f ms vs limit %.2f ms" loaded (limit clean));
+     let bad = baseline_bad + clean_bad + attacked_bad + loaded_bad in
+     scenario "well-behaved clients got only results" (bad = 0)
+       (Printf.sprintf "%d other replies" bad));
 
     Service.stop svc;
     let fd_after = fd_count () in
@@ -1478,8 +1513,12 @@ let sweep_cmd =
             match r.Sweep.r_error with
             | Some e -> e
             | None ->
-              if r.Sweep.r_word_ok = Some false then "word-rate mismatch"
-              else String.concat "; " r.Sweep.r_disagreements
+              match (r.Sweep.r_word_ok, r.Sweep.r_word_rate) with
+              | Some false, Some word ->
+                let pp = Wp_graph.Cycle_ratio.ratio_pp in
+                Format.asprintf "word-rate mismatch (word %a, bound %a)" pp word pp
+                  r.Sweep.r_bound
+              | _ -> String.concat "; " r.Sweep.r_disagreements
           in
           let path = Sweep.write_repro r.Sweep.r_scenario ~reason in
           Printf.eprintf "FAIL %s: %s\n  repro:  %s\n  replay: %s\n"

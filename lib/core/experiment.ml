@@ -80,34 +80,49 @@ let oracle_spec (spec : Run_spec.t) =
   | Wp_sim.Sim.Static -> { spec with Run_spec.engine = Wp_sim.Sim.Fast }
   | _ -> spec
 
+(* The one outcome check: a WP run counts only if it completed with the
+   golden architectural result.  A cancelled run fails with the message
+   its caller reports as an expiry. *)
+let check (r : Cpu.result) (program : Program.t) config =
+  let fail what =
+    Error (Printf.sprintf "%s (%s, %s)" what program.Program.name (Config.describe config))
+  in
+  match r.Cpu.outcome with
+  | Cpu.Completed when r.Cpu.result_ok -> Ok r
+  | Cpu.Completed -> fail "Experiment: wrong architectural result"
+  | Cpu.Deadlocked -> fail "Experiment: deadlock"
+  | Cpu.Out_of_cycles -> fail "Experiment: cycle budget exhausted"
+  | Cpu.Cancelled -> fail (Printf.sprintf "deadline exceeded after %d cycles" r.Cpu.cycles)
+
 let checked_run ?cancel ?mcr_work ~spec ~machine ~mode ~config program =
   let r =
     Run_spec.run_cpu ?cancel ?mcr_work ~spec ~machine ~mode
       ~rs:(Config.to_fun config) program
   in
-  (match r.Cpu.outcome with
-  | Cpu.Completed -> ()
-  | Cpu.Deadlocked ->
-    failwith
-      (Printf.sprintf "Experiment: deadlock (%s, %s)" program.Program.name
-         (Config.describe config))
-  | Cpu.Out_of_cycles ->
-    failwith
-      (Printf.sprintf "Experiment: cycle budget exhausted (%s, %s)" program.Program.name
-         (Config.describe config))
-  | Cpu.Cancelled ->
+  match check r program config with
+  | Ok r -> r
+  | Error m when r.Cpu.outcome = Cpu.Cancelled ->
     (* An exception, not a [failwith]: cancellation is the caller's own
        doing — the {!Runner} converts it to [Expired] without burning
        retries, and nothing below may cache the partial run. *)
-    raise
-      (Wp_util.Cancel.Cancelled
-         (Printf.sprintf "deadline exceeded after %d cycles (%s, %s)"
-            r.Cpu.cycles program.Program.name (Config.describe config))));
-  if not r.Cpu.result_ok then
-    failwith
-      (Printf.sprintf "Experiment: wrong architectural result (%s, %s)" program.Program.name
-         (Config.describe config));
-  r
+    raise (Wp_util.Cancel.Cancelled m)
+  | Error m -> failwith m
+
+let record ~machine ~config ~golden:g (program : Program.t) wp1 wp2 =
+  let th_wp1 = Cpu.throughput ~golden:g wp1 in
+  let th_wp2 = Cpu.throughput ~golden:g wp2 in
+  {
+    program_name = program.Program.name;
+    machine;
+    config;
+    golden_cycles = g.Cpu.cycles;
+    wp1;
+    wp2;
+    th_wp1;
+    th_wp2;
+    gain_percent = Wp_util.Stats.percent_gain th_wp1 th_wp2;
+    wp1_bound = Analysis.wp1_bound_float config;
+  }
 
 let run_spec ?cancel ~spec ~machine ~program config =
   (* An already-expired token must not burn a golden run (the memo is
@@ -134,20 +149,7 @@ let run_spec ?cancel ~spec ~machine ~program config =
     checked_run ?cancel ~mcr_work ~spec:(oracle_spec spec) ~machine
       ~mode:Shell.Oracle ~config program
   in
-  let th_wp1 = Cpu.throughput ~golden:g wp1 in
-  let th_wp2 = Cpu.throughput ~golden:g wp2 in
-  {
-    program_name = program.Program.name;
-    machine;
-    config;
-    golden_cycles = g.Cpu.cycles;
-    wp1;
-    wp2;
-    th_wp1;
-    th_wp2;
-    gain_percent = Wp_util.Stats.percent_gain th_wp1 th_wp2;
-    wp1_bound = Analysis.wp1_bound_float config;
-  }
+  record ~machine ~config ~golden:g program wp1 wp2
 
 
 (* Batched [run_spec]: every request contributes two lanes (WP1 plain +
@@ -200,53 +202,14 @@ let run_batch_spec ?cancels ~machine
           })
     in
     let lane_results = Cpu.run_batch ~machine items in
-    let validate (r : Cpu.result) (program : Program.t) config =
-      (* Same checks, same messages as [checked_run] — a quarantined
-         batch request reports exactly what its solo run would. *)
-      match r.Cpu.outcome with
-      | Cpu.Deadlocked ->
-        Error
-          (Printf.sprintf "Experiment: deadlock (%s, %s)" program.Program.name
-             (Config.describe config))
-      | Cpu.Out_of_cycles ->
-        Error
-          (Printf.sprintf "Experiment: cycle budget exhausted (%s, %s)"
-             program.Program.name (Config.describe config))
-      | Cpu.Cancelled ->
-        Error
-          (Printf.sprintf "deadline exceeded after %d cycles (%s, %s)"
-             r.Cpu.cycles program.Program.name (Config.describe config))
-      | Cpu.Completed ->
-        if not r.Cpu.result_ok then
-          Error
-            (Printf.sprintf "Experiment: wrong architectural result (%s, %s)"
-               program.Program.name (Config.describe config))
-        else Ok r
-    in
     Array.init n (fun i ->
         let _, program, config = requests.(i) in
-        let g = goldens.(i) in
         match
-          ( validate lane_results.(2 * i) program config,
-            validate lane_results.((2 * i) + 1) program config )
+          ( check lane_results.(2 * i) program config,
+            check lane_results.((2 * i) + 1) program config )
         with
         | Error e, _ | _, Error e -> Error e
-        | Ok wp1, Ok wp2 ->
-          let th_wp1 = Cpu.throughput ~golden:g wp1 in
-          let th_wp2 = Cpu.throughput ~golden:g wp2 in
-          Ok
-            {
-              program_name = program.Program.name;
-              machine;
-              config;
-              golden_cycles = g.Cpu.cycles;
-              wp1;
-              wp2;
-              th_wp1;
-              th_wp2;
-              gain_percent = Wp_util.Stats.percent_gain th_wp1 th_wp2;
-              wp1_bound = Analysis.wp1_bound_float config;
-            })
+        | Ok wp1, Ok wp2 -> Ok (record ~machine ~config ~golden:goldens.(i) program wp1 wp2))
   end
 
 let wp2_cycles_objective_spec ~spec ~machine ~program config =

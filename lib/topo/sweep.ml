@@ -175,7 +175,8 @@ let run_solo ~engine sc net =
 
 (* The static path measures sustained throughput exactly: block 0's
    firing count over one full period against the next must advance by
-   exactly the word's ones count.  Checkpoints are visited in ascending
+   exactly the word's ones count ({!word_rate_ok} also holds the word's
+   rate against the MCR bound).  Checkpoints are visited in ascending
    order; the caller-visible view is snapshotted at the budget
    checkpoint even when the word check needs to run further. *)
 let run_static_checked sc net =
@@ -220,8 +221,8 @@ let run_static_checked sc net =
             })
     (List.sort_uniq compare [ t1; t2; b ]);
   let view = match !snap with Some v -> v | None -> assert false in
-  let word_ok = !f2 - !f1 = ones in
-  { p_view = view; p_tele = None; p_word = Some (Static.rate st 0, word_ok) }
+  let sustained = !f2 - !f1 = ones in
+  { p_view = view; p_tele = None; p_word = Some (Static.rate st 0, sustained) }
 
 (* A plain static replay to the same budget, for cross-checking a
    dynamic primary engine. *)
@@ -238,6 +239,13 @@ let static_view sc net =
     v_delivered =
       Array.init (Network.channel_count net) (fun c -> Static.delivered st c);
   }
+
+(* Millo & de Simone's claim at generated-topology scale: block 0
+   sustains its balanced firing word over a full period, and the word's
+   rate is the critical cycle ratio of the capacity-extended marked
+   graph. *)
+let word_rate_ok ~bound ~rate ~sustained =
+  sustained && Cycle_ratio.ratio_compare rate bound = 0
 
 (* --------------------------------------------------------------- *)
 (* Classification                                                   *)
@@ -364,6 +372,7 @@ let process_shard ~check_engines (shard : scenario array) : result array =
           r_error = Some e;
         }
       | Ok (_, net), Some p, _ ->
+        let bound = Topology.mcr ~capacity:sc.spec.Run_spec.capacity net in
         let disagreements = ref [] in
         let err = ref None in
         if check_engines then begin
@@ -396,9 +405,10 @@ let process_shard ~check_engines (shard : scenario array) : result array =
           r_outcome = p.p_view.v_outcome;
           r_cycles = p.p_view.v_cycles;
           r_firings = p.p_view.v_firings.(0);
-          r_bound = Topology.mcr ~capacity:sc.spec.Run_spec.capacity net;
+          r_bound = bound;
           r_word_rate = Option.map fst p.p_word;
-          r_word_ok = Option.map snd p.p_word;
+          r_word_ok =
+            Option.map (fun (rate, sustained) -> word_rate_ok ~bound ~rate ~sustained) p.p_word;
           r_disagreements = !disagreements;
           r_telemetry = p.p_tele;
           r_error = !err;

@@ -15,9 +15,9 @@
       {!Wp_sim.Engine} reference interpreter;
     - under [--engine static] the measured steady-state throughput of
       block 0 is checked {e exactly} (integer arithmetic, one full
-      period against the next) against the balanced firing word's rate
-      — the Millo–de Simone sustained-rate claim at generated-topology
-      scale.
+      period against the next) against the balanced firing word's rate,
+      and that rate against the Howard-MCR bound — the Millo–de Simone
+      sustained-rate claim at generated-topology scale.
 
     The report compares measured throughput per topology family against
     the Howard-MCR bound of the capacity-extended marked graph and, when
@@ -39,7 +39,8 @@ type result = {
       (** static engine only: the firing word's ones-per-period *)
   r_word_ok : bool option;
       (** static engine only: measured steady-state throughput equals
-          the word rate, exactly *)
+          the word rate, and the word rate equals [r_bound], exactly
+          ({!word_rate_ok}) *)
   r_disagreements : string list;  (** cross-engine mismatches, [] = agree *)
   r_telemetry : Wp_sim.Telemetry.summary option;
   r_error : string option;  (** scenario died with this exception *)
@@ -59,6 +60,15 @@ val run : ?jobs:int -> ?check_engines:bool -> scenario list -> result list
     [check_engines] (default [true]) enables the static / reference
     cross-checks; the primary engine comes from each scenario's spec.
     Never raises on a per-scenario failure — see [r_error]. *)
+
+val word_rate_ok :
+  bound:Wp_graph.Cycle_ratio.ratio ->
+  rate:Wp_graph.Cycle_ratio.ratio ->
+  sustained:bool ->
+  bool
+(** The static path's word check: block 0 fired exactly its word's ones
+    count over one full period against the next ([sustained]), and the
+    word's [rate] equals the MCR [bound]. *)
 
 val ok : result -> bool
 (** No error, no disagreement, and the word-rate check (when performed)

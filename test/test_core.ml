@@ -287,6 +287,27 @@ let test_experiment_consistency () =
   checkb "gain non-negative here" true (record.Experiment.gain_percent >= 0.0);
   checkf "bound for ALU-CU" (2.0 /. 3.0) record.Experiment.wp1_bound
 
+let test_experiment_same_failure_text () =
+  (* Solo and batched runs share one outcome check: an exhausted budget
+     is the same text as a [Failure] and as an [Error]. *)
+  let spec = Run_spec.v ~engine:Wp_sim.Sim.Fast ~max_cycles:5 () in
+  let config = Config.only Datapath.ALU_CU 1 in
+  let solo =
+    match
+      Experiment.run_spec ~spec ~machine:Datapath.Pipelined ~program:small_sort config
+    with
+    | _ -> Alcotest.fail "a 5-cycle budget completed"
+    | exception Failure m -> m
+  in
+  Alcotest.(check string)
+    "solo message" "Experiment: cycle budget exhausted (extraction_sort, ALU-CU=1)"
+    solo;
+  match
+    Experiment.run_batch_spec ~machine:Datapath.Pipelined [| (spec, small_sort, config) |]
+  with
+  | [| Error m |] -> Alcotest.(check string) "batch message = solo message" solo m
+  | _ -> Alcotest.fail "expected one Error"
+
 let test_experiment_golden_memoised () =
   let a = Experiment.golden ~machine:Datapath.Pipelined small_sort in
   let b = Experiment.golden ~machine:Datapath.Pipelined small_sort in
@@ -644,6 +665,8 @@ let () =
         [
           Alcotest.test_case "consistency" `Quick test_experiment_consistency;
           Alcotest.test_case "golden memoised" `Quick test_experiment_golden_memoised;
+          Alcotest.test_case "same failure text solo and batched" `Quick
+            test_experiment_same_failure_text;
         ] );
       ( "table1",
         [

@@ -441,7 +441,20 @@ let test_sweep_static_word_rate () =
       if not (Sweep.ok r) then fail_sweep r;
       checkb "word rate checked" true (r.Sweep.r_word_ok = Some true);
       checkb "word rate equals MCR bound" true
-        (r.Sweep.r_word_rate = Some r.Sweep.r_bound))
+        (r.Sweep.r_word_rate = Some r.Sweep.r_bound);
+      (* A word rate off the bound fails the check even when block 0
+         sustains it: here, the word's ones over one cycle more than
+         its period. *)
+      let st =
+        Static.create ~capacity:2 ~mode:Shell.Plain
+          (Topology.build r.Sweep.r_scenario.Sweep.topo)
+      in
+      let ones = Array.fold_left (fun a f -> if f then a + 1 else a) 0 (Static.word st 0) in
+      let off = Cycle_ratio.make_ratio ones (Static.period st + 1) in
+      checkb "rate off the bound fails" false
+        (Sweep.word_rate_ok ~bound:r.Sweep.r_bound ~rate:off ~sustained:true);
+      checkb "unsustained rate fails" false
+        (Sweep.word_rate_ok ~bound:r.Sweep.r_bound ~rate:r.Sweep.r_bound ~sustained:false))
     results
 
 let test_sweep_fast_agreement () =
