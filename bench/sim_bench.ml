@@ -8,8 +8,7 @@
              compiled Fast kernel (gate: fast >= 2x reference), a
              kernel-only stall probe (gates: Fast and Static allocate
              nothing; Static is strictly faster than Fast), and exact
-             static word-rate checks; link-protection and telemetry
-             overheads are reported alongside
+             static word-rate checks
      batch = 64-lane SoA Batch vs sequential Fast (gate: >= 2x)
      flow  = incremental MCR vs from-scratch re-solves (gate: >= 5x,
              exact agreement at every step)
@@ -27,7 +26,6 @@ module Cpu = Wp_soc.Cpu
 module Shell = Wp_lis.Shell
 module Process = Wp_lis.Process
 module Config = Wp_core.Config
-module Protect = Wp_core.Protect
 module Network = Wp_sim.Network
 module Engine = Wp_sim.Engine
 module Fast = Wp_sim.Fast
@@ -130,14 +128,14 @@ let sweep_runs ~smoke =
         [ Shell.Plain; Shell.Oracle ])
     (sweep_programs ~smoke)
 
-let measure_runs ~engine ?protect ?telemetry runs =
+let measure_runs ~engine runs =
   (* Warm-up pass: fault in code paths and steady-state the heap so the
      measured pass compares kernels, not cold starts. *)
   let execute () =
     List.fold_left
       (fun acc (program, mode, config) ->
         let r =
-          Cpu.run ~engine ?protect ?telemetry ~machine:Datapath.Pipelined ~mode
+          Cpu.run ~engine ~machine:Datapath.Pipelined ~mode
             ~rs:(Config.to_fun config) program
         in
         if r.Cpu.outcome <> Cpu.Completed then failwith "sim_bench: sweep run did not complete";
@@ -151,20 +149,6 @@ let measure_runs ~engine ?protect ?telemetry runs =
   let total_cycles = execute () in
   let seconds = Unix.gettimeofday () -. t0 in
   { runs = List.length runs; total_cycles; seconds; minor_words = Gc.minor_words () -. w0 }
-
-(* Link protection: the same workloads, plain wrappers, a representative
-   pair of configs, run once with every connection link-protected and
-   once bare.  Clean protected runs are cycle-neutral (the link's forward
-   latency matches the relay stations it subsumes and the credit window
-   covers the round trip), so the steady-state overhead is the
-   throughput ratio in simulated cycles per second. *)
-let link_runs ~smoke =
-  let configs = [ Config.zero; Config.uniform ~except:[ Datapath.CU_IC ] 1 ] in
-  List.concat_map
-    (fun (_, program) -> List.map (fun config -> (program, Shell.Plain, config)) configs)
-    (sweep_programs ~smoke)
-
-let protect_all = Protect.to_fun (Protect.all ())
 
 (* ------------------------------------------------------------------ *)
 (* Kernel-only probes                                                 *)
@@ -216,7 +200,7 @@ let measure_kernel_steps ~engine ~capacity net =
   done;
   { runs = 1; total_cycles = probe_cycles; seconds = !best; minor_words = !words }
 
-(* The firing word the static prepass discovered must sustain precisely
+(* The firing word the recorded table holds must sustain precisely
    the rate of the balanced-word schedule on the capacity-extended
    marked graph. *)
 let check_static_rate ~capacity ~what net expected =
@@ -245,9 +229,10 @@ let run_core ~smoke : probe_result =
         (engine, m))
       engines
   in
-  let dynamic = [ Sim.Reference; Sim.Fast ] in
   let sweep =
-    measure_each engine_name (fun engine -> measure_runs ~engine (sweep_runs ~smoke)) dynamic
+    measure_each engine_name
+      (fun engine -> measure_runs ~engine (sweep_runs ~smoke))
+      [ Sim.Reference; Sim.Fast ]
   in
   print_endline "kernel-only stall probe (deadlocked ring, no process firings):";
   let stall =
@@ -265,39 +250,6 @@ let run_core ~smoke : probe_result =
   let stall_speedup = speedup (List.assoc Sim.Static stall) (List.assoc Sim.Fast stall) in
   let live_speedup = speedup (List.assoc Sim.Static live) (List.assoc Sim.Fast live) in
   Printf.printf "static/fast speedup: %.2fx stalled, %.2fx live\n" stall_speedup live_speedup;
-  (* Link protection and telemetry are unschedulable by construction, so
-     their overheads only cover the dynamic engines. *)
-  let overhead ~title ~base ~with_ ~what runs_of =
-    print_endline title;
-    List.map
-      (fun engine ->
-        let a = runs_of engine false and b = runs_of engine true in
-        print_measurement (engine_name engine ^ "/" ^ base) a;
-        print_measurement (engine_name engine ^ "/" ^ with_) b;
-        let slowdown = speedup a b in
-        Printf.printf "%-21s %s slowdown %.3fx (%.2f -> %.2f words/cycle)\n" (engine_name engine)
-          what slowdown (words_per_cycle a) (words_per_cycle b);
-        ( engine_name engine,
-          obj
-            [
-              (base, json_of_measurement a);
-              (with_, json_of_measurement b);
-              ("slowdown", Printf.sprintf "%.3f" slowdown);
-            ] ))
-      dynamic
-  in
-  let link =
-    overhead ~title:"link-protection overhead (plain wrappers, all connections protected):"
-      ~base:"unprotected" ~with_:"protected" ~what:"protected" (fun engine on ->
-        measure_runs ~engine ?protect:(if on then Some protect_all else None) (link_runs ~smoke))
-  in
-  let telemetry =
-    overhead ~title:"telemetry overhead (counters on vs off):" ~base:"off" ~with_:"on"
-      ~what:"telemetry" (fun engine on ->
-        measure_runs ~engine
-          ?telemetry:(if on then Some Wp_sim.Telemetry.counters else None)
-          (sweep_runs ~smoke))
-  in
   let fast_speedup = speedup (List.assoc Sim.Fast sweep) (List.assoc Sim.Reference sweep) in
   Printf.printf "fast/reference throughput ratio: %.2fx\n" fast_speedup;
   let static_pass = stall_speedup > 1.0 in
@@ -327,8 +279,6 @@ let run_core ~smoke : probe_result =
              (List.map (fun (n, _) -> Printf.sprintf "%S" n) (sweep_programs ~smoke))) );
       ("table1_sweep", obj (engine_fields sweep));
       ("kernel_stall_probe", obj (engine_fields stall));
-      ("link_overhead", obj link);
-      ("telemetry_overhead", obj telemetry);
       ( "static_kernel",
         obj
           [

@@ -264,53 +264,59 @@ let disk_write t ~ns cache_key v =
       Sys.rename tmp path
     with Sys_error _ | Unix.Unix_error _ -> ())
 
-(* One cache transaction.  The simulation runs outside the lock;
-   concurrent misses on the same key may race the computation (pure, so
-   harmless) but the first stored value wins, keeping every caller's view
-   identical.  [ns] namespaces the disk entry ("rec" / "obj") so the two
-   tables cannot alias on disk. *)
-let lookup t table ~ns key compute =
-  if not t.cache then begin
-    Mutex.lock t.mutex;
-    t.cache_misses <- t.cache_misses + 1;
-    Mutex.unlock t.mutex;
-    compute ()
-  end
-  else begin
-    let store_winner ~persist v =
-      Mutex.lock t.mutex;
-      let winner =
-        match Hashtbl.find_opt table key with
-        | Some first -> first
-        | None ->
-          Hashtbl.replace table key v;
-          v
-      in
-      Mutex.unlock t.mutex;
-      if persist && winner == v then disk_write t ~ns key v;
-      winner
-    in
-    Mutex.lock t.mutex;
+(* Insert [v] under [key] unless a value is already there, and return
+   the stored value: the first writer wins, so every caller's view stays
+   identical. *)
+let insert t table key v =
+  Mutex.lock t.mutex;
+  let winner =
     match Hashtbl.find_opt table key with
-    | Some v ->
-      t.cache_hits <- t.cache_hits + 1;
-      Mutex.unlock t.mutex;
+    | Some first -> first
+    | None ->
+      Hashtbl.replace table key v;
       v
-    | None -> (
-      Mutex.unlock t.mutex;
-      match disk_read t ~ns key with
-      | Some v ->
-        Mutex.lock t.mutex;
-        t.cache_hits <- t.cache_hits + 1;
-        Mutex.unlock t.mutex;
-        store_winner ~persist:false v
-      | None ->
-        Mutex.lock t.mutex;
-        t.cache_misses <- t.cache_misses + 1;
-        Mutex.unlock t.mutex;
-        let v = compute () in
-        store_winner ~persist:true v)
+  in
+  Mutex.unlock t.mutex;
+  winner
+
+(* Cache probe without compute: memory table first, then the
+   digest-guarded disk layer (promoted into memory on hit).  Does not
+   touch the hit/miss counters — the caller accounts for the request's
+   final disposition exactly once. *)
+let probe t table ~ns key =
+  if not t.cache then None
+  else begin
+    Mutex.lock t.mutex;
+    let mem = Hashtbl.find_opt table key in
+    Mutex.unlock t.mutex;
+    match mem with
+    | Some _ -> mem
+    | None -> Option.map (insert t table key) (disk_read t ~ns key)
   end
+
+(* Store a computed value under its key (memory + disk). *)
+let store t table ~ns key v =
+  if not t.cache then v
+  else begin
+    let winner = insert t table key v in
+    if winner == v then disk_write t ~ns key v;
+    winner
+  end
+
+(* One cache transaction: [probe], else [compute] and [store].  The
+   simulation runs outside the lock; concurrent misses on the same key
+   may race the computation (pure, so harmless) but the first stored
+   value wins, keeping every caller's view identical.  [ns] namespaces
+   the disk entry ("rec" / "obj") so the two tables cannot alias on
+   disk. *)
+let lookup t table ~ns key compute =
+  let hit = probe t table ~ns key in
+  Mutex.lock t.mutex;
+  (match hit with
+  | Some _ -> t.cache_hits <- t.cache_hits + 1
+  | None -> t.cache_misses <- t.cache_misses + 1);
+  Mutex.unlock t.mutex;
+  match hit with Some v -> v | None -> store t table ~ns key (compute ())
 
 let key ~spec ~machine ~(program : Program.t) config =
   (* The run parameters enter the key solely through [Run_spec.digest]:
@@ -497,53 +503,6 @@ type request = {
   req_config : Config.t;
   req_cancel : Wp_util.Cancel.t;
 }
-
-(* Cache probe without compute: memory table first, then the
-   digest-guarded disk layer (promoted into memory on hit, first stored
-   value winning as in [lookup]).  Does not touch the hit/miss counters
-   — the caller accounts for the request's final disposition exactly
-   once. *)
-let probe t table ~ns key =
-  if not t.cache then None
-  else begin
-    Mutex.lock t.mutex;
-    let mem = Hashtbl.find_opt table key in
-    Mutex.unlock t.mutex;
-    match mem with
-    | Some _ -> mem
-    | None -> (
-      match disk_read t ~ns key with
-      | None -> None
-      | Some v ->
-        Mutex.lock t.mutex;
-        let winner =
-          match Hashtbl.find_opt table key with
-          | Some first -> first
-          | None ->
-            Hashtbl.replace table key v;
-            v
-        in
-        Mutex.unlock t.mutex;
-        Some winner)
-  end
-
-(* Store a batch-computed value under its key (memory + disk), first
-   writer winning so every caller's view stays identical. *)
-let store t table ~ns key v =
-  if not t.cache then v
-  else begin
-    Mutex.lock t.mutex;
-    let winner =
-      match Hashtbl.find_opt table key with
-      | Some first -> first
-      | None ->
-        Hashtbl.replace table key v;
-        v
-    in
-    Mutex.unlock t.mutex;
-    if winner == v then disk_write t ~ns key v;
-    winner
-  end
 
 let experiments_batch_spec ?attempts ?retry_seed ?(shard = 8) t requests =
   let reqs = Array.of_list requests in

@@ -10,8 +10,8 @@
      relay-station counts, FIFO capacity) — a marked graph — so lanes
      agreeing on those become one {!Static} replay instance over the
      schedule {!Static.tables} memoises;
-   - the rest (Oracle mode, faults, and any group whose prepass finds
-     no periodic steady state) become one many-lane {!Fast} instance.
+   - the rest (Oracle mode, faults, and any group whose recorded table
+     has no periodic steady state) become one many-lane {!Fast} instance.
 
    Both kernels step lanes exactly as their solo runs do, so every lane
    is byte-identical to running it alone. *)

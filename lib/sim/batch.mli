@@ -13,12 +13,12 @@
 
     - {b Static replay} ({!Static}) — Plain, unfaulted lanes are grouped
       by (capacity, per-channel relay-station counts); such a group is a
-      marked graph, so one count-only {!Static.tables} prepass per group
-      (memoised there) yields a shared firing schedule that the group
-      replays in lockstep as one many-lane {!Static.create_lanes}
-      instance.
+      marked graph, so one firing table per group, recorded by {!Fast}'s
+      kernel and memoised by {!Static.tables}, yields a shared schedule
+      that the group replays in lockstep as one many-lane
+      {!Static.create_lanes} instance.
     - {b Dynamic SoA} ({!Fast}) — Oracle-mode and faulted lanes (whose
-      firing is data- or fault-dependent), and any group whose prepass
+      firing is data- or fault-dependent), and any group whose recording
       finds no periodic steady state, run the full three-phase
       handshake as one many-lane {!Fast.create_lanes} instance.
 

@@ -196,12 +196,12 @@ let step t =
   | Some tl ->
       (* Start-of-cycle observables: consumer-FIFO depth and the
          producer-visible stop, per channel. *)
+      let occ = Telemetry.occ_scratch tl and stop = Telemetry.stop_scratch tl in
       Array.iter
         (fun chain ->
           let dst_node, dst_port = Network.channel_dst t.net chain.channel in
-          Telemetry.sample_channel tl ~chan:chain.channel
-            ~occupancy:(Shell.buffered t.shells.(dst_node) dst_port)
-            ~stop:chain.producer_stop)
+          occ.(chain.channel) <- Shell.buffered t.shells.(dst_node) dst_port;
+          stop.(chain.channel) <- chain.producer_stop)
         t.chains);
   (* Phase 2: firing decisions; collect every node's output tokens. *)
   let fired_any = ref false in
@@ -232,8 +232,8 @@ let step t =
               | Some c -> t.chains.(c).protected_
               | None -> false
             in
-            Telemetry.note_node tl ~node:n
-              ~cls:
+            (Telemetry.cls_scratch tl).(n) <-
+              Telemetry.cls_code
                 (Telemetry.classify ~fired ~ready ~outputs_clear ~oracle_ready
                    ~link_blocked));
         if fired then begin
@@ -300,12 +300,8 @@ let step t =
   (match t.telemetry with
   | None -> ()
   | Some tl ->
-      Array.iter
-        (fun chain ->
-          Telemetry.commit_channel tl ~chan:chain.channel
-            ~delivered:chain.delivered)
-        t.chains;
-      Telemetry.end_cycle tl);
+      Telemetry.commit_cycle tl
+        ~delivered:(Array.map (fun chain -> chain.delivered) t.chains));
   t.clock <- t.clock + 1;
   t.last_fired <- !fired_any;
   if !fired_any then t.quiet_cycles <- 0 else t.quiet_cycles <- t.quiet_cycles + 1

@@ -14,10 +14,12 @@
    [create] is a one-lane kernel, and the batch kernel's dynamic lanes
    (Oracle mode, faults) are a many-lane one.  Each lane has its own
    process instances, relay-station counts, FIFO capacity, fault
-   program and link layer.
+   program and link layer.  The same step records the table-replay
+   kernel's firing tables ([record]), and both kernels run in one lane
+   loop ([roster]).
 
    Layout (all indices are dense ints):
-   - ports and channels follow {!Static.meta_of}: global input port
+   - ports and channels follow [meta_of]: global input port
      [in_base.(node) + port], output ports likewise, and a CSR list of
      each node's outgoing channels in increasing channel order;
    - lane state is structure-of-arrays: entity [e] (input port, output
@@ -52,6 +54,178 @@ module Shell = Wp_lis.Shell
 module Token = Wp_lis.Token
 module Process = Wp_lis.Process
 
+(* ------------------------------------------------------------------ *)
+(* Shared CSR layout                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Flattened topology: both compiled kernels read the same arrays,
+   derived once here from a network. *)
+type meta = {
+  m_n_nodes : int;
+  m_n_chans : int;
+  m_in_base : int array;
+  m_out_base : int array;
+  m_chan_src_op : int array;
+  m_chan_dst_ip : int array;
+  m_chan_rs_base : int array;
+  m_out_chan_base : int array;
+  m_out_chan_ids : int array;
+  m_ip_chan : int array;
+  m_op_chan : int array;
+}
+
+let meta_of net =
+  let n_nodes = Network.node_count net in
+  let n_chans = Network.channel_count net in
+  let procs = Array.init n_nodes (fun n -> Network.node_process net n) in
+  let prefix f =
+    let base = Array.make (n_nodes + 1) 0 in
+    for n = 0 to n_nodes - 1 do
+      base.(n + 1) <- base.(n) + f procs.(n)
+    done;
+    base
+  in
+  let in_base = prefix Process.n_inputs in
+  let out_base = prefix Process.n_outputs in
+  let n_in_total = in_base.(n_nodes) in
+  let n_out_total = out_base.(n_nodes) in
+  let chan_src_op = Array.make (max 1 n_chans) 0 in
+  let chan_dst_ip = Array.make (max 1 n_chans) 0 in
+  let chan_src_node = Array.make (max 1 n_chans) 0 in
+  let chan_rs_base = Array.make (n_chans + 1) 0 in
+  let ip_chan = Array.make (max 1 n_in_total) (-1) in
+  let op_chan = Array.make (max 1 n_out_total) (-1) in
+  for c = 0 to n_chans - 1 do
+    let src_node, src_port = Network.channel_src net c in
+    let dst_node, dst_port = Network.channel_dst net c in
+    chan_src_node.(c) <- src_node;
+    chan_src_op.(c) <- out_base.(src_node) + src_port;
+    chan_dst_ip.(c) <- in_base.(dst_node) + dst_port;
+    ip_chan.(chan_dst_ip.(c)) <- c;
+    op_chan.(chan_src_op.(c)) <- c;
+    chan_rs_base.(c + 1) <- chan_rs_base.(c) + Network.relay_stations net c
+  done;
+  let out_chan_base = Array.make (n_nodes + 1) 0 in
+  for c = 0 to n_chans - 1 do
+    let n = chan_src_node.(c) in
+    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + 1
+  done;
+  for n = 0 to n_nodes - 1 do
+    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + out_chan_base.(n)
+  done;
+  let out_chan_ids = Array.make (max 1 n_chans) 0 in
+  let cursor = Array.copy out_chan_base in
+  for c = 0 to n_chans - 1 do
+    let n = chan_src_node.(c) in
+    out_chan_ids.(cursor.(n)) <- c;
+    cursor.(n) <- cursor.(n) + 1
+  done;
+  {
+    m_n_nodes = n_nodes;
+    m_n_chans = n_chans;
+    m_in_base = in_base;
+    m_out_base = out_base;
+    m_chan_src_op = chan_src_op;
+    m_chan_dst_ip = chan_dst_ip;
+    m_chan_rs_base = chan_rs_base;
+    m_out_chan_base = out_chan_base;
+    m_out_chan_ids = out_chan_ids;
+    m_ip_chan = ip_chan;
+    m_op_chan = op_chan;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The lane loop                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* What both compiled kernels share: the running set, the clock and each
+   lane's finish.  A kernel's [advance] steps every running lane by one
+   cycle, sets [halt_flag] right after a firing that halts, updates
+   [quiet] and bumps [clock]. *)
+type roster = {
+  mutable clock : int;
+  act : int array; (* running lane ids, first n_act entries *)
+  mutable n_act : int;
+  halt_flag : Bytes.t; (* per lane, sticky *)
+  quiet : int array; (* per lane: cycles since a shell last fired *)
+  quiescence : int array; (* per lane: the deadlock window *)
+  finished : Engine.outcome option array; (* per lane *)
+  lane_end : int array; (* per lane: clock at finish *)
+}
+
+(* [instances] are laid out [n * L + l].  A process can be terminal at
+   reset; the first check must see it. *)
+let roster ~quiescence instances =
+  let n_lanes = Array.length quiescence in
+  let halt_flag = Bytes.make n_lanes '\000' in
+  Array.iteri
+    (fun i inst ->
+      if inst.Process.halted () then Bytes.set halt_flag (i mod n_lanes) '\001')
+    instances;
+  {
+    clock = 0;
+    act = Array.init n_lanes Fun.id;
+    n_act = n_lanes;
+    halt_flag;
+    quiet = Array.make n_lanes 0;
+    quiescence;
+    finished = Array.make n_lanes None;
+    lane_end = Array.make n_lanes 0;
+  }
+
+(* Lanes whose state is at the current clock — all of them at creation,
+   those that finished at this clock after a run — step again, so a run
+   can be resumed with a larger budget. *)
+let reopen r =
+  r.n_act <- 0;
+  for l = 0 to Array.length r.finished - 1 do
+    if Option.is_none r.finished.(l) || r.lane_end.(l) = r.clock then begin
+      r.finished.(l) <- None;
+      r.act.(r.n_act) <- l;
+      r.n_act <- r.n_act + 1
+    end
+  done
+
+let run_roster r advance k ~budgets ~cancels =
+  reopen r;
+  let has_cancel = Array.exists (fun c -> not (Wp_util.Cancel.is_never c)) cancels in
+  while r.n_act > 0 do
+    (* The termination check, in Engine.run's order: halt, quiescence
+       window, the cycle budget, then the cancellation poll (every
+       [Engine.cancel_interval] cycles, one clock sample per round).  A
+       finished or cancelled lane leaves the running set, so the others
+       keep byte-identical results. *)
+    let poll_cancel =
+      has_cancel && r.clock land (Engine.cancel_interval - 1) = 0
+    in
+    let now = if poll_cancel then Wp_util.Cancel.now () else 0. in
+    let w = ref 0 in
+    for a = 0 to r.n_act - 1 do
+      let l = r.act.(a) in
+      let fin =
+        if Bytes.unsafe_get r.halt_flag l = '\001' then Some (Engine.Halted r.clock)
+        else if r.quiet.(l) > r.quiescence.(l) then Some (Engine.Deadlocked r.clock)
+        else if r.clock >= budgets.(l) then Some (Engine.Exhausted r.clock)
+        else if poll_cancel && Wp_util.Cancel.cancelled_at ~now cancels.(l) then
+          Some (Engine.Cancelled r.clock)
+        else None
+      in
+      match fin with
+      | Some _ ->
+        r.finished.(l) <- fin;
+        r.lane_end.(l) <- r.clock
+      | None ->
+        r.act.(!w) <- l;
+        incr w
+    done;
+    r.n_act <- !w;
+    if r.n_act > 0 then advance k
+  done;
+  Array.map Option.get r.finished
+
+let lane_cycles r lane =
+  match r.finished.(lane) with Some _ -> r.lane_end.(lane) | None -> r.clock
+
 (* Lane state lives in plain [int array]s: the element type is known
    statically, so reads and writes compile to bare loads and stores. *)
 type ia = int array
@@ -81,7 +255,6 @@ type t = {
   links : Link.t option array; (* per lane *)
   linked : bool; (* some lane protects a channel *)
   tel : Telemetry.t option; (* one-lane kernels only *)
-  quiescence : int array; (* per lane *)
   (* shared structure: the lanes' common layout *)
   in_base : int array; (* n_nodes + 1 *)
   out_base : int array; (* n_nodes + 1 *)
@@ -95,7 +268,6 @@ type t = {
          slot enters the remembered set at most once per minor
          collection, so reuse is cheaper than reallocating *)
   plain_masks : bool array array; (* per node *)
-  halt_flag : Bytes.t; (* per lane, sticky; set right after a firing *)
   (* SoA lane state; cell index is [entity * L + lane] unless noted *)
   mutable fifo_buf : ia; (* [(ip * L + l) * stride + slot], ring mod ring.(l) *)
   fifo_head : ia;
@@ -126,13 +298,7 @@ type t = {
   f_can : (unit -> bool) array;
   f_acc : (int -> unit) array;
   traces : int Token.t list array; (* [(out_port * L) + l]; newest first *)
-  (* scheduling *)
-  mutable clock : int;
-  act : int array; (* running lane ids, first n_act entries *)
-  mutable n_act : int;
-  finished : Engine.outcome option array; (* per lane *)
-  lane_end : int array; (* per lane: clock at finish *)
-  quiet : int array; (* per lane *)
+  ro : roster;
   fired : Bytes.t; (* per lane, per-cycle scratch *)
 }
 
@@ -161,14 +327,15 @@ let rs_accept t r v =
 (* Compile                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Lanes agree on the topology signature; [telemetry] needs one lane. *)
-let compile ~record_traces ~telemetry lanes =
+(* Lanes agree on the topology signature; [telemetry] needs one lane.
+   [instances] default to fresh ones made from the lanes' processes. *)
+let compile ?instances ~record_traces ~telemetry lanes =
   let n_lanes = Array.length lanes in
   let net0 = lanes.(0).net in
-  let m = Static.meta_of net0 in
-  let n_nodes = m.Static.m_n_nodes and n_chans = m.Static.m_n_chans in
-  let in_base = m.Static.m_in_base and out_base = m.Static.m_out_base in
-  let chan_dst_ip = m.Static.m_chan_dst_ip in
+  let m = meta_of net0 in
+  let n_nodes = m.m_n_nodes and n_chans = m.m_n_chans in
+  let in_base = m.m_in_base and out_base = m.m_out_base in
+  let chan_dst_ip = m.m_chan_dst_ip in
   let n_in = in_base.(n_nodes) and n_out = out_base.(n_nodes) in
   let faults =
     Array.map
@@ -213,9 +380,12 @@ let compile ~record_traces ~telemetry lanes =
       1 lanes
   in
   let instances =
-    Array.init (n_nodes * n_lanes) (fun i ->
-        (Network.node_process lanes.(i mod n_lanes).net (i / n_lanes))
-          .Process.make ())
+    match instances with
+    | Some i -> i
+    | None ->
+      Array.init (n_nodes * n_lanes) (fun i ->
+          (Network.node_process lanes.(i mod n_lanes).net (i / n_lanes))
+            .Process.make ())
   in
   let n_inputs n = in_base.(n + 1) - in_base.(n) in
   let no_can () = false in
@@ -236,17 +406,15 @@ let compile ~record_traces ~telemetry lanes =
       links;
       linked = Array.exists Option.is_some links;
       tel = Telemetry.make telemetry net0;
-      quiescence;
       in_base;
       out_base;
-      chan_src_op = m.Static.m_chan_src_op;
+      chan_src_op = m.m_chan_src_op;
       chan_dst_ip;
-      out_chan_base = m.Static.m_out_chan_base;
-      out_chan_ids = m.Static.m_out_chan_ids;
+      out_chan_base = m.m_out_chan_base;
+      out_chan_ids = m.m_out_chan_ids;
       instances;
       inputs_scratch = Array.init n_nodes (fun n -> Array.make (n_inputs n) None);
       plain_masks = Array.init n_nodes (fun n -> Array.make (n_inputs n) true);
-      halt_flag = Bytes.make n_lanes '\000';
       fifo_buf = ia (n_in * n_lanes * stride);
       fifo_head = ia (n_in * n_lanes);
       fifo_len = ia (n_in * n_lanes);
@@ -273,12 +441,7 @@ let compile ~record_traces ~telemetry lanes =
       f_can = Array.make (max 1 (n_chans * n_lanes)) no_can;
       f_acc = Array.make (max 1 (n_chans * n_lanes)) ignore;
       traces = Array.make (max 1 (n_out * n_lanes)) [];
-      clock = 0;
-      act = Array.init n_lanes Fun.id;
-      n_act = n_lanes;
-      finished = Array.make n_lanes None;
-      lane_end = Array.make n_lanes 0;
-      quiet = Array.make n_lanes 0;
+      ro = roster ~quiescence instances;
       fired = Bytes.make n_lanes '\000';
     }
   in
@@ -314,13 +477,6 @@ let compile ~record_traces ~telemetry lanes =
       in
       push t ((chan_dst_ip.(c) * n_lanes) + l) l v;
       Option.iter (fun f -> Fault.note_reset f ~chan:c ~value:v) faults.(l)
-    done
-  done;
-  (* A process can be terminal at reset; the first check must see it. *)
-  for l = 0 to n_lanes - 1 do
-    for n = 0 to n_nodes - 1 do
-      if instances.((n * n_lanes) + l).Process.halted () then
-        Bytes.set t.halt_flag l '\001'
     done
   done;
   t
@@ -382,8 +538,8 @@ let reserve t =
    never on a propagated stop. *)
 let link_stops t =
   let ll = t.n_lanes in
-  for a = 0 to t.n_act - 1 do
-    let l = t.act.(a) in
+  for a = 0 to t.ro.n_act - 1 do
+    let l = t.ro.act.(a) in
     match t.links.(l) with
     | None -> ()
     | Some k ->
@@ -447,12 +603,13 @@ let observe t tl =
 (* One cycle for every running lane. *)
 let advance t =
   let ll = t.n_lanes in
-  let cyc = t.clock in
+  let ro = t.ro in
+  let cyc = ro.clock in
   (* Phase 1: propagate stops backwards along each relay chain. *)
   for c = 0 to t.n_chans - 1 do
     let ip = Array.unsafe_get t.chan_dst_ip c in
-    for a = 0 to t.n_act - 1 do
-      let l = Array.unsafe_get t.act a in
+    for a = 0 to ro.n_act - 1 do
+      let l = Array.unsafe_get ro.act a in
       let ipl = (ip * ll) + l in
       let cl = (c * ll) + l in
       let stop =
@@ -488,8 +645,8 @@ let advance t =
     let n_out = Array.unsafe_get t.out_base (n + 1) - op0 in
     let inputs = Array.unsafe_get t.inputs_scratch n in
     let plain = Array.unsafe_get t.plain_masks n in
-    for a = 0 to t.n_act - 1 do
-      let l = Array.unsafe_get t.act a in
+    for a = 0 to ro.n_act - 1 do
+      let l = Array.unsafe_get ro.act a in
       let inst = Array.unsafe_get t.instances ((n * ll) + l) in
       let outputs_clear =
         let ok = ref true in
@@ -546,7 +703,7 @@ let advance t =
         (* [halted] is a pure function of process state and state only
            advances in [fire], so probing right here keeps the sticky
            flag as fresh as a scan of every shell each cycle. *)
-        if inst.Process.halted () then Bytes.unsafe_set t.halt_flag l '\001';
+        if inst.Process.halted () then Bytes.unsafe_set ro.halt_flag l '\001';
         let nl = (n * ll) + l in
         Array.unsafe_set t.firings nl (Array.unsafe_get t.firings nl + 1);
         for q = 0 to n_out - 1 do
@@ -587,8 +744,8 @@ let advance t =
   for c = 0 to t.n_chans - 1 do
     let op = Array.unsafe_get t.chan_src_op c in
     let ip = Array.unsafe_get t.chan_dst_ip c in
-    for a = 0 to t.n_act - 1 do
-      let l = Array.unsafe_get t.act a in
+    for a = 0 to ro.n_act - 1 do
+      let l = Array.unsafe_get ro.act a in
       let cl = (c * ll) + l in
       let opl = (op * ll) + l in
       let base = Array.unsafe_get t.rs_off cl in
@@ -661,67 +818,19 @@ let advance t =
   (match t.tel with
   | None -> ()
   | Some tl -> Telemetry.commit_cycle tl ~delivered:t.chan_delivered);
-  t.clock <- t.clock + 1;
-  for a = 0 to t.n_act - 1 do
-    let l = Array.unsafe_get t.act a in
-    if Bytes.unsafe_get t.fired l = '\001' then t.quiet.(l) <- 0
-    else t.quiet.(l) <- t.quiet.(l) + 1;
+  ro.clock <- cyc + 1;
+  for a = 0 to ro.n_act - 1 do
+    let l = Array.unsafe_get ro.act a in
+    if Bytes.unsafe_get t.fired l = '\001' then ro.quiet.(l) <- 0
+    else ro.quiet.(l) <- ro.quiet.(l) + 1;
     Bytes.unsafe_set t.fired l '\000'
   done
 
-(* Lanes whose state is at the current clock — all of them at creation,
-   those that finished at this clock after a run — step again, so a run
-   can be resumed with a larger budget. *)
-let reopen t =
-  t.n_act <- 0;
-  for l = 0 to t.n_lanes - 1 do
-    if Option.is_none t.finished.(l) || t.lane_end.(l) = t.clock then begin
-      t.finished.(l) <- None;
-      t.act.(t.n_act) <- l;
-      t.n_act <- t.n_act + 1
-    end
-  done
-
 let step t =
-  reopen t;
+  reopen t.ro;
   advance t
 
-let run_lanes t ~budgets ~cancels =
-  reopen t;
-  let has_cancel = Array.exists (fun c -> not (Wp_util.Cancel.is_never c)) cancels in
-  while t.n_act > 0 do
-    (* The termination check, in Engine.run's order: halt, quiescence
-       window, the cycle budget, then the cancellation poll (every
-       [Engine.cancel_interval] cycles, one clock sample per round).  A
-       finished or cancelled lane leaves the running set, so the others
-       keep byte-identical results. *)
-    let poll_cancel =
-      has_cancel && t.clock land (Engine.cancel_interval - 1) = 0
-    in
-    let now = if poll_cancel then Wp_util.Cancel.now () else 0. in
-    let w = ref 0 in
-    for a = 0 to t.n_act - 1 do
-      let l = t.act.(a) in
-      let fin =
-        if Bytes.unsafe_get t.halt_flag l = '\001' then Some (Engine.Halted t.clock)
-        else if t.quiet.(l) > t.quiescence.(l) then Some (Engine.Deadlocked t.clock)
-        else if t.clock >= budgets.(l) then Some (Engine.Exhausted t.clock)
-        else if poll_cancel && Wp_util.Cancel.cancelled_at ~now cancels.(l) then
-          Some (Engine.Cancelled t.clock)
-        else None
-      in
-      match fin with
-      | Some _ ->
-        t.finished.(l) <- fin;
-        t.lane_end.(l) <- t.clock
-      | None ->
-        t.act.(!w) <- l;
-        incr w
-    done;
-    t.n_act <- !w;
-    if t.n_act > 0 then advance t
-  done;
-  Array.map Option.get t.finished
+let run_lanes t ~budgets ~cancels = run_roster t.ro advance t ~budgets ~cancels
 
 let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
   (run_lanes t ~budgets:[| max_cycles |] ~cancels:[| cancel |]).(0)
@@ -730,10 +839,8 @@ let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
 (* Accessors                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let cycles ?(lane = 0) t =
-  match t.finished.(lane) with Some _ -> t.lane_end.(lane) | None -> t.clock
-
-let outcome t ~lane = t.finished.(lane)
+let cycles ?(lane = 0) t = lane_cycles t.ro lane
+let outcome t ~lane = t.ro.finished.(lane)
 let network ?(lane = 0) t = t.nets.(lane)
 let delivered ?(lane = 0) t c = t.chan_delivered.((c * t.n_lanes) + lane)
 
@@ -762,27 +869,83 @@ let output_trace ?(lane = 0) t node port =
   List.rev t.traces.(((t.out_base.(node) + port) * t.n_lanes) + lane)
 
 (* ------------------------------------------------------------------ *)
-(* MCR-guided cycle bounds                                            *)
+(* Table recorder                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The reset marking puts one token on every channel and a token needs
-   [1 + relay_stations] cycles to traverse one, so a loop of [m]
-   processes and [n] relay stations sustains [m / (m + n)]: the bound
-   is {!Static.mcr} of the forward-only (unbounded-FIFO) graph. *)
-let throughput_bound net =
-  Wp_graph.Cycle_ratio.ratio_to_float (Static.mcr ~capacity:0 net)
+type table_cycle = {
+  tc_fired : int array;  (* shells firing this cycle, ascending *)
+  tc_starved : int array;  (* stalled, missing an input *)
+  tc_blocked : int array;  (* stalled, ready but backpressured *)
+  tc_deliver : int array;  (* channels delivering a token *)
+  tc_any : bool;
+}
 
-let cycle_bound ?(slack_num = 1) ?(slack_den = 4) ~work_cycles net =
-  if work_cycles < 0 then invalid_arg "Fast.cycle_bound: negative work";
-  let th = throughput_bound net in
-  let total_rs =
-    List.fold_left (fun acc c -> acc + Network.relay_stations net c) 0 (Network.channels net)
+(* The ids whose counter moved since the last call, ascending, collected
+   in [scratch]; the counters restart from 0. *)
+let moved scratch counts n =
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if counts.(i) > 0 then begin
+      scratch.(!k) <- i;
+      incr k;
+      counts.(i) <- 0
+    end
+  done;
+  Array.sub scratch 0 !k
+
+(* In Plain mode with no faults a shell fires on token counts alone, so
+   the firing table is this kernel stepping one lane of placeholder
+   processes: [fire] returns one preallocated array and nothing halts,
+   so no user closure runs and no process data matters.  Each cycle is
+   keyed on the FIFO lengths and relay-station fills — all the state a
+   firing decision reads — until a key repeats; every shell is counted
+   as fired, blocked or starved each cycle, so the counters' moves are
+   the cycle's row. *)
+let record ~max_cycles ~capacity net =
+  let n_nodes = Network.node_count net in
+  let outs = ref 1 in
+  for n = 0 to n_nodes - 1 do
+    outs := max !outs (Process.n_outputs (Network.node_process net n))
+  done;
+  let words = Array.make !outs 0 in
+  (* Plain lanes never ask [required]. *)
+  let placeholder =
+    { Process.required = (fun () -> [||]); fire = (fun _ -> words); halted = (fun () -> false) }
   in
-  let structure = Network.node_count net + Network.channel_count net + total_rs in
-  let base = int_of_float (ceil (float_of_int work_cycles /. th)) in
-  (* Engineering margin: finite (capacity-2) shell FIFOs can run a few
-     percent below the marked-graph bound on long loops, and the run
-     needs headroom for pipeline fill/drain plus a full quiescence
-     window for deadlock detection.  Callers that must be exact treat an
-     [Exhausted] at this bound as "re-run with the full budget". *)
-  base + (base * slack_num / slack_den) + 64 + (8 * structure)
+  let t =
+    compile ~instances:(Array.make n_nodes placeholder) ~record_traces:false
+      ~telemetry:Telemetry.off
+      [|
+        {
+          net;
+          mode = Shell.Plain;
+          capacity;
+          fault = Fault.none;
+          max_cycles;
+          cancel = Wp_util.Cancel.never;
+        };
+      |]
+  in
+  let moved = moved (Array.make (max n_nodes t.n_chans) 0) in
+  let seen = Hashtbl.create 1024 in
+  let rec go cycle rows =
+    let key = Array.append t.fifo_len t.rs_len in
+    match Hashtbl.find_opt seen key with
+    | Some first -> Some (first, cycle - first, Array.of_list (List.rev rows))
+    | None when cycle >= max_cycles -> None
+    | None ->
+      Hashtbl.add seen key cycle;
+      advance t;
+      let fired = moved t.firings n_nodes in
+      let row =
+        {
+          tc_fired = fired;
+          tc_starved = moved t.input_starved n_nodes;
+          tc_blocked = moved t.output_blocked n_nodes;
+          tc_deliver = moved t.chan_delivered t.n_chans;
+          tc_any = Array.length fired > 0;
+        }
+      in
+      go (cycle + 1) (row :: rows)
+  in
+  go 0 []

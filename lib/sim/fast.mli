@@ -15,7 +15,9 @@
     steps several independent {e lanes} sharing a topology signature,
     structure-of-arrays: a solo {!create} is a one-lane kernel, and
     {!Batch} runs its Oracle-mode and faulted lanes as one many-lane
-    kernel ({!create_lanes}).  Table replay lives in {!Static}. *)
+    kernel ({!create_lanes}).  The same kernel records {!Static}'s
+    firing tables ({!record}), and {!Static}'s table replay runs in this
+    module's lane loop ({!roster}). *)
 
 type lane = {
   net : Network.t;
@@ -112,23 +114,90 @@ val output_trace : ?lane:int -> t -> Network.node -> int -> int Wp_lis.Token.t l
 (** Recorded token stream of one output port, oldest first.  Empty
     unless [record_traces] was set. *)
 
-(** {1 MCR-guided cycle bounds}
+(** {1 Shared layout}
 
-    The reset marking places exactly one token on every channel, so the
-    network is a marked graph whose sustainable throughput is
-    [min over loops m / (m + n)] for [m] processes and [n] relay
-    stations on the loop — the minimum cycle ratio with cost [1] and
-    time [1 + rs] per edge. *)
+    The flattened port and channel layout both compiled kernels use:
+    global input port [in_base.(node) + port] (output ports likewise),
+    each channel's producer port, consumer port and slice
+    [chan_rs_base.(c) ..< chan_rs_base.(c + 1)] of a relay-slot pool, and
+    each node's outgoing channels, in increasing channel order, at
+    [out_chan_ids.(out_chan_base.(n) ..< out_chan_base.(n + 1))]. *)
 
-val throughput_bound : Network.t -> float
-(** Exact marked-graph throughput upper bound: {!Static.mcr} at
-    capacity 0 (unbounded FIFOs, so no slot edges) as a float; [1.0]
-    for acyclic networks. *)
+type meta = {
+  m_n_nodes : int;
+  m_n_chans : int;
+  m_in_base : int array;  (** n_nodes + 1 *)
+  m_out_base : int array;  (** n_nodes + 1 *)
+  m_chan_src_op : int array;
+  m_chan_dst_ip : int array;
+  m_chan_rs_base : int array;  (** n_chans + 1 *)
+  m_out_chan_base : int array;  (** n_nodes + 1 *)
+  m_out_chan_ids : int array;
+  m_ip_chan : int array;  (** global input port -> feeding channel *)
+  m_op_chan : int array;  (** global output port -> driven channel *)
+}
 
-val cycle_bound : ?slack_num:int -> ?slack_den:int -> work_cycles:int -> Network.t -> int
-(** [cycle_bound ~work_cycles net] is a provable-with-margin cycle
-    budget for a run that needs [work_cycles] firings of the critical
-    process: [ceil (work / Th)] plus [slack_num/slack_den] relative
-    slack (default 1/4) plus absolute headroom for pipeline fill and a
-    quiescence window.  Callers treat [Exhausted] at this bound as
-    "re-run with the full budget". *)
+val meta_of : Network.t -> meta
+
+(** {1 The lane loop}
+
+    What both compiled kernels share: the running set, the clock, each
+    lane's sticky halt flag, quiet counter and finish, and the
+    termination check.  A kernel's [advance] steps every running lane
+    by one cycle: it sets [halt_flag] right after a firing that halts,
+    resets or bumps each running lane's [quiet] and bumps [clock]. *)
+
+type roster = {
+  mutable clock : int;
+  act : int array;  (** running lane ids, first [n_act] entries *)
+  mutable n_act : int;
+  halt_flag : Bytes.t;  (** per lane, ['\001'] once a process halted *)
+  quiet : int array;  (** per lane: cycles since a shell last fired *)
+  quiescence : int array;  (** per lane: the deadlock window *)
+  finished : Engine.outcome option array;  (** per lane *)
+  lane_end : int array;  (** per lane: the clock at its finish *)
+}
+
+val roster : quiescence:int array -> Wp_lis.Process.instance array -> roster
+(** Lanes [0 ..< Array.length quiescence], all running at clock 0.  The
+    instances are laid out [node * L + lane]; a lane with an instance
+    halted at reset starts with its halt flag set. *)
+
+val reopen : roster -> unit
+(** Put every lane whose state is at the current clock back in the
+    running set: all of them before a first step, those that finished at
+    this clock after a run, so a larger budget resumes it. *)
+
+val run_roster :
+  roster ->
+  ('k -> unit) ->
+  'k ->
+  budgets:int array ->
+  cancels:Wp_util.Cancel.t array ->
+  Engine.outcome array
+(** [run_roster r advance k] reopens, then runs [advance k] until every
+    lane finished: halt, quiescence window, its budget, then its
+    cancellation token (polled every {!Engine.cancel_interval} cycles),
+    checked in {!Engine.run}'s order before each cycle. *)
+
+val lane_cycles : roster -> int -> int
+(** The cycle at which a lane finished, or the clock while it runs. *)
+
+(** {1 Table recorder} *)
+
+type table_cycle = {
+  tc_fired : int array;  (** shells firing this cycle, ascending *)
+  tc_starved : int array;  (** stalled, missing an input *)
+  tc_blocked : int array;  (** stalled, ready but backpressured *)
+  tc_deliver : int array;  (** channels delivering a token *)
+  tc_any : bool;  (** did any shell fire *)
+}
+
+val record :
+  max_cycles:int -> capacity:int -> Network.t -> (int * int * table_cycle array) option
+(** [(transient, period, rows)] of a Plain, unfaulted, unprotected
+    network at [capacity >= 1]: this kernel steps one lane of
+    placeholder processes (no user closure runs) until its FIFO lengths
+    and relay-station fills repeat, with row [i] describing cycle [i].
+    [None] when no state repeats within [max_cycles] cycles.
+    {!Static.tables} memoises it. *)

@@ -1,11 +1,12 @@
-(* Static-schedule kernel: one count-only prepass, then table replay.
+(* Static-schedule kernel: a recorded firing table, then table replay.
 
-   The prepass replicates Fast's three-phase step on occupancies alone
-   (FIFO lengths and relay-station fills — in Plain mode with no
-   faults these determine firing exactly), hashing the state vector
-   each cycle until it repeats.  That yields a transient prefix plus a
-   period, and per-cycle tables of fired / starved / blocked shells
-   and delivered channels.
+   In Plain mode with no faults, FIFO lengths and relay-station fills
+   determine firing exactly.  {!Fast.record} steps Fast's own handshake
+   on placeholder processes until that state repeats, which yields a
+   transient prefix plus a period, and per-cycle rows of fired /
+   starved / blocked shells and delivering channels.  This module keeps
+   the memo of those tables and replays them; the lane loop around the
+   replay (running set, clock, termination check) is Fast's.
 
    The replay kernel below is the library's only table-replay loop: a
    solo [create] is a one-lane instance, and each of the batch kernel's
@@ -32,239 +33,18 @@ exception Unschedulable of string
 
 let unschedulable fmt = Printf.ksprintf (fun s -> raise (Unschedulable s)) fmt
 
-(* One cycle of the precomputed table. *)
-type table_cycle = {
-  tc_fired : int array;  (* shells firing this cycle, ascending *)
-  tc_starved : int array;  (* stalled, missing an input *)
-  tc_blocked : int array;  (* stalled, ready but backpressured *)
-  tc_deliver : int array;  (* channels delivering a token *)
+type table_cycle = Fast.table_cycle = {
+  tc_fired : int array;
+  tc_starved : int array;
+  tc_blocked : int array;
+  tc_deliver : int array;
   tc_any : bool;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Shared CSR metadata                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Flattened topology: both compiled kernels and the prepass read the
-   same arrays, derived once here from a network. *)
-type meta = {
-  m_n_nodes : int;
-  m_n_chans : int;
-  m_in_base : int array;
-  m_out_base : int array;
-  m_chan_src_op : int array;
-  m_chan_dst_ip : int array;
-  m_chan_rs_base : int array;
-  m_out_chan_base : int array;
-  m_out_chan_ids : int array;
-  m_ip_chan : int array;
-  m_op_chan : int array;
-}
-
-let meta_of net =
-  let n_nodes = Network.node_count net in
-  let n_chans = Network.channel_count net in
-  let procs = Array.init n_nodes (fun n -> Network.node_process net n) in
-  let prefix f =
-    let base = Array.make (n_nodes + 1) 0 in
-    for n = 0 to n_nodes - 1 do
-      base.(n + 1) <- base.(n) + f procs.(n)
-    done;
-    base
-  in
-  let in_base = prefix Process.n_inputs in
-  let out_base = prefix Process.n_outputs in
-  let n_in_total = in_base.(n_nodes) in
-  let n_out_total = out_base.(n_nodes) in
-  let chan_src_op = Array.make (max 1 n_chans) 0 in
-  let chan_dst_ip = Array.make (max 1 n_chans) 0 in
-  let chan_src_node = Array.make (max 1 n_chans) 0 in
-  let chan_rs_base = Array.make (n_chans + 1) 0 in
-  let ip_chan = Array.make (max 1 n_in_total) (-1) in
-  let op_chan = Array.make (max 1 n_out_total) (-1) in
-  for c = 0 to n_chans - 1 do
-    let src_node, src_port = Network.channel_src net c in
-    let dst_node, dst_port = Network.channel_dst net c in
-    chan_src_node.(c) <- src_node;
-    chan_src_op.(c) <- out_base.(src_node) + src_port;
-    chan_dst_ip.(c) <- in_base.(dst_node) + dst_port;
-    ip_chan.(chan_dst_ip.(c)) <- c;
-    op_chan.(chan_src_op.(c)) <- c;
-    chan_rs_base.(c + 1) <- chan_rs_base.(c) + Network.relay_stations net c
-  done;
-  let out_chan_base = Array.make (n_nodes + 1) 0 in
-  for c = 0 to n_chans - 1 do
-    let n = chan_src_node.(c) in
-    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + 1
-  done;
-  for n = 0 to n_nodes - 1 do
-    out_chan_base.(n + 1) <- out_chan_base.(n + 1) + out_chan_base.(n)
-  done;
-  let out_chan_ids = Array.make (max 1 n_chans) 0 in
-  let cursor = Array.copy out_chan_base in
-  for c = 0 to n_chans - 1 do
-    let n = chan_src_node.(c) in
-    out_chan_ids.(cursor.(n)) <- c;
-    cursor.(n) <- cursor.(n) + 1
-  done;
-  {
-    m_n_nodes = n_nodes;
-    m_n_chans = n_chans;
-    m_in_base = in_base;
-    m_out_base = out_base;
-    m_chan_src_op = chan_src_op;
-    m_chan_dst_ip = chan_dst_ip;
-    m_chan_rs_base = chan_rs_base;
-    m_out_chan_base = out_chan_base;
-    m_out_chan_ids = out_chan_ids;
-    m_ip_chan = ip_chan;
-    m_op_chan = op_chan;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Count-only prepass                                                 *)
-(* ------------------------------------------------------------------ *)
 
 (* A generous ceiling: the reachable occupancy space of the paper's
    networks cycles within tens of cycles, but a pathological graph
    could wander longer before closing its orbit. *)
-let prepass_budget = 1 lsl 16
-
-let prepass ~capacity m =
-  let n_nodes = m.m_n_nodes and n_chans = m.m_n_chans in
-  let in_base = m.m_in_base and out_base = m.m_out_base in
-  let chan_src_op = m.m_chan_src_op and chan_dst_ip = m.m_chan_dst_ip in
-  let chan_rs_base = m.m_chan_rs_base in
-  let out_chan_base = m.m_out_chan_base and out_chan_ids = m.m_out_chan_ids in
-  let n_in_total = in_base.(n_nodes) in
-  let total_rs = chan_rs_base.(n_chans) in
-  let fifo_len = Array.make (max 1 n_in_total) 0 in
-  let rs_len = Array.make (max 1 total_rs) 0 in
-  let stage_stops = Array.make (max 1 total_rs) false in
-  let rs_out_valid = Array.make (max 1 total_rs) false in
-  let producer_stop = Array.make (max 1 n_chans) false in
-  let emit_valid = Array.make (max 1 out_base.(n_nodes)) false in
-  (* Reset: one token per channel, exactly as in [Fast.create]. *)
-  for c = 0 to n_chans - 1 do
-    let ip = chan_dst_ip.(c) in
-    if fifo_len.(ip) < capacity then fifo_len.(ip) <- fifo_len.(ip) + 1
-  done;
-  let state_key () =
-    let key = Array.make (n_in_total + total_rs) 0 in
-    Array.blit fifo_len 0 key 0 n_in_total;
-    Array.blit rs_len 0 key n_in_total total_rs;
-    key
-  in
-  let seen : (int array, int) Hashtbl.t = Hashtbl.create 1024 in
-  let records = ref [] in
-  let result = ref None in
-  let cycle = ref 0 in
-  while !result = None do
-    (match Hashtbl.find_opt seen (state_key ()) with
-    | Some first -> result := Some (first, !cycle - first)
-    | None ->
-        if !cycle >= prepass_budget then
-          unschedulable
-            "no periodic steady state within %d cycles (capacity %d)"
-            prepass_budget capacity;
-        Hashtbl.add seen (state_key ()) !cycle;
-        (* Phase 1: stop propagation. *)
-        for c = 0 to n_chans - 1 do
-          let stop = ref (fifo_len.(chan_dst_ip.(c)) >= capacity) in
-          let base = chan_rs_base.(c) in
-          for i = chan_rs_base.(c + 1) - 1 - base downto 0 do
-            let r = base + i in
-            stage_stops.(r) <- !stop;
-            stop := !stop && rs_len.(r) >= 2
-          done;
-          producer_stop.(c) <- !stop
-        done;
-        (* Phase 2: firing decisions. *)
-        let fired = ref [] and starved = ref [] and blocked = ref [] in
-        let any = ref false in
-        for n = 0 to n_nodes - 1 do
-          let outputs_clear =
-            let ok = ref true in
-            for j = out_chan_base.(n) to out_chan_base.(n + 1) - 1 do
-              if producer_stop.(out_chan_ids.(j)) then ok := false
-            done;
-            !ok
-          in
-          let ready = ref true in
-          for p = 0 to in_base.(n + 1) - in_base.(n) - 1 do
-            if fifo_len.(in_base.(n) + p) = 0 then ready := false
-          done;
-          let op0 = out_base.(n) in
-          if !ready && outputs_clear then begin
-            any := true;
-            fired := n :: !fired;
-            for p = 0 to in_base.(n + 1) - in_base.(n) - 1 do
-              let ip = in_base.(n) + p in
-              fifo_len.(ip) <- fifo_len.(ip) - 1
-            done;
-            for q = 0 to out_base.(n + 1) - op0 - 1 do
-              emit_valid.(op0 + q) <- true
-            done
-          end
-          else begin
-            (if !ready then blocked := n :: !blocked
-             else starved := n :: !starved);
-            for q = 0 to out_base.(n + 1) - op0 - 1 do
-              emit_valid.(op0 + q) <- false
-            done
-          end
-        done;
-        (* Phase 3: simultaneous shift and delivery. *)
-        let deliver = ref [] in
-        for c = 0 to n_chans - 1 do
-          let op = chan_src_op.(c) in
-          let base = chan_rs_base.(c) in
-          let k = chan_rs_base.(c + 1) - base in
-          let tc_valid =
-            if k = 0 then emit_valid.(op)
-            else begin
-              for i = 0 to k - 1 do
-                let r = base + i in
-                if stage_stops.(r) || rs_len.(r) = 0 then
-                  rs_out_valid.(r) <- false
-                else begin
-                  rs_out_valid.(r) <- true;
-                  rs_len.(r) <- rs_len.(r) - 1
-                end
-              done;
-              if emit_valid.(op) then rs_len.(base) <- rs_len.(base) + 1;
-              for i = 1 to k - 1 do
-                if rs_out_valid.(base + i - 1) then
-                  rs_len.(base + i) <- rs_len.(base + i) + 1
-              done;
-              rs_out_valid.(base + k - 1)
-            end
-          in
-          if tc_valid then begin
-            deliver := c :: !deliver;
-            let ip = chan_dst_ip.(c) in
-            if fifo_len.(ip) >= capacity then
-              failwith "Static prepass: token lost (stop protocol violated)";
-            fifo_len.(ip) <- fifo_len.(ip) + 1
-          end
-        done;
-        records :=
-          {
-            tc_fired = Array.of_list (List.rev !fired);
-            tc_starved = Array.of_list (List.rev !starved);
-            tc_blocked = Array.of_list (List.rev !blocked);
-            tc_deliver = Array.of_list (List.rev !deliver);
-            tc_any = !any;
-          }
-          :: !records;
-        incr cycle)
-  done;
-  let transient, period =
-    match !result with Some tp -> tp | None -> assert false
-  in
-  (* Keep only the transient plus one full period. *)
-  let all = Array.of_list (List.rev !records) in
-  (transient, period, Array.sub all 0 (transient + period))
+let record_budget = 1 lsl 16
 
 (* Cumulative schedule counts: row [j] covers cycles [0, j), rows
    0 .. transient + period; beyond that, counts extrapolate by whole
@@ -276,7 +56,7 @@ type cum = {
   cum_deliver : int array; (* (row * n_chans) + c *)
 }
 
-let cum_of m (transient, period, table) =
+let cum_of net (transient, period, table) =
   let tp = transient + period in
   let build n_ent proj =
     let cum = Array.make (max 1 ((tp + 1) * n_ent)) 0 in
@@ -291,17 +71,20 @@ let cum_of m (transient, period, table) =
     cum
   in
   {
-    cum_fired = build m.m_n_nodes (fun tc -> tc.tc_fired);
-    cum_blocked = build m.m_n_nodes (fun tc -> tc.tc_blocked);
-    cum_deliver = build m.m_n_chans (fun tc -> tc.tc_deliver);
+    cum_fired = build (Network.node_count net) (fun tc -> tc.tc_fired);
+    cum_blocked = build (Network.node_count net) (fun tc -> tc.tc_blocked);
+    cum_deliver = build (Network.channel_count net) (fun tc -> tc.tc_deliver);
   }
 
 (* A schedule: the table and the cumulative counts replays read. *)
 type sched = { s_tables : int * int * table_cycle array; s_cum : cum }
 
-let sched_of ~capacity m =
-  let tables = prepass ~capacity m in
-  { s_tables = tables; s_cum = cum_of m tables }
+let sched_of ~capacity net =
+  match Fast.record ~max_cycles:record_budget ~capacity net with
+  | Some tables -> { s_tables = tables; s_cum = cum_of net tables }
+  | None ->
+    unschedulable "no periodic steady state within %d cycles (capacity %d)"
+      record_budget capacity
 
 (* ------------------------------------------------------------------ *)
 (* Schedule memo                                                      *)
@@ -311,7 +94,7 @@ let sched_of ~capacity m =
    topology shape) — never on process data.  A sweep scenario replays
    one schedule on the batch kernel and again here, and the serve daemon
    replays the same machines all day, so schedules are memoised across
-   calls.  The key spells out everything the prepass reads.  Guarded by
+   calls.  The key spells out everything the recorder reads.  Guarded by
    a mutex: runner pools call in from several domains.  Cached schedules
    are immutable once built, so sharing them is safe.
 
@@ -359,9 +142,15 @@ let sched_words s =
   + Array.length c.cum_fired + Array.length c.cum_blocked
   + Array.length c.cum_deliver + 14
 
+(* The recorder would drive a protected wire through the link layer,
+   whose state the key leaves out. *)
 let lookup ~capacity net compute =
   if capacity <= 0 then
     unschedulable "unbounded FIFOs have no finite occupancy state";
+  for c = 0 to Network.channel_count net - 1 do
+    if Network.protection net c <> None then
+      unschedulable "channel %d is link-protected" c
+  done;
   let key = schedule_key ~capacity net in
   Mutex.lock memo_mutex;
   let hit = Hashtbl.find_opt memo key in
@@ -395,7 +184,7 @@ let lookup ~capacity net compute =
     s
 
 let tables ~capacity net =
-  (lookup ~capacity net (fun () -> sched_of ~capacity (meta_of net))).s_tables
+  (lookup ~capacity net (fun () -> sched_of ~capacity net)).s_tables
 
 (* ------------------------------------------------------------------ *)
 (* Replay kernel                                                      *)
@@ -429,7 +218,6 @@ type t = {
   table : table_cycle array;
   cum : cum;
   inputs_scratch : int option array array; (* per node, reused *)
-  halt_flag : Bytes.t; (* per lane, sticky; set right after a firing *)
   traces : int Token.t list array; (* [(out_port * L) + l]; newest first *)
   q_val : int array;
   q_base : int array;
@@ -437,20 +225,14 @@ type t = {
   q_head : int array;
   q_tail : int array;
   q_fill : int array;
-  quiescence : int;
-  mutable quiet : int; (* shared: every lane fires the same pattern *)
-  mutable clock : int;
-  act : int array; (* running lane ids, first n_act entries *)
-  mutable n_act : int;
-  finished : Engine.outcome option array;
-  lane_end : int array;
+  ro : Fast.roster;
 }
 
 let create_lanes ?(record_traces = false) ~capacity nets =
   let n_lanes = Array.length nets in
   let net0 = nets.(0) in
-  let m = meta_of net0 in
-  let s = lookup ~capacity net0 (fun () -> sched_of ~capacity m) in
+  let m = Fast.meta_of net0 in
+  let s = lookup ~capacity net0 (fun () -> sched_of ~capacity net0) in
   let transient, period, table = s.s_tables in
   let n_nodes = m.m_n_nodes and n_chans = m.m_n_chans in
   let rs_base = m.m_chan_rs_base in
@@ -485,7 +267,6 @@ let create_lanes ?(record_traces = false) ~capacity nets =
       inputs_scratch =
         Array.init n_nodes (fun n ->
             Array.make (m.m_in_base.(n + 1) - m.m_in_base.(n)) None);
-      halt_flag = Bytes.make n_lanes '\000';
       traces = Array.make (max 1 (m.m_out_base.(n_nodes) * n_lanes)) [];
       q_val = Array.make (max 1 q_base.(n_chans)) 0;
       q_base;
@@ -493,13 +274,11 @@ let create_lanes ?(record_traces = false) ~capacity nets =
       q_head = Array.make (max 1 n_chans) 0;
       q_tail = Array.make (max 1 n_chans) 1;
       q_fill = Array.make (max 1 n_chans) 1;
-      quiescence = 16 + (4 * (n_nodes + n_chans + rs_base.(n_chans)));
-      quiet = 0;
-      clock = 0;
-      act = Array.init n_lanes Fun.id;
-      n_act = n_lanes;
-      finished = Array.make n_lanes None;
-      lane_end = Array.make n_lanes 0;
+      ro =
+        Fast.roster
+          ~quiescence:
+            (Array.make n_lanes (16 + (4 * (n_nodes + n_chans + rs_base.(n_chans)))))
+          instances;
     }
   in
   (* Reset: slot 0 of every ring holds the channel's reset token. *)
@@ -507,13 +286,6 @@ let create_lanes ?(record_traces = false) ~capacity nets =
     let src_node, src_port = Network.channel_src net0 c in
     for l = 0 to n_lanes - 1 do
       t.q_val.(q_base.(c) + l) <- (proc l src_node).Process.reset_outputs.(src_port)
-    done
-  done;
-  (* A process can be terminal at reset; the first check must see it. *)
-  for l = 0 to n_lanes - 1 do
-    for n = 0 to n_nodes - 1 do
-      if instances.((n * n_lanes) + l).Process.halted () then
-        Bytes.set t.halt_flag l '\001'
     done
   done;
   t
@@ -532,22 +304,18 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
   | _ -> ());
   if not (Telemetry.is_off telemetry) then
     unschedulable "telemetry instrumentation needs per-cycle observation";
-  if capacity = 0 then
-    unschedulable "unbounded FIFOs have no finite occupancy state";
-  for c = 0 to Network.channel_count net - 1 do
-    if Network.protection net c <> None then
-      unschedulable "channel %d is link-protected" c
-  done;
+  (* [lookup] refuses capacity 0 and protected channels. *)
   create_lanes ~record_traces ~capacity [| net |]
-
-let table_index t =
-  if t.clock < t.transient then t.clock
-  else t.transient + ((t.clock - t.transient) mod t.period)
 
 (* One cycle for every running lane. *)
 let advance t =
   let ll = t.n_lanes in
-  let tc = t.table.(table_index t) in
+  let ro = t.ro in
+  let cyc = ro.clock in
+  let tc =
+    t.table.(if cyc < t.transient then cyc
+             else t.transient + ((cyc - t.transient) mod t.period))
+  in
   let fired = tc.tc_fired in
   for i = 0 to Array.length fired - 1 do
     let n = Array.unsafe_get fired i in
@@ -556,8 +324,8 @@ let advance t =
     let op0 = Array.unsafe_get t.out_base n in
     let n_out = Array.unsafe_get t.out_base (n + 1) - op0 in
     let inputs = Array.unsafe_get t.inputs_scratch n in
-    for a = 0 to t.n_act - 1 do
-      let l = Array.unsafe_get t.act a in
+    for a = 0 to ro.n_act - 1 do
+      let l = Array.unsafe_get ro.act a in
       for p = 0 to n_in - 1 do
         let c = Array.unsafe_get t.ip_chan (ib + p) in
         Array.unsafe_set inputs p
@@ -572,7 +340,7 @@ let advance t =
       (* [halted] is a pure function of process state and state only
          advances in [fire], so probing right here keeps the sticky flag
          as fresh as a scan of every shell each cycle. *)
-      if inst.Process.halted () then Bytes.unsafe_set t.halt_flag l '\001';
+      if inst.Process.halted () then Bytes.unsafe_set ro.halt_flag l '\001';
       for q = 0 to n_out - 1 do
         let c = Array.unsafe_get t.op_chan (op0 + q) in
         Array.unsafe_set t.q_val
@@ -609,8 +377,8 @@ let advance t =
         let n = cls.(i) in
         let op0 = t.out_base.(n) in
         for q = 0 to t.out_base.(n + 1) - op0 - 1 do
-          for a = 0 to t.n_act - 1 do
-            let l = t.act.(a) in
+          for a = 0 to ro.n_act - 1 do
+            let l = ro.act.(a) in
             let opl = ((op0 + q) * ll) + l in
             t.traces.(opl) <- Token.Void :: t.traces.(opl)
           done
@@ -620,65 +388,17 @@ let advance t =
     voids tc.tc_starved;
     voids tc.tc_blocked
   end;
-  t.clock <- t.clock + 1;
-  if tc.tc_any then t.quiet <- 0 else t.quiet <- t.quiet + 1
-
-(* Lanes whose state is at the current clock — all of them at creation,
-   those that finished at this clock after a run — step again, so a run
-   can be resumed with a larger budget. *)
-let reopen t =
-  t.n_act <- 0;
-  for l = 0 to t.n_lanes - 1 do
-    if Option.is_none t.finished.(l) || t.lane_end.(l) = t.clock then begin
-      t.finished.(l) <- None;
-      t.act.(t.n_act) <- l;
-      t.n_act <- t.n_act + 1
-    end
+  ro.clock <- cyc + 1;
+  for a = 0 to ro.n_act - 1 do
+    let l = Array.unsafe_get ro.act a in
+    ro.quiet.(l) <- (if tc.tc_any then 0 else ro.quiet.(l) + 1)
   done
 
 let step t =
-  reopen t;
+  Fast.reopen t.ro;
   advance t
 
-let run_lanes t ~budgets ~cancels =
-  reopen t;
-  let has_cancel = Array.exists (fun c -> not (Wp_util.Cancel.is_never c)) cancels in
-  while t.n_act > 0 do
-    (* The termination check, in Engine.run's order: halt, quiescence
-       window, the cycle budget, then the cancellation poll (every
-       [Engine.cancel_interval] cycles, one clock sample per round).
-       The quiet counter is shared: the firing pattern — hence every
-       silent-cycle run — is identical across the lanes.  A finished
-       lane leaves the running set; the schedule replay is
-       lane-independent, so the others keep byte-identical results. *)
-    let poll_cancel =
-      has_cancel && t.clock land (Engine.cancel_interval - 1) = 0
-    in
-    let now = if poll_cancel then Wp_util.Cancel.now () else 0. in
-    let w = ref 0 in
-    for a = 0 to t.n_act - 1 do
-      let l = t.act.(a) in
-      let fin =
-        if Bytes.unsafe_get t.halt_flag l = '\001' then
-          Some (Engine.Halted t.clock)
-        else if t.quiet > t.quiescence then Some (Engine.Deadlocked t.clock)
-        else if t.clock >= budgets.(l) then Some (Engine.Exhausted t.clock)
-        else if poll_cancel && Wp_util.Cancel.cancelled_at ~now cancels.(l)
-        then Some (Engine.Cancelled t.clock)
-        else None
-      in
-      match fin with
-      | Some _ ->
-        t.finished.(l) <- fin;
-        t.lane_end.(l) <- t.clock
-      | None ->
-        t.act.(!w) <- l;
-        incr w
-    done;
-    t.n_act <- !w;
-    if t.n_act > 0 then advance t
-  done;
-  Array.map Option.get t.finished
+let run_lanes t ~budgets ~cancels = Fast.run_roster t.ro advance t ~budgets ~cancels
 
 let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
   (run_lanes t ~budgets:[| max_cycles |] ~cancels:[| cancel |]).(0)
@@ -698,10 +418,8 @@ let count t cum n_ent e cycles =
     + (k * (cum.((tp * n_ent) + e) - cum.((t.transient * n_ent) + e)))
   end
 
-let cycles ?(lane = 0) t =
-  match t.finished.(lane) with Some _ -> t.lane_end.(lane) | None -> t.clock
-
-let outcome t ~lane = t.finished.(lane)
+let cycles ?(lane = 0) t = Fast.lane_cycles t.ro lane
+let outcome t ~lane = t.ro.finished.(lane)
 let network ?(lane = 0) t = t.nets.(lane)
 
 let delivered ?(lane = 0) t c =
@@ -785,3 +503,25 @@ let mcr ?capacity net =
 let schedule ?capacity net =
   let g, tokens, time = capacity_graph ?capacity net in
   Schedule.build g ~tokens ~time
+
+(* The reset marking puts one token on every channel and a token needs
+   [1 + relay_stations] cycles to traverse one, so a loop of [m]
+   processes and [n] relay stations sustains [m / (m + n)]: the bound
+   is {!mcr} of the forward-only (unbounded-FIFO) graph. *)
+let throughput_bound net =
+  Cycle_ratio.ratio_to_float (mcr ~capacity:0 net)
+
+let cycle_bound ?(slack_num = 1) ?(slack_den = 4) ~work_cycles net =
+  if work_cycles < 0 then invalid_arg "Static.cycle_bound: negative work";
+  let th = throughput_bound net in
+  let total_rs =
+    List.fold_left (fun acc c -> acc + Network.relay_stations net c) 0 (Network.channels net)
+  in
+  let structure = Network.node_count net + Network.channel_count net + total_rs in
+  let base = int_of_float (ceil (float_of_int work_cycles /. th)) in
+  (* Engineering margin: finite (capacity-2) shell FIFOs can run a few
+     percent below the marked-graph bound on long loops, and the run
+     needs headroom for pipeline fill/drain plus a full quiescence
+     window for deadlock detection.  Callers that must be exact treat an
+     [Exhausted] at this bound as "re-run with the full budget". *)
+  base + (base * slack_num / slack_den) + 64 + (8 * structure)

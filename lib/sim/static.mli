@@ -3,21 +3,23 @@
     In {!Shell.Plain} mode with no faults and no link protection, a
     wire-pipelined network is a marked graph: whether a shell fires at
     a given cycle depends only on token counts, never on data.  The
-    whole stop/valid handshake can therefore be played once, on counts
-    alone, until the state (FIFO occupancies plus relay-station fills)
-    revisits itself — yielding a transient prefix and a periodic
-    steady-state firing word per shell, exactly the balanced binary
-    words of {!Wp_graph.Schedule}.  After that prepass, {!step} is a
-    table lookup: fire the scheduled shells (real process closures,
-    real data, so outputs and halting behave exactly as in {!Fast}) and
-    advance the clock — no per-cycle stop propagation, readiness scan,
-    FIFO shuffling or stall counting.  Statistics are reconstructed on
-    demand from cumulative schedule tables built once per schedule.
+    whole stop/valid handshake can therefore be played once, by
+    {!Fast}'s kernel on placeholder processes ({!Fast.record}), until
+    the state (FIFO occupancies plus relay-station fills) revisits
+    itself — yielding a transient prefix and a periodic steady-state
+    firing word per shell, exactly the balanced binary words of
+    {!Wp_graph.Schedule}.  After that, {!step} is a table lookup: fire
+    the scheduled shells (real process closures, real data, so outputs
+    and halting behave exactly as in {!Fast}) and advance the clock — no
+    per-cycle stop propagation, readiness scan, FIFO shuffling or stall
+    counting.  Statistics are reconstructed on demand from cumulative
+    schedule tables built once per schedule.
 
     This is the library's only table-replay kernel: a solo {!create} is
     a one-lane replay, and {!Batch} runs each group of lanes sharing a
-    schedule as one many-lane replay ({!create_lanes}).  The dynamic
-    handshake lives in {!Fast}.
+    schedule as one many-lane replay ({!create_lanes}).  The handshake,
+    and the lane loop the replay runs in ({!Fast.roster}), live in
+    {!Fast}.
 
     Observable behaviour (outcome, cycle count, delivered counts,
     per-shell statistics, traces) is byte-identical to {!Engine} and
@@ -34,7 +36,7 @@ exception Unschedulable of string
 (** Raised by {!create} when no static firing word can reproduce the
     requested configuration.  The payload names the offending feature
     (oracle mode, fault spec, protection, telemetry, unbounded
-    capacity, or a prepass that found no periodic steady state). *)
+    capacity, or a recording that found no periodic steady state). *)
 
 type t
 
@@ -56,8 +58,9 @@ val create_lanes : ?record_traces:bool -> capacity:int -> Network.t array -> t
 (** One replay over networks that agree on the topology, per-channel
     relay-station counts and [capacity] — hence on the schedule — each
     with its own processes.  The networks are not validated here:
-    {!Batch.create} does it.  @raise Unschedulable when the prepass
-    finds no periodic steady state or [capacity < 1]. *)
+    {!Batch.create} does it.  @raise Unschedulable when the recording
+    finds no periodic steady state, [capacity < 1] or a channel of the
+    first network is link-protected. *)
 
 val step : t -> unit
 (** Advance every lane whose state is at the current clock by one cycle,
@@ -83,37 +86,12 @@ val delivered : ?lane:int -> t -> Network.channel -> int
 val node_stats : ?lane:int -> t -> Network.node -> Wp_lis.Shell.stats
 val output_trace : ?lane:int -> t -> Network.node -> int -> int Wp_lis.Token.t list
 
-(** {1 Shared layout}
+(** {1 The firing table}
 
-    The flattened port and channel layout both compiled kernels and the
-    prepass use: global input port [in_base.(node) + port] (output
-    ports likewise), each channel's producer port, consumer port and
-    slice [chan_rs_base.(c) ..< chan_rs_base.(c + 1)] of a relay-slot
-    pool, and each node's outgoing channels, in increasing channel
-    order, at [out_chan_ids.(out_chan_base.(n) ..< out_chan_base.(n + 1))]. *)
+    The raw table {!Fast.record} produces, memoised so every replay of
+    one schedule shares it. *)
 
-type meta = {
-  m_n_nodes : int;
-  m_n_chans : int;
-  m_in_base : int array;  (** n_nodes + 1 *)
-  m_out_base : int array;  (** n_nodes + 1 *)
-  m_chan_src_op : int array;
-  m_chan_dst_ip : int array;
-  m_chan_rs_base : int array;  (** n_chans + 1 *)
-  m_out_chan_base : int array;  (** n_nodes + 1 *)
-  m_out_chan_ids : int array;
-  m_ip_chan : int array;  (** global input port -> feeding channel *)
-  m_op_chan : int array;  (** global output port -> driven channel *)
-}
-
-val meta_of : Network.t -> meta
-
-(** {1 Count-only prepass}
-
-    The raw firing table, memoised so every replay of one schedule
-    shares it. *)
-
-type table_cycle = {
+type table_cycle = Fast.table_cycle = {
   tc_fired : int array;  (** shells firing this cycle, ascending *)
   tc_starved : int array;  (** stalled, missing an input *)
   tc_blocked : int array;  (** stalled, ready but backpressured *)
@@ -132,12 +110,13 @@ val tables : capacity:int -> Network.t -> int * int * table_cycle array
     Memoised process-wide under a mutex, keyed by exactly those inputs,
     together with the replay's cumulative count tables.  Every replay
     reads the same memo, so a network replayed twice pays for one
-    prepass, and a repeated call returns the physically same tables
+    recording, and a repeated call returns the physically same tables
     while they stay cached.  The memo holds at most 256 schedules and
     2M heap words of them: an insert that would cross either bound
     empties it first, and a schedule larger than the word budget is
     returned without being cached.
-    @raise Unschedulable as for {!create}. *)
+    @raise Unschedulable as for {!create}, including when no state
+    repeats within 65,536 cycles. *)
 
 (** {1 The schedule itself} *)
 
@@ -186,6 +165,27 @@ val mcr : ?capacity:int -> Network.t -> Wp_graph.Cycle_ratio.ratio
 
 val schedule : ?capacity:int -> Network.t -> Wp_graph.Schedule.t
 (** {!Wp_graph.Schedule.build} over {!capacity_graph}: the analytic
-    balanced-word schedule whose rate the prepass table provably
+    balanced-word schedule whose rate the recorded table provably
     sustains (the test suite pins word-rate equality on the paper's
     networks). *)
+
+(** {1 MCR-guided cycle bounds}
+
+    The reset marking places exactly one token on every channel, so the
+    network is a marked graph whose sustainable throughput is
+    [min over loops m / (m + n)] for [m] processes and [n] relay
+    stations on the loop — the minimum cycle ratio with cost [1] and
+    time [1 + rs] per edge. *)
+
+val throughput_bound : Network.t -> float
+(** Exact marked-graph throughput upper bound: {!mcr} at capacity 0
+    (unbounded FIFOs, so no slot edges) as a float; [1.0] for acyclic
+    networks. *)
+
+val cycle_bound : ?slack_num:int -> ?slack_den:int -> work_cycles:int -> Network.t -> int
+(** [cycle_bound ~work_cycles net] is a provable-with-margin cycle
+    budget for a run that needs [work_cycles] firings of the critical
+    process: [ceil (work / Th)] plus [slack_num/slack_den] relative
+    slack (default 1/4) plus absolute headroom for pipeline fill and a
+    quiescence window.  Callers treat [Exhausted] at this bound as
+    "re-run with the full budget". *)

@@ -1,11 +1,11 @@
 (* Cycle-accurate observability shared by both simulation kernels.
 
-   Allocation discipline: every per-cycle hook writes into preallocated
-   scratch arrays; [end_cycle] folds the scratch into flat counter
-   arrays and (optionally) a preallocated ring buffer.  Nothing on the
-   per-cycle path allocates beyond what the instrumented engine itself
-   does — and when the spec is [off] the engines hold no runtime at all,
-   so the disabled cost is a single [match] per phase. *)
+   Allocation discipline: engines write each cycle's observations into
+   preallocated scratch arrays; [commit_cycle] folds the scratch into
+   flat counter arrays and (optionally) a preallocated ring buffer.
+   Nothing on the per-cycle path allocates beyond what the instrumented
+   engine itself does — and when the spec is [off] the engines hold no
+   runtime at all, so the disabled cost is a single [match] per phase. *)
 
 (* ------------------------------------------------------------------ *)
 (* Spec                                                               *)
@@ -137,38 +137,6 @@ let make spec net =
       }
   end
 
-let sample_channel t ~chan ~occupancy ~stop =
-  t.occ_scratch.(chan) <- occupancy;
-  t.stop_scratch.(chan) <- stop
-
-let note_node t ~node ~cls = t.cls_scratch.(node) <- cls_code cls
-
-let commit_channel t ~chan ~delivered =
-  let delta = delivered - t.prev_delivered.(chan) in
-  t.prev_delivered.(chan) <- delivered;
-  t.valid_scratch.(chan) <- delta;
-  (* occupancy histogram: start-of-cycle consumer-FIFO depth *)
-  let bucket = min t.occ_scratch.(chan) (occ_buckets - 1) in
-  t.occ_hist.((chan * occ_buckets) + bucket) <-
-    t.occ_hist.((chan * occ_buckets) + bucket) + 1;
-  if t.stop_scratch.(chan) then t.stop_cycles.(chan) <- t.stop_cycles.(chan) + 1;
-  if delta > 0 then begin
-    t.valid_cycles.(chan) <- t.valid_cycles.(chan) + 1;
-    t.delivered_total.(chan) <- t.delivered_total.(chan) + delta;
-    let last = t.last_valid_cycle.(chan) in
-    if last >= 0 then begin
-      let gap = min (t.cycles - last) gap_buckets in
-      t.gap_hist.((chan * gap_buckets) + (gap - 1)) <-
-        t.gap_hist.((chan * gap_buckets) + (gap - 1)) + 1
-    end;
-    t.last_valid_cycle.(chan) <- t.cycles
-  end
-
-(* Bulk protocol for the compiled kernel: direct scratch access plus a
-   single commit per cycle.  [commit_cycle] must stay behaviourally
-   identical to per-channel [commit_channel] calls + [end_cycle] — the
-   cross-engine differential tests pin this. *)
-
 let occ_scratch t = t.occ_scratch
 let stop_scratch t = t.stop_scratch
 let cls_scratch t = t.cls_scratch
@@ -202,7 +170,6 @@ let end_cycle t =
   t.cycles <- t.cycles + 1
 
 let commit_cycle t ~delivered =
-  (* The commit_channel loop, with the cross-module call hoisted out. *)
   for chan = 0 to t.n_chans - 1 do
     let delta = delivered.(chan) - t.prev_delivered.(chan) in
     t.prev_delivered.(chan) <- delivered.(chan);

@@ -96,50 +96,27 @@ type t
 val make : spec -> Network.t -> t option
 (** [None] when the spec is {!off} — the compile-time-off fast path. *)
 
-val sample_channel : t -> chan:int -> occupancy:int -> stop:bool -> unit
-(** Phase-1 hook: start-of-cycle consumer-FIFO depth and the
-    producer-visible stop for one channel. *)
+(** {2 Per-cycle hooks}
 
-val note_node : t -> node:int -> cls:cls -> unit
-(** Phase-2 hook: the firing decision for one node this cycle. *)
-
-val commit_channel : t -> chan:int -> delivered:int -> unit
-(** Phase-3 hook: the channel's cumulative delivered count after the
-    shift; the runtime derives this cycle's deliveries itself. *)
-
-val end_cycle : t -> unit
-(** Fold the scratch state into counters, histograms and the trace
-    ring; must be called exactly once per engine step, after every
-    channel was committed. *)
-
-(** {2 Bulk hooks for the compiled kernel}
-
-    The fine-grained hooks above cost one cross-module call per node
-    and per channel per cycle — fine for the reference interpreter,
-    measurable on the compiled kernel.  A tight engine can instead
-    write straight into the runtime's per-cycle scratch arrays (fetch
-    them once at creation; they are stable for the runtime's lifetime)
-    and make a single {!commit_cycle} call per step.  Both protocols
-    produce byte-identical counters; pick one per engine and stick to
-    it. *)
+    An engine writes straight into the runtime's per-cycle scratch
+    arrays (they are stable for the runtime's lifetime, so a tight
+    engine fetches them once) and makes a single {!commit_cycle} call
+    per step. *)
 
 val occ_scratch : t -> int array
-(** Per-channel start-of-cycle consumer-FIFO depth (write in phase 1;
-    replaces {!sample_channel}'s [occupancy]). *)
+(** Per-channel start-of-cycle consumer-FIFO depth (write in phase 1). *)
 
 val stop_scratch : t -> bool array
-(** Per-channel producer-visible stop (write in phase 1; replaces
-    {!sample_channel}'s [stop]). *)
+(** Per-channel producer-visible stop (write in phase 1). *)
 
 val cls_scratch : t -> int array
-(** Per-node class {e codes} ({!cls_code}; write in phase 2, replaces
-    {!note_node}). *)
+(** Per-node class {e codes} ({!cls_code}; write in phase 2). *)
 
 val commit_cycle : t -> delivered:int array -> unit
-(** Phase-3 bulk hook: [delivered] holds every channel's cumulative
-    delivered count after the shift.  Folds the scratch arrays and the
-    per-channel deltas exactly as per-channel {!commit_channel} calls
-    followed by {!end_cycle} would. *)
+(** Phase-3 hook, exactly once per engine step: [delivered] holds
+    every channel's cumulative delivered count after the shift.  Folds
+    the scratch arrays and this cycle's per-channel deliveries into the
+    counters, histograms and the trace ring. *)
 
 (** {1 Summaries} *)
 

@@ -1,6 +1,6 @@
 module Engine = Wp_sim.Engine
 module Sim = Wp_sim.Sim
-module Fast = Wp_sim.Fast
+module Static = Wp_sim.Static
 module Monitor = Wp_sim.Monitor
 
 type outcome =
@@ -25,7 +25,7 @@ let default_max_cycles = 2_000_000
 
 (* The cycle budget of one run.  An explicit [max_cycles] wins.
    Otherwise [mcr_work] (typically the golden run's cycle count) bounds
-   the run at [Fast.cycle_bound], provable from the marked-graph
+   the run at [Static.cycle_bound], provable from the marked-graph
    throughput plus engineering slack.  Injected stalls, ARQ recovery
    episodes and credit stalls ([perturbed]) push throughput below that
    bound, so the MCR budget would routinely exhaust and force a double
@@ -34,7 +34,7 @@ let budget ?max_cycles ?mcr_work ~perturbed (dp : Datapath.t) =
   match max_cycles, mcr_work with
   | Some m, _ -> m
   | None, Some work when not perturbed ->
-    min (Fast.cycle_bound ~work_cycles:work dp.Datapath.network)
+    min (Static.cycle_bound ~work_cycles:work dp.Datapath.network)
       default_max_cycles
   | None, _ -> default_max_cycles
 

@@ -43,7 +43,7 @@ val run :
     [capacity] is the shell FIFO bound (default 2); [max_cycles]
     defaults to 2_000_000.  When [max_cycles] is absent and [mcr_work]
     is given (typically the golden run's cycle count), the run is first
-    bounded at [Wp_sim.Fast.cycle_bound ~work_cycles:mcr_work], the
+    bounded at [Wp_sim.Static.cycle_bound ~work_cycles:mcr_work], the
     marked-graph MCR budget; an [Out_of_cycles] at that bound falls
     back to the full budget, so results never depend on the bound.
     [fault] injects the given {!Wp_sim.Fault} spec into the WP run;

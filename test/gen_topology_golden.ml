@@ -1,9 +1,10 @@
 (* Golden generator for the topology module: pins the canonical
    generated instances — node/channel counts, relay-station totals, the
-   Howard-MCR rate, the static firing word of block 0 and a digest of
-   every value the blocks emit over a traced run — so any change to the
-   generator's seeding, edge order, adapter placement or block
-   arithmetic shows up as a diff against topology.expected. *)
+   Howard-MCR rate, the static firing word of block 0, a digest of the
+   whole firing table and a digest of every value the blocks emit over
+   a traced run — so any change to the generator's seeding, edge order,
+   adapter placement, block arithmetic or firing table shows up as a
+   diff against topology.expected. *)
 
 module Topology = Wp_topo.Topology
 module Network = Wp_sim.Network
@@ -37,6 +38,25 @@ let data_digest net =
   done;
   (Static.cycles st, Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* MD5 over every row of the capacity-2 firing table: the fired,
+   starved and blocked shells and the delivering channels. *)
+let table_digest net =
+  let _, _, rows = Static.tables ~capacity:2 net in
+  let b = Buffer.create 4096 in
+  let ids a =
+    Array.iter (Printf.bprintf b "%d,") a;
+    Buffer.add_char b '|'
+  in
+  Array.iter
+    (fun tc ->
+      ids tc.Static.tc_fired;
+      ids tc.tc_starved;
+      ids tc.tc_blocked;
+      ids tc.tc_deliver;
+      Buffer.add_char b '\n')
+    rows;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let pin name =
   let spec =
     match Topology.of_string name with
@@ -61,6 +81,7 @@ let pin name =
   let word = Static.word st 0 in
   Printf.printf "word[b0] %s\n"
     (String.init (Array.length word) (fun i -> if word.(i) then '1' else '0'));
+  Printf.printf "table %s\n" (table_digest net);
   let cycles, hex = data_digest net in
   Printf.printf "data %d cycles %s\n\n" cycles hex
 

@@ -625,7 +625,7 @@ let test_mcr_solvers_agree_on_table1 () =
               (Wp_graph.Cycle_ratio.ratio_compare r1 r2 = 0);
             checkb (ctx ^ ": howard = enumeration") true
               (Wp_graph.Cycle_ratio.ratio_compare r1 r3 = 0);
-            let tb = Wp_sim.Fast.throughput_bound net in
+            let tb = Wp_sim.Static.throughput_bound net in
             checkb (ctx ^ ": fast throughput bound matches") true
               (Float.abs (tb -. Wp_graph.Cycle_ratio.ratio_to_float r1) < 1e-12)
           | _ -> Alcotest.fail (ctx ^ ": datapath should be cyclic"))

@@ -326,12 +326,12 @@ let test_throughput_bound_law () =
   List.iter
     (fun (m, rs) ->
       let expected = float_of_int m /. float_of_int (m + rs) in
-      let actual = Fast.throughput_bound (ring m ~rs) in
+      let actual = Static.throughput_bound (ring m ~rs) in
       if abs_float (actual -. expected) > 1e-9 then
         Alcotest.failf "ring %d rs %d: bound %.6f, expected %.6f" m rs actual expected)
     [ (1, 0); (1, 3); (2, 1); (3, 2); (4, 0); (5, 4) ];
   (* Acyclic networks are source-limited at 1.0. *)
-  checkb "acyclic bound" true (Fast.throughput_bound (halting_chain ~limit:5 ~rs:7) = 1.0)
+  checkb "acyclic bound" true (Static.throughput_bound (halting_chain ~limit:5 ~rs:7) = 1.0)
 
 let test_cycle_bound_is_sufficient () =
   (* A run bounded by [cycle_bound ~work_cycles] must complete — the
@@ -340,7 +340,7 @@ let test_cycle_bound_is_sufficient () =
   List.iter
     (fun rs ->
       let net = halting_chain ~limit:200 ~rs in
-      let bound = Fast.cycle_bound ~work_cycles:200 net in
+      let bound = Static.cycle_bound ~work_cycles:200 net in
       let f = Fast.create ~mode:Shell.Plain net in
       match Fast.run ~max_cycles:bound f with
       | Engine.Halted _ -> ()
@@ -349,10 +349,10 @@ let test_cycle_bound_is_sufficient () =
       | Engine.Cancelled c -> Alcotest.failf "rs %d: unexpected cancellation at %d" rs c)
     [ 0; 1; 5; 11 ];
   checkb "bound grows with work" true
-    (Fast.cycle_bound ~work_cycles:2_000 (ring 3 ~rs:2)
-    > Fast.cycle_bound ~work_cycles:1_000 (ring 3 ~rs:2));
+    (Static.cycle_bound ~work_cycles:2_000 (ring 3 ~rs:2)
+    > Static.cycle_bound ~work_cycles:1_000 (ring 3 ~rs:2));
   checkb "bound rejects negative work" true
-    (match Fast.cycle_bound ~work_cycles:(-1) (ring 2 ~rs:0) with
+    (match Static.cycle_bound ~work_cycles:(-1) (ring 2 ~rs:0) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

@@ -738,8 +738,8 @@ module Cycle_ratio = Wp_graph.Cycle_ratio
 
 (* Every Table 1 network (both datapaths, the ideal / single-RS /
    All 1 / All-1-and-2 configurations).  The steady-state firing word
-   the static prepass measures — by replaying the stop/valid handshake
-   on occupancy counts — must sustain exactly the rate of the
+   the recorded table holds — Fast's stop/valid handshake stepped on
+   placeholder processes — must sustain exactly the rate of the
    balanced-word schedule on the capacity-extended marked graph: the
    same rational, in lowest terms, for every block of the datapath. *)
 let table1_configs =

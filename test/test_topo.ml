@@ -4,8 +4,9 @@
 
    - QCheck properties of the generator itself: strong connectivity,
      token-carrying cycles (deadlock freedom at the default capacity),
-     seed-stable digests/builds, grammar round trips, and
-     Schedule.check acceptance of the balanced word on every instance;
+     seed-stable digests/builds, grammar round trips,
+     Schedule.check acceptance of the balanced word on every instance,
+     and the recorded firing table against the reference Engine;
    - a >= 30-topology differential battery running Reference, Fast and
      Static on every instance (byte-identical outcomes, cycles,
      delivered counts, stats and traces) plus one heterogeneous Batch
@@ -114,14 +115,50 @@ let prop_schedule_accepted =
       let g, tokens, time = Static.capacity_graph ~capacity:2 net in
       Schedule.check g ~tokens ~time sched = Ok ())
 
-let prop_prepass_schedulable =
+(* One reference-interpreter cycle as a table row: the nodes whose
+   firing, input-starved and output-blocked counts grew, and the
+   channels that delivered. *)
+let engine_row e net =
+  let nodes = Array.of_list (Network.nodes net) in
+  let chans = Array.of_list (Network.channels net) in
+  let snap () =
+    ( Array.map (fun n -> Shell.stats (Engine.shell e n)) nodes,
+      Array.map (Engine.delivered e) chans )
+  in
+  let s0, d0 = snap () in
+  Engine.step e;
+  let s1, d1 = snap () in
+  let grew f =
+    Array.of_list
+      (List.filter (fun i -> f s1.(i) > f s0.(i)) (List.init (Array.length nodes) Fun.id))
+  in
+  ( grew (fun s -> s.Shell.firings),
+    grew (fun s -> s.Shell.input_starved),
+    grew (fun s -> s.Shell.output_blocked),
+    Array.of_list
+      (List.filter (fun i -> d1.(i) > d0.(i)) (List.init (Array.length chans) Fun.id)) )
+
+let prop_table_replays_engine =
   QCheck2.Test.make ~count:50
-    ~name:"count-only prepass finds a periodic steady state"
+    ~name:"recorded table is periodic and replays Engine"
     ~print:Topology.to_string gen_spec (fun spec ->
       let net = Topology.build spec in
-      let transient, period, table = Static.tables ~capacity:2 net in
-      transient >= 0 && period >= 1
-      && Array.length table = transient + period)
+      List.for_all
+        (fun capacity ->
+          let transient, period, table = Static.tables ~capacity net in
+          let e = Engine.create ~capacity ~mode:Shell.Plain net in
+          transient >= 0 && period >= 1
+          && Array.length table = transient + period
+          && List.for_all
+               (fun cycle ->
+                 let tc =
+                   table.(if cycle < transient then cycle
+                          else transient + ((cycle - transient) mod period))
+                 in
+                 engine_row e net
+                 = (tc.Static.tc_fired, tc.tc_starved, tc.tc_blocked, tc.tc_deliver))
+               (List.init (transient + (2 * period)) Fun.id))
+        [ 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ *)
 (* Grammar corner cases                                                *)
@@ -555,7 +592,7 @@ let test_memo_word_budget () =
     (Static.tables ~capacity:2 net != Static.tables ~capacity:2 net)
 
 let test_memo_cold_warm () =
-  (* The first create of a fresh spec runs the prepass; the second
+  (* The first create of a fresh spec records the table; the second
      replays the memoised tables.  Every observable must match. *)
   let net = build_of "rand:64:seed7919" in
   let run () =
@@ -590,7 +627,7 @@ let () =
             prop_seed_stable;
             prop_grammar_roundtrip;
             prop_schedule_accepted;
-            prop_prepass_schedulable;
+            prop_table_replays_engine;
           ] );
       ( "generator units",
         [
