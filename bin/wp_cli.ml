@@ -57,14 +57,10 @@ let engine_str_arg =
            ~doc:"Simulation kernel: $(b,fast) (compiled, default: the \
                  batch kernel's table replay or dynamic SoA loop for \
                  batchable specs, the $(b,Fast) kernel for destructive \
-                 faults, protection, telemetry or capacity 0), $(b,ref) \
-                 (reference interpreter) or $(b,static) (precomputed \
-                 balanced-word firing table; plain-mode, fault-free, \
-                 unprotected configurations only — anything else is refused \
-                 as unschedulable, and oracle-mode WP2 runs downgrade \
-                 explicitly to $(b,fast)).  All kernels produce \
-                 byte-identical results where they apply; the default can \
-                 also be set via $(b,WIREPIPE_ENGINE).")
+                 faults, protection, telemetry or capacity 0) or $(b,ref) \
+                 (reference interpreter).  Both produce byte-identical \
+                 results; the default can also be set via \
+                 $(b,WIREPIPE_ENGINE).")
 
 let capacity_arg =
   Arg.(value & opt int 2
@@ -265,8 +261,7 @@ let report_stats runner stats =
 
 (* A simulation that raises, e.g. a block derailed by a destructive fault
    on an unprotected link or a program the ISS cannot execute, fails the
-   command with one line and exit 1.  [Unschedulable] passes through to
-   the top-level handler's exit code 2. *)
+   command with one line and exit 1. *)
 let or_exit cmd f =
   let fail msg =
     flush stdout;
@@ -274,7 +269,6 @@ let or_exit cmd f =
     exit 1
   in
   try f () with
-  | Wp_sim.Static.Unschedulable _ as e -> raise e
   | Failure msg | Invalid_argument msg | Wp_soc.Iss.Fault msg -> fail msg
   | e -> fail (Printexc.to_string e)
 
@@ -1141,13 +1135,16 @@ let client_cmd =
 
 (* --- chaos ------------------------------------------------------------ *)
 
-(* Self-contained fault-boundary drill: every hostile-client scenario the
-   service defends against, exercised against a real daemon, plus a
-   SIGKILL-and-restart pass over a shared disk cache.  Exit 0 iff every
-   scenario holds, including the latency gates: p99 under attack must
-   stay within 3x the unloaded p99, both for cached requests and for
-   concurrent clients of distinct uncached programs, and those clients
-   must get nothing but results. *)
+(* Self-contained fault-boundary drill against a real daemon: p99
+   latency under hostile clients (garbage frames, mid-frame disconnects,
+   silent flooders), an fd-leak check and a SIGKILL-and-restart pass
+   over a shared disk cache.  Exit 0 iff every scenario holds: p99
+   under attack must stay within 3x the unloaded p99, both for cached
+   requests and for concurrent clients of distinct uncached programs,
+   and those clients must get nothing but results.  Each hostile
+   behaviour on its own (garbage, oversized and truncated frames, a
+   silent client, a deadline storm) is asserted by the chaos test
+   suite. *)
 let chaos_cmd =
   let module Frame = Wp_util.Frame in
   let requests_arg =
@@ -1273,86 +1270,6 @@ let chaos_cmd =
       baseline;
     let clean, clean_bad = uncached socket ~base:40_000 in
     Printf.printf "clean p99 over 4 x 32 uncached requests: %.2f ms\n%!" clean;
-
-    (* Garbage frame: answered Error, connection survives. *)
-    (let fd = raw_connect socket in
-     Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-       (fun () ->
-         Frame.write fd "garbage!";
-         let classified =
-           match Frame.read fd with
-           | Some p -> (match Wire.decode_reply p with
-             | Ok (0, Wire.Error _) -> true
-             | _ -> false)
-           | None -> false
-         in
-         Frame.write fd (Wire.encode_request ~tag:1 Wire.Ping);
-         let survived =
-           match Frame.read fd with
-           | Some p -> Wire.decode_reply p = Ok (1, Wire.Pong)
-           | None -> false
-         in
-         scenario "garbage frame answered Error" (classified && survived) ""));
-
-    (* Oversized length prefix: dropped without allocating. *)
-    (let fd = raw_connect socket in
-     Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-       (fun () ->
-         send_raw fd (u32_be 0x7F00_0000);
-         let buf = Bytes.create 1 in
-         scenario "oversized frame drops client"
-           (Unix.read fd buf 0 1 = 0 && healthy socket) ""));
-
-    (* Mid-frame disconnect: classified, daemon stays healthy. *)
-    (let fd = raw_connect socket in
-     send_raw fd (u32_be 64);
-     send_raw fd "0123456789";
-     Unix.close fd;
-     scenario "mid-frame disconnect tolerated" (healthy socket) "");
-
-    (* Silent client: floods requests, never reads replies. *)
-    (let before = (Service.counters svc).Service.slow_disconnects in
-     let fd = raw_connect socket in
-     Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-       (fun () ->
-         let ping = Wire.encode_request ~tag:0 Wire.Ping in
-         let frame = u32_be (String.length ping) ^ ping in
-         let burst = String.concat "" (List.init 512 (fun _ -> frame)) in
-         (try for _ = 1 to 200 do send_raw fd burst done
-          with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
-         scenario "silent client disconnected"
-           (wait_for (fun () ->
-                (Service.counters svc).Service.slow_disconnects > before)
-            && healthy socket)
-           ""));
-
-    (* Deadline storm: expired requests come back Deadline_exceeded. *)
-    (Service.pause svc;
-     let conn = Service.Client.connect socket in
-     Fun.protect ~finally:(fun () -> Service.Client.close conn)
-       (fun () ->
-         (* An uncached spec: a cache hit would (by design) satisfy any
-            deadline, and the probe spec is already warm. *)
-         let n = 16 in
-         for tag = 0 to n - 1 do
-           Service.Client.send conn ~tag
-             (Wire.Run
-                { chaos_args with
-                  Wire.rq_program = Printf.sprintf "random:%d" (9000 + tag);
-                  rq_deadline_ms = Some 1;
-                })
-         done;
-         Thread.delay 0.1;
-         Service.resume svc;
-         let expired = ref 0 in
-         for _ = 1 to n do
-           match Service.Client.recv conn with
-           | Some (_, Wire.Deadline_exceeded _) -> incr expired
-           | _ -> ()
-         done;
-         scenario "deadline storm all expired"
-           (!expired = n && healthy socket)
-           (Printf.sprintf "%d/%d" !expired n)));
 
     (* Degradation: p99 with hostile clients attacking concurrently. *)
     (let hostile_stop = ref false in
@@ -1496,9 +1413,10 @@ let sweep_cmd =
   let no_check_arg =
     Arg.(value & flag
          & info [ "no-check" ]
-             ~doc:"Skip the cross-engine agreement checks (static \
-                   schedule replay and reference-interpreter spot \
-                   checks); only run the primary engine.")
+             ~doc:"Skip the cross-engine agreement checks (a solo \
+                   table replay with its exact word-rate check, and \
+                   reference-interpreter spot checks); only run the \
+                   primary engine.")
   in
   let run topos seeds no_check jobs gc spec =
     with_gc_stats gc @@ fun () ->
@@ -1541,12 +1459,8 @@ let () =
   let doc = "wire-pipelined SoC design methodology (DATE'05 reproduction)" in
   let info = Cmd.info "wirepipe" ~version:"1.0.0" ~doc in
   exit
-    (try
-       (* [~catch:false]: cmdliner's own handler would swallow the
-          Unschedulable exception below as an "internal error" (125)
-          before we can turn it into the documented exit code 2. *)
-       Cmd.eval ~catch:false
-         (Cmd.group info
+    (Cmd.eval
+       (Cmd.group info
           [
             table1_cmd;
             run_cmd;
@@ -1564,18 +1478,4 @@ let () =
             client_cmd;
             chaos_cmd;
             sweep_cmd;
-          ])
-     with Wp_sim.Static.Unschedulable reason ->
-       (* --engine static on a configuration with no static firing
-          word: refuse loudly rather than fall back silently. *)
-       Printf.eprintf
-         "wirepipe: configuration is not statically schedulable: %s\n\
-          (use --engine fast or --engine ref for this configuration)\n"
-         reason;
-       2
-     | exn ->
-       (* Preserve cmdliner's internal-error convention for anything
-          else now that ~catch:false lets exceptions through. *)
-       Printf.eprintf "wirepipe: internal error, uncaught exception:\n%s\n"
-         (Printexc.to_string exn);
-       125)
+          ]))

@@ -69,17 +69,6 @@ let golden ?(engine = Wp_sim.Sim.default_kind) ~machine (program : Program.t) =
     Mutex.unlock golden_mutex;
     winner
 
-(* Oracle-mode (WP2) runs have no static firing word — the oracle's
-   input masks are data-dependent — so under [--engine static] they
-   downgrade, explicitly, to the differentially-verified Fast kernel.
-   Everything statically schedulable (golden, WP1) still exercises the
-   table kernel; nothing is ever silently mis-simulated because the
-   Static engine itself refuses oracle mode with [Unschedulable]. *)
-let oracle_spec (spec : Run_spec.t) =
-  match spec.Run_spec.engine with
-  | Wp_sim.Sim.Static -> { spec with Run_spec.engine = Wp_sim.Sim.Fast }
-  | _ -> spec
-
 (* The one outcome check: a WP run counts only if it completed with the
    golden architectural result.  A cancelled run fails with the message
    its caller reports as an expiry. *)
@@ -146,8 +135,8 @@ let run_spec ?cancel ~spec ~machine ~program config =
       program
   in
   let wp2 =
-    checked_run ?cancel ~mcr_work ~spec:(oracle_spec spec) ~machine
-      ~mode:Shell.Oracle ~config program
+    checked_run ?cancel ~mcr_work ~spec ~machine ~mode:Shell.Oracle ~config
+      program
   in
   record ~machine ~config ~golden:g program wp1 wp2
 
@@ -215,8 +204,8 @@ let run_batch_spec ?cancels ~machine
 let wp2_cycles_objective_spec ~spec ~machine ~program config =
   let g = golden ~engine:spec.Run_spec.engine ~machine program in
   let wp2 =
-    Run_spec.run_cpu ~mcr_work:g.Cpu.cycles ~spec:(oracle_spec spec) ~machine
-      ~mode:Shell.Oracle ~rs:(Config.to_fun config) program
+    Run_spec.run_cpu ~mcr_work:g.Cpu.cycles ~spec ~machine ~mode:Shell.Oracle
+      ~rs:(Config.to_fun config) program
   in
   match wp2.Cpu.outcome with
   | Cpu.Completed when wp2.Cpu.result_ok -> Cpu.throughput ~golden:g wp2

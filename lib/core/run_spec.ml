@@ -78,9 +78,7 @@ let of_args ?engine ?(capacity = 2) ?max_cycles ?fault ?(fault_seed = 0)
         match Sim.kind_of_string s with
         | Some k -> Ok k
         | None ->
-            Error
-              (Printf.sprintf "engine must be 'fast', 'ref' or 'static', got %S"
-                 s))
+            Error (Printf.sprintf "engine must be 'fast' or 'ref', got %S" s))
   in
   let* () =
     if capacity < 0 then Error "capacity must be >= 0" else Ok ()

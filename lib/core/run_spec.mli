@@ -78,8 +78,10 @@ val of_args :
   unit ->
   (t, string) result
 (** The single CLI parser: every subcommand maps its flags onto these
-    string/int arguments.  [engine] accepts ["fast"]/["ref"]/["static"]
-    (default: {!Wp_sim.Sim.default_kind}); [fault] uses the {!Wp_sim.Fault}
+    string/int arguments.  [engine] accepts ["fast"]/["ref"] (default:
+    {!Wp_sim.Sim.default_kind}); there is no ["static"], because a
+    batchable ["fast"] spec already replays its firing table wherever
+    one exists (see {!run_cpu}).  [fault] uses the {!Wp_sim.Fault}
     grammar seeded with [fault_seed]; [protect] uses the {!Protect}
     grammar with [link_window]/[link_timeout] (0 = auto) as defaults;
     [stall_report] enables telemetry counters; [trace_depth > 0]
@@ -106,8 +108,8 @@ val run_cpu :
     never touch {!Wp_soc.Cpu}'s optional-argument form.  A {!batchable}
     spec runs as a one-lane {!Wp_soc.Cpu.run_batch}: an unfaulted Plain
     lane replays the balanced firing word, and any other lane steps the
-    dynamic SoA kernel.  Every other spec ([ref], [static], destructive
-    faults, protection, telemetry, capacity 0) runs on
+    dynamic SoA kernel.  Every other spec ([ref], destructive faults,
+    protection, telemetry, capacity 0) runs on
     {!Wp_soc.Cpu.run}, which for engine [fast] is the [Fast] kernel.
     For a batchable spec both kernels return structurally equal
     results.  An explicit [cancel] token (e.g. the serve daemon's,

@@ -19,7 +19,9 @@ type run_args = {
   rq_program : string;  (** e.g. ["sort:16"] — {!Wp_soc.Programs.of_string} *)
   rq_machine : string;  (** e.g. ["pipelined"] *)
   rq_config : string;   (** e.g. ["CU-AL=1,DC-RF=2"] or ["none"] *)
-  rq_engine : string option;      (** ["fast"] / ["ref"] / ["static"] *)
+  rq_engine : string option;
+      (** ["fast"] / ["ref"]; anything else, ["static"] included, is an
+          [Error] reply ({!Run_spec.of_args}) *)
   rq_capacity : int;
   rq_max_cycles : int option;
   rq_fault : string option;       (** {!Wp_sim.Fault.of_string} clause list *)

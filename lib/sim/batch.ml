@@ -1,7 +1,8 @@
 (* Composite batch kernel: grouping, partition and dispatch.
 
    The stepping lives in the two compiled kernels; this module only
-   decides which lanes share which kernel instance:
+   decides which lanes share which kernel instance, and it is the one
+   place that picks the table replay:
 
    - lanes are grouped by topology {!signature}, and each signature is
      partitioned on its own;

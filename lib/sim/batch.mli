@@ -9,7 +9,9 @@
     [Run_spec]s becomes one invocation.
 
     This module only groups, partitions and dispatches; the stepping
-    lives in the two compiled kernels, chosen per lane at {!create}:
+    lives in the two compiled kernels, chosen per lane at {!create}
+    (no {!Sim.kind} names the table replay: this is where a run is
+    routed to it):
 
     - {b Static replay} ({!Static}) — Plain, unfaulted lanes are grouped
       by (capacity, per-channel relay-station counts); such a group is a

@@ -1,32 +1,29 @@
 (** Engine-agnostic simulation facade.
 
     Every experiment can run on the readable reference interpreter
-    ({!Engine}) or on one of the library's two compiled kernels: the
-    handshake kernel ({!Fast}) and the table-replay kernel ({!Static}).
-    The three are byte-identical in observable behaviour (outcomes,
-    cycle counts, delivered tokens, shell statistics, traces) wherever
-    they all apply, and the differential test battery asserts it.  This
-    module hides the choice behind one type so callers thread a single
-    [?engine] argument instead of duplicating code paths.  Many runs at
-    once go through {!Batch}, which drives the same two kernels.
+    ({!Engine}) or on the library's compiled handshake kernel ({!Fast}).
+    The two are byte-identical in observable behaviour (outcomes, cycle
+    counts, delivered tokens, shell statistics, traces), and the
+    differential test battery asserts it.  This module hides the choice
+    behind one type so callers thread a single [?engine] argument
+    instead of duplicating code paths.
 
-    {!Static} only covers statically schedulable configurations (Plain
-    mode, no faults, no link protection, no telemetry, bounded FIFOs);
-    {!create} with [engine = Static] raises {!Static.Unschedulable}
-    on anything else — an explicit refusal, never a silently wrong
-    simulation. *)
+    There is no table-replay kind to select: a [fast] run that goes
+    through {!Batch} already replays the balanced firing word wherever
+    one exists, because {!Batch} sends every Plain, unfaulted lane to
+    {!Static}.  A [Fast] simulation created here is always the
+    handshake, so the differential tests keep an independent compiled
+    kernel to hold the replay against. *)
 
 type kind =
   | Reference  (** {!Engine}: boxed tokens, per-cycle allocation, easy to read *)
   | Fast       (** {!Fast}: compiled int arrays, zero steady-state allocation *)
-  | Static     (** {!Static}: precomputed firing table, no per-cycle handshake *)
 
 val kind_to_string : kind -> string
-(** ["ref"] / ["fast"] / ["static"] — stable strings for CLI flags and
-    cache keys. *)
+(** ["ref"] / ["fast"] — stable strings for CLI flags and cache keys. *)
 
 val kind_of_string : string -> kind option
-(** Accepts ["ref"], ["reference"], ["fast"] and ["static"]. *)
+(** Accepts ["ref"], ["reference"] and ["fast"]. *)
 
 val default_kind : kind
 (** [Fast], unless the [WIREPIPE_ENGINE] environment variable names a
@@ -44,13 +41,10 @@ val create :
   Network.t ->
   t
 (** [engine] defaults to {!default_kind}; the remaining arguments are
-    forwarded to {!Engine.create} / {!Fast.create} / {!Static.create}
-    unchanged.  The dynamic engines interpret a [fault] spec through
-    the same {!Fault} policy code, so the differential batteries stay
-    byte-identical even under injected faults.
-    @raise Static.Unschedulable when [engine = Static] and the
-    configuration has no static firing word (oracle mode, faults,
-    protection, telemetry, or unbounded FIFOs). *)
+    forwarded to {!Engine.create} / {!Fast.create} unchanged.  Both
+    interpret a [fault] spec through the same {!Fault} policy code, so
+    the differential batteries stay byte-identical even under injected
+    faults. *)
 
 val of_engine : Engine.t -> t
 val kind : t -> kind

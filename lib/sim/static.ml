@@ -290,20 +290,13 @@ let create_lanes ?(record_traces = false) ~capacity nets =
   done;
   t
 
-let create ?(capacity = 2) ?(record_traces = false) ?fault
-    ?(telemetry = Telemetry.off) ~mode net =
+let create ?(capacity = 2) ?(record_traces = false) ~mode net =
   if capacity < 0 then invalid_arg "Static.create: negative capacity";
   Network.validate net;
   (match mode with
   | Shell.Plain -> ()
   | Shell.Oracle ->
       unschedulable "oracle mode: input masks are data-dependent");
-  (match fault with
-  | Some spec when not (Fault.is_none spec) ->
-      unschedulable "fault injection perturbs the firing pattern"
-  | _ -> ());
-  if not (Telemetry.is_off telemetry) then
-    unschedulable "telemetry instrumentation needs per-cycle observation";
   (* [lookup] refuses capacity 0 and protected channels. *)
   create_lanes ~record_traces ~capacity [| net |]
 

@@ -15,9 +15,12 @@
     counting.  Statistics are reconstructed on demand from cumulative
     schedule tables built once per schedule.
 
-    This is the library's only table-replay kernel: a solo {!create} is
-    a one-lane replay, and {!Batch} runs each group of lanes sharing a
-    schedule as one many-lane replay ({!create_lanes}).  The handshake,
+    This is the library's only table-replay kernel, and {!Batch} is
+    what selects it: each group of Plain, unfaulted lanes sharing a
+    schedule runs as one many-lane replay ({!create_lanes}), so every
+    batchable [fast] run spec replays its table.  No engine kind names
+    the replay.  A solo {!create} is a one-lane replay, used by the
+    sweep's word-rate check, the tests and the benches.  The handshake,
     and the lane loop the replay runs in ({!Fast.roster}), live in
     {!Fast}.
 
@@ -25,31 +28,24 @@
     per-shell statistics, traces) is byte-identical to {!Engine} and
     {!Fast}; the differential battery asserts it.
 
+    A replay takes no fault or telemetry spec: those runs go to {!Fast}.
     Configurations whose firing pattern is {e not} statically
     determined — {!Shell.Oracle} mode (data-dependent input masks),
-    fault injection, link-layer protection, telemetry instrumentation,
-    unbounded ([capacity = 0]) FIFOs — are rejected at {!create} time
-    with {!Unschedulable}.  A static engine must refuse loudly rather
+    link-layer protection, unbounded ([capacity = 0]) FIFOs — are
+    rejected with {!Unschedulable}.  The replay refuses loudly rather
     than mis-simulate. *)
 
 exception Unschedulable of string
-(** Raised by {!create} when no static firing word can reproduce the
-    requested configuration.  The payload names the offending feature
-    (oracle mode, fault spec, protection, telemetry, unbounded
+(** Raised by {!create}, {!create_lanes} and {!tables} when no static
+    firing word can reproduce the requested configuration.  The payload
+    names the offending feature (oracle mode, protection, unbounded
     capacity, or a recording that found no periodic steady state). *)
 
 type t
 
-val create :
-  ?capacity:int ->
-  ?record_traces:bool ->
-  ?fault:Fault.spec ->
-  ?telemetry:Telemetry.spec ->
-  mode:Wp_lis.Shell.mode ->
-  Network.t ->
-  t
-(** Compile the network and look up its firing table.  Arguments
-    mirror {!Fast.create}.
+val create : ?capacity:int -> ?record_traces:bool -> mode:Wp_lis.Shell.mode -> Network.t -> t
+(** Compile the network and look up its firing table.  [capacity]
+    (default 2) and [record_traces] mirror {!Fast.create}.
     @raise Unschedulable on any configuration listed above.
     @raise Invalid_argument if the network fails {!Network.validate}
     or [capacity] is negative. *)

@@ -125,39 +125,21 @@ let compare_views ~who a b =
     a.v_delivered;
   List.rev !ds
 
-let view_of_sim net sim outcome =
+(* One engine's observables, read through its accessors. *)
+let view net ~outcome ~cycles ~stats ~delivered =
   {
     v_outcome = outcome;
-    v_cycles = Sim.cycles sim;
+    v_cycles = cycles;
     v_firings =
-      Array.init (Network.node_count net) (fun n ->
-          (Sim.node_stats sim n).Shell.firings);
-    v_delivered =
-      Array.init (Network.channel_count net) (fun c -> Sim.delivered sim c);
-  }
-
-let view_of_batch net b ~lane =
-  {
-    v_outcome =
-      (match Batch.outcome b ~lane with Some o -> o | None -> assert false);
-    v_cycles = Batch.lane_cycles b ~lane;
-    v_firings =
-      Array.init (Network.node_count net) (fun n ->
-          (Batch.node_stats b ~lane n).Shell.firings);
-    v_delivered =
-      Array.init (Network.channel_count net) (fun c ->
-          Batch.delivered b ~lane c);
+      Array.init (Network.node_count net) (fun n -> (stats n).Shell.firings);
+    v_delivered = Array.init (Network.channel_count net) delivered;
   }
 
 (* --------------------------------------------------------------- *)
 (* Primary execution paths                                          *)
 (* --------------------------------------------------------------- *)
 
-type prim = {
-  p_view : view;
-  p_tele : Telemetry.summary option;
-  p_word : (Cycle_ratio.ratio * bool) option;
-}
+type prim = { p_view : view; p_tele : Telemetry.summary option }
 
 let run_solo ~engine sc net =
   let spec = sc.spec in
@@ -171,74 +153,44 @@ let run_solo ~engine sc net =
       (fun (r : Telemetry.report) -> r.Telemetry.summary)
       (Sim.telemetry_report sim)
   in
-  { p_view = view_of_sim net sim outcome; p_tele = tele; p_word = None }
+  {
+    p_view =
+      view net ~outcome ~cycles:(Sim.cycles sim) ~stats:(Sim.node_stats sim)
+        ~delivered:(Sim.delivered sim);
+    p_tele = tele;
+  }
 
-(* The static path measures sustained throughput exactly: block 0's
-   firing count over one full period against the next must advance by
-   exactly the word's ones count ({!word_rate_ok} also holds the word's
-   rate against the MCR bound).  Checkpoints are visited in ascending
-   order; the caller-visible view is snapshotted at the budget
-   checkpoint even when the word check needs to run further. *)
-let run_static_checked sc net =
-  let spec = sc.spec in
-  (* Mirror the CLI's refusal semantics at scenario granularity: a
-     faulted / protected / telemetered spec has no static firing word,
-     so running the table unfaulted here would manufacture a spurious
-     cross-engine disagreement. *)
-  if not (Fault.is_none spec.Run_spec.fault) then
-    raise (Static.Unschedulable "faults have no static firing word");
-  if not (Protect.is_none spec.Run_spec.protect) then
-    raise (Static.Unschedulable "protected channels have no static firing word");
-  if not (Telemetry.is_off spec.Run_spec.telemetry) then
-    raise (Static.Unschedulable "telemetry is not supported by the table replay");
-  let cap = spec.Run_spec.capacity in
-  let st = Static.create ~capacity:cap ~mode:Shell.Plain net in
+(* --------------------------------------------------------------- *)
+(* Replay and word-rate check                                       *)
+(* --------------------------------------------------------------- *)
+
+(* The replay check of a schedulable scenario: a solo table replay to
+   the budget, for comparison with the primary, plus an exact measure
+   of sustained throughput.  Block 0's firing count over one full
+   period against the next must advance by exactly its word's ones
+   count ({!word_rate_ok} also holds the word's rate against the MCR
+   bound).  Checkpoints are visited in ascending order, so the view is
+   taken at the budget even when the word check runs further.  Returns
+   the view and [(rate, sustained)]. *)
+let replay_check sc net =
+  let st = Static.create ~capacity:sc.spec.Run_spec.capacity ~mode:Shell.Plain net in
   let tr = Static.transient st and p = Static.period st in
-  let word = Static.word st 0 in
-  let ones = Array.fold_left (fun a f -> if f then a + 1 else a) 0 word in
-  let t1 = tr + p and t2 = tr + (2 * p) in
-  let b = budget spec in
+  let ones = Array.fold_left (fun a f -> if f then a + 1 else a) 0 (Static.word st 0) in
+  let t1 = tr + p and t2 = tr + (2 * p) and b = budget sc.spec in
   let firings () = (Static.node_stats st 0).Shell.firings in
-  let f1 = ref 0 and f2 = ref 0 in
-  let snap = ref None in
+  let f1 = ref 0 and f2 = ref 0 and snap = ref None in
   List.iter
     (fun cp ->
-      let o = Static.run ~max_cycles:cp st in
+      let outcome = Static.run ~max_cycles:cp st in
       if cp = t1 then f1 := firings ();
       if cp = t2 then f2 := firings ();
-      if cp = b && !snap = None then
+      if cp = b then
         snap :=
           Some
-            {
-              v_outcome = o;
-              v_cycles = Static.cycles st;
-              v_firings =
-                Array.init (Network.node_count net) (fun n ->
-                    (Static.node_stats st n).Shell.firings);
-              v_delivered =
-                Array.init (Network.channel_count net) (fun c ->
-                    Static.delivered st c);
-            })
+            (view net ~outcome ~cycles:(Static.cycles st)
+               ~stats:(Static.node_stats st) ~delivered:(Static.delivered st)))
     (List.sort_uniq compare [ t1; t2; b ]);
-  let view = match !snap with Some v -> v | None -> assert false in
-  let sustained = !f2 - !f1 = ones in
-  { p_view = view; p_tele = None; p_word = Some (Static.rate st 0, sustained) }
-
-(* A plain static replay to the same budget, for cross-checking a
-   dynamic primary engine. *)
-let static_view sc net =
-  let spec = sc.spec in
-  let st = Static.create ~capacity:spec.Run_spec.capacity ~mode:Shell.Plain net in
-  let o = Static.run ~max_cycles:(budget spec) st in
-  {
-    v_outcome = o;
-    v_cycles = Static.cycles st;
-    v_firings =
-      Array.init (Network.node_count net) (fun n ->
-          (Static.node_stats st n).Shell.firings);
-    v_delivered =
-      Array.init (Network.channel_count net) (fun c -> Static.delivered st c);
-  }
+  (Option.get !snap, (Static.rate st 0, !f2 - !f1 = ones))
 
 (* Millo & de Simone's claim at generated-topology scale: block 0
    sustains its balanced firing word over a full period, and the word's
@@ -327,8 +279,12 @@ let process_shard ~check_engines (shard : scenario array) : result array =
         (fun lane i ->
           match ctx.(i) with
           | Ok (_, net) ->
-            primary.(i) <-
-              Some { p_view = view_of_batch net b ~lane; p_tele = None; p_word = None }
+            let p_view =
+              view net ~outcome:(Option.get (Batch.outcome b ~lane))
+                ~cycles:(Batch.lane_cycles b ~lane) ~stats:(Batch.node_stats b ~lane)
+                ~delivered:(Batch.delivered b ~lane)
+            in
+            primary.(i) <- Some { p_view; p_tele = None }
           | Error _ -> ())
         ids
     | exception _ -> () (* fall through to the solo path below *)))
@@ -340,15 +296,8 @@ let process_shard ~check_engines (shard : scenario array) : result array =
       | Error e, _ -> errors.(i) <- Some e
       | Ok _, Some _ -> ()
       | Ok (sc, net), None -> (
-        match
-          match sc.spec.Run_spec.engine with
-          | Sim.Static -> run_static_checked sc net
-          | Sim.Reference -> run_solo ~engine:Sim.Reference sc net
-          | Sim.Fast -> run_solo ~engine:Sim.Fast sc net
-        with
+        match run_solo ~engine:sc.spec.Run_spec.engine sc net with
         | p -> primary.(i) <- Some p
-        | exception Static.Unschedulable r ->
-          errors.(i) <- Some ("not statically schedulable: " ^ r)
         | exception e -> errors.(i) <- Some (Printexc.to_string e)))
     ctx;
   (* Cross-engine checks. *)
@@ -375,21 +324,15 @@ let process_shard ~check_engines (shard : scenario array) : result array =
         let bound = Topology.mcr ~capacity:sc.spec.Run_spec.capacity net in
         let disagreements = ref [] in
         let err = ref None in
+        let word = ref None in
         if check_engines then begin
-          (if schedulable sc.spec && sc.spec.Run_spec.engine <> Sim.Static then
-             match static_view sc net with
-             | v ->
-               disagreements :=
-                 !disagreements @ compare_views ~who:"static" p.p_view v
+          (if schedulable sc.spec then
+             match replay_check sc net with
+             | v, w ->
+               disagreements := compare_views ~who:"static" p.p_view v;
+               word := Some w
              | exception e ->
                err := Some (Printf.sprintf "static check: %s" (Printexc.to_string e)));
-          (if sc.spec.Run_spec.engine = Sim.Static then
-             match run_solo ~engine:Sim.Fast sc net with
-             | q ->
-               disagreements :=
-                 !disagreements @ compare_views ~who:"fast" p.p_view q.p_view
-             | exception e ->
-               err := Some (Printf.sprintf "fast check: %s" (Printexc.to_string e)));
           if sc.spec.Run_spec.engine <> Sim.Reference && check_ref sc net then
             match run_solo ~engine:Sim.Reference sc net with
             | q ->
@@ -406,9 +349,9 @@ let process_shard ~check_engines (shard : scenario array) : result array =
           r_cycles = p.p_view.v_cycles;
           r_firings = p.p_view.v_firings.(0);
           r_bound = bound;
-          r_word_rate = Option.map fst p.p_word;
+          r_word_rate = Option.map fst !word;
           r_word_ok =
-            Option.map (fun (rate, sustained) -> word_rate_ok ~bound ~rate ~sustained) p.p_word;
+            Option.map (fun (rate, sustained) -> word_rate_ok ~bound ~rate ~sustained) !word;
           r_disagreements = !disagreements;
           r_telemetry = p.p_tele;
           r_error = !err;

@@ -8,16 +8,21 @@
     batch call covers a heterogeneous shard), and cross-checks engines
     against each other:
 
-    - every statically schedulable scenario is replayed on
+    - every statically schedulable scenario (capacity >= 1, no fault,
+      no protection, telemetry off) is replayed solo on
       {!Wp_sim.Static} and must agree with the primary engine on
-      outcome, cycle count, block firings and delivered tokens;
-    - seed-0 scenarios of each family are additionally replayed on the
-      {!Wp_sim.Engine} reference interpreter;
-    - under [--engine static] the measured steady-state throughput of
-      block 0 is checked {e exactly} (integer arithmetic, one full
-      period against the next) against the balanced firing word's rate,
-      and that rate against the Howard-MCR bound — the Millo–de Simone
-      sustained-rate claim at generated-topology scale.
+      outcome, cycle count, block firings and delivered tokens.  A
+      batchable [fast] primary already ran on the same table replay
+      inside {!Wp_sim.Batch}, so for it this pins batching, not the
+      kernel; under [ref] it is an independent check;
+    - the same replay measures block 0's steady-state throughput
+      {e exactly} (integer arithmetic, one full period against the
+      next) against the balanced firing word's rate, and that rate
+      against the Howard-MCR bound — the Millo–de Simone sustained-rate
+      claim at generated-topology scale;
+    - a deterministic quarter of the seeds (those [= 0 mod 4]) on nets
+      of at most 128 blocks is also run on the {!Wp_sim.Engine}
+      reference interpreter.
 
     The report compares measured throughput per topology family against
     the Howard-MCR bound of the capacity-extended marked graph and, when
@@ -36,10 +41,11 @@ type result = {
   r_firings : int;  (** block 0 firings *)
   r_bound : Wp_graph.Cycle_ratio.ratio;  (** Howard-MCR throughput bound *)
   r_word_rate : Wp_graph.Cycle_ratio.ratio option;
-      (** static engine only: the firing word's ones-per-period *)
+      (** the firing word's ones-per-period; [None] when the scenario is
+          not schedulable or the checks are off *)
   r_word_ok : bool option;
-      (** static engine only: measured steady-state throughput equals
-          the word rate, and the word rate equals [r_bound], exactly
+      (** as [r_word_rate]: measured steady-state throughput equals the
+          word rate, and the word rate equals [r_bound], exactly
           ({!word_rate_ok}) *)
   r_disagreements : string list;  (** cross-engine mismatches, [] = agree *)
   r_telemetry : Wp_sim.Telemetry.summary option;
@@ -57,8 +63,9 @@ val expand :
 
 val run : ?jobs:int -> ?check_engines:bool -> scenario list -> result list
 (** Execute the sweep, [shard]-wise parallel, results in input order.
-    [check_engines] (default [true]) enables the static / reference
-    cross-checks; the primary engine comes from each scenario's spec.
+    [check_engines] (default [true]) enables the replay / reference
+    cross-checks and the word-rate check; the primary engine comes from
+    each scenario's spec.
     Never raises on a per-scenario failure — see [r_error]. *)
 
 val word_rate_ok :
@@ -66,7 +73,7 @@ val word_rate_ok :
   rate:Wp_graph.Cycle_ratio.ratio ->
   sustained:bool ->
   bool
-(** The static path's word check: block 0 fired exactly its word's ones
+(** The replay's word check: block 0 fired exactly its word's ones
     count over one full period against the next ([sustained]), and the
     word's [rate] equals the MCR [bound]. *)
 

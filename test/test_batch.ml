@@ -476,7 +476,6 @@ let test_run_cpu_unbatchable () =
       unbounded;
       protected_;
       Run_spec.v ~engine:Sim.Reference ();
-      Run_spec.v ~engine:Sim.Static ();
     ];
   List.iter
     (fun mode ->

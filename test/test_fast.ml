@@ -315,7 +315,8 @@ let test_kind_strings () =
   checkb "ref roundtrip" true
     (Sim.kind_of_string (Sim.kind_to_string Sim.Reference) = Some Sim.Reference);
   checkb "reference alias" true (Sim.kind_of_string "reference" = Some Sim.Reference);
-  checkb "unknown rejected" true (Sim.kind_of_string "warp" = None)
+  checkb "unknown rejected" true (Sim.kind_of_string "warp" = None);
+  checkb "static is no kind" true (Sim.kind_of_string "static" = None)
 
 (* ------------------------------------------------------------------ *)
 (* MCR-guided bounds                                                  *)

@@ -100,6 +100,12 @@ let test_error_reply () =
            with
           | Wire.Error msg -> checkb "error names the field" true (msg <> "")
           | _ -> Alcotest.fail "expected Error for a bad program");
+          (match
+             Client.call conn ~tag:5
+               (Wire.Run { (run_args ()) with Wire.rq_engine = Some "static" })
+           with
+          | Wire.Error _ -> ()
+          | _ -> Alcotest.fail "expected Error for engine \"static\"");
           (* The connection survives a protocol error. *)
           match Client.call conn ~tag:4 Wire.Ping with
           | Wire.Pong -> ()

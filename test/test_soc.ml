@@ -503,67 +503,80 @@ module Process = Wp_lis.Process
 
 let mode_name = function Shell.Plain -> "plain" | Shell.Oracle -> "oracle"
 
-(* Engine differential: the compiled kernel and the static-schedule
-   replay must both be byte-identical to the reference interpreter —
-   same outcome and cycle count, same per-channel delivered totals,
-   same per-shell statistics and same recorded token streams on every
-   output port.  Oracle mode has no static firing word, so there the
-   static engine must refuse with [Unschedulable] rather than ever
-   produce an answer. *)
+(* Engine differential: the compiled handshake and the table replay
+   must both be byte-identical to the reference interpreter — same
+   outcome and cycle count, same per-channel delivered totals, same
+   per-shell statistics and same recorded token streams on every output
+   port.  The replay is [Static.create] on the same datapath network.
+   Oracle mode has no static firing word, so there the replay must
+   refuse with [Unschedulable] rather than ever produce an answer. *)
+type observed = {
+  o_outcome : Wp_sim.Engine.outcome;
+  o_cycles : int;
+  o_delivered : Wp_sim.Network.channel -> int;
+  o_stats : Wp_sim.Network.node -> Shell.stats;
+  o_trace : Wp_sim.Network.node -> int -> int Wp_lis.Token.t list;
+}
+
 let engine_differential ~(note : string -> unit) ~seed ~machine ~mode ~rs program =
   let note fmt = Printf.ksprintf note fmt in
+  let build () = (Datapath.build ~machine ~rs program).Datapath.network in
+  let max_cycles = 2_000_000 in
   let exec kind =
-    let dp = Datapath.build ~machine ~rs program in
-    let sim = Sim.create ~engine:kind ~record_traces:true ~mode dp.Datapath.network in
-    let outcome = Sim.run ~max_cycles:2_000_000 sim in
-    (dp.Datapath.network, sim, outcome)
+    let sim = Sim.create ~engine:kind ~record_traces:true ~mode (build ()) in
+    let o_outcome = Sim.run ~max_cycles sim in
+    { o_outcome; o_cycles = Sim.cycles sim; o_delivered = Sim.delivered sim;
+      o_stats = Sim.node_stats sim; o_trace = Sim.output_trace sim }
+  in
+  let replay () =
+    let st = Wp_sim.Static.create ~record_traces:true ~mode (build ()) in
+    let o_outcome = Wp_sim.Static.run ~max_cycles st in
+    { o_outcome; o_cycles = Wp_sim.Static.cycles st; o_delivered = Wp_sim.Static.delivered st;
+      o_stats = Wp_sim.Static.node_stats st; o_trace = Wp_sim.Static.output_trace st }
   in
   let ctx = Printf.sprintf "%s/%s" (Datapath.machine_name machine) (mode_name mode) in
   match exec Sim.Reference with
   | exception e -> note "seed %d: reference engine raised %s" seed (Printexc.to_string e)
-  | net, ref_sim, ref_out ->
-    let compare_to kind =
-      match exec kind with
-      | exception e ->
-        note "seed %d: %s %s engine raised %s" seed ctx (Sim.kind_to_string kind)
-          (Printexc.to_string e)
-      | _, sim, out ->
-        let k = Sim.kind_to_string kind in
-        if ref_out <> out then
-          note "seed %d: %s %s engine disagrees on outcome" seed ctx k;
-        if Sim.cycles ref_sim <> Sim.cycles sim then
-          note "seed %d: %s %s engine disagrees on cycle count (%d vs %d)" seed ctx k
-            (Sim.cycles ref_sim) (Sim.cycles sim);
+  | r ->
+    let net = build () in
+    let compare_to k run =
+      match run () with
+      | exception e -> note "seed %d: %s %s raised %s" seed ctx k (Printexc.to_string e)
+      | o ->
+        if r.o_outcome <> o.o_outcome then
+          note "seed %d: %s %s disagrees on outcome" seed ctx k;
+        if r.o_cycles <> o.o_cycles then
+          note "seed %d: %s %s disagrees on cycle count (%d vs %d)" seed ctx k r.o_cycles
+            o.o_cycles;
         List.iter
           (fun c ->
-            if Sim.delivered ref_sim c <> Sim.delivered sim c then
-              note "seed %d: %s %s engine disagrees on delivered(%s)" seed ctx k
+            if r.o_delivered c <> o.o_delivered c then
+              note "seed %d: %s %s disagrees on delivered(%s)" seed ctx k
                 (Wp_sim.Network.channel_label net c))
           (Wp_sim.Network.channels net);
         List.iter
           (fun n ->
             let proc = Wp_sim.Network.node_process net n in
-            if Sim.node_stats ref_sim n <> Sim.node_stats sim n then
-              note "seed %d: %s %s engine disagrees on stats(%s)" seed ctx k
-                proc.Process.name;
+            if r.o_stats n <> o.o_stats n then
+              note "seed %d: %s %s disagrees on stats(%s)" seed ctx k proc.Process.name;
             Array.iteri
               (fun p _ ->
-                if Sim.output_trace ref_sim n p <> Sim.output_trace sim n p then
-                  note "seed %d: %s %s engine disagrees on trace %s.%s" seed ctx k
+                if r.o_trace n p <> o.o_trace n p then
+                  note "seed %d: %s %s disagrees on trace %s.%s" seed ctx k
                     proc.Process.name proc.Process.output_names.(p))
               proc.Process.output_names)
           (Wp_sim.Network.nodes net)
     in
-    compare_to Sim.Fast;
+    compare_to "fast engine" (fun () -> exec Sim.Fast);
     (match mode with
-    | Shell.Plain -> compare_to Sim.Static
+    | Shell.Plain -> compare_to "table replay" replay
     | Shell.Oracle -> (
       (* Never a wrong answer: oracle configurations must be rejected. *)
-      match exec Sim.Static with
-      | _ -> note "seed %d: %s static engine accepted an oracle configuration" seed ctx
+      match replay () with
+      | _ -> note "seed %d: %s table replay accepted an oracle configuration" seed ctx
       | exception Wp_sim.Static.Unschedulable _ -> ()
       | exception e ->
-        note "seed %d: %s static engine raised %s instead of Unschedulable" seed ctx
+        note "seed %d: %s table replay raised %s instead of Unschedulable" seed ctx
           (Printexc.to_string e)))
 
 (* Seed policy (documented in EXPERIMENTS.md): program seeds are
@@ -578,13 +591,9 @@ let battery_config seed =
   Config.of_alist
     (List.map (fun conn -> (conn, Wp_util.Prng.int prng 3)) Datapath.all_connections)
 
-(* The engines expected to answer a given shell mode: every engine on
-   plain (statically schedulable) specs, only the dynamic ones under
-   the oracle — there the static engine must refuse, which
-   [engine_differential] asserts. *)
-let engines_for = function
-  | Shell.Plain -> [ Sim.Reference; Sim.Fast; Sim.Static ]
-  | Shell.Oracle -> [ Sim.Reference; Sim.Fast ]
+(* Both engine kinds answer every shell mode; [engine_differential]
+   adds the table replay on plain specs. *)
+let engines = [ Sim.Reference; Sim.Fast ]
 
 (* One battery case: a random program under a random RS budget must
    (a) leave the scratch region exactly as the ISS does, on both timed
@@ -618,7 +627,7 @@ let battery_case seed =
                 note "seed %d: %s/%s raised %s" seed
                   (Datapath.machine_name machine) (Sim.kind_to_string engine)
                   (Printexc.to_string e))
-            (engines_for mode);
+            engines;
           engine_differential
             ~note:(fun s -> failures := s :: !failures)
             ~seed ~machine ~mode ~rs program)
@@ -656,7 +665,7 @@ let battery_case seed =
               (Option.value ~default:"?" v.Equiv_check.first_mismatch)
               (Config.describe config) repro_info
           end)
-        (engines_for mode))
+        engines)
     modes;
   List.rev !failures
 

@@ -8,13 +8,13 @@
      Schedule.check acceptance of the balanced word on every instance,
      and the recorded firing table against the reference Engine;
    - a >= 30-topology differential battery running Reference, Fast and
-     Static on every instance (byte-identical outcomes, cycles,
+     the Static table replay on every instance (byte-identical outcomes, cycles,
      delivered counts, stats and traces) plus one heterogeneous Batch
      call over all instances at once — failures are shrunk with
      Wp_util.Shrink to a minimal spec and written to a .sexp repro with
      a replay command;
-   - sweep-harness checks: the static path's exact word-rate assertion
-     and the fast path's cross-engine agreement. *)
+   - sweep-harness checks: the exact word-rate assertion every
+     schedulable scenario runs, and the cross-engine agreement. *)
 
 module Topology = Wp_topo.Topology
 module Sweep = Wp_topo.Sweep
@@ -326,49 +326,64 @@ let battery_specs : Topology.spec list =
         [ (8, 0); (12, 3); (16, 6); (20, 9) ];
     ]
 
+(* One kernel's run of a net, as its observables. *)
+type observed = {
+  o_outcome : Engine.outcome;
+  o_cycles : int;
+  o_delivered : Network.channel -> int;
+  o_stats : Network.node -> Shell.stats;
+  o_trace : Network.node -> int -> int Wp_lis.Token.t list;
+}
+
 let run_engine engine net =
   let sim =
     Sim.create ~engine ~capacity:2 ~record_traces:true ~mode:Shell.Plain net
   in
-  let out = Sim.run ~max_cycles:battery_cycles sim in
-  (out, sim)
+  let o_outcome = Sim.run ~max_cycles:battery_cycles sim in
+  { o_outcome; o_cycles = Sim.cycles sim; o_delivered = Sim.delivered sim;
+    o_stats = Sim.node_stats sim; o_trace = Sim.output_trace sim }
+
+(* The table replay, solo, on the same net. *)
+let run_replay net =
+  let st = Static.create ~capacity:2 ~record_traces:true ~mode:Shell.Plain net in
+  let o_outcome = Static.run ~max_cycles:battery_cycles st in
+  { o_outcome; o_cycles = Static.cycles st; o_delivered = Static.delivered st;
+    o_stats = Static.node_stats st; o_trace = Static.output_trace st }
 
 (* First engine disagreement of one spec, or None.  Compares outcome,
    cycles, per-channel delivered counts, per-node stats and full output
-   traces for Fast vs Reference and Fast vs Static. *)
+   traces for Fast vs Reference and Fast vs the table replay. *)
 let diff_engines spec =
   let net = Topology.build spec in
-  let out_f, fast = run_engine Sim.Fast net in
-  let mismatch who (out_o, other) =
+  let fast = run_engine Sim.Fast net in
+  let mismatch who other =
     let complain fmt = Printf.ksprintf Option.some fmt in
-    if out_o <> out_f then complain "%s: outcome differs" who
-    else if Sim.cycles other <> Sim.cycles fast then
-      complain "%s: cycles %d vs %d" who (Sim.cycles other) (Sim.cycles fast)
+    if other.o_outcome <> fast.o_outcome then complain "%s: outcome differs" who
+    else if other.o_cycles <> fast.o_cycles then
+      complain "%s: cycles %d vs %d" who other.o_cycles fast.o_cycles
     else
       let bad = ref None in
       List.iter
         (fun c ->
-          if !bad = None && Sim.delivered other c <> Sim.delivered fast c then
+          if !bad = None && other.o_delivered c <> fast.o_delivered c then
             bad := complain "%s: delivered(%d) differs" who c)
         (Network.channels net);
       List.iter
         (fun n ->
-          if !bad = None && Sim.node_stats other n <> Sim.node_stats fast n then
+          if !bad = None && other.o_stats n <> fast.o_stats n then
             bad := complain "%s: stats(%d) differs" who n;
           if !bad = None then
             Array.iteri
               (fun p _ ->
-                if
-                  !bad = None
-                  && Sim.output_trace other n p <> Sim.output_trace fast n p
-                then bad := complain "%s: trace(%d.%d) differs" who n p)
+                if !bad = None && other.o_trace n p <> fast.o_trace n p then
+                  bad := complain "%s: trace(%d.%d) differs" who n p)
               (Network.node_process net n).Process.output_names)
         (Network.nodes net);
       !bad
   in
   match mismatch "ref" (run_engine Sim.Reference net) with
   | Some m -> Some m
-  | None -> mismatch "static" (run_engine Sim.Static net)
+  | None -> mismatch "static" (run_replay net)
 
 let fail_shrunk spec msg =
   let still_fails s = diff_engines s <> None in
@@ -422,7 +437,7 @@ let test_battery_batch_matches_fast () =
   List.iteri
     (fun lane spec ->
       let net = lanes.(lane).Batch.net in
-      let solo_out, solo = run_engine Sim.Fast net in
+      let solo = run_engine Sim.Fast net in
       let fail fmt =
         Printf.ksprintf
           (fun m ->
@@ -430,20 +445,20 @@ let test_battery_batch_matches_fast () =
               (Topology.to_string spec) m)
           fmt
       in
-      if out.(lane) <> solo_out then fail "outcome differs from solo Fast";
-      if Batch.lane_cycles b ~lane <> Sim.cycles solo then fail "cycles differ";
+      if out.(lane) <> solo.o_outcome then fail "outcome differs from solo Fast";
+      if Batch.lane_cycles b ~lane <> solo.o_cycles then fail "cycles differ";
       List.iter
         (fun c ->
-          if Batch.delivered b ~lane c <> Sim.delivered solo c then
+          if Batch.delivered b ~lane c <> solo.o_delivered c then
             fail "delivered(%d) differs" c)
         (Network.channels net);
       List.iter
         (fun n ->
-          if Batch.node_stats b ~lane n <> Sim.node_stats solo n then
+          if Batch.node_stats b ~lane n <> solo.o_stats n then
             fail "stats(%d) differs" n;
           Array.iteri
             (fun p _ ->
-              if Batch.output_trace b ~lane n p <> Sim.output_trace solo n p
+              if Batch.output_trace b ~lane n p <> solo.o_trace n p
               then fail "trace(%d.%d) differs" n p)
             (Network.node_process net n).Process.output_names)
         (Network.nodes net))
@@ -462,8 +477,10 @@ let fail_sweep r =
     | None, [] -> "word-rate check failed")
     (Sweep.replay_command r.Sweep.r_scenario)
 
+(* The word check rides every checked schedulable scenario, whatever
+   the primary engine: here the default one. *)
 let test_sweep_static_word_rate () =
-  let spec = Run_spec.v ~engine:Sim.Static ~capacity:2 ~max_cycles:300 () in
+  let spec = Run_spec.v ~capacity:2 ~max_cycles:300 () in
   let topos =
     [
       Topology.v (Topology.Mesh (4, 4));
@@ -492,7 +509,20 @@ let test_sweep_static_word_rate () =
         (Sweep.word_rate_ok ~bound:r.Sweep.r_bound ~rate:off ~sustained:true);
       checkb "unsustained rate fails" false
         (Sweep.word_rate_ok ~bound:r.Sweep.r_bound ~rate:r.Sweep.r_bound ~sustained:false))
-    results
+    results;
+  (* Without a firing word there is no word check. *)
+  let ring = [ Topology.v (Topology.Ring 6) ] in
+  let jitter = Fault.of_string ~seed:11 "jitter:10@100" in
+  let unscheduled =
+    Sweep.expand ~topos:ring ~seeds:2 ~spec:(Run_spec.v ~capacity:0 ~max_cycles:300 ())
+    @ Sweep.expand ~topos:ring ~seeds:2 ~spec:(Run_spec.v ~max_cycles:150 ~fault:jitter ())
+  in
+  List.iter
+    (fun r ->
+      if not (Sweep.ok r) then fail_sweep r;
+      checkb "capacity 0 or faulted: no word check" true
+        (r.Sweep.r_word_ok = None && r.Sweep.r_word_rate = None))
+    (Sweep.run ~jobs:1 unscheduled)
 
 let test_sweep_fast_agreement () =
   let spec = Run_spec.v ~engine:Sim.Fast ~capacity:2 ~max_cycles:200 () in

@@ -185,6 +185,28 @@ let fuzz_bitflip_reply =
       (match Wire.decode_reply (Bytes.to_string s) with Ok _ | Error _ -> ());
       true)
 
+(* --- typed rejections ------------------------------------------------ *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* "static" names no engine kind: the spec parser, and with it a [Run]
+   request, answers it with an [Error] that lists the kinds there are. *)
+let test_static_engine_rejected () =
+  let names_kinds what = function
+    | Ok _ -> Alcotest.failf "%s accepted engine \"static\"" what
+    | Error msg ->
+      if not (contains msg "'fast'" && contains msg "'ref'") then
+        Alcotest.failf "%s: %S does not name fast and ref" what msg
+  in
+  names_kinds "Run_spec.of_args" (Run_spec.of_args ~engine:"static" ());
+  names_kinds "Wire.parse_run"
+    (Wire.parse_run
+       { (Wire.run_defaults ~program:"sort:4" ~machine:"pipelined" ~config:"none") with
+         Wire.rq_engine = Some "static" })
+
 let () =
   Alcotest.run "wire"
     [
@@ -194,4 +216,7 @@ let () =
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
           [ fuzz_random; fuzz_truncated; fuzz_bitflip; fuzz_bitflip_reply ] );
+      ( "spec",
+        [ Alcotest.test_case "static engine is a typed error" `Quick
+            test_static_engine_rejected ] );
     ]
