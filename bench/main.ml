@@ -38,10 +38,10 @@ let engine, gc_stats =
       | None -> Error (`Msg (Printf.sprintf "unknown engine %S (want fast|ref)" s))
     in
     let print ppf k = Format.pp_print_string ppf (Wp_sim.Sim.kind_to_string k) in
-    Arg.(value & opt (conv (parse, print)) Wp_sim.Sim.default_kind
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Simulation kernel behind every section: $(b,fast) (the default, \
-                   unless $(b,WIREPIPE_ENGINE) names another) or $(b,ref).")
+    Arg.(value & opt (conv (parse, print)) Wp_sim.Sim.Fast
+         & info [ "engine" ] ~docv:"ENGINE" ~env:(Cmd.Env.info "WIREPIPE_ENGINE")
+             ~doc:"Simulation kernel behind every section: $(b,fast) (the default) \
+                   or $(b,ref).")
   in
   let gc_stats =
     Arg.(value & flag

@@ -6,10 +6,11 @@
             [--smoke] [--out FILE]
      core  = the Table 1 sweep on the reference interpreter and the
              compiled Fast kernel (gate: fast >= 2x reference), a
-             kernel-only stall probe (gates: Fast and Static allocate
-             nothing; Static is strictly faster than Fast), and exact
-             static word-rate checks
-     batch = 64-lane SoA Batch vs sequential Fast (gate: >= 2x)
+             kernel-only stall probe (gates: Fast, Static and an Oracle
+             replay allocate nothing; Static is strictly faster than
+             Fast), and exact static word-rate checks
+     batch = 64-lane SoA Batch vs sequential Fast (gates: >= 2x on Plain
+             lanes, >= 1.3x on Oracle lanes)
      flow  = incremental MCR vs from-scratch re-solves (gate: >= 5x,
              exact agreement at every step)
    --smoke (also WIREPIPE_BENCH_FAST=1) shrinks the workloads.
@@ -88,13 +89,15 @@ let json_of_measurement m =
       ("minor_words_per_cycle", Printf.sprintf "%.4f" (words_per_cycle m));
     ]
 
-(* The kernels [core] times: both engine kinds and the table replay. *)
-type kernel = Reference | Fast | Static
+(* The kernels [core] times: both engine kinds and the table replay,
+   Plain and Oracle. *)
+type kernel = Reference | Fast | Static | Oracle
 
 let engine_name = function
   | Reference -> "reference"
   | Fast -> "fast"
   | Static -> "static"
+  | Oracle -> "oracle_replay"
 
 let engine_fields entries = List.map (fun (e, m) -> (engine_name e, json_of_measurement m)) entries
 
@@ -186,6 +189,9 @@ let measure_kernel_steps ~engine ~capacity net =
     | Static ->
       let s = Static.create ~capacity ~mode:Shell.Plain net in
       fun () -> Static.step s
+    | Oracle ->
+      let s = Static.create ~capacity ~mode:Shell.Oracle net in
+      fun () -> Static.step s
   in
   for _ = 1 to 1_000 do step () done;
   (* Each timed window is only tens of milliseconds, so a single sample
@@ -242,7 +248,7 @@ let run_core ~smoke : probe_result =
   let stall =
     measure_each engine_name
       (fun engine -> measure_kernel_steps ~engine ~capacity:1 (two_ring ~rs:0))
-      [ Reference; Fast; Static ]
+      [ Reference; Fast; Static; Oracle ]
   in
   print_endline "live ring (rate 2/3, capacity 2):";
   let live =
@@ -265,7 +271,7 @@ let run_core ~smoke : probe_result =
           let m = List.assoc engine stall in
           gate (m.minor_words = 0.0) "%s allocated %.0f minor words over the %d-cycle stall probe"
             (engine_name engine) m.minor_words probe_cycles)
-        [ Fast; Static ]
+        [ Fast; Static; Oracle ]
     @ gate static_pass "static kernel not strictly faster than fast on the stall probe (%.2fx)"
         stall_speedup
     @ gate (fast_speedup >= min_speedup) "fast/reference ratio %.2f below required %.2f"
@@ -286,7 +292,10 @@ let run_core ~smoke : probe_result =
       ( "static_kernel",
         obj
           [
-            ("stall", pair (List.filter (fun (e, _) -> e <> Reference) stall) stall_speedup);
+            ( "stall",
+              pair
+                (List.filter (fun (e, _) -> e = Fast || e = Static) stall)
+                stall_speedup );
             ("live", pair live live_speedup);
             ("pass", string_of_bool static_pass);
           ] );
@@ -301,21 +310,26 @@ let run_core ~smoke : probe_result =
 (* ------------------------------------------------------------------ *)
 
 (* N = 64 independent Run_specs stepped as one Wp_sim.Batch invocation
-   vs the same specs run one after another on Fast.  Two workloads:
+   vs the same specs run one after another on Fast.  Three workloads:
 
    - stall-heavy: random programs under deep relay-station chains
      (uniform 1..4 everywhere but CU-IC, capacity 2) — the paper's
      wire-pipelined regime, where most cycles move tokens through relay
-     stations rather than firing processes.  This is the gated ratio:
-     the batch kernel's static-schedule replay amortizes all of that
-     handshake work across lanes.
+     stations rather than firing processes.  Gated at 2x: the batch
+     kernel's static-schedule replay amortizes all of that handshake
+     work across lanes.
+   - oracle: the same 64 lanes with WP2 (Oracle) wrappers.  Each runs
+     as a one-lane replay of the transitions it learns, so the batch
+     saves the handshake but pays the first visit of each transition.
+     Gated at 1.3x.
    - mixed: alternating bare and All-1 configurations with varying
      capacities — process-execution-bound, so the achievable ratio is
      structurally smaller; it is reported but not gated.
 
-   Lanes are Plain and unfaulted in both workloads, matching Table 1's
-   throughput rows.  Results byte-match per-lane Fast by construction
-   (the 50-seed differential battery in test_batch.ml asserts it). *)
+   Lanes are unfaulted in every workload, and Plain but in the oracle
+   one, matching Table 1's throughput rows.  Results byte-match per-lane
+   Fast by construction (the 50-seed differential battery in
+   test_batch.ml asserts it). *)
 
 let batch_lanes = 64
 let batch_max_cycles = 2_000_000
@@ -338,7 +352,7 @@ let batch_workload kind =
         in
         (batch_program i, config, 2 + (i mod 3)))
 
-let measure_batch_workload ~reps kind =
+let measure_batch_workload ?(mode = Shell.Plain) ~reps kind =
   let specs = batch_workload kind in
   let dps =
     Array.map
@@ -352,7 +366,7 @@ let measure_batch_workload ~reps kind =
         let _, _, capacity = specs.(i) in
         {
           Wp_sim.Batch.net = dp.Datapath.network;
-          mode = Shell.Plain;
+          mode;
           capacity;
           fault = Wp_sim.Fault.none;
           max_cycles = batch_max_cycles;
@@ -364,7 +378,7 @@ let measure_batch_workload ~reps kind =
     Array.iteri
       (fun i dp ->
         let _, _, capacity = specs.(i) in
-        let f = Fast.create ~capacity ~mode:Shell.Plain dp.Datapath.network in
+        let f = Fast.create ~capacity ~mode dp.Datapath.network in
         ignore (Fast.run ~max_cycles:batch_max_cycles f))
       dps
   in
@@ -386,30 +400,42 @@ let measure_batch_workload ~reps kind =
   in
   (specs_per_sec seq_s, specs_per_sec batch_s)
 
+let min_oracle_speedup = 1.3
+
 let run_batch_probe ~smoke : probe_result =
   let reps = if smoke then 10 else 30 in
   Printf.printf
     "batch-kernel probe (%d lanes, %d reps, sequential Fast vs fused Batch):\n%!"
     batch_lanes reps;
   let seq_stall, batch_stall = measure_batch_workload ~reps `Stall in
+  let seq_oracle, batch_oracle = measure_batch_workload ~mode:Shell.Oracle ~reps `Stall in
   let seq_mixed, batch_mixed = measure_batch_workload ~reps `Mixed in
   let ratio seq batch = if seq > 0.0 then batch /. seq else 0.0 in
   let stall_ratio = ratio seq_stall batch_stall in
+  let oracle_ratio = ratio seq_oracle batch_oracle in
   let mixed_ratio = ratio seq_mixed batch_mixed in
   Printf.printf
     "  stall-heavy: %8.1f specs/s sequential, %8.1f specs/s batched — %.2fx (floor %.2fx)\n"
     seq_stall batch_stall stall_ratio min_speedup;
   Printf.printf
+    "  oracle:      %8.1f specs/s sequential, %8.1f specs/s batched — %.2fx (floor %.2fx)\n"
+    seq_oracle batch_oracle oracle_ratio min_oracle_speedup;
+  Printf.printf
     "  mixed:       %8.1f specs/s sequential, %8.1f specs/s batched — %.2fx (reported only)\n"
     seq_mixed batch_mixed mixed_ratio;
   let pass = stall_ratio >= min_speedup in
-  let workload_json seq batch r =
+  let oracle_pass = oracle_ratio >= min_oracle_speedup in
+  let workload_json ?floor seq batch r =
     obj
-      [
-        ("seq_specs_per_sec", Printf.sprintf "%.1f" seq);
-        ("batch_specs_per_sec", Printf.sprintf "%.1f" batch);
-        ("ratio", Printf.sprintf "%.3f" r);
-      ]
+      ([
+         ("seq_specs_per_sec", Printf.sprintf "%.1f" seq);
+         ("batch_specs_per_sec", Printf.sprintf "%.1f" batch);
+         ("ratio", Printf.sprintf "%.3f" r);
+       ]
+      @
+      match floor with
+      | Some f -> [ ("min_ratio", Printf.sprintf "%.3f" f); ("pass", string_of_bool (r >= f)) ]
+      | None -> [])
   in
   ( [
       ("probe", "\"batch\"");
@@ -419,6 +445,8 @@ let run_batch_probe ~smoke : probe_result =
             ("lanes", string_of_int batch_lanes);
             ("reps", string_of_int reps);
             ("stall_heavy", workload_json seq_stall batch_stall stall_ratio);
+            ( "oracle",
+              workload_json ~floor:min_oracle_speedup seq_oracle batch_oracle oracle_ratio );
             ("mixed", workload_json seq_mixed batch_mixed mixed_ratio);
             ("min_ratio", Printf.sprintf "%.3f" min_speedup);
             ("pass", string_of_bool pass);
@@ -427,7 +455,11 @@ let run_batch_probe ~smoke : probe_result =
     gate pass
       "batch/sequential specs-per-sec ratio %.2f below required %.2f (stall-heavy workload, %d \
        lanes)"
-      stall_ratio min_speedup batch_lanes )
+      stall_ratio min_speedup batch_lanes
+    @ gate oracle_pass
+        "batch/sequential specs-per-sec ratio %.2f below required %.2f (oracle workload, %d \
+         lanes)"
+        oracle_ratio min_oracle_speedup batch_lanes )
 
 (* ------------------------------------------------------------------ *)
 (* Probe: incremental MCR evaluator vs from-scratch re-solve          *)

@@ -51,16 +51,17 @@ let config_arg =
    once, and a syntax error in any of them surfaces as a normal cmdliner
    error. *)
 
+(* Checked here, not only by [Run_spec.of_args], so that a bad
+   WIREPIPE_ENGINE is a usage error naming the variable. *)
 let engine_str_arg =
-  Arg.(value & opt (some string) None
-       & info [ "engine" ] ~docv:"ENGINE"
+  let parse s = Result.map (fun _ -> s) (Wp_core.Run_spec.of_args ~engine:s ()) in
+  Arg.(value & opt (some (conv' (parse, Format.pp_print_string))) None
+       & info [ "engine" ] ~docv:"ENGINE" ~env:(Cmd.Env.info "WIREPIPE_ENGINE")
            ~doc:"Simulation kernel: $(b,fast) (compiled, default: the \
-                 batch kernel's table replay or dynamic SoA loop for \
-                 batchable specs, the $(b,Fast) kernel for destructive \
-                 faults, protection, telemetry or capacity 0) or $(b,ref) \
-                 (reference interpreter).  Both produce byte-identical \
-                 results; the default can also be set via \
-                 $(b,WIREPIPE_ENGINE).")
+                 batch kernel's table replay for batchable specs, the \
+                 $(b,Fast) handshake for destructive faults, protection, \
+                 telemetry or capacity 0) or $(b,ref) (reference \
+                 interpreter).  Both produce byte-identical results.")
 
 let capacity_arg =
   Arg.(value & opt int 2

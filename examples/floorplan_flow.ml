@@ -37,7 +37,7 @@ let () =
   let aware = List.assoc "area + loop throughput" results in
   let program = Wp_soc.Programs.extraction_sort ~values:(Wp_soc.Programs.sort_values ~seed:1 ~n:12) in
   let record =
-    Wp_core.Experiment.run_spec ~spec:Wp_core.Run_spec.default
+    Wp_core.Experiment.run_spec ~spec:(Wp_core.Run_spec.default ())
       ~machine:Wp_soc.Datapath.Pipelined ~program aware.Flow.config
   in
   Printf.printf

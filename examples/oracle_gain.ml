@@ -34,7 +34,7 @@ let () =
   List.iter
     (fun conn ->
       let record =
-        Wp_core.Experiment.run_spec ~spec:Wp_core.Run_spec.default
+        Wp_core.Experiment.run_spec ~spec:(Wp_core.Run_spec.default ())
           ~machine:Datapath.Pipelined ~program (Config.only conn 1)
       in
       let estimate =

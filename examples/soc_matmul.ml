@@ -24,7 +24,7 @@ let () =
   in
   List.iter
     (fun (label, config) ->
-      let r = Wp_core.Experiment.run_spec ~spec:Wp_core.Run_spec.default
+      let r = Wp_core.Experiment.run_spec ~spec:(Wp_core.Run_spec.default ())
           ~machine:Datapath.Pipelined ~program config in
       Printf.printf "%-20s WP1 %.3f | WP2 %.3f | gain %+.0f%% | WP2 cycles %d\n" label
         r.Wp_core.Experiment.th_wp1 r.Wp_core.Experiment.th_wp2

@@ -27,7 +27,7 @@ let () =
   in
   List.iter
     (fun (what, config) ->
-      let r = Wp_core.Experiment.run_spec ~spec:Wp_core.Run_spec.default
+      let r = Wp_core.Experiment.run_spec ~spec:(Wp_core.Run_spec.default ())
           ~machine:Datapath.Pipelined ~program config in
       Printf.printf "%s:\n" what;
       Printf.printf "  WP1 %.3f | WP2 %.3f | oracle gain %+.0f%% | static bound %.3f\n\n"

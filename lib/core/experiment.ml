@@ -36,7 +36,8 @@ let program_digest (program : Program.t) =
 let golden_cache : (string, Cpu.result) Hashtbl.t = Hashtbl.create 16
 let golden_mutex = Mutex.create ()
 
-let golden ?(engine = Wp_sim.Sim.default_kind) ~machine (program : Program.t) =
+let golden ?engine ~machine (program : Program.t) =
+  let engine = match engine with Some e -> e | None -> Wp_sim.Sim.default_kind () in
   (* The engine is part of the key: the two kernels produce identical
      results (the differential battery asserts it), but sharing a memo
      entry across engines would let a reference-run result stand in for

@@ -272,7 +272,7 @@ let schedule_spec ~fault_channels ~horizon bits =
   { Fault.seed = 0; clauses }
 
 let exhaustive ?engine ?(horizon = 6) ?(max_cycles = 120) ?(slack = 16) kind =
-  let engine = match engine with Some e -> e | None -> Sim.default_kind in
+  let engine = match engine with Some e -> e | None -> Sim.default_kind () in
   let _, _, fault_channels = build kind in
   let f = List.length fault_channels in
   let n_schedules = 1 lsl (f * horizon) in
@@ -319,7 +319,7 @@ type static_report = {
 }
 
 let static_conformance ?engine ?(horizon = 6) kind =
-  let engine = match engine with Some e -> e | None -> Sim.default_kind in
+  let engine = match engine with Some e -> e | None -> Sim.default_kind () in
   let net0, mode, fault_channels = build kind in
   (match mode with
   | Shell.Plain -> ()
@@ -415,7 +415,7 @@ let break_kinds_for kind ~chan_index =
   | _ -> [ Fault.Drop; Fault.Dup; Fault.Corrupt; Fault.Spurious ]
 
 let negative_controls ?engine ?(max_cycles = 120) kind =
-  let engine = match engine with Some e -> e | None -> Sim.default_kind in
+  let engine = match engine with Some e -> e | None -> Sim.default_kind () in
   let _, _, fault_channels = build kind in
   let clean = run_network ~engine ~max_cycles ~fault:Fault.none kind in
   (* The deficit bound is irrelevant for destructive faults (no stalls
@@ -507,7 +507,7 @@ let recovery_placements ~kinds ~nths =
   singles @ pairs
 
 let recovery_sweep ?engine ?(max_cycles = 600) ?(slack = 64) () =
-  let engine = match engine with Some e -> e | None -> Sim.default_kind in
+  let engine = match engine with Some e -> e | None -> Sim.default_kind () in
   let kind = Ring in
   (* The ring's protected channel has 1 relay station; a 2-fault episode
      costs at most two full recovery rounds (timeout + round trips), so

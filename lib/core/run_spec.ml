@@ -13,9 +13,9 @@ type t = {
   deadline_ms : int option;
 }
 
-let default =
+let default () =
   {
-    engine = Sim.default_kind;
+    engine = Sim.default_kind ();
     capacity = 2;
     max_cycles = None;
     fault = Fault.none;
@@ -24,9 +24,9 @@ let default =
     deadline_ms = None;
   }
 
-let v ?(engine = Sim.default_kind) ?(capacity = 2) ?max_cycles
-    ?(fault = Fault.none) ?(protect = Protect.none)
-    ?(telemetry = Telemetry.off) ?deadline_ms () =
+let v ?engine ?(capacity = 2) ?max_cycles ?(fault = Fault.none)
+    ?(protect = Protect.none) ?(telemetry = Telemetry.off) ?deadline_ms () =
+  let engine = match engine with Some e -> e | None -> Sim.default_kind () in
   { engine; capacity; max_cycles; fault; protect; telemetry; deadline_ms }
 
 let digest t =
@@ -73,7 +73,8 @@ let of_args ?engine ?(capacity = 2) ?max_cycles ?fault ?(fault_seed = 0)
   let ( let* ) = Result.bind in
   let* engine =
     match engine with
-    | None -> Ok Sim.default_kind
+    | None -> (
+      match Sim.default_kind () with k -> Ok k | exception Invalid_argument m -> Error m)
     | Some s -> (
         match Sim.kind_of_string s with
         | Some k -> Ok k

@@ -36,7 +36,9 @@ type t = {
           run computes, so cached results satisfy any deadline *)
 }
 
-val default : t
+val default : unit -> t
+(** Every field at its default, the engine {!Wp_sim.Sim.default_kind}.
+    @raise Invalid_argument as {!Wp_sim.Sim.default_kind} does. *)
 
 val v :
   ?engine:Wp_sim.Sim.kind ->
@@ -49,7 +51,7 @@ val v :
   unit ->
   t
 (** Build a spec from optional arguments; omitted fields take their
-    {!default} values. *)
+    {!default} values (and raise as it does). *)
 
 val digest : t -> string
 (** Stable content digest covering every result-affecting field, e.g.

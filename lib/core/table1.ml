@@ -56,7 +56,7 @@ let common_head =
         (Printf.sprintf "Only %s" (Datapath.connection_name conn), Config.only conn 1))
       single_rs_order
 
-let sort_rows ?(spec = Run_spec.default) ?(values = Programs.sort_values ~seed:1 ~n:16)
+let sort_rows ?(spec = Run_spec.default ()) ?(values = Programs.sort_values ~seed:1 ~n:16)
     ?runner ~machine () =
   let runner = match runner with Some r -> r | None -> Runner.default () in
   let program = Programs.extraction_sort ~values in
@@ -69,7 +69,7 @@ let sort_rows ?(spec = Run_spec.default) ?(values = Programs.sort_values ~seed:1
   in
   run_rows ~spec ~runner ~machine ~program specs
 
-let matmul_rows ?(spec = Run_spec.default) ?(n = 5) ?runner ~machine () =
+let matmul_rows ?(spec = Run_spec.default ()) ?(n = 5) ?runner ~machine () =
   let runner = match runner with Some r -> r | None -> Runner.default () in
   let program =
     Programs.matrix_multiply ~n ~a:(Programs.matrix_values ~seed:2 ~n)

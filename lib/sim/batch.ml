@@ -11,8 +11,11 @@
      relay-station counts, FIFO capacity) — a marked graph — so lanes
      agreeing on those become one {!Static} replay instance over the
      schedule {!Static.tables} memoises;
-   - the rest (Oracle mode, faults, and any group whose recorded table
-     has no periodic steady state) become one many-lane {!Fast} instance.
+   - each Oracle-mode, unfaulted lane becomes a one-lane {!Static}
+     replay of transitions learnt as runs meet them: Oracle lanes fire
+     on their own data, so they are never in lockstep;
+   - the rest (faults, and any group whose recorded table has no
+     periodic steady state) become one many-lane {!Fast} instance.
 
    Both kernels step lanes exactly as their solo runs do, so every lane
    is byte-identical to running it alone. *)
@@ -81,16 +84,18 @@ let group key ids =
     ids;
   List.rev_map (fun k -> List.rev (Hashtbl.find by k)) !order
 
-(* Partition one signature's lanes into replay groups keyed by
-   (capacity, relay stations per channel) plus one dynamic instance. *)
+(* Partition one signature's lanes into Plain replay groups keyed by
+   (capacity, relay stations per channel), one-lane Oracle replays and
+   one dynamic instance. *)
 let partition ~record_traces lanes ids =
-  let static l = lanes.(l).mode = Shell.Plain && Fault.is_none lanes.(l).fault in
+  let replayed l = Fault.is_none lanes.(l).fault in
+  let plain l = lanes.(l).mode = Shell.Plain in
   let n_chans = Network.channel_count lanes.(List.hd ids).net in
   let key l =
     ( lanes.(l).capacity,
       Array.init n_chans (fun c -> Network.relay_stations lanes.(l).net c) )
   in
-  let dyn = ref (List.filter (fun l -> not (static l)) ids) in
+  let dyn = ref (List.filter (fun l -> not (replayed l)) ids) in
   let reps =
     List.filter_map
       (fun g ->
@@ -103,7 +108,14 @@ let partition ~record_traces lanes ids =
         | exception Static.Unschedulable _ ->
           dyn := List.merge compare g !dyn;
           None)
-      (group key (List.filter static ids))
+      (group key (List.filter (fun l -> replayed l && plain l) ids))
+    @ List.map
+        (fun l ->
+          let r =
+            Static.oracle_lane ~record_traces ~capacity:lanes.(l).capacity lanes.(l).net
+          in
+          { kernel = Rep r; ids = [| l |] })
+        (List.filter (fun l -> replayed l && not (plain l)) ids)
   in
   match !dyn with
   | [] -> reps

@@ -18,11 +18,12 @@
       marked graph, so one firing table per group, recorded by {!Fast}'s
       kernel and memoised by {!Static.tables}, yields a shared schedule
       that the group replays in lockstep as one many-lane
-      {!Static.create_lanes} instance.
-    - {b Dynamic SoA} ({!Fast}) — Oracle-mode and faulted lanes (whose
-      firing is data- or fault-dependent), and any group whose recording
-      finds no periodic steady state, run the full three-phase
-      handshake as one many-lane {!Fast.create_lanes} instance.
+      {!Static.create_lanes} instance.  Each Oracle-mode, unfaulted lane
+      fires on its own data, so it is a one-lane {!Static.oracle_lane}
+      over the transitions runs of its structure have learnt.
+    - {b Dynamic SoA} ({!Fast}) — faulted lanes, and any group whose
+      recording finds no periodic steady state, run the full
+      three-phase handshake as one many-lane {!Fast.create_lanes}.
 
     Lanes that finish (halt, deadlock, budget exhaustion, cancellation)
     leave their kernel's running set; the survivors keep stepping on the

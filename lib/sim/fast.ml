@@ -877,75 +877,138 @@ type table_cycle = {
   tc_starved : int array;  (* stalled, missing an input *)
   tc_blocked : int array;  (* stalled, ready but backpressured *)
   tc_deliver : int array;  (* channels delivering a token *)
+  tc_consumed : int array;  (* input ports the firing shells read *)
+  tc_dropped : int array;  (* input ports that discarded a token *)
   tc_any : bool;
 }
 
-(* The ids whose counter moved since the last call, ascending, collected
-   in [scratch]; the counters restart from 0. *)
-let moved scratch counts n =
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if counts.(i) > 0 then begin
-      scratch.(!k) <- i;
-      incr k;
-      counts.(i) <- 0
-    end
-  done;
-  Array.sub scratch 0 !k
+(* A one-lane kernel of placeholder processes: [fire] returns one
+   preallocated array and nothing halts, so no user closure runs and no
+   process data matters, and each shell's [required] answers the mask
+   the caller forces into [req].  FIFO lengths, relay-station fills and
+   pending drops are all the state a firing decision reads. *)
+type recorder = {
+  k : t;
+  req : bool array array;
+  scratch : int array;
+  mutable last : string; (* the state [k] is in, as last returned *)
+}
 
-(* In Plain mode with no faults a shell fires on token counts alone, so
-   the firing table is this kernel stepping one lane of placeholder
-   processes: [fire] returns one preallocated array and nothing halts,
-   so no user closure runs and no process data matters.  Each cycle is
-   keyed on the FIFO lengths and relay-station fills — all the state a
-   firing decision reads — until a key repeats; every shell is counted
-   as fired, blocked or starved each cycle, so the counters' moves are
-   the cycle's row. *)
-let record ~max_cycles ~capacity net =
+let recorder ~capacity net =
   let n_nodes = Network.node_count net in
   let outs = ref 1 in
   for n = 0 to n_nodes - 1 do
     outs := max !outs (Process.n_outputs (Network.node_process net n))
   done;
   let words = Array.make !outs 0 in
-  (* Plain lanes never ask [required]. *)
-  let placeholder =
-    { Process.required = (fun () -> [||]); fire = (fun _ -> words); halted = (fun () -> false) }
+  let req =
+    Array.init n_nodes (fun n -> Array.make (Process.n_inputs (Network.node_process net n)) true)
   in
-  let t =
-    compile ~instances:(Array.make n_nodes placeholder) ~record_traces:false
+  let placeholder n =
+    { Process.required = (fun () -> req.(n)); fire = (fun _ -> words); halted = (fun () -> false) }
+  in
+  let k =
+    compile ~instances:(Array.init n_nodes placeholder) ~record_traces:false
       ~telemetry:Telemetry.off
       [|
         {
           net;
-          mode = Shell.Plain;
+          mode = Shell.Oracle;
           capacity;
           fault = Fault.none;
-          max_cycles;
+          max_cycles = max_int;
           cancel = Wp_util.Cancel.never;
         };
       |]
   in
-  let moved = moved (Array.make (max n_nodes t.n_chans) 0) in
+  { k; req; scratch = Array.make (max k.n_in (max n_nodes k.n_chans)) 0; last = "" }
+
+(* A state is every FIFO length, relay-station fill and pending drop in
+   turn, each a base-128 varint: mostly one byte per count, and
+   [Hashtbl.hash] reads a string whole. *)
+let state r =
+  let b = Buffer.create 64 in
+  let rec put v =
+    if v < 128 then Buffer.add_uint8 b v
+    else begin
+      Buffer.add_uint8 b (v land 127 lor 128);
+      put (v lsr 7)
+    end
+  in
+  List.iter (Array.iter put) [ r.k.fifo_len; r.k.rs_len; r.k.drop_pending ];
+  let key = Buffer.contents b in
+  r.last <- key;
+  key
+
+let restore r key =
+  let pos = ref 0 in
+  let rec get shift =
+    let c = Char.code key.[!pos] in
+    incr pos;
+    if c < 128 then c lsl shift else ((c land 127) lsl shift) lor get (shift + 7)
+  in
+  List.iter
+    (fun (counts : int array) ->
+      for i = 0 to Array.length counts - 1 do
+        counts.(i) <- get 0
+      done)
+    [ r.k.fifo_len; r.k.rs_len; r.k.drop_pending ]
+
+(* The ids whose counter moved since the last call, ascending, collected
+   in [scratch]; the counters restart from 0. *)
+let moved scratch counts n =
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.unsafe_get counts i > 0 then begin
+      Array.unsafe_set scratch !k i;
+      incr k;
+      Array.unsafe_set counts i 0
+    end
+  done;
+  if !k = 0 then [||] else Array.sub scratch 0 !k
+
+(* Every shell is counted as fired, blocked or starved each cycle, and
+   a port's reads and discards move by one at most (a pending drop means
+   an empty FIFO), so the counters' moves over one [advance] are the row. *)
+let transition r ~masks key =
+  let k = r.k in
+  if key != r.last then restore r key;
+  for n = 0 to k.n_nodes - 1 do
+    let m = r.req.(n) and ib = k.in_base.(n) in
+    for p = 0 to Array.length m - 1 do
+      m.(p) <- Bytes.get masks (ib + p) <> '\000'
+    done
+  done;
+  advance k;
+  let moved = moved r.scratch in
+  let fired = moved k.firings k.n_nodes in
+  let row =
+    {
+      tc_fired = fired;
+      tc_starved = moved k.input_starved k.n_nodes;
+      tc_blocked = moved k.output_blocked k.n_nodes;
+      tc_deliver = moved k.chan_delivered k.n_chans;
+      tc_consumed = moved k.required_counts k.n_in;
+      tc_dropped = moved k.dropped k.n_in;
+      tc_any = Array.length fired > 0;
+    }
+  in
+  (row, state r)
+
+(* In Plain mode with no faults a shell fires on token counts alone, so
+   the firing table is the recorder under all-true masks, stepped from
+   reset until a state repeats. *)
+let record ~max_cycles ~capacity net =
+  let r = recorder ~capacity net in
+  let masks = Bytes.make r.k.n_in '\001' in
   let seen = Hashtbl.create 1024 in
-  let rec go cycle rows =
-    let key = Array.append t.fifo_len t.rs_len in
+  let rec go cycle key rows =
     match Hashtbl.find_opt seen key with
     | Some first -> Some (first, cycle - first, Array.of_list (List.rev rows))
     | None when cycle >= max_cycles -> None
     | None ->
       Hashtbl.add seen key cycle;
-      advance t;
-      let fired = moved t.firings n_nodes in
-      let row =
-        {
-          tc_fired = fired;
-          tc_starved = moved t.input_starved n_nodes;
-          tc_blocked = moved t.output_blocked n_nodes;
-          tc_deliver = moved t.chan_delivered t.n_chans;
-          tc_any = Array.length fired > 0;
-        }
-      in
-      go (cycle + 1) (row :: rows)
+      let row, key' = transition r ~masks key in
+      go (cycle + 1) key' (row :: rows)
   in
-  go 0 []
+  go 0 (state r) []

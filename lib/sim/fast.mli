@@ -14,10 +14,10 @@
     This is the library's only compiled handshake kernel.  One kernel
     steps several independent {e lanes} sharing a topology signature,
     structure-of-arrays: a solo {!create} is a one-lane kernel, and
-    {!Batch} runs its Oracle-mode and faulted lanes as one many-lane
-    kernel ({!create_lanes}).  The same kernel records {!Static}'s
-    firing tables ({!record}), and {!Static}'s table replay runs in this
-    module's lane loop ({!roster}). *)
+    {!Batch} runs its faulted lanes as one many-lane kernel
+    ({!create_lanes}).  The same kernel steps every transition
+    {!Static} replays ({!transition}), and {!Static}'s replay runs in
+    this module's lane loop ({!roster}). *)
 
 type lane = {
   net : Network.t;
@@ -183,21 +183,49 @@ val run_roster :
 val lane_cycles : roster -> int -> int
 (** The cycle at which a lane finished, or the clock while it runs. *)
 
-(** {1 Table recorder} *)
+(** {1 Table recorder}
+
+    FIFO lengths, relay-station fills and pending oracle drops are all
+    the state a firing decision reads, and in Oracle mode the masks
+    {!Wp_lis.Process.instance.required} returns are the rest.  So one
+    cycle of this kernel on placeholder processes (no user closure runs)
+    from a given state under given masks yields that cycle's row and the
+    next state: {!transition}.  {!record} chains it for Plain tables;
+    {!Static}'s Oracle replay calls it for each transition no replay
+    has met yet. *)
 
 type table_cycle = {
   tc_fired : int array;  (** shells firing this cycle, ascending *)
   tc_starved : int array;  (** stalled, missing an input *)
   tc_blocked : int array;  (** stalled, ready but backpressured *)
   tc_deliver : int array;  (** channels delivering a token *)
+  tc_consumed : int array;  (** global input ports the firing shells read, ascending *)
+  tc_dropped : int array;
+      (** global input ports that discarded a token, at a firing that
+          skipped it or on its arrival, ascending *)
   tc_any : bool;  (** did any shell fire *)
 }
+
+type recorder
+
+val recorder : capacity:int -> Network.t -> recorder
+(** A one-lane kernel of placeholder processes over an unfaulted,
+    unprotected network at [capacity >= 1], at reset. *)
+
+val state : recorder -> string
+(** The recorder's current occupancy state: every FIFO length,
+    relay-station fill and pending drop, as a compact string, so equal
+    states are equal strings and [Hashtbl.hash] reads all of it. *)
+
+val transition : recorder -> masks:Bytes.t -> string -> table_cycle * string
+(** [transition r ~masks s] restores state [s], steps one cycle in which
+    every shell requires the global input ports whose byte in [masks] is
+    not ['\000'], and returns the cycle's row and the next state. *)
 
 val record :
   max_cycles:int -> capacity:int -> Network.t -> (int * int * table_cycle array) option
 (** [(transient, period, rows)] of a Plain, unfaulted, unprotected
-    network at [capacity >= 1]: this kernel steps one lane of
-    placeholder processes (no user closure runs) until its FIFO lengths
-    and relay-station fills repeat, with row [i] describing cycle [i].
+    network at [capacity >= 1]: {!transition} under all-true masks from
+    reset until a state repeats, with row [i] describing cycle [i].
     [None] when no state repeats within [max_cycles] cycles.
     {!Static.tables} memoises it. *)

@@ -13,10 +13,13 @@ let kind_of_string = function
   | "fast" -> Some Fast
   | _ -> None
 
-let default_kind =
+let default_kind () =
   match Sys.getenv_opt "WIREPIPE_ENGINE" with
-  | Some s -> (match kind_of_string (String.lowercase_ascii s) with Some k -> k | None -> Fast)
-  | None -> Fast
+  | None | Some "" -> Fast
+  | Some s -> (
+    match kind_of_string (String.lowercase_ascii s) with
+    | Some k -> k
+    | None -> invalid_arg (Printf.sprintf "WIREPIPE_ENGINE must be 'fast' or 'ref', got %S" s))
 
 type t =
   | Ref of Engine.t
@@ -25,8 +28,8 @@ type t =
 let kind = function Ref _ -> Reference | Fst _ -> Fast
 let of_engine e = Ref e
 
-let create ?(engine = default_kind) ?capacity ?record_traces ?fault ?telemetry
-    ~mode net =
+let create ?engine ?capacity ?record_traces ?fault ?telemetry ~mode net =
+  let engine = match engine with Some k -> k | None -> default_kind () in
   match engine with
   | Reference ->
       Ref (Engine.create ?capacity ?record_traces ?fault ?telemetry ~mode net)

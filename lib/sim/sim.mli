@@ -25,9 +25,10 @@ val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 (** Accepts ["ref"], ["reference"] and ["fast"]. *)
 
-val default_kind : kind
-(** [Fast], unless the [WIREPIPE_ENGINE] environment variable names a
-    valid kind. *)
+val default_kind : unit -> kind
+(** [Fast], unless the [WIREPIPE_ENGINE] environment variable, read at
+    each call, is set.
+    @raise Invalid_argument naming the variable when it names no kind. *)
 
 type t
 

@@ -1,4 +1,5 @@
-(* Static-schedule kernel: a recorded firing table, then table replay.
+(* Table replay: a recorded firing table, or transitions learnt during
+   the run, replayed.
 
    In Plain mode with no faults, FIFO lengths and relay-station fills
    determine firing exactly.  {!Fast.record} steps Fast's own handshake
@@ -6,21 +7,23 @@
    transient prefix plus a period, and per-cycle rows of fired /
    starved / blocked shells and delivering channels.  This module keeps
    the memo of those tables and replays them; the lane loop around the
-   replay (running set, clock, termination check) is Fast's.
+   replay (running set, clock, termination check) is Fast's.  In Oracle
+   mode the masks a shell fires on depend on data, but the handshake is
+   still a finite automaton over (occupancy state, with pending drops;
+   every shell's masks): an Oracle lane looks each cycle's pair up among
+   the transitions met so far, and asks {!Fast.transition} on a miss.
 
    The replay kernel below is the library's only table-replay loop: a
    solo [create] is a one-lane instance, and each of the batch kernel's
-   replay groups is a many-lane one.  All lanes of an instance share
-   (topology, per-channel relay-station counts, capacity), hence the
-   exact same firing schedule, the same quiescence window and — while
-   active — the same clock.  A replay cycle touches only the shells
-   that fire: they fire their real process closures on real data, and
-   everything else (stall counters, delivered counts) is reconstructed
-   on demand from cumulative schedule tables, built once per schedule
-   next to the table in the memo.  Stall-heavy configurations — exactly
-   the wire-pipelined ones this library studies — cost almost nothing
-   per cycle, and everything observable stays byte-identical to the
-   dynamic engines. *)
+   Plain replay groups is a many-lane one, whose lanes share the exact
+   same firing schedule, quiescence window and — while active — clock.
+   A replay cycle touches only the shells that fire: they fire their
+   real process closures on real data, and the stall counters and
+   delivered counts come from cumulative schedule tables built once per
+   schedule (Plain), or from each cycle's row (Oracle).  Stall-heavy
+   configurations — exactly the wire-pipelined ones this library
+   studies — cost almost nothing per cycle, and everything observable
+   stays byte-identical to the dynamic engines. *)
 
 module Shell = Wp_lis.Shell
 module Token = Wp_lis.Token
@@ -38,6 +41,8 @@ type table_cycle = Fast.table_cycle = {
   tc_starved : int array;
   tc_blocked : int array;
   tc_deliver : int array;
+  tc_consumed : int array;
+  tc_dropped : int array;
   tc_any : bool;
 }
 
@@ -127,30 +132,35 @@ let schedule_key ~capacity net =
   done;
   Buffer.contents b
 
-(* Heap words of a schedule: one slot per table row, each row a 5-field
-   record and four int arrays with their headers, plus the three
-   cumulative arrays and the two records holding it all. *)
+(* Heap words of one row: a 7-field record and six int arrays, with
+   their headers. *)
+let row_words tc =
+  14 + Array.length tc.tc_fired + Array.length tc.tc_starved
+  + Array.length tc.tc_blocked + Array.length tc.tc_deliver
+  + Array.length tc.tc_consumed + Array.length tc.tc_dropped
+
+(* Heap words of a schedule: one slot per table row and the rows, plus
+   the three cumulative arrays and the two records holding it all. *)
 let sched_words s =
   let _, _, table = s.s_tables in
   let c = s.s_cum in
-  Array.fold_left
-    (fun acc tc ->
-      acc + 11
-      + Array.length tc.tc_fired + Array.length tc.tc_starved
-      + Array.length tc.tc_blocked + Array.length tc.tc_deliver)
-    (1 + Array.length table) table
+  Array.fold_left (fun acc tc -> acc + row_words tc) (1 + Array.length table) table
   + Array.length c.cum_fired + Array.length c.cum_blocked
   + Array.length c.cum_deliver + 14
 
 (* The recorder would drive a protected wire through the link layer,
-   whose state the key leaves out. *)
-let lookup ~capacity net compute =
+   whose state no key holds, and an unbounded FIFO has no finite
+   occupancy state. *)
+let check ~capacity net =
   if capacity <= 0 then
     unschedulable "unbounded FIFOs have no finite occupancy state";
   for c = 0 to Network.channel_count net - 1 do
     if Network.protection net c <> None then
       unschedulable "channel %d is link-protected" c
-  done;
+  done
+
+let lookup ~capacity net compute =
+  check ~capacity net;
   let key = schedule_key ~capacity net in
   Mutex.lock memo_mutex;
   let hit = Hashtbl.find_opt memo key in
@@ -187,6 +197,164 @@ let tables ~capacity net =
   (lookup ~capacity net (fun () -> sched_of ~capacity net)).s_tables
 
 (* ------------------------------------------------------------------ *)
+(* Learnt transitions (Oracle mode)                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A transition leaves its state under one mask vector: a byte per
+   global input port, a copy, since [required] reuses its array.  Like a
+   schedule, transitions depend only on the network's structure, never
+   on process data, so every replay of one structure — the lanes of a
+   batch, batch after batch — shares them, memoised under the schedule
+   key.  A table is stepped on by one replay at a time ([busy], under
+   the memo's mutex): a replay that finds its structure's table busy
+   learns into one of its own, and counts its visits to each transition
+   in the table until its release.  Transitions are immutable but for
+   that count, so a replay may keep following any it has met. *)
+type trans = {
+  t_masks : Bytes.t;
+  t_row : table_cycle;
+  t_next : state;
+  mutable t_visits : int;
+}
+
+and state = { s_key : string; mutable s_out : trans array }
+
+type learnt = {
+  states : (string, state) Hashtbl.t;
+  mutable all : trans list; (* the transitions in [states] *)
+  mutable words : int; (* retained by [states] *)
+  mutable busy : bool;
+}
+
+let learnt () = { states = Hashtbl.create 16; all = []; words = 0; busy = false }
+
+(* The word budget is the schedule memo's.  The entry bound is small: a
+   table pays off while replays of its structure keep coming (a batch's
+   lanes, a daemon's repeated configurations), and a Table 1
+   regeneration walks ~70 structures once each, where holding them all
+   grew its peak RSS by ~5 MB (over a fifth) and saved little time. *)
+let learnt_entries = 16
+let learnt_memo : (string, learnt) Hashtbl.t = Hashtbl.create learnt_entries
+
+let intern g key =
+  match Hashtbl.find g.states key with
+  | s -> s
+  | exception Not_found ->
+    let s = { s_key = key; s_out = [||] } in
+    Hashtbl.add g.states key s;
+    g.words <- g.words + (String.length key / 8) + 9;
+    s
+
+(* One Oracle lane: its recorder, the table it stepped on last, where it
+   is, this cycle's masks and the shells that fired last (only those
+   can have changed theirs: [required] is a function of process state,
+   which only [fire] advances), and its stats (visits times rows,
+   settled at each release): per node, channel or input port. *)
+type oracle = {
+  o_key : string;
+  o_recorder : Fast.recorder;
+  mutable o_table : learnt;
+  mutable o_cur : state;
+  o_masks : Bytes.t;
+  mutable o_fired : int array;
+  fired : int array;
+  blocked : int array;
+  deliver : int array;
+  consumed : int array;
+  dropped : int array;
+}
+
+let own o = if o.o_table.busy then learnt () else o.o_table
+
+(* Before stepping: the structure's memoised table unless another replay
+   is on it, then the lane's state in it. *)
+let acquire o =
+  Mutex.lock memo_mutex;
+  let g =
+    match Hashtbl.find learnt_memo o.o_key with
+    | g when not g.busy -> g
+    | _ -> own o
+    | exception Not_found ->
+      let g = own o in
+      if Hashtbl.length learnt_memo >= learnt_entries then Hashtbl.reset learnt_memo;
+      Hashtbl.add learnt_memo o.o_key g;
+      g
+  in
+  g.busy <- true;
+  Mutex.unlock memo_mutex;
+  o.o_table <- g;
+  o.o_cur <- intern g o.o_cur.s_key
+
+let add totals ids v =
+  for i = 0 to Array.length ids - 1 do
+    totals.(ids.(i)) <- totals.(ids.(i)) + v
+  done
+
+let rec settle o = function
+  | [] -> ()
+  | tr :: rest ->
+    let v = tr.t_visits and r = tr.t_row in
+    if v > 0 then begin
+      add o.fired r.tc_fired v;
+      add o.blocked r.tc_blocked v;
+      add o.deliver r.tc_deliver v;
+      add o.consumed r.tc_consumed v;
+      add o.dropped r.tc_dropped v;
+      tr.t_visits <- 0
+    end;
+    settle o rest
+
+let release o =
+  settle o o.o_table.all;
+  Mutex.lock memo_mutex;
+  o.o_table.busy <- false;
+  Mutex.unlock memo_mutex
+
+(* The transition out of the lane's state under its masks, recorded.  An
+   insert that would take the memo past [memo_words] empties it first,
+   and one that would take this table past it empties the table,
+   keeping the lane's state. *)
+let learn g o =
+  let row, key = Fast.transition o.o_recorder ~masks:o.o_masks o.o_cur.s_key in
+  let words = row_words row + (Bytes.length o.o_masks / 8) + 8 in
+  Mutex.lock memo_mutex;
+  if Hashtbl.fold (fun _ t held -> held + t.words) learnt_memo words > memo_words then
+    Hashtbl.reset learnt_memo;
+  Mutex.unlock memo_mutex;
+  if g.words + words > memo_words then begin
+    settle o g.all;
+    Hashtbl.reset g.states;
+    g.all <- [];
+    g.words <- 0;
+    o.o_cur <- intern g o.o_cur.s_key
+  end;
+  let tr = { t_masks = Bytes.copy o.o_masks; t_row = row; t_next = intern g key; t_visits = 0 } in
+  o.o_cur.s_out <- Array.append [| tr |] o.o_cur.s_out;
+  g.all <- tr :: g.all;
+  g.words <- g.words + words;
+  tr
+
+(* The lane's transition under this cycle's masks.  A hit swaps to the
+   front: runs mostly repeat what they did last. *)
+let find g o =
+  let out = o.o_cur.s_out in
+  let i = ref 0 in
+  while
+    !i < Array.length out && not (Bytes.equal (Array.unsafe_get out !i).t_masks o.o_masks)
+  do
+    incr i
+  done;
+  if !i = Array.length out then learn g o
+  else begin
+    let tr = Array.unsafe_get out !i in
+    if !i > 0 then begin
+      Array.unsafe_set out !i (Array.unsafe_get out 0);
+      Array.unsafe_set out 0 tr
+    end;
+    tr
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Replay kernel                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -196,11 +364,19 @@ let tables ~capacity net =
    per channel, not once per lane.  Cell [(c, slot, l)] lives at
    [q_base.(c) + slot * L + l], lane-inner for contiguity.
 
-   A ring never overflows: a channel with capacity [C] and [k] relay
-   stations holds at most [C + 2k] tokens in flight at a cycle
+   Every firing takes the next token of each input port in FIFO order,
+   whether it reads it or an oracle skips it (a skip discards the
+   buffered token, or the next to arrive), so the head advances either
+   way.  A ring never overflows: a channel with capacity [C] and [k]
+   relay stations holds at most [C + 2k] tokens in flight at a cycle
    boundary, plus one transiently when a producer fires earlier in the
-   table row than its consumer — stride [C + 2k + 2] leaves a spare
-   slot on top of that. *)
+   row than its consumer — stride [C + 2k + 2] leaves a spare slot on
+   top of that.  Pending drops only move the head ahead of the tail,
+   adding no live token. *)
+
+type plan =
+  | Periodic of sched (* Plain: the memoised table *)
+  | Learnt of oracle (* Oracle: one lane over learnt transitions *)
 
 type t = {
   n_lanes : int;
@@ -213,10 +389,7 @@ type t = {
   out_base : int array;
   ip_chan : int array; (* global input port -> feeding channel *)
   op_chan : int array; (* global output port -> driven channel *)
-  transient : int;
-  period : int;
-  table : table_cycle array;
-  cum : cum;
+  plan : plan;
   inputs_scratch : int option array array; (* per node, reused *)
   traces : int Token.t list array; (* [(out_port * L) + l]; newest first *)
   q_val : int array;
@@ -228,13 +401,10 @@ type t = {
   ro : Fast.roster;
 }
 
-let create_lanes ?(record_traces = false) ~capacity nets =
+let build ~record_traces ~capacity ~plan m nets =
   let n_lanes = Array.length nets in
   let net0 = nets.(0) in
-  let m = Fast.meta_of net0 in
-  let s = lookup ~capacity net0 (fun () -> sched_of ~capacity net0) in
-  let transient, period, table = s.s_tables in
-  let n_nodes = m.m_n_nodes and n_chans = m.m_n_chans in
+  let n_nodes = m.Fast.m_n_nodes and n_chans = m.m_n_chans in
   let rs_base = m.m_chan_rs_base in
   let q_stride =
     Array.init n_chans (fun c -> capacity + (2 * (rs_base.(c + 1) - rs_base.(c))) + 2)
@@ -260,10 +430,7 @@ let create_lanes ?(record_traces = false) ~capacity nets =
       out_base = m.m_out_base;
       ip_chan = m.m_ip_chan;
       op_chan = m.m_op_chan;
-      transient;
-      period;
-      table;
-      cum = s.s_cum;
+      plan;
       inputs_scratch =
         Array.init n_nodes (fun n ->
             Array.make (m.m_in_base.(n + 1) - m.m_in_base.(n)) None);
@@ -290,15 +457,58 @@ let create_lanes ?(record_traces = false) ~capacity nets =
   done;
   t
 
+let create_lanes ?(record_traces = false) ~capacity nets =
+  let net0 = nets.(0) in
+  let plan = Periodic (lookup ~capacity net0 (fun () -> sched_of ~capacity net0)) in
+  build ~record_traces ~capacity ~plan (Fast.meta_of net0) nets
+
+let oracle_lane ?(record_traces = false) ~capacity net =
+  check ~capacity net;
+  let m = Fast.meta_of net in
+  let n_in = m.m_in_base.(m.m_n_nodes) in
+  let recorder = Fast.recorder ~capacity net in
+  let zeros n = Array.make (max 1 n) 0 in
+  let o =
+    {
+      o_key = schedule_key ~capacity net;
+      o_recorder = recorder;
+      o_table = learnt ();
+      o_cur = { s_key = Fast.state recorder; s_out = [||] };
+      o_masks = Bytes.make n_in '\000';
+      o_fired = Array.init m.m_n_nodes Fun.id;
+      fired = zeros m.m_n_nodes;
+      blocked = zeros m.m_n_nodes;
+      deliver = zeros m.m_n_chans;
+      consumed = Array.make n_in 0;
+      dropped = Array.make n_in 0;
+    }
+  in
+  build ~record_traces ~capacity ~plan:(Learnt o) m [| net |]
+
 let create ?(capacity = 2) ?(record_traces = false) ~mode net =
   if capacity < 0 then invalid_arg "Static.create: negative capacity";
   Network.validate net;
-  (match mode with
-  | Shell.Plain -> ()
-  | Shell.Oracle ->
-      unschedulable "oracle mode: input masks are data-dependent");
-  (* [lookup] refuses capacity 0 and protected channels. *)
-  create_lanes ~record_traces ~capacity [| net |]
+  match mode with
+  | Shell.Plain -> create_lanes ~record_traces ~capacity [| net |]
+  | Shell.Oracle -> oracle_lane ~record_traces ~capacity net
+
+(* This cycle's row of a one-lane Oracle replay: the masks, then the
+   lane's transition under them. *)
+let take t o =
+  let m = o.o_masks and fired = o.o_fired in
+  for i = 0 to Array.length fired - 1 do
+    let n = Array.unsafe_get fired i in
+    let req = (Array.unsafe_get t.instances n).Process.required () in
+    let ib = Array.unsafe_get t.in_base n in
+    for p = 0 to Array.unsafe_get t.in_base (n + 1) - ib - 1 do
+      Bytes.unsafe_set m (ib + p) (if Array.unsafe_get req p then '\001' else '\000')
+    done
+  done;
+  let tr = find o.o_table o in
+  tr.t_visits <- tr.t_visits + 1;
+  o.o_cur <- tr.t_next;
+  o.o_fired <- tr.t_row.tc_fired;
+  tr.t_row
 
 (* One cycle for every running lane. *)
 let advance t =
@@ -306,10 +516,17 @@ let advance t =
   let ro = t.ro in
   let cyc = ro.clock in
   let tc =
-    t.table.(if cyc < t.transient then cyc
-             else t.transient + ((cyc - t.transient) mod t.period))
+    match t.plan with
+    | Periodic { s_tables = transient, period, table; _ } ->
+      table.(if cyc < transient then cyc else transient + ((cyc - transient) mod period))
+    | Learnt o -> take t o
   in
-  let fired = tc.tc_fired in
+  let fired = tc.tc_fired and consumed = tc.tc_consumed in
+  (* A Plain shell reads all its ports.  An Oracle row's [consumed] is
+     ascending, like the fired shells and their ports: the ports shell
+     [n] reads are [consumed.(j0 ..< !j)]. *)
+  let plain = match t.plan with Periodic _ -> true | Learnt _ -> false in
+  let j = ref 0 in
   for i = 0 to Array.length fired - 1 do
     let n = Array.unsafe_get fired i in
     let ib = Array.unsafe_get t.in_base n in
@@ -317,16 +534,30 @@ let advance t =
     let op0 = Array.unsafe_get t.out_base n in
     let n_out = Array.unsafe_get t.out_base (n + 1) - op0 in
     let inputs = Array.unsafe_get t.inputs_scratch n in
+    let j0 = !j in
+    let all =
+      plain
+      ||
+      (while !j < Array.length consumed && Array.unsafe_get consumed !j < ib + n_in do
+         incr j
+       done;
+       !j - j0 = n_in)
+    in
     for a = 0 to ro.n_act - 1 do
       let l = Array.unsafe_get ro.act a in
+      let k = ref j0 in
       for p = 0 to n_in - 1 do
-        let c = Array.unsafe_get t.ip_chan (ib + p) in
-        Array.unsafe_set inputs p
-          (Some
-             (Array.unsafe_get t.q_val
-                (Array.unsafe_get t.q_base c
-                + (Array.unsafe_get t.q_head c * ll)
-                + l)))
+        if all || (!k < !j && Array.unsafe_get consumed !k = ib + p) then begin
+          incr k;
+          let c = Array.unsafe_get t.ip_chan (ib + p) in
+          Array.unsafe_set inputs p
+            (Some
+               (Array.unsafe_get t.q_val
+                  (Array.unsafe_get t.q_base c
+                  + (Array.unsafe_get t.q_head c * ll)
+                  + l)))
+        end
+        else Array.unsafe_set inputs p None
       done;
       let inst = Array.unsafe_get t.instances ((n * ll) + l) in
       let words = inst.Process.fire inputs in
@@ -387,28 +618,44 @@ let advance t =
     ro.quiet.(l) <- (if tc.tc_any then 0 else ro.quiet.(l) + 1)
   done
 
+(* An Oracle replay steps holding its table. *)
+let holding t f x =
+  match t.plan with
+  | Periodic _ -> f x
+  | Learnt o -> (
+    acquire o;
+    match f x with
+    | r ->
+      release o;
+      r
+    | exception e ->
+      release o;
+      raise e)
+
 let step t =
   Fast.reopen t.ro;
-  advance t
+  holding t advance t
 
-let run_lanes t ~budgets ~cancels = Fast.run_roster t.ro advance t ~budgets ~cancels
+let run_lanes t ~budgets ~cancels =
+  holding t (fun t -> Fast.run_roster t.ro advance t ~budgets ~cancels) t
 
 let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
   (run_lanes t ~budgets:[| max_cycles |] ~cancels:[| cancel |]).(0)
 
 (* ------------------------------------------------------------------ *)
-(* Accessors: schedule-table arithmetic, O(1) per query               *)
+(* Accessors: table arithmetic                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Occurrences of entity [e] during cycles [0, cycles). *)
-let count t cum n_ent e cycles =
-  let tp = t.transient + t.period in
+(* Occurrences of entity [e] during cycles [0, cycles) of a schedule. *)
+let count s cum n_ent e cycles =
+  let transient, period, _ = s.s_tables in
+  let tp = transient + period in
   if cycles <= tp then cum.((cycles * n_ent) + e)
   else begin
-    let r = (cycles - t.transient) mod t.period in
-    let k = (cycles - t.transient) / t.period in
-    cum.(((t.transient + r) * n_ent) + e)
-    + (k * (cum.((tp * n_ent) + e) - cum.((t.transient * n_ent) + e)))
+    let r = (cycles - transient) mod period in
+    let k = (cycles - transient) / period in
+    cum.(((transient + r) * n_ent) + e)
+    + (k * (cum.((tp * n_ent) + e) - cum.((transient * n_ent) + e)))
   end
 
 let cycles ?(lane = 0) t = Fast.lane_cycles t.ro lane
@@ -416,22 +663,33 @@ let outcome t ~lane = t.ro.finished.(lane)
 let network ?(lane = 0) t = t.nets.(lane)
 
 let delivered ?(lane = 0) t c =
-  count t t.cum.cum_deliver t.n_chans c (cycles ~lane t)
+  match t.plan with
+  | Periodic s -> count s s.s_cum.cum_deliver t.n_chans c (cycles ~lane t)
+  | Learnt o -> o.deliver.(c)
 
 let node_stats ?(lane = 0) t n =
   let e = cycles ~lane t in
-  let f = count t t.cum.cum_fired t.n_nodes n e in
-  let blocked = count t t.cum.cum_blocked t.n_nodes n e in
-  let n_in = t.in_base.(n + 1) - t.in_base.(n) in
+  let lo = t.in_base.(n) and hi = t.in_base.(n + 1) in
+  let f, blocked, required_counts, dropped =
+    match t.plan with
+    | Periodic s ->
+      let f = count s s.s_cum.cum_fired t.n_nodes n e in
+      (* Plain mode consumes every input port once per firing and never
+         skips a token. *)
+      ( f,
+        count s s.s_cum.cum_blocked t.n_nodes n e,
+        Array.make (hi - lo) f,
+        Array.make (hi - lo) 0 )
+    | Learnt o ->
+      (o.fired.(n), o.blocked.(n), Array.sub o.consumed lo (hi - lo), Array.sub o.dropped lo (hi - lo))
+  in
   {
     Shell.firings = f;
     stalls = e - f;
     input_starved = e - f - blocked;
     output_blocked = blocked;
-    (* Plain mode consumes every input port once per firing and never
-       skips a token. *)
-    required_counts = Array.make n_in f;
-    dropped = Array.make n_in 0;
+    required_counts;
+    dropped;
   }
 
 let output_trace ?(lane = 0) t node port =
@@ -441,18 +699,29 @@ let output_trace ?(lane = 0) t node port =
 (* The schedule itself                                                *)
 (* ------------------------------------------------------------------ *)
 
-let transient t = t.transient
-let period t = t.period
+let periodic what t =
+  match t.plan with
+  | Periodic s -> s.s_tables
+  | Learnt _ -> invalid_arg ("Static." ^ what ^ ": an Oracle replay has no periodic table")
+
+let transient t =
+  let tr, _, _ = periodic "transient" t in
+  tr
+
+let period t =
+  let _, p, _ = periodic "period" t in
+  p
 
 let word t n =
-  Array.init t.period (fun i ->
-      let tc = t.table.(t.transient + i) in
+  let transient, period, table = periodic "word" t in
+  Array.init period (fun i ->
+      let tc = table.(transient + i) in
       Array.exists (fun m -> m = n) tc.tc_fired)
 
 let rate t n =
   let w = word t n in
   let ones = Array.fold_left (fun a b -> if b then a + 1 else a) 0 w in
-  Cycle_ratio.make_ratio ones t.period
+  Cycle_ratio.make_ratio ones (Array.length w)
 
 (* ------------------------------------------------------------------ *)
 (* Capacity-extended marked graph                                     *)

@@ -1,4 +1,4 @@
-(** Table-driven static-schedule simulation kernel.
+(** Table-replay simulation kernel.
 
     In {!Shell.Plain} mode with no faults and no link protection, a
     wire-pipelined network is a marked graph: whether a shell fires at
@@ -15,48 +15,65 @@
     counting.  Statistics are reconstructed on demand from cumulative
     schedule tables built once per schedule.
 
+    In {!Shell.Oracle} mode a shell fires on the masks its process's
+    oracle returns, which depend on data, so no table exists up front.
+    The handshake is still a finite automaton over the occupancy state
+    (with pending drops) and every shell's masks, and runs revisit its
+    transitions again and again.  An Oracle replay is one lane: each
+    cycle it reads every shell's masks, and only a (state, masks) pair
+    not met yet costs a {!Fast.transition}; every other cycle is a
+    lookup plus the firings the row lists, and statistics are visit
+    counts times rows.  Transitions depend on the structure alone, so
+    replays of one structure share them, one replay at a time, in a
+    memo bounded like the schedules' (2M words) but to 16 structures.
+
     This is the library's only table-replay kernel, and {!Batch} is
     what selects it: each group of Plain, unfaulted lanes sharing a
-    schedule runs as one many-lane replay ({!create_lanes}), so every
-    batchable [fast] run spec replays its table.  No engine kind names
-    the replay.  A solo {!create} is a one-lane replay, used by the
-    sweep's word-rate check, the tests and the benches.  The handshake,
-    and the lane loop the replay runs in ({!Fast.roster}), live in
-    {!Fast}.
+    schedule runs as one many-lane replay ({!create_lanes}), and each
+    unfaulted Oracle lane as a one-lane replay ({!oracle_lane}), so
+    every batchable [fast] run spec replays.  No engine kind names the
+    replay.  A solo {!create} is a one-lane replay, used by the sweep's
+    word-rate check, the tests and the benches.  The handshake, and the lane loop
+    the replay runs in ({!Fast.roster}), live in {!Fast}.
 
     Observable behaviour (outcome, cycle count, delivered counts,
     per-shell statistics, traces) is byte-identical to {!Engine} and
-    {!Fast}; the differential battery asserts it.
+    {!Fast}; the differential batteries assert it.
 
     A replay takes no fault or telemetry spec: those runs go to {!Fast}.
-    Configurations whose firing pattern is {e not} statically
-    determined — {!Shell.Oracle} mode (data-dependent input masks),
-    link-layer protection, unbounded ([capacity = 0]) FIFOs — are
-    rejected with {!Unschedulable}.  The replay refuses loudly rather
-    than mis-simulate. *)
+    Link-layer protection and unbounded ([capacity = 0]) FIFOs have no
+    finite occupancy state to key on, and are rejected with
+    {!Unschedulable}.  The replay refuses loudly rather than
+    mis-simulate. *)
 
 exception Unschedulable of string
-(** Raised by {!create}, {!create_lanes} and {!tables} when no static
-    firing word can reproduce the requested configuration.  The payload
-    names the offending feature (oracle mode, protection, unbounded
-    capacity, or a recording that found no periodic steady state). *)
+(** Raised by {!create}, {!create_lanes}, {!oracle_lane} and {!tables}
+    when no replay can reproduce the requested configuration.  The payload names the
+    offending feature (protection, unbounded capacity, or a Plain
+    recording that found no periodic steady state). *)
 
 type t
 
 val create : ?capacity:int -> ?record_traces:bool -> mode:Wp_lis.Shell.mode -> Network.t -> t
-(** Compile the network and look up its firing table.  [capacity]
-    (default 2) and [record_traces] mirror {!Fast.create}.
+(** Compile the network and look up its firing table (Plain) or start
+    learning its transitions (Oracle).  [capacity] (default 2) and
+    [record_traces] mirror {!Fast.create}.
     @raise Unschedulable on any configuration listed above.
     @raise Invalid_argument if the network fails {!Network.validate}
     or [capacity] is negative. *)
 
 val create_lanes : ?record_traces:bool -> capacity:int -> Network.t array -> t
-(** One replay over networks that agree on the topology, per-channel
-    relay-station counts and [capacity] — hence on the schedule — each
-    with its own processes.  The networks are not validated here:
-    {!Batch.create} does it.  @raise Unschedulable when the recording
-    finds no periodic steady state, [capacity < 1] or a channel of the
-    first network is link-protected. *)
+(** One Plain replay over networks that agree on the topology,
+    per-channel relay-station counts and [capacity] — hence on the
+    schedule — each with its own processes.  The networks are not
+    validated here: {!Batch.create} does it.  @raise Unschedulable when
+    the recording finds no periodic steady state, [capacity < 1] or a
+    channel of the first network is link-protected. *)
+
+val oracle_lane : ?record_traces:bool -> capacity:int -> Network.t -> t
+(** A one-lane Oracle replay.  Not validated here either.
+    @raise Unschedulable when [capacity < 1] or a channel is
+    link-protected. *)
 
 val step : t -> unit
 (** Advance every lane whose state is at the current clock by one cycle,
@@ -92,6 +109,8 @@ type table_cycle = Fast.table_cycle = {
   tc_starved : int array;  (** stalled, missing an input *)
   tc_blocked : int array;  (** stalled, ready but backpressured *)
   tc_deliver : int array;  (** channels delivering a token *)
+  tc_consumed : int array;  (** global input ports the firing shells read *)
+  tc_dropped : int array;  (** global input ports that discarded a token *)
   tc_any : bool;  (** did any shell fire *)
 }
 
@@ -114,7 +133,10 @@ val tables : capacity:int -> Network.t -> int * int * table_cycle array
     @raise Unschedulable as for {!create}, including when no state
     repeats within 65,536 cycles. *)
 
-(** {1 The schedule itself} *)
+(** {1 The schedule itself}
+
+    Plain replays only: an Oracle replay has no periodic table, and
+    these raise [Invalid_argument] on one. *)
 
 val transient : t -> int
 (** Cycles before the firing pattern becomes periodic. *)

@@ -169,28 +169,23 @@ let run_solo ~engine sc net =
    of sustained throughput.  Block 0's firing count over one full
    period against the next must advance by exactly its word's ones
    count ({!word_rate_ok} also holds the word's rate against the MCR
-   bound).  Checkpoints are visited in ascending order, so the view is
-   taken at the budget even when the word check runs further.  Returns
-   the view and [(rate, sustained)]. *)
+   bound).  Both checkpoints are table arithmetic, read from the word
+   without stepping past the budget: between them block 0 fires as the
+   word's first cycles say, for as many cycles as the lane ran there.  A
+   lane still running at the budget would run on through both: generated
+   blocks never halt, and a schedule that fires at all never idles for a
+   quiescence window.  Returns the view and [(rate, sustained)]. *)
 let replay_check sc net =
   let st = Static.create ~capacity:sc.spec.Run_spec.capacity ~mode:Shell.Plain net in
-  let tr = Static.transient st and p = Static.period st in
-  let ones = Array.fold_left (fun a f -> if f then a + 1 else a) 0 (Static.word st 0) in
-  let t1 = tr + p and t2 = tr + (2 * p) and b = budget sc.spec in
-  let firings () = (Static.node_stats st 0).Shell.firings in
-  let f1 = ref 0 and f2 = ref 0 and snap = ref None in
-  List.iter
-    (fun cp ->
-      let outcome = Static.run ~max_cycles:cp st in
-      if cp = t1 then f1 := firings ();
-      if cp = t2 then f2 := firings ();
-      if cp = b then
-        snap :=
-          Some
-            (view net ~outcome ~cycles:(Static.cycles st)
-               ~stats:(Static.node_stats st) ~delivered:(Static.delivered st)))
-    (List.sort_uniq compare [ t1; t2; b ]);
-  (Option.get !snap, (Static.rate st 0, !f2 - !f1 = ones))
+  let outcome = Static.run ~max_cycles:(budget sc.spec) st in
+  let word = Static.word st 0 in
+  let t1 = Static.transient st + Static.period st in
+  let finish = match outcome with Engine.Exhausted _ -> max_int | _ -> Static.cycles st in
+  let ran = max 0 (min (t1 + Static.period st) finish - t1) in
+  let ones w = Array.fold_left (fun a f -> if f then a + 1 else a) 0 w in
+  ( view net ~outcome ~cycles:(Static.cycles st) ~stats:(Static.node_stats st)
+      ~delivered:(Static.delivered st),
+    (Static.rate st 0, ones (Array.sub word 0 ran) = ones word) )
 
 (* Millo & de Simone's claim at generated-topology scale: block 0
    sustains its balanced firing word over a full period, and the word's

@@ -254,7 +254,7 @@ let record_fingerprint (r : Experiment.record) =
 let test_corrupt_entry_quarantined () =
   with_temp_dir (fun dir ->
       let cache = Filename.concat dir "cache" in
-      let spec = Run_spec.default in
+      let spec = Run_spec.default () in
       let prog = program "sort:8" and cfg = config "CU-AL=1" in
       let run runner = Runner.experiment_spec ~spec runner ~machine ~program:prog cfg in
       let r1 =
@@ -299,7 +299,7 @@ let test_corrupt_entry_quarantined () =
 let test_concurrent_cache_writers () =
   with_temp_dir (fun dir ->
       let cache = Filename.concat dir "cache" in
-      let spec = Run_spec.default in
+      let spec = Run_spec.default () in
       let prog = program "dot:16" and cfg = config "CU-AL=1" in
       (* Two runners race the same entry on the same directory: the
          atomic-rename publish means both complete, their records agree

@@ -272,7 +272,7 @@ let small_sort = Programs.extraction_sort ~values:(Programs.sort_values ~seed:11
 
 let test_experiment_consistency () =
   let record =
-    Experiment.run_spec ~spec:Run_spec.default ~machine:Datapath.Pipelined
+    Experiment.run_spec ~spec:(Run_spec.default ()) ~machine:Datapath.Pipelined
       ~program:small_sort
       (Config.only Datapath.ALU_CU 1)
   in
@@ -346,7 +346,7 @@ let test_table1_csv () =
   (* A tiny synthetic row list exercises the CSV writer without another
      simulation sweep. *)
   let record =
-    Experiment.run_spec ~spec:Run_spec.default ~machine:Datapath.Pipelined
+    Experiment.run_spec ~spec:(Run_spec.default ()) ~machine:Datapath.Pipelined
       ~program:small_sort
       (Config.only Datapath.DC_RF 1)
   in
@@ -393,7 +393,7 @@ let prop_throughput_ordering =
           (List.mapi (fun i conn -> (conn, budgets.(i))) Datapath.all_connections)
       in
       let r =
-        Experiment.run_spec ~spec:Run_spec.default ~machine:Datapath.Pipelined
+        Experiment.run_spec ~spec:(Run_spec.default ()) ~machine:Datapath.Pipelined
           ~program:small_sort config
       in
       r.Experiment.th_wp2 >= r.Experiment.th_wp1 -. 1e-9
@@ -485,7 +485,7 @@ let test_equiv_check_pipelined () =
   List.iter
     (fun mode ->
       let v =
-        Equiv_check.check_spec ~spec:Run_spec.default ~machine:Datapath.Pipelined ~mode
+        Equiv_check.check_spec ~spec:(Run_spec.default ()) ~machine:Datapath.Pipelined ~mode
           ~config small_sort
       in
       checkb "equivalent" true v.Equiv_check.equivalent;
@@ -497,7 +497,7 @@ let test_equiv_check_pipelined () =
 let test_equiv_check_multicycle () =
   let config = Config.only Datapath.CU_IC 1 in
   let v =
-    Equiv_check.check_spec ~spec:Run_spec.default ~machine:Datapath.Multicycle
+    Equiv_check.check_spec ~spec:(Run_spec.default ()) ~machine:Datapath.Multicycle
       ~mode:Shell.Oracle ~config small_sort
   in
   checkb "multicycle equivalent" true v.Equiv_check.equivalent
@@ -505,7 +505,7 @@ let test_equiv_check_multicycle () =
 let test_n_equivalence () =
   let config = Config.only Datapath.DC_RF 2 in
   checkb "100-equivalent" true
-    (Equiv_check.check_n_equivalence_spec ~spec:Run_spec.default ~n:100
+    (Equiv_check.check_n_equivalence_spec ~spec:(Run_spec.default ()) ~n:100
        ~machine:Datapath.Pipelined ~mode:Shell.Oracle ~config small_sort)
 
 (* ------------------------------------------------------------------ *)

@@ -114,14 +114,14 @@ let test_runner_cache_accounting () =
   let runner = Runner.create ~jobs:2 () in
   checkb "cache on by default" true (Runner.cache_enabled runner);
   let first =
-    Runner.experiments_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort three_configs
+    Runner.experiments_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort three_configs
   in
   let s1 = Runner.stats runner in
   checki "first pass misses" 3 s1.Runner.cache_misses;
   checki "first pass no hits" 0 s1.Runner.cache_hits;
   checki "first pass tasks" 3 s1.Runner.tasks_run;
   let second =
-    Runner.experiments_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort three_configs
+    Runner.experiments_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort three_configs
   in
   let s2 = Runner.stats runner in
   checki "second pass hits" 3 s2.Runner.cache_hits;
@@ -130,17 +130,17 @@ let test_runner_cache_accounting () =
   (* The objective table is independent of the record table but shares
      the accounting. *)
   let v =
-    Runner.objective_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero
+    Runner.objective_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero
   in
   let v' =
-    Runner.objective_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero
+    Runner.objective_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero
   in
   Alcotest.(check (float 1e-12)) "objective deterministic" v v';
   let s3 = Runner.stats runner in
   checki "objective probe missed once then hit" 4 s3.Runner.cache_hits;
   Runner.clear_cache runner;
   ignore
-    (Runner.experiment_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero);
+    (Runner.experiment_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero);
   checki "clear_cache forgets" 5 (Runner.stats runner).Runner.cache_misses;
   Runner.shutdown runner
 
@@ -148,9 +148,9 @@ let test_runner_no_cache () =
   let runner = Runner.create ~jobs:1 ~cache:false () in
   checkb "cache disabled" false (Runner.cache_enabled runner);
   ignore
-    (Runner.experiments_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort three_configs);
+    (Runner.experiments_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort three_configs);
   ignore
-    (Runner.experiments_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort three_configs);
+    (Runner.experiments_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort three_configs);
   let s = Runner.stats runner in
   checki "no hits ever" 0 s.Runner.cache_hits;
   checki "every lookup misses" 6 s.Runner.cache_misses;
@@ -161,7 +161,7 @@ let test_runner_max_cycles_in_key () =
      same (program, machine, config). *)
   let runner = Runner.create ~jobs:1 () in
   ignore
-    (Runner.experiment_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero);
+    (Runner.experiment_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero);
   ignore
     (Runner.experiment_spec ~spec:(Run_spec.v ~max_cycles:500_000 ()) runner ~machine:Datapath.Pipelined
        ~program:small_sort Config.zero);
@@ -188,7 +188,7 @@ let test_runner_timed_sections () =
   let (), section =
     Runner.timed runner "warm" (fun () ->
         ignore
-          (Runner.experiments_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort
+          (Runner.experiments_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort
              three_configs))
   in
   checks "section name" "warm" section.Runner.section_name;
@@ -197,7 +197,7 @@ let test_runner_timed_sections () =
   let (), reread =
     Runner.timed runner "cached" (fun () ->
         ignore
-          (Runner.experiments_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort
+          (Runner.experiments_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort
              three_configs))
   in
   checki "cached section hits" 3 reread.Runner.section_cache_hits;
@@ -214,7 +214,7 @@ let test_runner_protect_in_key () =
   (* A protected record must never satisfy an unprotected lookup. *)
   let runner = Runner.create ~jobs:1 () in
   ignore
-    (Runner.experiment_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero);
+    (Runner.experiment_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero);
   ignore
     (Runner.experiment_spec
        ~spec:(Run_spec.v ~protect:(Protect.of_connections [ Datapath.CU_AL ]) ())
@@ -252,7 +252,7 @@ let with_cache_dir f =
 let one_experiment ~dir () =
   let runner = Runner.create ~jobs:1 ~cache_dir:dir () in
   let r =
-    Runner.experiment_spec ~spec:Run_spec.default runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero
+    Runner.experiment_spec ~spec:(Run_spec.default ()) runner ~machine:Datapath.Pipelined ~program:small_sort Config.zero
   in
   let s = Runner.stats runner in
   Runner.shutdown runner;
@@ -419,7 +419,7 @@ let test_optimizer_map_independence () =
   let seq =
     Optimizer.optimal
       ~search:{ Optimizer.default_search with Optimizer.budget = 3; per_connection_max = 2 }
-      ~objective:(Experiment.wp2_cycles_objective_spec ~spec:Run_spec.default ~machine ~program)
+      ~objective:(Experiment.wp2_cycles_objective_spec ~spec:(Run_spec.default ()) ~machine ~program)
       ()
   in
   let runner = Runner.create ~jobs:4 () in
@@ -427,7 +427,7 @@ let test_optimizer_map_independence () =
     Optimizer.optimal
       ~search:{ Optimizer.default_search with Optimizer.budget = 3; per_connection_max = 2 }
       ~map:(Runner.map runner)
-      ~objective:(Runner.objective_spec ~spec:Run_spec.default runner ~machine ~program)
+      ~objective:(Runner.objective_spec ~spec:(Run_spec.default ()) runner ~machine ~program)
       ()
   in
   Runner.shutdown runner;

@@ -507,9 +507,9 @@ let mode_name = function Shell.Plain -> "plain" | Shell.Oracle -> "oracle"
    must both be byte-identical to the reference interpreter — same
    outcome and cycle count, same per-channel delivered totals, same
    per-shell statistics and same recorded token streams on every output
-   port.  The replay is [Static.create] on the same datapath network.
-   Oracle mode has no static firing word, so there the replay must
-   refuse with [Unschedulable] rather than ever produce an answer. *)
+   port.  The replay is [Static.create] on the same datapath network:
+   the recorded table in Plain mode, transitions learnt during the run
+   in Oracle mode. *)
 type observed = {
   o_outcome : Wp_sim.Engine.outcome;
   o_cycles : int;
@@ -568,16 +568,7 @@ let engine_differential ~(note : string -> unit) ~seed ~machine ~mode ~rs progra
           (Wp_sim.Network.nodes net)
     in
     compare_to "fast engine" (fun () -> exec Sim.Fast);
-    (match mode with
-    | Shell.Plain -> compare_to "table replay" replay
-    | Shell.Oracle -> (
-      (* Never a wrong answer: oracle configurations must be rejected. *)
-      match replay () with
-      | _ -> note "seed %d: %s table replay accepted an oracle configuration" seed ctx
-      | exception Wp_sim.Static.Unschedulable _ -> ()
-      | exception e ->
-        note "seed %d: %s table replay raised %s instead of Unschedulable" seed ctx
-          (Printexc.to_string e)))
+    compare_to "table replay" replay
 
 (* Seed policy (documented in EXPERIMENTS.md): program seeds are
    0 .. battery_seeds-1, and the RS configuration for program seed [s]
@@ -592,7 +583,7 @@ let battery_config seed =
     (List.map (fun conn -> (conn, Wp_util.Prng.int prng 3)) Datapath.all_connections)
 
 (* Both engine kinds answer every shell mode; [engine_differential]
-   adds the table replay on plain specs. *)
+   adds the table replay in both modes. *)
 let engines = [ Sim.Reference; Sim.Fast ]
 
 (* One battery case: a random program under a random RS budget must

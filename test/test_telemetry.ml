@@ -353,14 +353,14 @@ let test_run_spec () =
     (Run_spec.digest (Run_spec.v ~engine:Sim.Fast ()) = "fast|cap2|mcr|nofault|noprot|notel");
   (* The default engine follows WIREPIPE_ENGINE, and so does the default
      spec's digest. *)
-  let d = Run_spec.digest Run_spec.default in
+  let d = Run_spec.digest (Run_spec.default ()) in
   checkb "default digest" true
-    (d = Sim.kind_to_string Sim.default_kind ^ "|cap2|mcr|nofault|noprot|notel");
+    (d = Sim.kind_to_string (Sim.default_kind ()) ^ "|cap2|mcr|nofault|noprot|notel");
   let s1 = Run_spec.v ~telemetry:Telemetry.counters () in
   checkb "telemetry changes the digest" false (Run_spec.digest s1 = d);
-  checkb "equal by digest" true (Run_spec.equal Run_spec.default Run_spec.default);
+  checkb "equal by digest" true (Run_spec.equal (Run_spec.default ()) (Run_spec.default ()));
   (match Run_spec.of_args () with
-  | Ok s -> checkb "of_args default" true (Run_spec.equal s Run_spec.default)
+  | Ok s -> checkb "of_args default" true (Run_spec.equal s (Run_spec.default ()))
   | Error e -> Alcotest.failf "of_args default failed: %s" e);
   (match
      Run_spec.of_args ~engine:"ref" ~capacity:3 ~max_cycles:1234

@@ -21,6 +21,7 @@ module Sweep = Wp_topo.Sweep
 module Network = Wp_sim.Network
 module Sim = Wp_sim.Sim
 module Static = Wp_sim.Static
+module Fast = Wp_sim.Fast
 module Batch = Wp_sim.Batch
 module Engine = Wp_sim.Engine
 module Fault = Wp_sim.Fault
@@ -621,6 +622,28 @@ let test_memo_word_budget () =
   checkb "an oversized table is not cached" true
     (Static.tables ~capacity:2 net != Static.tables ~capacity:2 net)
 
+(* An Oracle replay bounds its learnt transitions by the memo's word
+   budget.  ring:1000's blocks require every input, so its Oracle run
+   follows the Plain table: period 2048, each state ~2,000 ints and each
+   row ~2,000 more, so two periods of first visits cross the budget
+   several times.  Every observable must still match the handshake. *)
+let test_oracle_word_budget () =
+  let net = build_of "ring:1000" in
+  let cycles = 2 * 2048 in
+  let fast = Fast.create ~capacity:2 ~mode:Shell.Oracle net in
+  let st = Static.create ~capacity:2 ~mode:Shell.Oracle net in
+  checkb "outcome" true
+    (Static.run ~max_cycles:cycles st = Fast.run ~max_cycles:cycles fast);
+  checki "cycles" (Fast.cycles fast) (Static.cycles st);
+  checkb "delivered" true
+    (List.for_all
+       (fun c -> Static.delivered st c = Fast.delivered fast c)
+       (Network.channels net));
+  checkb "stats" true
+    (List.for_all
+       (fun n -> Static.node_stats st n = Fast.node_stats fast n)
+       (Network.nodes net))
+
 let test_memo_cold_warm () =
   (* The first create of a fresh spec records the table; the second
      replays the memoised tables.  Every observable must match. *)
@@ -693,5 +716,7 @@ let () =
           Alcotest.test_case "shared tables and key" `Quick test_memo_shared;
           Alcotest.test_case "word budget" `Quick test_memo_word_budget;
           Alcotest.test_case "cold and warm identical" `Quick test_memo_cold_warm;
+          Alcotest.test_case "oracle replay past its word budget = Fast" `Slow
+            test_oracle_word_budget;
         ] );
     ]

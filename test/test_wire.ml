@@ -207,6 +207,29 @@ let test_static_engine_rejected () =
        { (Wire.run_defaults ~program:"sort:4" ~machine:"pipelined" ~config:"none") with
          Wire.rq_engine = Some "static" })
 
+(* An unknown WIREPIPE_ENGINE is an error wherever the default engine
+   is read, naming the variable, fast and ref; nothing falls back to
+   fast.  An explicit engine never reads it. *)
+let test_bad_engine_variable () =
+  let saved = Sys.getenv_opt "WIREPIPE_ENGINE" in
+  let names what msg =
+    if not (contains msg "WIREPIPE_ENGINE" && contains msg "'fast'" && contains msg "'ref'")
+    then Alcotest.failf "%s: %S does not name the variable, fast and ref" what msg
+  in
+  Unix.putenv "WIREPIPE_ENGINE" "static";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "WIREPIPE_ENGINE" (Option.value saved ~default:""))
+    (fun () ->
+      (match Wp_sim.Sim.default_kind () with
+      | k -> Alcotest.failf "Sim.default_kind fell back to %s" (Wp_sim.Sim.kind_to_string k)
+      | exception Invalid_argument msg -> names "Sim.default_kind" msg);
+      (match Run_spec.of_args () with
+      | Ok _ -> Alcotest.fail "Run_spec.of_args accepted WIREPIPE_ENGINE=static"
+      | Error msg -> names "Run_spec.of_args" msg);
+      match Run_spec.of_args ~engine:"ref" () with
+      | Ok s -> if s.Run_spec.engine <> Wp_sim.Sim.Reference then Alcotest.fail "not ref"
+      | Error msg -> Alcotest.failf "explicit engine read the variable: %s" msg)
+
 let () =
   Alcotest.run "wire"
     [
@@ -217,6 +240,10 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ fuzz_random; fuzz_truncated; fuzz_bitflip; fuzz_bitflip_reply ] );
       ( "spec",
-        [ Alcotest.test_case "static engine is a typed error" `Quick
-            test_static_engine_rejected ] );
+        [
+          Alcotest.test_case "static engine is a typed error" `Quick
+            test_static_engine_rejected;
+          Alcotest.test_case "unknown WIREPIPE_ENGINE is an error" `Quick
+            test_bad_engine_variable;
+        ] );
     ]
