@@ -358,21 +358,26 @@ let find g o =
 (* Replay kernel                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Values flow through per-channel rings whose head/tail cursors are
-   shared by every lane: active lanes have consumed and produced the
-   same token counts at every cycle, so cursor maintenance is paid once
-   per channel, not once per lane.  Cell [(c, slot, l)] lives at
-   [q_base.(c) + slot * L + l], lane-inner for contiguity.
+(* Values flow through per-channel rings addressed by firing count.  A
+   shell's [f]-th firing (from 0) owns the [f]-th token of each input
+   port, whether it reads it or an oracle skips it (a skip discards the
+   buffered token, or the next to arrive), and its output is the
+   [f + 1]-th token of each output channel, after the reset token.  So
+   the firing reads slot [f] of each input ring and writes slot [f + 1]
+   of each output ring, and slot 0 holds the reset token: one firing
+   counter per node is all the cursor state, shared by every lane, since
+   active lanes fire the same shells at every cycle.  Cell [(c, slot, l)]
+   lives at [base c + ((slot land mask c) * L) + l], lane-inner for
+   contiguity.
 
-   Every firing takes the next token of each input port in FIFO order,
-   whether it reads it or an oracle skips it (a skip discards the
-   buffered token, or the next to arrive), so the head advances either
-   way.  A ring never overflows: a channel with capacity [C] and [k]
-   relay stations holds at most [C + 2k] tokens in flight at a cycle
-   boundary, plus one transiently when a producer fires earlier in the
-   row than its consumer — stride [C + 2k + 2] leaves a spare slot on
-   top of that.  Pending drops only move the head ahead of the tail,
-   adding no live token. *)
+   A channel with capacity [C] and [k] relay stations holds at most
+   [C + 2k] tokens in flight at a cycle boundary, plus one transiently
+   when a producer fires earlier in the row than its consumer.  After
+   its producer's [f]-th firing it holds [2 + f - count consumer], which
+   must stay within [C + 2k + 2]; ring sizes round that bound up to a
+   power of two, so no live slot is overwritten.  A pending drop only
+   puts the consumer's count ahead: the dropped token's slot is written
+   and never read. *)
 
 type plan =
   | Periodic of sched (* Plain: the memoised table *)
@@ -387,17 +392,19 @@ type t = {
   instances : Process.instance array; (* [n * L + l] *)
   in_base : int array;
   out_base : int array;
-  ip_chan : int array; (* global input port -> feeding channel *)
-  op_chan : int array; (* global output port -> driven channel *)
   plan : plan;
+  mutable row : int; (* Plain: the table row the next cycle replays *)
+  masks : Bytes.t; (* per global input port: all ones, or the lane's [o_masks] *)
   inputs_scratch : int option array array; (* per node, reused *)
   traces : int Token.t list array; (* [(out_port * L) + l]; newest first *)
+  count : int array; (* per node: firings so far *)
   q_val : int array;
-  q_base : int array;
-  q_stride : int array;
-  q_head : int array;
-  q_tail : int array;
-  q_fill : int array;
+  ip_ring : int array; (* global input port -> its ring's base *)
+  ip_mask : int array; (* ... and slot mask *)
+  op_ring : int array; (* global output port -> its ring's base *)
+  op_mask : int array;
+  op_bound : int array; (* ... the tokens its channel may hold *)
+  op_dst : int array; (* ... and the node that channel feeds *)
   ro : Fast.roster;
 }
 
@@ -406,13 +413,15 @@ let build ~record_traces ~capacity ~plan m nets =
   let net0 = nets.(0) in
   let n_nodes = m.Fast.m_n_nodes and n_chans = m.m_n_chans in
   let rs_base = m.m_chan_rs_base in
-  let q_stride =
-    Array.init n_chans (fun c -> capacity + (2 * (rs_base.(c + 1) - rs_base.(c))) + 2)
-  in
+  let bound c = capacity + (2 * (rs_base.(c + 1) - rs_base.(c))) + 2 in
+  let rec pow2 s b = if s >= b then s else pow2 (2 * s) b in
+  let mask c = pow2 1 (bound c) - 1 in
   let q_base = Array.make (n_chans + 1) 0 in
   for c = 0 to n_chans - 1 do
-    q_base.(c + 1) <- q_base.(c) + (q_stride.(c) * n_lanes)
+    q_base.(c + 1) <- q_base.(c) + ((mask c + 1) * n_lanes)
   done;
+  (* Per port, from its channel; an array's padding entry has none. *)
+  let per chans f = Array.map (fun c -> if c < 0 then 0 else f c) chans in
   let proc l n = Network.node_process nets.(l) n in
   let instances =
     Array.init (n_nodes * n_lanes) (fun i ->
@@ -428,19 +437,24 @@ let build ~record_traces ~capacity ~plan m nets =
       instances;
       in_base = m.m_in_base;
       out_base = m.m_out_base;
-      ip_chan = m.m_ip_chan;
-      op_chan = m.m_op_chan;
       plan;
+      row = 0;
+      masks =
+        (match plan with
+        | Periodic _ -> Bytes.make m.m_in_base.(n_nodes) '\001'
+        | Learnt o -> o.o_masks);
       inputs_scratch =
         Array.init n_nodes (fun n ->
             Array.make (m.m_in_base.(n + 1) - m.m_in_base.(n)) None);
       traces = Array.make (max 1 (m.m_out_base.(n_nodes) * n_lanes)) [];
+      count = Array.make (max 1 n_nodes) 0;
       q_val = Array.make (max 1 q_base.(n_chans)) 0;
-      q_base;
-      q_stride;
-      q_head = Array.make (max 1 n_chans) 0;
-      q_tail = Array.make (max 1 n_chans) 1;
-      q_fill = Array.make (max 1 n_chans) 1;
+      ip_ring = per m.m_ip_chan (Array.get q_base);
+      ip_mask = per m.m_ip_chan mask;
+      op_ring = per m.m_op_chan (Array.get q_base);
+      op_mask = per m.m_op_chan mask;
+      op_bound = per m.m_op_chan bound;
+      op_dst = per m.m_op_chan (fun c -> fst (Network.channel_dst net0 c));
       ro =
         Fast.roster
           ~quiescence:
@@ -514,49 +528,37 @@ let take t o =
 let advance t =
   let ll = t.n_lanes in
   let ro = t.ro in
-  let cyc = ro.clock in
   let tc =
     match t.plan with
     | Periodic { s_tables = transient, period, table; _ } ->
-      table.(if cyc < transient then cyc else transient + ((cyc - transient) mod period))
+      let r = t.row in
+      t.row <- (if r + 1 < transient + period then r + 1 else transient);
+      table.(r)
     | Learnt o -> take t o
   in
-  let fired = tc.tc_fired and consumed = tc.tc_consumed in
-  (* A Plain shell reads all its ports.  An Oracle row's [consumed] is
-     ascending, like the fired shells and their ports: the ports shell
-     [n] reads are [consumed.(j0 ..< !j)]. *)
-  let plain = match t.plan with Periodic _ -> true | Learnt _ -> false in
-  let j = ref 0 in
+  let fired = tc.tc_fired in
   for i = 0 to Array.length fired - 1 do
     let n = Array.unsafe_get fired i in
+    let f = Array.unsafe_get t.count n in
     let ib = Array.unsafe_get t.in_base n in
     let n_in = Array.unsafe_get t.in_base (n + 1) - ib in
     let op0 = Array.unsafe_get t.out_base n in
     let n_out = Array.unsafe_get t.out_base (n + 1) - op0 in
     let inputs = Array.unsafe_get t.inputs_scratch n in
-    let j0 = !j in
-    let all =
-      plain
-      ||
-      (while !j < Array.length consumed && Array.unsafe_get consumed !j < ib + n_in do
-         incr j
-       done;
-       !j - j0 = n_in)
-    in
     for a = 0 to ro.n_act - 1 do
       let l = Array.unsafe_get ro.act a in
-      let k = ref j0 in
+      (* A firing reads exactly the ports its mask requires: all of them
+         in Plain mode, and in Oracle mode those of the masks [take]
+         read this cycle, the key of the transition taken. *)
       for p = 0 to n_in - 1 do
-        if all || (!k < !j && Array.unsafe_get consumed !k = ib + p) then begin
-          incr k;
-          let c = Array.unsafe_get t.ip_chan (ib + p) in
+        let ip = ib + p in
+        if Bytes.unsafe_get t.masks ip <> '\000' then
           Array.unsafe_set inputs p
             (Some
                (Array.unsafe_get t.q_val
-                  (Array.unsafe_get t.q_base c
-                  + (Array.unsafe_get t.q_head c * ll)
+                  (Array.unsafe_get t.ip_ring ip
+                  + ((f land Array.unsafe_get t.ip_mask ip) * ll)
                   + l)))
-        end
         else Array.unsafe_set inputs p None
       done;
       let inst = Array.unsafe_get t.instances ((n * ll) + l) in
@@ -566,10 +568,10 @@ let advance t =
          as fresh as a scan of every shell each cycle. *)
       if inst.Process.halted () then Bytes.unsafe_set ro.halt_flag l '\001';
       for q = 0 to n_out - 1 do
-        let c = Array.unsafe_get t.op_chan (op0 + q) in
+        let op = op0 + q in
         Array.unsafe_set t.q_val
-          (Array.unsafe_get t.q_base c
-          + (Array.unsafe_get t.q_tail c * ll)
+          (Array.unsafe_get t.op_ring op
+          + (((f + 1) land Array.unsafe_get t.op_mask op) * ll)
           + l)
           (Array.unsafe_get words q)
       done;
@@ -579,20 +581,16 @@ let advance t =
           t.traces.(opl) <- Token.Valid words.(q) :: t.traces.(opl)
         done
     done;
-    (* Advance the shared cursors once per port, after the lanes. *)
-    for p = 0 to n_in - 1 do
-      let c = Array.unsafe_get t.ip_chan (ib + p) in
-      let h = t.q_head.(c) + 1 in
-      t.q_head.(c) <- (if h >= t.q_stride.(c) then 0 else h);
-      t.q_fill.(c) <- t.q_fill.(c) - 1
-    done;
+    (* The count moves once for all lanes, then each output channel's
+       fill is checked: a consumer later in the row has not fired yet,
+       and a self-loop's count already includes this firing. *)
+    Array.unsafe_set t.count n (f + 1);
     for q = 0 to n_out - 1 do
-      let c = Array.unsafe_get t.op_chan (op0 + q) in
-      let s = t.q_tail.(c) + 1 in
-      t.q_tail.(c) <- (if s >= t.q_stride.(c) then 0 else s);
-      t.q_fill.(c) <- t.q_fill.(c) + 1;
-      if t.q_fill.(c) > t.q_stride.(c) then
-        failwith "Static replay: value ring overflow (schedule violated)"
+      let op = op0 + q in
+      if
+        2 + f - Array.unsafe_get t.count (Array.unsafe_get t.op_dst op)
+        > Array.unsafe_get t.op_bound op
+      then failwith "Static replay: value ring overflow (schedule violated)"
     done
   done;
   if t.record_traces then begin
@@ -612,7 +610,7 @@ let advance t =
     voids tc.tc_starved;
     voids tc.tc_blocked
   end;
-  ro.clock <- cyc + 1;
+  ro.clock <- ro.clock + 1;
   for a = 0 to ro.n_act - 1 do
     let l = Array.unsafe_get ro.act a in
     ro.quiet.(l) <- (if tc.tc_any then 0 else ro.quiet.(l) + 1)

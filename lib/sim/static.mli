@@ -12,8 +12,11 @@
     the scheduled shells (real process closures, real data, so outputs
     and halting behave exactly as in {!Fast}) and advance the clock — no
     per-cycle stop propagation, readiness scan, FIFO shuffling or stall
-    counting.  Statistics are reconstructed on demand from cumulative
-    schedule tables built once per schedule.
+    counting.  Values need no FIFO cursors either: a shell's [f]-th
+    firing reads slot [f] and writes slot [f + 1] of its channels'
+    rings, so one firing counter per shell addresses every value.
+    Statistics are reconstructed on demand from cumulative schedule
+    tables built once per schedule.
 
     In {!Shell.Oracle} mode a shell fires on the masks its process's
     oracle returns, which depend on data, so no table exists up front.

@@ -8,6 +8,8 @@ module Shell = Wp_lis.Shell
 module Network = Wp_sim.Network
 module Engine = Wp_sim.Engine
 module Monitor = Wp_sim.Monitor
+module Sim = Wp_sim.Sim
+module Static = Wp_sim.Static
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -218,6 +220,63 @@ let test_engine_self_loop_live_with_capacity_2 () =
     Alcotest.fail "self loop should be live");
   let report = Monitor.collect engine in
   check_rate 1.0 (Monitor.node_throughput report "a")
+
+(* A one-port stage whose oracle skips every third token: its output
+   folds in every value it is given and its firing count, so a value
+   from the wrong slot, or one given for a skipped port, shows in the
+   trace. *)
+let skipper =
+  {
+    Process.name = "s";
+    input_names = [| "i" |];
+    output_names = [| "o" |];
+    reset_outputs = [| 5 |];
+    make =
+      (fun () ->
+        let k = ref 0 and acc = ref 0 in
+        {
+          Process.required = (fun () -> [| !k mod 3 <> 2 |]);
+          fire =
+            (fun inputs ->
+              (match inputs.(0) with Some v -> acc := ((31 * !acc) + v) land 0xffff | None -> ());
+              incr k;
+              [| !acc + !k |]);
+          halted = (fun () -> false);
+        });
+  }
+
+(* A self-loop is the one shape where a firing reads and writes the same
+   ring, and where the table replay's overflow check reads the
+   producer's own firing count.  The replay must match Fast and the
+   reference interpreter on everything observable. *)
+let test_self_loop_replay () =
+  List.iter
+    (fun mode ->
+      for capacity = 1 to 3 do
+        for rs = 0 to 3 do
+          let net = Network.create () in
+          let a = Network.add net skipper in
+          let c = Network.connect net ~src:(a, "o") ~dst:(a, "i") ~relay_stations:rs () in
+          let what =
+            Printf.sprintf "%s C=%d rs=%d"
+              (if mode = Shell.Plain then "plain" else "oracle")
+              capacity rs
+          in
+          let st = Static.create ~capacity ~record_traces:true ~mode net in
+          let outcome = Static.run ~max_cycles:60 st in
+          List.iter
+            (fun engine ->
+              let sim = Sim.create ~engine ~capacity ~record_traces:true ~mode net in
+              let who = what ^ " vs " ^ Sim.kind_to_string engine in
+              checkb (who ^ ": outcome") true (Sim.run ~max_cycles:60 sim = outcome);
+              checki (who ^ ": cycles") (Sim.cycles sim) (Static.cycles st);
+              checki (who ^ ": delivered") (Sim.delivered sim c) (Static.delivered st c);
+              checkb (who ^ ": stats") true (Sim.node_stats sim a = Static.node_stats st a);
+              checkb (who ^ ": trace") true (Sim.output_trace sim a 0 = Static.output_trace st a 0))
+            [ Sim.Fast; Sim.Reference ]
+        done
+      done)
+    [ Shell.Plain; Shell.Oracle ]
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence: golden vs WP1 vs WP2                                  *)
@@ -605,6 +664,7 @@ let () =
           Alcotest.test_case "exhausts" `Quick test_engine_exhausts;
           Alcotest.test_case "deadlock detected" `Quick test_engine_deadlock_detected;
           Alcotest.test_case "self loop live" `Quick test_engine_self_loop_live_with_capacity_2;
+          Alcotest.test_case "self loop through the replay" `Quick test_self_loop_replay;
         ] );
       ( "conservation",
         [ QCheck_alcotest.to_alcotest prop_token_conservation ] );

@@ -336,27 +336,33 @@ type observed = {
   o_trace : Network.node -> int -> int Wp_lis.Token.t list;
 }
 
-let run_engine engine net =
+let run_engine ?(capacity = 2) engine net =
   let sim =
-    Sim.create ~engine ~capacity:2 ~record_traces:true ~mode:Shell.Plain net
+    Sim.create ~engine ~capacity ~record_traces:true ~mode:Shell.Plain net
   in
   let o_outcome = Sim.run ~max_cycles:battery_cycles sim in
   { o_outcome; o_cycles = Sim.cycles sim; o_delivered = Sim.delivered sim;
     o_stats = Sim.node_stats sim; o_trace = Sim.output_trace sim }
 
 (* The table replay, solo, on the same net. *)
-let run_replay net =
-  let st = Static.create ~capacity:2 ~record_traces:true ~mode:Shell.Plain net in
+let run_replay ~capacity net =
+  let st = Static.create ~capacity ~record_traces:true ~mode:Shell.Plain net in
   let o_outcome = Static.run ~max_cycles:battery_cycles st in
   { o_outcome; o_cycles = Static.cycles st; o_delivered = Static.delivered st;
     o_stats = Static.node_stats st; o_trace = Static.output_trace st }
 
-(* First engine disagreement of one spec, or None.  Compares outcome,
-   cycles, per-channel delivered counts, per-node stats and full output
-   traces for Fast vs Reference and Fast vs the table replay. *)
-let diff_engines spec =
+(* Each spec also runs at capacity 1 or 3, by its seed, so the kernels
+   are compared under tighter and looser backpressure too, and the
+   replay at odd ring bounds [C + 2k + 2]. *)
+let battery_capacities (spec : Topology.spec) = [ 2; 1 + (2 * (spec.seed mod 2)) ]
+
+(* First engine disagreement of one spec at one capacity, or None.
+   Compares outcome, cycles, per-channel delivered counts, per-node
+   stats and full output traces for Fast vs Reference and Fast vs the
+   table replay. *)
+let diff_engines ~capacity spec =
   let net = Topology.build spec in
-  let fast = run_engine Sim.Fast net in
+  let fast = run_engine ~capacity Sim.Fast net in
   let mismatch who other =
     let complain fmt = Printf.ksprintf Option.some fmt in
     if other.o_outcome <> fast.o_outcome then complain "%s: outcome differs" who
@@ -382,12 +388,15 @@ let diff_engines spec =
         (Network.nodes net);
       !bad
   in
-  match mismatch "ref" (run_engine Sim.Reference net) with
-  | Some m -> Some m
-  | None -> mismatch "static" (run_replay net)
+  let found =
+    match mismatch "ref" (run_engine ~capacity Sim.Reference net) with
+    | Some m -> Some m
+    | None -> mismatch "static" (run_replay ~capacity net)
+  in
+  Option.map (Printf.sprintf "capacity %d, %s" capacity) found
 
-let fail_shrunk spec msg =
-  let still_fails s = diff_engines s <> None in
+let fail_shrunk ~capacity spec msg =
+  let still_fails s = diff_engines ~capacity s <> None in
   let minimal =
     Shrink.fixpoint ~candidates:Topology.shrink_candidates ~still_fails spec
   in
@@ -395,7 +404,7 @@ let fail_shrunk spec msg =
     {
       Sweep.topo = minimal;
       spec =
-        Run_spec.v ~engine:Sim.Fast ~capacity:2 ~max_cycles:battery_cycles ();
+        Run_spec.v ~engine:Sim.Fast ~capacity ~max_cycles:battery_cycles ();
     }
   in
   let path = Sweep.write_repro sc ~reason:msg in
@@ -409,9 +418,12 @@ let test_differential_battery () =
   checkb "battery has >= 30 topologies" true (List.length battery_specs >= 30);
   List.iter
     (fun spec ->
-      match diff_engines spec with
-      | None -> ()
-      | Some msg -> fail_shrunk spec msg)
+      List.iter
+        (fun capacity ->
+          match diff_engines ~capacity spec with
+          | None -> ()
+          | Some msg -> fail_shrunk ~capacity spec msg)
+        (battery_capacities spec))
     battery_specs
 
 (* All battery topologies as lanes of ONE heterogeneous batch call —
