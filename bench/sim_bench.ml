@@ -5,12 +5,14 @@
    Usage: dune exec bench/sim_bench.exe -- [--probe core|batch|flow]
             [--smoke] [--out FILE]
      core  = the Table 1 sweep on the reference interpreter and the
-             compiled Fast kernel (gate: fast >= 2x reference), a
+             compiled Fast kernel, alternating pass by pass (gate: fast
+             >= 2x reference on the median passes), a
              kernel-only stall probe (gates: Fast, Static and an Oracle
              replay allocate nothing; Static is strictly faster than
              Fast), and exact static word-rate checks
-     batch = 64-lane SoA Batch vs sequential Fast (gates: >= 2x on Plain
-             lanes, >= 1.3x on Oracle lanes)
+     batch = 64 runs through Batch's one-lane replays vs the same runs
+             on Fast, one after another (gates: >= 2x on Plain runs,
+             >= 1.3x on Oracle runs)
      flow  = incremental MCR vs from-scratch re-solves (gate: >= 5x,
              exact agreement at every step)
    --smoke (also WIREPIPE_BENCH_FAST=1) shrinks the workloads.
@@ -134,10 +136,19 @@ let sweep_runs ~smoke =
         [ Shell.Plain; Shell.Oracle ])
     (sweep_programs ~smoke)
 
-let measure_runs ~engine runs =
-  (* Warm-up pass: fault in code paths and steady-state the heap so the
-     measured pass compares kernels, not cold starts. *)
-  let execute () =
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  let n = Array.length a in
+  (a.((n - 1) / 2) +. a.(n / 2)) /. 2.0
+
+(* The sweep on the reference interpreter and on Fast, [reps] timed
+   passes each after one warm-up pass each (code paths faulted in, heap
+   steady).  The two sides alternate pass by pass, and so does which of
+   them goes first, so a slow stretch of the host weighs on both; each
+   side reports its median pass: [(reference, fast)]. *)
+let measure_sweep ~reps runs =
+  let execute engine =
     List.fold_left
       (fun acc (program, mode, config) ->
         let r =
@@ -148,13 +159,31 @@ let measure_runs ~engine runs =
         acc + r.Cpu.cycles)
       0 runs
   in
-  ignore (execute ());
-  Gc.full_major ();
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let total_cycles = execute () in
-  let seconds = Unix.gettimeofday () -. t0 in
-  { runs = List.length runs; total_cycles; seconds; minor_words = Gc.minor_words () -. w0 }
+  let engines = [| Sim.Reference; Sim.Fast |] in
+  let cycles = Array.map execute engines in
+  let seconds = Array.map (fun _ -> Array.make reps 0.0) engines in
+  let words = Array.map (fun _ -> Array.make reps 0.0) engines in
+  let pass i e =
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    ignore (execute engines.(e));
+    seconds.(e).(i) <- Unix.gettimeofday () -. t0;
+    words.(e).(i) <- Gc.minor_words () -. w0
+  in
+  for i = 0 to reps - 1 do
+    pass i (i mod 2);
+    pass i (1 - (i mod 2))
+  done;
+  let side e =
+    {
+      runs = List.length runs;
+      total_cycles = cycles.(e);
+      seconds = median seconds.(e);
+      minor_words = median words.(e);
+    }
+  in
+  (side 0, side 1)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel-only probes                                                 *)
@@ -239,10 +268,8 @@ let run_core ~smoke : probe_result =
       engines
   in
   let sweep =
-    measure_each engine_name
-      (fun k ->
-        measure_runs ~engine:(if k = Fast then Sim.Fast else Sim.Reference) (sweep_runs ~smoke))
-      [ Reference; Fast ]
+    let reference, fast = measure_sweep ~reps:(if smoke then 11 else 5) (sweep_runs ~smoke) in
+    measure_each engine_name (function Fast -> fast | _ -> reference) [ Reference; Fast ]
   in
   print_endline "kernel-only stall probe (deadlocked ring, no process firings):";
   let stall =
@@ -306,22 +333,23 @@ let run_core ~smoke : probe_result =
     failures )
 
 (* ------------------------------------------------------------------ *)
-(* Probe: batched SoA kernel vs sequential Fast                       *)
+(* Probe: Batch's replays vs sequential Fast                          *)
 (* ------------------------------------------------------------------ *)
 
-(* N = 64 independent Run_specs stepped as one Wp_sim.Batch invocation
-   vs the same specs run one after another on Fast.  Three workloads:
+(* N = 64 independent Run_specs run through one Wp_sim.Batch call, which
+   gives each unfaulted lane a one-lane replay, vs the same specs run
+   one after another on Fast.  Three workloads:
 
    - stall-heavy: random programs under deep relay-station chains
      (uniform 1..4 everywhere but CU-IC, capacity 2) — the paper's
      wire-pipelined regime, where most cycles move tokens through relay
-     stations rather than firing processes.  Gated at 2x: the batch
-     kernel's static-schedule replay amortizes all of that handshake
-     work across lanes.
-   - oracle: the same 64 lanes with WP2 (Oracle) wrappers.  Each runs
-     as a one-lane replay of the transitions it learns, so the batch
-     saves the handshake but pays the first visit of each transition.
-     Gated at 1.3x.
+     stations rather than firing processes.  Gated at 2x: a Plain
+     replay skips all of that handshake work, and the 4 schedules its
+     64 runs share are recorded once.
+   - oracle: the same 64 runs with WP2 (Oracle) wrappers.  Each replays
+     the transitions runs of its structure have learnt, so it saves the
+     handshake but pays the first visit of each transition.  Gated at
+     1.3x.
    - mixed: alternating bare and All-1 configurations with varying
      capacities — process-execution-bound, so the achievable ratio is
      structurally smaller; it is reported but not gated.
@@ -407,11 +435,6 @@ let measure_batch_workload ?(mode = Shell.Plain) ~reps kind =
       seq_s.(i) <- time run_seq
     end
   done;
-  let median a =
-    Array.sort compare a;
-    let n = Array.length a in
-    (a.((n - 1) / 2) +. a.(n / 2)) /. 2.0
-  in
   let specs_per_sec s = if s <= 0.0 then 0.0 else float_of_int batch_lanes /. s in
   (specs_per_sec (median seq_s), specs_per_sec (median batch_s))
 
@@ -420,7 +443,7 @@ let min_oracle_speedup = 1.3
 let run_batch_probe ~smoke : probe_result =
   let reps = if smoke then 10 else 30 in
   Printf.printf
-    "batch-kernel probe (%d lanes, %d reps, sequential Fast vs fused Batch):\n%!"
+    "batch probe (%d runs, %d reps, sequential Fast vs Batch's one-lane replays):\n%!"
     batch_lanes reps;
   let seq_stall, batch_stall = measure_batch_workload ~reps `Stall in
   let seq_oracle, batch_oracle = measure_batch_workload ~mode:Shell.Oracle ~reps `Stall in
@@ -576,7 +599,7 @@ let () =
          & opt (enum [ ("core", `Core); ("batch", `Batch); ("flow", `Flow) ]) `Core
          & info [ "probe" ] ~docv:"PROBE"
              ~doc:"Probe to run: $(b,core) (Table 1 sweep, stall probe, static word \
-                   rates), $(b,batch) (fused Batch vs sequential Fast) or $(b,flow) \
+                   rates), $(b,batch) (Batch's replays vs sequential Fast) or $(b,flow) \
                    (incremental vs from-scratch MCR).")
   in
   let smoke =

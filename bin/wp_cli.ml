@@ -58,10 +58,10 @@ let engine_str_arg =
   Arg.(value & opt (some (conv' (parse, Format.pp_print_string))) None
        & info [ "engine" ] ~docv:"ENGINE" ~env:(Cmd.Env.info "WIREPIPE_ENGINE")
            ~doc:"Simulation kernel: $(b,fast) (compiled, default: the \
-                 batch kernel's table replay for batchable specs, the \
-                 $(b,Fast) handshake for destructive faults, protection, \
-                 telemetry or capacity 0) or $(b,ref) (reference \
-                 interpreter).  Both produce byte-identical results.")
+                 table replay for unfaulted runs it can replay, the \
+                 $(b,Fast) handshake for faults, protection, telemetry \
+                 or capacity 0) or $(b,ref) (reference interpreter).  \
+                 Both produce byte-identical results.")
 
 let capacity_arg =
   Arg.(value & opt int 2
@@ -863,7 +863,8 @@ let serve_cmd =
   let shard =
     Arg.(value & opt int 8
          & info [ "shard" ] ~docv:"N"
-             ~doc:"Lanes per batch-kernel shard handed to the worker pool.")
+             ~doc:"Requests per batch shard handed to the worker pool (two \
+                   runs each: WP1 and WP2).")
   in
   let batch_max =
     Arg.(value & opt int 64

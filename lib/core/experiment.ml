@@ -143,12 +143,12 @@ let run_spec ?cancel ~spec ~machine ~program config =
 
 
 (* Batched [run_spec]: every request contributes two lanes (WP1 plain +
-   WP2 oracle) of one structure-of-arrays kernel, so N requests compile
-   the netlist once per lane-set instead of running 2N full simulations.
-   Per-request failures (deadlock, exhausted budget, wrong result) come
-   back as [Error] in place — they must not poison the other lanes —
-   while a kernel-level raise (which only a non-benign fault can cause,
-   and [Run_spec.batchable] excludes those) propagates to the caller. *)
+   WP2 oracle) of one [Cpu.run_batch], where each unfaulted lane replays
+   the schedule its structure's runs share.  Per-request failures
+   (deadlock, exhausted budget, wrong result) come back as [Error] in
+   place — they must not poison the other lanes — while a kernel-level
+   raise (which only a non-benign fault can cause, and
+   [Run_spec.batchable] excludes those) propagates to the caller. *)
 let run_batch_spec ?cancels ~machine
     (requests : (Run_spec.t * Program.t * Config.t) array) =
   let n = Array.length requests in
@@ -187,6 +187,7 @@ let run_batch_spec ?cancels ~machine
             b_max_cycles = spec.Run_spec.max_cycles;
             b_mcr_work = Some goldens.(i).Cpu.cycles;
             b_fault = spec.Run_spec.fault;
+            b_protect = Run_spec.protect_fun spec;
             b_cancel = lane_cancels.(i);
             b_program = program;
           })

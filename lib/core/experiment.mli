@@ -62,18 +62,16 @@ val run_batch_spec :
   (Run_spec.t * Wp_soc.Program.t * Config.t) array ->
   (record, string) result array
 (** Batched {!run_spec}: all requests become lanes (WP1 + WP2 each) of
-    one {!Wp_soc.Cpu.run_batch} kernel sharing a single compiled
-    netlist.  Results are in request order and each record is identical
-    to the corresponding {!run_spec}.  A request whose run deadlocks,
-    exhausts its budget, exceeds its deadline or corrupts the result
-    comes back as [Error] with {!run_spec}'s failure message, without
-    disturbing the other lanes — a cancelled lane is compacted out of
-    the kernel and its siblings' results stay byte-identical.
-    [cancels] (one token per request, both of a request's lanes share
-    it) overrides each spec's own [deadline_ms]; its length must equal
-    the request count.  Specs should satisfy {!Run_spec.batchable}:
-    @raise Invalid_argument if any spec's engine is not [Fast];
-    @raise Wp_sim.Batch.Unbatchable on capacity 0 or protection. *)
+    one {!Wp_soc.Cpu.run_batch}.  Results are in request order and each
+    record is identical to the corresponding {!run_spec}, [spec.protect]
+    included.  A request whose run deadlocks, exhausts its budget,
+    exceeds its deadline or corrupts the result comes back as [Error]
+    with {!run_spec}'s failure message, without disturbing the other
+    lanes.  [cancels] (one token per request, both of a request's lanes
+    share it) overrides each spec's own [deadline_ms]; its length must
+    equal the request count.  Specs should satisfy
+    {!Run_spec.batchable}.
+    @raise Invalid_argument if any spec's engine is not [Fast]. *)
 
 val wp2_cycles_objective_spec :
   spec:Run_spec.t ->

@@ -121,17 +121,15 @@ let of_args ?engine ?(capacity = 2) ?max_cycles ?fault ?(fault_seed = 0)
   Ok { engine; capacity; max_cycles; fault; protect; telemetry; deadline_ms }
 
 let batchable t =
-  (* The batch kernel runs one lane exactly as [Fast] runs it alone.
-     Destructive (non-benign) faults are excluded because they may
-     legitimately make a process closure raise, identically on both
-     kernels, but a raise in a fused loop poisons every lane of the
-     batch.  Protection and telemetry carry per-run state the SoA kernel
-     does not model, and unbounded FIFOs have no ring to lay out. *)
-  t.engine = Sim.Fast
-  && Fault.benign t.fault
-  && t.capacity >= 1
-  && Protect.is_none t.protect
-  && Telemetry.is_off t.telemetry
+  (* Batch runs each lane exactly as [Fast] runs it alone, but a lane
+     names no engine and carries no telemetry.  Destructive (non-benign)
+     faults are excluded because they may legitimately make a process
+     closure raise, identically on every kernel, and a raise in
+     [Batch.run] aborts the lanes after it. *)
+  t.engine = Sim.Fast && Fault.benign t.fault && Telemetry.is_off t.telemetry
+
+let protect_fun t =
+  if Protect.is_none t.protect then None else Some (Protect.to_fun t.protect)
 
 let run_cpu ?cancel ?mcr_work ~spec ~machine ~mode ~rs program =
   (* An explicit token (the serve daemon's, stamped at request arrival)
@@ -143,8 +141,8 @@ let run_cpu ?cancel ?mcr_work ~spec ~machine ~mode ~rs program =
     | None, None -> Wp_util.Cancel.never
   in
   if batchable spec then
-    (* A one-lane batch: an unfaulted Plain lane replays the balanced
-       firing word instead of stepping the handshake, with identical
+    (* A one-lane batch: an unfaulted lane replays instead of stepping
+       the handshake wherever the replay admits it, with identical
        results. *)
     (Cpu.run_batch ~machine
        [|
@@ -155,15 +153,12 @@ let run_cpu ?cancel ?mcr_work ~spec ~machine ~mode ~rs program =
            b_max_cycles = spec.max_cycles;
            b_mcr_work = mcr_work;
            b_fault = spec.fault;
+           b_protect = protect_fun spec;
            b_cancel = cancel;
            b_program = program;
          };
        |]).(0)
   else
-    let protect =
-      if Protect.is_none spec.protect then None
-      else Some (Protect.to_fun spec.protect)
-    in
     Cpu.run ~engine:spec.engine ~capacity:spec.capacity ~cancel
-      ?max_cycles:spec.max_cycles ?mcr_work ~fault:spec.fault ?protect
-      ~telemetry:spec.telemetry ~machine ~mode ~rs program
+      ?max_cycles:spec.max_cycles ?mcr_work ~fault:spec.fault
+      ?protect:(protect_fun spec) ~telemetry:spec.telemetry ~machine ~mode ~rs program

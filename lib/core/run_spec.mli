@@ -91,11 +91,17 @@ val of_args :
     any field comes back as [Error msg] — no exceptions, no [exit]. *)
 
 val batchable : t -> bool
-(** Whether the {!Wp_sim.Batch} kernel admits a spec: engine [Fast],
-    benign (stall-only) fault, capacity >= 1, no link protection,
-    telemetry off.  The one admission rule: {!run_cpu}, [Runner]'s
+(** Whether a spec runs as a {!Wp_sim.Batch} lane: engine [Fast], a
+    benign (stall-only) fault, telemetry off — what a lane can carry,
+    and no destructive fault that could make a closure raise and abort
+    the lanes after it.  The one admission rule: {!run_cpu}, [Runner]'s
     batched requests and [Sweep]'s shards all route on it, so a spec
     gets the same kernel whether it runs alone or in a batch. *)
+
+val protect_fun :
+  t -> (Wp_soc.Datapath.connection -> Wp_sim.Network.protection option) option
+(** [protect] in {!Wp_soc.Cpu}'s form: [None] when nothing is
+    protected. *)
 
 val run_cpu :
   ?cancel:Wp_util.Cancel.t ->
@@ -108,12 +114,12 @@ val run_cpu :
   Wp_soc.Cpu.result
 (** Run one simulation under a spec, so callers above the SoC layer
     never touch {!Wp_soc.Cpu}'s optional-argument form.  A {!batchable}
-    spec runs as a one-lane {!Wp_soc.Cpu.run_batch}: an unfaulted Plain
-    lane replays the balanced firing word, and any other lane steps the
-    dynamic SoA kernel.  Every other spec ([ref], destructive faults,
-    protection, telemetry, capacity 0) runs on
-    {!Wp_soc.Cpu.run}, which for engine [fast] is the [Fast] kernel.
-    For a batchable spec both kernels return structurally equal
-    results.  An explicit [cancel] token (e.g. the serve daemon's,
-    stamped at request arrival so queueing counts against the budget)
-    takes precedence over the spec's own [deadline_ms]. *)
+    spec runs as a one-lane {!Wp_soc.Cpu.run_batch}: an unfaulted lane
+    replays ({!Wp_sim.Static}) where the replay admits it, and any other
+    lane steps the handshake ({!Wp_sim.Fast}).  Every other spec
+    ([ref], destructive faults, telemetry) runs on {!Wp_soc.Cpu.run},
+    which for engine [fast] is the [Fast] kernel.  For a batchable spec
+    both paths return structurally equal results.  An explicit [cancel]
+    token (e.g. the serve daemon's, stamped at request arrival so
+    queueing counts against the budget) takes precedence over the spec's
+    own [deadline_ms]. *)

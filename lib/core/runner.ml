@@ -484,7 +484,7 @@ let experiments_guarded_spec ~spec ?attempts ?retry_seed t ~machine ~program
     configs
 
 (* ------------------------------------------------------------------ *)
-(* Batched experiments: SoA kernel sharding + cache + quarantine.
+(* Batched experiments: sharding + cache + quarantine.
 
    The service-facing entry point.  Requests are heterogeneous (any
    machine / program / config / spec mix); each is first probed against
@@ -560,8 +560,7 @@ let experiments_batch_spec ?attempts ?retry_seed ?(shard = 8) t requests =
     results.(i) <- Some (o, false)
   in
   (* Phase 2: shard the batchable misses, one machine group at a time
-     (lanes of one kernel must share a topology; all programs on one
-     machine do). *)
+     ([Experiment.run_batch_spec] takes one machine). *)
   let groups : (Datapath.machine, int list) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun i ->

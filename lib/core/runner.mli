@@ -197,8 +197,8 @@ val experiments_batch_spec :
 (** Serve a heterogeneous request batch: cache probe first (the [bool]
     is [true] for requests answered from cache), then the
     {!Run_spec.batchable} misses grouped by machine and run as lanes of
-    shared {!Experiment.run_batch_spec} kernels, [shard] requests (default 8,
-    i.e. 16 lanes) per pool task.  Everything else — non-batchable
+    {!Experiment.run_batch_spec} calls, [shard] requests (default 8, i.e.
+    16 lanes) per pool task.  Everything else — non-batchable
     specs, and requests the batch reports as failing — goes through
     {!experiment_guarded_spec} with its bounded retries, so a poisoned
     request returns [Failed] with a repro line instead of killing the
@@ -206,10 +206,10 @@ val experiments_batch_spec :
     {!experiment_spec}; results are in request order.
 
     Deadlines: a miss whose [req_cancel] is already cancelled returns
-    [Expired] without touching a lane; a lane cancelled mid-batch is
-    compacted out of the kernel (its live siblings' results stay
-    byte-identical to a batch that never contained it) and returns
-    [Expired] with the cycle count where it stopped. *)
+    [Expired] without touching a lane; a lane cancelled mid-batch stops
+    (the other lanes' results stay byte-identical to a batch that never
+    contained it) and returns [Expired] with the cycle count where it
+    stopped. *)
 
 val objective_spec :
   spec:Run_spec.t ->

@@ -23,7 +23,7 @@
       robin: at most one request per client per round, oldest clients
       first) and hands it to {!Runner.experiments_batch_spec}, which
       serves cache hits, shards batchable misses across the pool's
-      domains as structure-of-arrays kernel lanes, abandons requests at
+      domains as {!Wp_sim.Batch} lanes, abandons requests at
       their deadline ([Deadline_exceeded]), and quarantines poisoned
       requests through the guarded retry machinery.
 
@@ -32,7 +32,7 @@
     - {b deadlines}: a [Run] carrying [rq_deadline_ms] gets a
       cancellation token whose clock starts at arrival; queueing and
       compute past the deadline answer [Deadline_exceeded] and the
-      simulation lanes abandon the work cooperatively.  A client
+      simulations abandon the work cooperatively.  A client
       disconnect cancels all its queued and in-flight tokens;
     - {b load shedding}: when the total queued backlog reaches
       [shed_limit] (priority 1; priority 0 sheds at half that, 2+ only

@@ -1,33 +1,21 @@
-(** Compiled, allocation-free handshake kernel.
+(** Compiled handshake kernel.
 
     Same observable semantics as {!Engine} — identical outcomes,
     delivered-token counts, per-shell statistics and (when requested)
     output traces — but the network is compiled once into contiguous
     integer arrays (CSR adjacency for outgoing channels, a flat relay
     slot pool, preallocated FIFO rings with head/length cursors and a
-    validity bitmask instead of boxed tokens), so each {!step} performs
-    zero heap allocation in the steady state.  The only remaining
-    per-cycle allocations happen inside user-supplied
-    [Process.instance] closures when a node fires, and trace conses when
-    [record_traces] is set.
+    validity bitmask instead of boxed tokens), so a {!step} in which no
+    shell fires allocates nothing.  A firing allocates: the kernel
+    boxes each input it reads as [Some v] (two words, since
+    {!Wp_lis.Process.instance}'s [fire] takes an [int option array]),
+    the user-supplied closures allocate what they allocate, and
+    [record_traces] adds a cons per output.
 
-    This is the library's only compiled handshake kernel.  One kernel
-    steps several independent {e lanes} sharing a topology signature,
-    structure-of-arrays: a solo {!create} is a one-lane kernel, and
-    {!Batch} runs its faulted lanes as one many-lane kernel
-    ({!create_lanes}).  The same kernel steps every transition
-    {!Static} replays ({!transition}), and {!Static}'s replay runs in
-    this module's lane loop ({!roster}). *)
-
-type lane = {
-  net : Network.t;
-  mode : Wp_lis.Shell.mode;
-  capacity : int;
-  fault : Fault.spec;
-  max_cycles : int;  (** read by {!Batch.run}, not by {!create_lanes} *)
-  cancel : Wp_util.Cancel.t;  (** likewise *)
-}
-(** One lane of a many-lane kernel; {!Batch.lane} re-exports it. *)
+    This is the library's only compiled handshake kernel, and one kernel
+    is one run.  The same kernel steps every transition {!Static}
+    replays ({!transition}), and {!Static}'s replay runs in this
+    module's run loop ({!roster}). *)
 
 type t
 
@@ -39,65 +27,45 @@ val create :
   mode:Wp_lis.Shell.mode ->
   Network.t ->
   t
-(** Compile the network as a one-lane kernel.  [capacity] is each shell
-    FIFO's bound (default 2; 0 = unbounded).  [record_traces] enables
-    per-output token traces (costs one cons per output per cycle).
-    [fault] perturbs delivery and backpressure exactly as in
-    {!Engine.create} (the two engines share {!Fault}'s policy code and
-    stay byte-identical under a given spec); when absent the kernel
-    keeps its zero-allocation steady state, as it does on protected
-    channels.  [telemetry] (default {!Telemetry.off}) enables stall
-    attribution and channel telemetry — the counters are flat
-    preallocated arrays, but the oracle-readiness probe allocates inside
-    the process closure, so the zero-words guarantee only holds with
-    telemetry off.
-    @raise Invalid_argument if the network fails {!Network.validate} or
-    the fault spec fails {!Fault.validate}. *)
-
-val create_lanes : ?record_traces:bool -> lane array -> t
-(** One kernel over lanes that agree on {!Batch.signature}, each with
-    its own processes, relay-station counts, capacity and faults.
-    Lanes are not validated here: {!Batch.create} does it. *)
+(** Compile the network.  [capacity] is each shell FIFO's bound
+    (default 2; 0 = unbounded).  [record_traces] enables per-output
+    token traces (costs one cons per output per cycle).  [fault]
+    perturbs delivery and backpressure exactly as in {!Engine.create}
+    (the two engines share {!Fault}'s policy code and stay
+    byte-identical under a given spec).  [telemetry] (default
+    {!Telemetry.off}) enables stall attribution and channel telemetry —
+    the counters are flat preallocated arrays, but the oracle-readiness
+    probe allocates inside the process closure, so the zero-words
+    guarantee only holds with telemetry off.
+    @raise Invalid_argument if the network fails {!Network.validate},
+    [capacity] is negative or the fault spec fails {!Fault.validate}. *)
 
 val step : t -> unit
-(** Advance every lane whose state is at the current clock by one cycle
-    (three phases: stop propagation, firing, simultaneous shift — in the
-    same order as {!Engine.step}). *)
+(** Advance by one cycle (three phases: stop propagation, firing,
+    simultaneous shift — in the same order as {!Engine.step}). *)
 
 val run : ?cancel:Wp_util.Cancel.t -> ?max_cycles:int -> t -> Engine.outcome
-(** Step a one-lane kernel until a process halts, a deadlock is
-    detected, [max_cycles] (default 1_000_000) elapses or [cancel]
-    fires.  Outcomes are shared with the reference engine so callers
-    can compare them directly.  A later call with a larger budget
-    resumes the run. *)
+(** Step until a process halts, a deadlock is detected, [max_cycles]
+    (default 1_000_000) elapses or [cancel] fires.  Outcomes are shared
+    with the reference engine so callers can compare them directly.  A
+    later call with a larger budget resumes the run. *)
 
-val run_lanes :
-  t -> budgets:int array -> cancels:Wp_util.Cancel.t array -> Engine.outcome array
-(** {!run} for every lane at once, with per-lane budgets and
-    cancellation tokens: the same termination check, lane by lane, on
-    one shared clock.  A finished lane leaves the running set without
-    disturbing the others. *)
+(** {1 Observables} *)
 
-(** {1 Observables}
+val cycles : t -> int
+(** Cycles stepped so far: where the run finished, once it has. *)
 
-    [?lane] defaults to 0, the only lane of a solo kernel. *)
+val network : t -> Network.t
 
-val cycles : ?lane:int -> t -> int
-(** The cycle at which the lane finished, or the current clock while it
-    runs. *)
-
-val outcome : t -> lane:int -> Engine.outcome option
-val network : ?lane:int -> t -> Network.t
-
-val delivered : ?lane:int -> t -> Network.channel -> int
+val delivered : t -> Network.channel -> int
 (** Valid tokens delivered end-to-end on a channel so far. *)
 
-val fault_injections : ?lane:int -> t -> int
+val fault_injections : t -> int
 (** Destructive fault events actually performed so far ({!Fault.injections});
     0 when no fault spec was given. *)
 
 val link_summary : t -> Link.summary option
-(** Aggregate link-layer statistics of lane 0; [None] when nothing is
+(** Aggregate link-layer statistics; [None] when nothing is
     protected. *)
 
 val telemetry_report : t -> Telemetry.report option
@@ -106,11 +74,11 @@ val telemetry_report : t -> Telemetry.report option
     to the reference engine's {!Engine.telemetry_report} on the same
     run. *)
 
-val node_stats : ?lane:int -> t -> Network.node -> Wp_lis.Shell.stats
+val node_stats : t -> Network.node -> Wp_lis.Shell.stats
 (** Per-shell statistics, identical field-for-field to
     [Shell.stats (Engine.shell e n)] on the reference engine. *)
 
-val output_trace : ?lane:int -> t -> Network.node -> int -> int Wp_lis.Token.t list
+val output_trace : t -> Network.node -> int -> int Wp_lis.Token.t list
 (** Recorded token stream of one output port, oldest first.  Empty
     unless [record_traces] was set. *)
 
@@ -139,49 +107,33 @@ type meta = {
 
 val meta_of : Network.t -> meta
 
-(** {1 The lane loop}
+(** {1 The run loop}
 
-    What both compiled kernels share: the running set, the clock, each
-    lane's sticky halt flag, quiet counter and finish, and the
-    termination check.  A kernel's [advance] steps every running lane
-    by one cycle: it sets [halt_flag] right after a firing that halts,
-    resets or bumps each running lane's [quiet] and bumps [clock]. *)
+    What both compiled kernels share: a run's clock, sticky halt flag,
+    quiet counter and quiescence window, and the termination check.  A
+    kernel's [advance] steps the run by one cycle: it sets [halted]
+    right after a firing that halts, resets or bumps [quiet] and bumps
+    [clock]. *)
 
 type roster = {
   mutable clock : int;
-  act : int array;  (** running lane ids, first [n_act] entries *)
-  mutable n_act : int;
-  halt_flag : Bytes.t;  (** per lane, ['\001'] once a process halted *)
-  quiet : int array;  (** per lane: cycles since a shell last fired *)
-  quiescence : int array;  (** per lane: the deadlock window *)
-  finished : Engine.outcome option array;  (** per lane *)
-  lane_end : int array;  (** per lane: the clock at its finish *)
+  mutable halted : bool;  (** sticky: set once a process halted *)
+  mutable quiet : int;  (** cycles since a shell last fired *)
+  quiescence : int;  (** the deadlock window *)
 }
 
-val roster : quiescence:int array -> Wp_lis.Process.instance array -> roster
-(** Lanes [0 ..< Array.length quiescence], all running at clock 0.  The
-    instances are laid out [node * L + lane]; a lane with an instance
-    halted at reset starts with its halt flag set. *)
-
-val reopen : roster -> unit
-(** Put every lane whose state is at the current clock back in the
-    running set: all of them before a first step, those that finished at
-    this clock after a run, so a larger budget resumes it. *)
+val roster : ?bonus:int -> meta -> Wp_lis.Process.instance array -> roster
+(** A run at clock 0, its halt flag set when an instance is halted at
+    reset.  Its deadlock window is {!Engine}'s: [16 + 4 × (nodes +
+    channels + relay stations)] cycles, plus [bonus] (default 0; the
+    link layer's {!Link.quiescence_bonus}). *)
 
 val run_roster :
-  roster ->
-  ('k -> unit) ->
-  'k ->
-  budgets:int array ->
-  cancels:Wp_util.Cancel.t array ->
-  Engine.outcome array
-(** [run_roster r advance k] reopens, then runs [advance k] until every
-    lane finished: halt, quiescence window, its budget, then its
-    cancellation token (polled every {!Engine.cancel_interval} cycles),
-    checked in {!Engine.run}'s order before each cycle. *)
-
-val lane_cycles : roster -> int -> int
-(** The cycle at which a lane finished, or the clock while it runs. *)
+  roster -> ('k -> unit) -> 'k -> budget:int -> cancel:Wp_util.Cancel.t -> Engine.outcome
+(** [run_roster r advance k ~budget ~cancel] runs [advance k] until the
+    run finishes: halt, quiescence window, [budget], then [cancel]
+    (polled every {!Engine.cancel_interval} cycles), checked in
+    {!Engine.run}'s order before each cycle. *)
 
 (** {1 Table recorder}
 
@@ -209,8 +161,8 @@ type table_cycle = {
 type recorder
 
 val recorder : capacity:int -> Network.t -> recorder
-(** A one-lane kernel of placeholder processes over an unfaulted,
-    unprotected network at [capacity >= 1], at reset. *)
+(** A kernel of placeholder processes over an unfaulted, unprotected
+    network at [capacity >= 1], at reset. *)
 
 val state : recorder -> string
 (** The recorder's current occupancy state: every FIFO length,

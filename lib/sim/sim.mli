@@ -9,11 +9,11 @@
     instead of duplicating code paths.
 
     There is no table-replay kind to select: a [fast] run that goes
-    through {!Batch} already replays the balanced firing word wherever
-    one exists, because {!Batch} sends every Plain, unfaulted lane to
-    {!Static}.  A [Fast] simulation created here is always the
-    handshake, so the differential tests keep an independent compiled
-    kernel to hold the replay against. *)
+    through {!Batch} already replays wherever the replay admits it,
+    because {!Batch} routes every unfaulted run to {!Static}.  A [Fast]
+    simulation created here is always the handshake, so the
+    differential tests keep an independent compiled kernel to hold the
+    replay against. *)
 
 type kind =
   | Reference  (** {!Engine}: boxed tokens, per-cycle allocation, easy to read *)

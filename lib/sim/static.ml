@@ -6,18 +6,17 @@
    on placeholder processes until that state repeats, which yields a
    transient prefix plus a period, and per-cycle rows of fired /
    starved / blocked shells and delivering channels.  This module keeps
-   the memo of those tables and replays them; the lane loop around the
-   replay (running set, clock, termination check) is Fast's.  In Oracle
-   mode the masks a shell fires on depend on data, but the handshake is
-   still a finite automaton over (occupancy state, with pending drops;
-   every shell's masks): an Oracle lane looks each cycle's pair up among
-   the transitions met so far, and asks {!Fast.transition} on a miss.
+   the memo of those tables and replays them; the run loop around the
+   replay (clock, termination check) is Fast's.  In Oracle mode the
+   masks a shell fires on depend on data, but the handshake is still a
+   finite automaton over (occupancy state, with pending drops; every
+   shell's masks): an Oracle replay looks each cycle's pair up among the
+   transitions met so far, and asks {!Fast.transition} on a miss.
 
-   The replay kernel below is the library's only table-replay loop: a
-   solo [create] is a one-lane instance, and each of the batch kernel's
-   Plain replay groups is a many-lane one, whose lanes share the exact
-   same firing schedule, quiescence window and — while active — clock.
-   A replay cycle touches only the shells that fire: they fire their
+   The replay kernel below is the library's only table-replay loop, one
+   run per kernel; runs of one structure share its schedule or learnt
+   transitions through the memos, not by stepping together.  A replay
+   cycle touches only the shells that fire: they fire their
    real process closures on real data, and the stall counters and
    delivered counts come from cumulative schedule tables built once per
    schedule (Plain), or from each cycle's row (Oracle).  Stall-heavy
@@ -97,11 +96,12 @@ let sched_of ~capacity net =
 
 (* A schedule depends only on (capacity, per-channel relay stations,
    topology shape) — never on process data.  A sweep scenario replays
-   one schedule on the batch kernel and again here, and the serve daemon
-   replays the same machines all day, so schedules are memoised across
-   calls.  The key spells out everything the recorder reads.  Guarded by
-   a mutex: runner pools call in from several domains.  Cached schedules
-   are immutable once built, so sharing them is safe.
+   one schedule through [Batch] and again for its word check, and the
+   serve daemon replays the same machines all day, so schedules are
+   memoised across calls.  The key spells out everything the recorder
+   reads.  Guarded by a mutex: runner pools call in from several
+   domains.  Cached schedules are immutable once built, so sharing them
+   is safe.
 
    The memo is bounded by entries and by the words its schedules
    retain: an insert that would cross either bound empties it first,
@@ -203,7 +203,7 @@ let tables ~capacity net =
 (* A transition leaves its state under one mask vector: a byte per
    global input port, a copy, since [required] reuses its array.  Like a
    schedule, transitions depend only on the network's structure, never
-   on process data, so every replay of one structure — the lanes of a
+   on process data, so every replay of one structure — the runs of a
    batch, batch after batch — shares them, memoised under the schedule
    key.  A table is stepped on by one replay at a time ([busy], under
    the memo's mutex): a replay that finds its structure's table busy
@@ -230,7 +230,7 @@ let learnt () = { states = Hashtbl.create 16; all = []; words = 0; busy = false 
 
 (* The word budget is the schedule memo's.  The entry bound is small: a
    table pays off while replays of its structure keep coming (a batch's
-   lanes, a daemon's repeated configurations), and a Table 1
+   runs, a daemon's repeated configurations), and a Table 1
    regeneration walks ~70 structures once each, where holding them all
    grew its peak RSS by ~5 MB (over a fifth) and saved little time. *)
 let learnt_entries = 16
@@ -245,7 +245,7 @@ let intern g key =
     g.words <- g.words + (String.length key / 8) + 9;
     s
 
-(* One Oracle lane: its recorder, the table it stepped on last, where it
+(* One Oracle replay: its recorder, the table it stepped on last, where it
    is, this cycle's masks and the shells that fired last (only those
    can have changed theirs: [required] is a function of process state,
    which only [fire] advances), and its stats (visits times rows,
@@ -267,7 +267,7 @@ type oracle = {
 let own o = if o.o_table.busy then learnt () else o.o_table
 
 (* Before stepping: the structure's memoised table unless another replay
-   is on it, then the lane's state in it. *)
+   is on it, then the replay's state in it. *)
 let acquire o =
   Mutex.lock memo_mutex;
   let g =
@@ -310,10 +310,10 @@ let release o =
   o.o_table.busy <- false;
   Mutex.unlock memo_mutex
 
-(* The transition out of the lane's state under its masks, recorded.  An
-   insert that would take the memo past [memo_words] empties it first,
-   and one that would take this table past it empties the table,
-   keeping the lane's state. *)
+(* The transition out of the replay's state under its masks, recorded.
+   An insert that would take the memo past [memo_words] empties it
+   first, and one that would take this table past it empties the table,
+   keeping the replay's state. *)
 let learn g o =
   let row, key = Fast.transition o.o_recorder ~masks:o.o_masks o.o_cur.s_key in
   let words = row_words row + (Bytes.length o.o_masks / 8) + 8 in
@@ -334,7 +334,7 @@ let learn g o =
   g.words <- g.words + words;
   tr
 
-(* The lane's transition under this cycle's masks.  A hit swaps to the
+(* The replay's transition under this cycle's masks.  A hit swaps to the
    front: runs mostly repeat what they did last. *)
 let find g o =
   let out = o.o_cur.s_out in
@@ -365,10 +365,8 @@ let find g o =
    [f + 1]-th token of each output channel, after the reset token.  So
    the firing reads slot [f] of each input ring and writes slot [f + 1]
    of each output ring, and slot 0 holds the reset token: one firing
-   counter per node is all the cursor state, shared by every lane, since
-   active lanes fire the same shells at every cycle.  Cell [(c, slot, l)]
-   lives at [base c + ((slot land mask c) * L) + l], lane-inner for
-   contiguity.
+   counter per node is all the cursor state.  Slot [s] of channel [c]'s
+   ring lives at [base c + (s land mask c)].
 
    A channel with capacity [C] and [k] relay stations holds at most
    [C + 2k] tokens in flight at a cycle boundary, plus one transiently
@@ -381,22 +379,20 @@ let find g o =
 
 type plan =
   | Periodic of sched (* Plain: the memoised table *)
-  | Learnt of oracle (* Oracle: one lane over learnt transitions *)
+  | Learnt of oracle (* Oracle: transitions learnt as the run meets them *)
 
 type t = {
-  n_lanes : int;
   record_traces : bool;
-  nets : Network.t array; (* per lane *)
   n_nodes : int;
   n_chans : int;
-  instances : Process.instance array; (* [n * L + l] *)
+  instances : Process.instance array; (* per node *)
   in_base : int array;
   out_base : int array;
   plan : plan;
   mutable row : int; (* Plain: the table row the next cycle replays *)
-  masks : Bytes.t; (* per global input port: all ones, or the lane's [o_masks] *)
+  masks : Bytes.t; (* per global input port: all ones, or the [o_masks] *)
   inputs_scratch : int option array array; (* per node, reused *)
-  traces : int Token.t list array; (* [(out_port * L) + l]; newest first *)
+  traces : int Token.t list array; (* per output port; newest first *)
   count : int array; (* per node: firings so far *)
   q_val : int array;
   ip_ring : int array; (* global input port -> its ring's base *)
@@ -408,30 +404,51 @@ type t = {
   ro : Fast.roster;
 }
 
-let build ~record_traces ~capacity ~plan m nets =
-  let n_lanes = Array.length nets in
-  let net0 = nets.(0) in
-  let n_nodes = m.Fast.m_n_nodes and n_chans = m.m_n_chans in
+(* An Oracle run's recorder and stats, at reset. *)
+let learner ~capacity m net =
+  check ~capacity net;
+  let n_in = m.Fast.m_in_base.(m.m_n_nodes) in
+  let recorder = Fast.recorder ~capacity net in
+  let zeros n = Array.make (max 1 n) 0 in
+  {
+    o_key = schedule_key ~capacity net;
+    o_recorder = recorder;
+    o_table = learnt ();
+    o_cur = { s_key = Fast.state recorder; s_out = [||] };
+    o_masks = Bytes.make n_in '\000';
+    o_fired = Array.init m.m_n_nodes Fun.id;
+    fired = zeros m.m_n_nodes;
+    blocked = zeros m.m_n_nodes;
+    deliver = zeros m.m_n_chans;
+    consumed = Array.make n_in 0;
+    dropped = Array.make n_in 0;
+  }
+
+let create ?(capacity = 2) ?(record_traces = false) ~mode net =
+  if capacity < 0 then invalid_arg "Static.create: negative capacity";
+  Network.validate net;
+  let m = Fast.meta_of net in
+  let plan =
+    match mode with
+    | Shell.Plain -> Periodic (lookup ~capacity net (fun () -> sched_of ~capacity net))
+    | Shell.Oracle -> Learnt (learner ~capacity m net)
+  in
+  let n_nodes = m.m_n_nodes and n_chans = m.m_n_chans in
   let rs_base = m.m_chan_rs_base in
   let bound c = capacity + (2 * (rs_base.(c + 1) - rs_base.(c))) + 2 in
   let rec pow2 s b = if s >= b then s else pow2 (2 * s) b in
   let mask c = pow2 1 (bound c) - 1 in
   let q_base = Array.make (n_chans + 1) 0 in
   for c = 0 to n_chans - 1 do
-    q_base.(c + 1) <- q_base.(c) + ((mask c + 1) * n_lanes)
+    q_base.(c + 1) <- q_base.(c) + mask c + 1
   done;
   (* Per port, from its channel; an array's padding entry has none. *)
   let per chans f = Array.map (fun c -> if c < 0 then 0 else f c) chans in
-  let proc l n = Network.node_process nets.(l) n in
-  let instances =
-    Array.init (n_nodes * n_lanes) (fun i ->
-        (proc (i mod n_lanes) (i / n_lanes)).Process.make ())
-  in
+  let proc n = Network.node_process net n in
+  let instances = Array.init n_nodes (fun n -> (proc n).Process.make ()) in
   let t =
     {
-      n_lanes;
       record_traces;
-      nets;
       n_nodes;
       n_chans;
       instances;
@@ -446,7 +463,7 @@ let build ~record_traces ~capacity ~plan m nets =
       inputs_scratch =
         Array.init n_nodes (fun n ->
             Array.make (m.m_in_base.(n + 1) - m.m_in_base.(n)) None);
-      traces = Array.make (max 1 (m.m_out_base.(n_nodes) * n_lanes)) [];
+      traces = Array.make (max 1 m.m_out_base.(n_nodes)) [];
       count = Array.make (max 1 n_nodes) 0;
       q_val = Array.make (max 1 q_base.(n_chans)) 0;
       ip_ring = per m.m_ip_chan (Array.get q_base);
@@ -454,60 +471,19 @@ let build ~record_traces ~capacity ~plan m nets =
       op_ring = per m.m_op_chan (Array.get q_base);
       op_mask = per m.m_op_chan mask;
       op_bound = per m.m_op_chan bound;
-      op_dst = per m.m_op_chan (fun c -> fst (Network.channel_dst net0 c));
-      ro =
-        Fast.roster
-          ~quiescence:
-            (Array.make n_lanes (16 + (4 * (n_nodes + n_chans + rs_base.(n_chans)))))
-          instances;
+      op_dst = per m.m_op_chan (fun c -> fst (Network.channel_dst net c));
+      ro = Fast.roster m instances;
     }
   in
   (* Reset: slot 0 of every ring holds the channel's reset token. *)
   for c = 0 to n_chans - 1 do
-    let src_node, src_port = Network.channel_src net0 c in
-    for l = 0 to n_lanes - 1 do
-      t.q_val.(q_base.(c) + l) <- (proc l src_node).Process.reset_outputs.(src_port)
-    done
+    let src_node, src_port = Network.channel_src net c in
+    t.q_val.(q_base.(c)) <- (proc src_node).Process.reset_outputs.(src_port)
   done;
   t
 
-let create_lanes ?(record_traces = false) ~capacity nets =
-  let net0 = nets.(0) in
-  let plan = Periodic (lookup ~capacity net0 (fun () -> sched_of ~capacity net0)) in
-  build ~record_traces ~capacity ~plan (Fast.meta_of net0) nets
-
-let oracle_lane ?(record_traces = false) ~capacity net =
-  check ~capacity net;
-  let m = Fast.meta_of net in
-  let n_in = m.m_in_base.(m.m_n_nodes) in
-  let recorder = Fast.recorder ~capacity net in
-  let zeros n = Array.make (max 1 n) 0 in
-  let o =
-    {
-      o_key = schedule_key ~capacity net;
-      o_recorder = recorder;
-      o_table = learnt ();
-      o_cur = { s_key = Fast.state recorder; s_out = [||] };
-      o_masks = Bytes.make n_in '\000';
-      o_fired = Array.init m.m_n_nodes Fun.id;
-      fired = zeros m.m_n_nodes;
-      blocked = zeros m.m_n_nodes;
-      deliver = zeros m.m_n_chans;
-      consumed = Array.make n_in 0;
-      dropped = Array.make n_in 0;
-    }
-  in
-  build ~record_traces ~capacity ~plan:(Learnt o) m [| net |]
-
-let create ?(capacity = 2) ?(record_traces = false) ~mode net =
-  if capacity < 0 then invalid_arg "Static.create: negative capacity";
-  Network.validate net;
-  match mode with
-  | Shell.Plain -> create_lanes ~record_traces ~capacity [| net |]
-  | Shell.Oracle -> oracle_lane ~record_traces ~capacity net
-
-(* This cycle's row of a one-lane Oracle replay: the masks, then the
-   lane's transition under them. *)
+(* This cycle's row of an Oracle replay: the masks, then the transition
+   under them. *)
 let take t o =
   let m = o.o_masks and fired = o.o_fired in
   for i = 0 to Array.length fired - 1 do
@@ -524,9 +500,7 @@ let take t o =
   o.o_fired <- tr.t_row.tc_fired;
   tr.t_row
 
-(* One cycle for every running lane. *)
 let advance t =
-  let ll = t.n_lanes in
   let ro = t.ro in
   let tc =
     match t.plan with
@@ -545,45 +519,37 @@ let advance t =
     let op0 = Array.unsafe_get t.out_base n in
     let n_out = Array.unsafe_get t.out_base (n + 1) - op0 in
     let inputs = Array.unsafe_get t.inputs_scratch n in
-    for a = 0 to ro.n_act - 1 do
-      let l = Array.unsafe_get ro.act a in
-      (* A firing reads exactly the ports its mask requires: all of them
-         in Plain mode, and in Oracle mode those of the masks [take]
-         read this cycle, the key of the transition taken. *)
-      for p = 0 to n_in - 1 do
-        let ip = ib + p in
-        if Bytes.unsafe_get t.masks ip <> '\000' then
-          Array.unsafe_set inputs p
-            (Some
-               (Array.unsafe_get t.q_val
-                  (Array.unsafe_get t.ip_ring ip
-                  + ((f land Array.unsafe_get t.ip_mask ip) * ll)
-                  + l)))
-        else Array.unsafe_set inputs p None
-      done;
-      let inst = Array.unsafe_get t.instances ((n * ll) + l) in
-      let words = inst.Process.fire inputs in
-      (* [halted] is a pure function of process state and state only
-         advances in [fire], so probing right here keeps the sticky flag
-         as fresh as a scan of every shell each cycle. *)
-      if inst.Process.halted () then Bytes.unsafe_set ro.halt_flag l '\001';
-      for q = 0 to n_out - 1 do
-        let op = op0 + q in
-        Array.unsafe_set t.q_val
-          (Array.unsafe_get t.op_ring op
-          + (((f + 1) land Array.unsafe_get t.op_mask op) * ll)
-          + l)
-          (Array.unsafe_get words q)
-      done;
-      if t.record_traces then
-        for q = 0 to n_out - 1 do
-          let opl = ((op0 + q) * ll) + l in
-          t.traces.(opl) <- Token.Valid words.(q) :: t.traces.(opl)
-        done
+    (* A firing reads exactly the ports its mask requires: all of them
+       in Plain mode, and in Oracle mode those of the masks [take] read
+       this cycle, the key of the transition taken. *)
+    for p = 0 to n_in - 1 do
+      let ip = ib + p in
+      if Bytes.unsafe_get t.masks ip <> '\000' then
+        Array.unsafe_set inputs p
+          (Some
+             (Array.unsafe_get t.q_val
+                (Array.unsafe_get t.ip_ring ip + (f land Array.unsafe_get t.ip_mask ip))))
+      else Array.unsafe_set inputs p None
     done;
-    (* The count moves once for all lanes, then each output channel's
-       fill is checked: a consumer later in the row has not fired yet,
-       and a self-loop's count already includes this firing. *)
+    let inst = Array.unsafe_get t.instances n in
+    let words = inst.Process.fire inputs in
+    (* [halted] is a pure function of process state and state only
+       advances in [fire], so probing right here keeps the sticky flag
+       as fresh as a scan of every shell each cycle. *)
+    if inst.Process.halted () then ro.halted <- true;
+    for q = 0 to n_out - 1 do
+      let op = op0 + q in
+      Array.unsafe_set t.q_val
+        (Array.unsafe_get t.op_ring op + ((f + 1) land Array.unsafe_get t.op_mask op))
+        (Array.unsafe_get words q)
+    done;
+    if t.record_traces then
+      for q = 0 to n_out - 1 do
+        t.traces.(op0 + q) <- Token.Valid words.(q) :: t.traces.(op0 + q)
+      done;
+    (* Then each output channel's fill is checked: a consumer later in
+       the row has not fired yet, and a self-loop's count already
+       includes this firing. *)
     Array.unsafe_set t.count n (f + 1);
     for q = 0 to n_out - 1 do
       let op = op0 + q in
@@ -597,13 +563,8 @@ let advance t =
     let voids cls =
       for i = 0 to Array.length cls - 1 do
         let n = cls.(i) in
-        let op0 = t.out_base.(n) in
-        for q = 0 to t.out_base.(n + 1) - op0 - 1 do
-          for a = 0 to ro.n_act - 1 do
-            let l = ro.act.(a) in
-            let opl = ((op0 + q) * ll) + l in
-            t.traces.(opl) <- Token.Void :: t.traces.(opl)
-          done
+        for op = t.out_base.(n) to t.out_base.(n + 1) - 1 do
+          t.traces.(op) <- Token.Void :: t.traces.(op)
         done
       done
     in
@@ -611,10 +572,7 @@ let advance t =
     voids tc.tc_blocked
   end;
   ro.clock <- ro.clock + 1;
-  for a = 0 to ro.n_act - 1 do
-    let l = Array.unsafe_get ro.act a in
-    ro.quiet.(l) <- (if tc.tc_any then 0 else ro.quiet.(l) + 1)
-  done
+  ro.quiet <- (if tc.tc_any then 0 else ro.quiet + 1)
 
 (* An Oracle replay steps holding its table. *)
 let holding t f x =
@@ -630,15 +588,10 @@ let holding t f x =
       release o;
       raise e)
 
-let step t =
-  Fast.reopen t.ro;
-  holding t advance t
-
-let run_lanes t ~budgets ~cancels =
-  holding t (fun t -> Fast.run_roster t.ro advance t ~budgets ~cancels) t
+let step t = holding t advance t
 
 let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
-  (run_lanes t ~budgets:[| max_cycles |] ~cancels:[| cancel |]).(0)
+  holding t (fun t -> Fast.run_roster t.ro advance t ~budget:max_cycles ~cancel) t
 
 (* ------------------------------------------------------------------ *)
 (* Accessors: table arithmetic                                        *)
@@ -656,17 +609,15 @@ let count s cum n_ent e cycles =
     + (k * (cum.((tp * n_ent) + e) - cum.((transient * n_ent) + e)))
   end
 
-let cycles ?(lane = 0) t = Fast.lane_cycles t.ro lane
-let outcome t ~lane = t.ro.finished.(lane)
-let network ?(lane = 0) t = t.nets.(lane)
+let cycles t = t.ro.clock
 
-let delivered ?(lane = 0) t c =
+let delivered t c =
   match t.plan with
-  | Periodic s -> count s s.s_cum.cum_deliver t.n_chans c (cycles ~lane t)
+  | Periodic s -> count s s.s_cum.cum_deliver t.n_chans c (cycles t)
   | Learnt o -> o.deliver.(c)
 
-let node_stats ?(lane = 0) t n =
-  let e = cycles ~lane t in
+let node_stats t n =
+  let e = cycles t in
   let lo = t.in_base.(n) and hi = t.in_base.(n + 1) in
   let f, blocked, required_counts, dropped =
     match t.plan with
@@ -690,8 +641,7 @@ let node_stats ?(lane = 0) t n =
     dropped;
   }
 
-let output_trace ?(lane = 0) t node port =
-  List.rev t.traces.(((t.out_base.(node) + port) * t.n_lanes) + lane)
+let output_trace t node port = List.rev t.traces.(t.out_base.(node) + port)
 
 (* ------------------------------------------------------------------ *)
 (* The schedule itself                                                *)

@@ -22,22 +22,21 @@
     oracle returns, which depend on data, so no table exists up front.
     The handshake is still a finite automaton over the occupancy state
     (with pending drops) and every shell's masks, and runs revisit its
-    transitions again and again.  An Oracle replay is one lane: each
-    cycle it reads every shell's masks, and only a (state, masks) pair
-    not met yet costs a {!Fast.transition}; every other cycle is a
-    lookup plus the firings the row lists, and statistics are visit
-    counts times rows.  Transitions depend on the structure alone, so
-    replays of one structure share them, one replay at a time, in a
-    memo bounded like the schedules' (2M words) but to 16 structures.
+    transitions again and again.  Each cycle an Oracle replay reads
+    every shell's masks, and only a (state, masks) pair not met yet
+    costs a {!Fast.transition}; every other cycle is a lookup plus the
+    firings the row lists, and statistics are visit counts times rows.
+    Transitions depend on the structure alone, so replays of one
+    structure share them, one replay at a time, in a memo bounded like
+    the schedules' (2M words) but to 16 structures.
 
-    This is the library's only table-replay kernel, and {!Batch} is
-    what selects it: each group of Plain, unfaulted lanes sharing a
-    schedule runs as one many-lane replay ({!create_lanes}), and each
-    unfaulted Oracle lane as a one-lane replay ({!oracle_lane}), so
-    every batchable [fast] run spec replays.  No engine kind names the
-    replay.  A solo {!create} is a one-lane replay, used by the sweep's
-    word-rate check, the tests and the benches.  The handshake, and the lane loop
-    the replay runs in ({!Fast.roster}), live in {!Fast}.
+    This is the library's only table-replay kernel, and one replay is
+    one run.  {!Batch} is what selects it: it routes each unfaulted
+    lane here, and a lane the replay refuses ({!Unschedulable}) to
+    {!Fast}.  No engine kind names the replay.  The sweep's
+    word-rate check, the tests and the benches call {!create} directly.
+    The handshake, and the run loop the replay runs in ({!Fast.roster}),
+    live in {!Fast}.
 
     Observable behaviour (outcome, cycle count, delivered counts,
     per-shell statistics, traces) is byte-identical to {!Engine} and
@@ -50,10 +49,10 @@
     mis-simulate. *)
 
 exception Unschedulable of string
-(** Raised by {!create}, {!create_lanes}, {!oracle_lane} and {!tables}
-    when no replay can reproduce the requested configuration.  The payload names the
-    offending feature (protection, unbounded capacity, or a Plain
-    recording that found no periodic steady state). *)
+(** Raised by {!create} and {!tables} when no replay can reproduce the
+    requested configuration.  The payload names the offending feature
+    (protection, unbounded capacity, or a Plain recording that found no
+    periodic steady state). *)
 
 type t
 
@@ -65,42 +64,20 @@ val create : ?capacity:int -> ?record_traces:bool -> mode:Wp_lis.Shell.mode -> N
     @raise Invalid_argument if the network fails {!Network.validate}
     or [capacity] is negative. *)
 
-val create_lanes : ?record_traces:bool -> capacity:int -> Network.t array -> t
-(** One Plain replay over networks that agree on the topology,
-    per-channel relay-station counts and [capacity] — hence on the
-    schedule — each with its own processes.  The networks are not
-    validated here: {!Batch.create} does it.  @raise Unschedulable when
-    the recording finds no periodic steady state, [capacity < 1] or a
-    channel of the first network is link-protected. *)
-
-val oracle_lane : ?record_traces:bool -> capacity:int -> Network.t -> t
-(** A one-lane Oracle replay.  Not validated here either.
-    @raise Unschedulable when [capacity < 1] or a channel is
-    link-protected. *)
-
 val step : t -> unit
-(** Advance every lane whose state is at the current clock by one cycle,
-    by table lookup. *)
+(** Advance by one cycle, by table lookup. *)
 
 val run : ?cancel:Wp_util.Cancel.t -> ?max_cycles:int -> t -> Engine.outcome
-(** Same loop and outcomes as {!Fast.run} on a one-lane replay,
-    including the {!Engine.cancel_interval} cancellation poll.  A later
-    call with a larger budget resumes the run. *)
+(** Same loop and outcomes as {!Fast.run}, including the
+    {!Engine.cancel_interval} cancellation poll.  A later call with a
+    larger budget resumes the run. *)
 
-val run_lanes :
-  t -> budgets:int array -> cancels:Wp_util.Cancel.t array -> Engine.outcome array
-(** {!run} for every lane at once, as {!Fast.run_lanes}. *)
+(** {1 Observables} *)
 
-(** {1 Observables}
-
-    [?lane] defaults to 0, the only lane of a solo replay. *)
-
-val cycles : ?lane:int -> t -> int
-val outcome : t -> lane:int -> Engine.outcome option
-val network : ?lane:int -> t -> Network.t
-val delivered : ?lane:int -> t -> Network.channel -> int
-val node_stats : ?lane:int -> t -> Network.node -> Wp_lis.Shell.stats
-val output_trace : ?lane:int -> t -> Network.node -> int -> int Wp_lis.Token.t list
+val cycles : t -> int
+val delivered : t -> Network.channel -> int
+val node_stats : t -> Network.node -> Wp_lis.Shell.stats
+val output_trace : t -> Network.node -> int -> int Wp_lis.Token.t list
 
 (** {1 The firing table}
 

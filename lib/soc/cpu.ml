@@ -38,6 +38,8 @@ let budget ?max_cycles ?mcr_work ~perturbed (dp : Datapath.t) =
       default_max_cycles
   | None, _ -> default_max_cycles
 
+let perturbed ?protect fault = Option.is_some protect || not (Wp_sim.Fault.is_none fault)
+
 (* A run that exhausted a tight MCR bound (the slack makes it rare) is
    retried at the full budget, so outcomes stay identical to the
    unbounded configuration. *)
@@ -87,10 +89,7 @@ let run ?engine ?(capacity = 2) ?cancel ?max_cycles ?mcr_work ?fault ?protect
     result_of ~program dp out ~report:(Monitor.collect_sim sim)
       ~telemetry:(Sim.telemetry_report sim)
   in
-  let perturbed =
-    Option.is_some protect
-    || match fault with Some f -> not (Wp_sim.Fault.is_none f) | None -> false
-  in
+  let perturbed = perturbed ?protect (Option.value fault ~default:Wp_sim.Fault.none) in
   let bound = budget ?max_cycles ?mcr_work ~perturbed dp in
   let result = attempt bound in
   if retry ?max_cycles bound result then attempt default_max_cycles
@@ -103,6 +102,7 @@ type batch_item = {
   b_max_cycles : int option;
   b_mcr_work : int option;
   b_fault : Wp_sim.Fault.spec;
+  b_protect : (Datapath.connection -> Wp_sim.Network.protection option) option;
   b_cancel : Wp_util.Cancel.t;
   b_program : Program.t;
 }
@@ -116,14 +116,15 @@ let run_batch ~machine (items : batch_item array) =
        the budget and every attempt. *)
     let dps =
       Array.map
-        (fun it -> Datapath.build ~machine ~rs:it.b_rs it.b_program)
+        (fun it ->
+          Datapath.build ?protect:it.b_protect ~machine ~rs:it.b_rs it.b_program)
         items
     in
     let budgets =
       Array.mapi
         (fun i it ->
           budget ?max_cycles:it.b_max_cycles ?mcr_work:it.b_mcr_work
-            ~perturbed:(not (Wp_sim.Fault.is_none it.b_fault))
+            ~perturbed:(perturbed ?protect:it.b_protect it.b_fault)
             dps.(i))
         items
     in

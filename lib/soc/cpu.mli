@@ -64,26 +64,28 @@ val run :
 type batch_item = {
   b_mode : Wp_lis.Shell.mode;
   b_rs : Datapath.connection -> int;
-  b_capacity : int;          (** must be >= 1 (see {!Wp_sim.Batch}) *)
+  b_capacity : int;          (** 0 = unbounded, as in {!run} *)
   b_max_cycles : int option;
   b_mcr_work : int option;
   b_fault : Wp_sim.Fault.spec;
+  b_protect : (Datapath.connection -> Wp_sim.Network.protection option) option;
+      (** {!run}'s [?protect] *)
   b_cancel : Wp_util.Cancel.t;  (** {!Wp_util.Cancel.never} when unused *)
   b_program : Program.t;
 }
-(** One lane of a batched run: everything {!run} takes except protection
-    and telemetry, which the batch kernel does not support (use {!run}
-    for those specs). *)
+(** One lane of a batched run: everything {!run} takes except the
+    engine and telemetry, which {!Wp_sim.Batch} lanes do not carry (use
+    {!run} for those specs). *)
 
 val run_batch : machine:Datapath.machine -> batch_item array -> result array
-(** Run all items as lanes of one {!Wp_sim.Batch} kernel and return the
+(** Run all items as lanes of one {!Wp_sim.Batch} and return the
     results in item order.  Each result is byte-identical to the
     corresponding sequential {!run} with [engine = Fast]: per-item cycle
     budgets follow the same rules (explicit [b_max_cycles] wins; a fault
-    disables the MCR fast path; an [Out_of_cycles] at a tight MCR bound
-    is retried at the full budget — retries are themselves batched).
-    @raise Wp_sim.Batch.Unbatchable on capacity 0 or mismatched
-    topologies (programs on one machine always match). *)
+    or a protection policy disables the MCR fast path; an
+    [Out_of_cycles] at a tight MCR bound is retried at the full budget —
+    retries are themselves batched).  A process closure that raises
+    (only a destructive fault can make one) aborts the call. *)
 
 val run_golden : ?engine:Wp_sim.Sim.kind -> machine:Datapath.machine -> Program.t -> result
 (** Zero relay stations everywhere, plain wrappers: the reference system

@@ -237,8 +237,8 @@ let process_shard ~check_engines (shard : scenario array) : result array =
   in
   let primary : prim option array = Array.make n None in
   let errors : string option array = Array.make n None in
-  (* Batchable lanes ride one kernel invocation; the signature grouping
-     inside Batch.create splits heterogeneous topologies by itself. *)
+  (* Batchable scenarios ride one Batch call, whatever their
+     topologies. *)
   let batch_ids =
     List.filter
       (fun i ->

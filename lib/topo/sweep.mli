@@ -2,18 +2,17 @@
 
     A sweep expands a scenario grammar — a list of {!Topology.spec}
     families times a seed count times one {!Wp_core.Run_spec.t} — into
-    concrete scenarios, shards them across the {!Wp_util.Pool}, rides
-    the {!Wp_sim.Batch} kernel wherever {!Wp_core.Run_spec.batchable}
-    admits the spec (the topology-generic signature grouping means one
-    batch call covers a heterogeneous shard), and cross-checks engines
-    against each other:
+    concrete scenarios, shards them across the {!Wp_util.Pool}, runs a
+    shard's scenarios as {!Wp_sim.Batch} lanes wherever
+    {!Wp_core.Run_spec.batchable} admits the spec (any mix of
+    topologies), and cross-checks engines against each other:
 
     - every statically schedulable scenario (capacity >= 1, no fault,
       no protection, telemetry off) is replayed solo on
       {!Wp_sim.Static} and must agree with the primary engine on
       outcome, cycle count, block firings and delivered tokens.  A
       batchable [fast] primary already ran on the same table replay
-      inside {!Wp_sim.Batch}, so for it this pins batching, not the
+      through {!Wp_sim.Batch}, so for it this pins the routing, not the
       kernel; under [ref] it is an independent check;
     - the same replay measures block 0's steady-state throughput
       {e exactly} (integer arithmetic, one full period against the

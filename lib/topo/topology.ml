@@ -385,8 +385,6 @@ let build spec =
   Network.validate net;
   net
 
-let signature = Wp_sim.Batch.signature
-
 let mcr = Wp_sim.Static.mcr
 
 (* --------------------------------------------------------------- *)

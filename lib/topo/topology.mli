@@ -85,12 +85,6 @@ val build : spec -> Wp_sim.Network.t
     O(blocks + channels).  @raise Invalid_argument on an out-of-range
     shape (see {!shape}) or more than 100_000 blocks. *)
 
-val signature : Wp_sim.Network.t -> string
-(** Topology signature — node count, per-node port shapes, channel
-    endpoints (not RS counts, not capacity).  Two networks with equal
-    signatures can share batch-kernel lanes; this is the key
-    {!Wp_sim.Batch} groups by. *)
-
 val mcr : ?capacity:int -> Wp_sim.Network.t -> Wp_graph.Cycle_ratio.ratio
 (** {!Wp_sim.Static.mcr}: the minimum cycle ratio of the
     capacity-extended marked graph ({!Wp_sim.Static.capacity_graph}),

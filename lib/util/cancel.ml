@@ -28,8 +28,6 @@ let cancelled t =
   Atomic.get t.flag
   || (t.deadline < infinity && Unix.gettimeofday () > t.deadline)
 
-let now () = Unix.gettimeofday ()
-let cancelled_at ~now t = Atomic.get t.flag || now > t.deadline
 
 let check ?(what = "run") t =
   if cancelled t then raise (Cancelled (what ^ ": cancelled"))

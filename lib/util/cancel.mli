@@ -8,9 +8,8 @@
     worker domain on a request nobody is waiting for.
 
     Cancellation is {e cooperative}: nothing is interrupted
-    asynchronously, so kernel state is never torn mid-cycle — a lane of
-    a batched kernel can be compacted out without disturbing its
-    siblings' byte-identical results.
+    asynchronously, so kernel state is never torn mid-cycle, and a
+    cancelled run stops at a cycle boundary with the results it had.
 
     The deadline is wall-clock ([Unix.gettimeofday]) because it models a
     client-side latency budget, not simulated cycles. *)
@@ -46,13 +45,6 @@ val is_never : t -> bool
 val cancelled : t -> bool
 (** Flag set, or deadline passed.  Reads the clock only when the token
     actually carries a deadline. *)
-
-val now : unit -> float
-(** [Unix.gettimeofday], exposed so batch kernels can sample the clock
-    once per polling round and test many lanes against it. *)
-
-val cancelled_at : now:float -> t -> bool
-(** {!cancelled} against a pre-sampled clock value. *)
 
 val check : ?what:string -> t -> unit
 (** @raise Cancelled when {!cancelled}. *)

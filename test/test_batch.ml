@@ -1,12 +1,11 @@
-(* Batch kernel differential battery: every lane of a Wp_sim.Batch run
-   must be byte-identical to running the same spec alone, both on the
-   Fast kernel (the same code at one lane: this checks lane isolation)
-   and on the reference interpreter (an independent oracle) — same
-   outcome, cycle count, delivered counts, per-shell statistics, output
-   traces and fault injections.  Lanes deliberately differ in program,
-   RS configuration, FIFO capacity, shell mode and fault spec, so the
-   structure-of-arrays state of neighbouring lanes is never
-   accidentally interchangeable. *)
+(* Batch differential battery: every lane of a Wp_sim.Batch run must be
+   byte-identical to running the same spec alone, both on the Fast
+   kernel (the handshake the router falls back to) and on the reference
+   interpreter (an independent oracle) — same outcome, cycle count,
+   delivered counts, per-shell statistics, output traces and fault
+   injections.  Lanes deliberately differ in program, RS configuration,
+   FIFO capacity, shell mode and fault spec, so the router sends them to
+   both kernels. *)
 
 module Shell = Wp_lis.Shell
 module Process = Wp_lis.Process
@@ -59,18 +58,12 @@ let battery_fault seed =
 
 let mode_name = function Shell.Plain -> "plain" | Shell.Oracle -> "oracle"
 
-(* Compare one batch lane against a freshly built solo run of the
-   identical spec on [engine]. *)
-let compare_solo ~engine ~note ~seed ~ctx b ~lane ~machine ~mode ~capacity
-    ~fault program config =
+(* Compare one batch lane against a solo run of the identical spec on
+   [engine], over a freshly built network. *)
+let compare_solo ~engine ~note ~seed ~ctx b ~lane ~net ~mode ~capacity ~fault =
   let who = Sim.kind_to_string engine in
   let note fmt = Printf.ksprintf note fmt in
-  let rs = Config.to_fun config in
-  let dp = Datapath.build ~machine ~rs program in
-  let sim =
-    Sim.create ~engine ~capacity ~record_traces:true ~fault ~mode
-      dp.Datapath.network
-  in
+  let sim = Sim.create ~engine ~capacity ~record_traces:true ~fault ~mode (net ()) in
   match Sim.run ~max_cycles sim with
   | exception e -> note "seed %d: %s solo %s raised %s" seed ctx who (Printexc.to_string e)
   | solo_out ->
@@ -105,13 +98,13 @@ let compare_solo ~engine ~note ~seed ~ctx b ~lane ~machine ~mode ~capacity
           proc.Process.output_names)
       (Network.nodes net)
 
-let compare_lane ~note ~seed ~ctx b ~lane ~machine ~mode ~capacity ~fault
-    program config =
+let compare_lane ~note ~seed ~ctx b ~lane ~net ~mode ~capacity ~fault =
   List.iter
-    (fun engine ->
-      compare_solo ~engine ~note ~seed ~ctx b ~lane ~machine ~mode ~capacity
-        ~fault program config)
+    (fun engine -> compare_solo ~engine ~note ~seed ~ctx b ~lane ~net ~mode ~capacity ~fault)
     [ Sim.Fast; Sim.Reference ]
+
+let soc_net ~machine program config () =
+  (Datapath.build ~machine ~rs:(Config.to_fun config) program).Datapath.network
 
 let battery_for_machine machine =
   let failures = ref [] in
@@ -138,11 +131,10 @@ let battery_for_machine machine =
         Printf.sprintf "%s/%s" (Datapath.machine_name machine)
           (mode_name (battery_mode seed))
       in
-      compare_lane ~note ~seed ~ctx b ~lane:seed ~machine
+      compare_lane ~note ~seed ~ctx b ~lane:seed
+        ~net:(soc_net ~machine (Random_program.generate ~seed ()) (battery_config seed))
         ~mode:(battery_mode seed) ~capacity:(battery_capacity seed)
-        ~fault:(battery_fault seed)
-        (Random_program.generate ~seed ())
-        (battery_config seed))
+        ~fault:(battery_fault seed))
     seeds;
   List.rev !failures
 
@@ -161,34 +153,109 @@ let test_battery_multicycle () =
       (String.concat "\n" fs)
 
 (* ------------------------------------------------------------------ *)
-(* Rejections                                                          *)
+(* The router                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let soc_lane ?(capacity = 2) ?(machine = Datapath.Pipelined) () =
-  let program = Programs.extraction_sort ~values:(Programs.sort_values ~seed:3 ~n:6) in
-  let dp = Datapath.build ~machine ~rs:Cpu.no_relay_stations program in
+let sort6 () = Programs.extraction_sort ~values:(Programs.sort_values ~seed:3 ~n:6)
+
+let soc_lane ~machine =
+  let dp = Datapath.build ~machine ~rs:Cpu.no_relay_stations (sort6 ()) in
   {
     Batch.net = dp.Datapath.network;
     mode = Shell.Plain;
-    capacity;
+    capacity = 2;
     fault = Fault.none;
     max_cycles;
     cancel = Wp_util.Cancel.never;
   }
 
-let test_rejects_capacity_zero () =
-  match Batch.create [| soc_lane ~capacity:0 () |] with
-  | _ -> Alcotest.fail "capacity 0 accepted"
-  | exception Batch.Unbatchable _ -> ()
+(* Run [cases] (name, network builder, mode, capacity, fault) as one
+   batch: no lane is refused, every lane halts, and each equals its solo
+   Fast and Engine runs. *)
+let check_router ~seed cases =
+  let b =
+    Batch.create ~record_traces:true
+      (Array.of_list
+         (List.map
+            (fun (_, net, mode, capacity, fault) ->
+              { Batch.net = net (); mode; capacity; fault; max_cycles;
+                cancel = Wp_util.Cancel.never })
+            cases))
+  in
+  Array.iter
+    (function
+      | Wp_sim.Engine.Halted _ -> ()
+      | _ -> Alcotest.fail "a router lane did not halt")
+    (Batch.run b);
+  let failures = ref [] in
+  let note s = failures := s :: !failures in
+  List.iteri
+    (fun lane (ctx, net, mode, capacity, fault) ->
+      compare_lane ~note ~seed ~ctx b ~lane ~net ~mode ~capacity ~fault)
+    cases;
+  match List.rev !failures with
+  | [] -> ()
+  | fs -> Alcotest.failf "%d router failure(s):\n%s" (List.length fs) (String.concat "\n" fs)
 
-let test_rejects_protection () =
-  let lane = soc_lane () in
-  Network.set_protection lane.Batch.net 0
-    (Some { Network.window = 4; timeout = 16 });
-  (match Batch.create [| lane |] with
-  | _ -> Alcotest.fail "protected channel accepted"
-  | exception Batch.Unbatchable _ -> ());
-  Network.set_protection lane.Batch.net 0 None
+(* Batch used to refuse unbounded FIFOs; now the replay refuses them and
+   the router hands them to Fast.  Both machines and both shell modes,
+   with and without relay stations. *)
+let test_capacity_zero_batches () =
+  let program = sort6 () in
+  check_router ~seed:3
+    (List.concat_map
+       (fun machine ->
+         List.concat_map
+           (fun (rs, config) ->
+             List.map
+               (fun mode ->
+                 ( Printf.sprintf "capacity 0 %s/%s %s" (Datapath.machine_name machine)
+                     (mode_name mode) rs,
+                   soc_net ~machine program config, mode, 0, Fault.none ))
+               [ Shell.Plain; Shell.Oracle ])
+           [ ("no RS", Config.zero); ("battery RS", battery_config 3) ])
+       [ Datapath.Pipelined; Datapath.Multicycle ])
+
+(* Batch used to refuse a link-protected channel; now the replay refuses
+   it and the router hands it to Fast.  One protected channel, as a
+   user's --protect list makes, in both shell modes, and once under
+   jitter, which the link layer absorbs. *)
+let test_protection_batches () =
+  let program = sort6 () in
+  let protected_ () =
+    let net = soc_net ~machine:Datapath.Pipelined program (battery_config 4) () in
+    Network.set_protection net 0 (Some { Network.window = 4; timeout = 16 });
+    net
+  in
+  check_router ~seed:4
+    [
+      ("protected plain", protected_, Shell.Plain, 2, Fault.none);
+      ("protected oracle", protected_, Shell.Oracle, 2, Fault.none);
+      ("protected jitter", protected_, Shell.Plain, 2, Fault.of_string ~seed:13 "jitter:10@300");
+    ]
+
+(* One batch of every kind of lane the router sees: unfaulted Plain and
+   Oracle lanes (replays), and a faulted, a capacity-0 and a
+   link-protected lane (the last two are unfaulted, so the replay is
+   tried and refuses them).  Each lane equals its solo Fast and Engine
+   runs. *)
+let test_router_mixed_lanes () =
+  let plain = soc_net ~machine:Datapath.Pipelined (sort6 ()) (battery_config 5) in
+  let protected_ () =
+    let net = plain () in
+    List.iter
+      (fun c -> Network.set_protection net c (Some { Network.window = 4; timeout = 16 }))
+      (Network.channels net);
+    net
+  in
+  check_router ~seed:5
+    [
+      ("unfaulted plain", plain, Shell.Plain, 2, Fault.none);
+      ("unfaulted oracle", plain, Shell.Oracle, 2, Fault.none);
+      ("jitter", plain, Shell.Oracle, 2, Fault.of_string ~seed:11 "jitter:10@300");
+      ("capacity 0", plain, Shell.Plain, 0, Fault.none);
+      ("link-protected", protected_, Shell.Plain, 2, Fault.none);
+    ]
 
 (* A ring of [m] unary +1 relays, as in test_fast.ml. *)
 let ring m ~rs =
@@ -213,10 +280,8 @@ let ring_lane m ~rs =
   { Batch.net = ring m ~rs; mode = Shell.Plain; capacity = 2;
     fault = Fault.none; max_cycles = 1_000; cancel = Wp_util.Cancel.never }
 
-(* Regression for the topology-generic signature grouping: different
-   topologies in one batch used to raise Unbatchable; now each
-   signature compiles its own sub-kernel and every lane must stay
-   byte-identical to its solo Fast run. *)
+(* Different topologies in one batch: each lane has a kernel of its own
+   and must stay byte-identical to its solo Fast run. *)
 let test_mixed_topologies_batch () =
   let lanes =
     [| ring_lane 3 ~rs:1; ring_lane 4 ~rs:1; ring_lane 3 ~rs:0;
@@ -263,8 +328,7 @@ let test_mixed_topologies_batch () =
 let test_mixed_machines_batch () =
   let b =
     Batch.create
-      [| soc_lane ~machine:Datapath.Pipelined ();
-         soc_lane ~machine:Datapath.Multicycle () |]
+      [| soc_lane ~machine:Datapath.Pipelined; soc_lane ~machine:Datapath.Multicycle |]
   in
   Array.iter
     (function
@@ -310,7 +374,7 @@ let test_destructive_fault_raises_identically () =
 
 let test_run_batch_matches_run () =
   let machine = Datapath.Pipelined in
-  let mk ?max_cycles ?mcr_work ?(fault = Fault.none) ~mode ~capacity seed =
+  let mk ?max_cycles ?mcr_work ?(fault = Fault.none) ?protect ~mode ~capacity seed =
     let program = Random_program.generate ~seed () in
     let config = battery_config seed in
     ( {
@@ -320,11 +384,12 @@ let test_run_batch_matches_run () =
         b_max_cycles = max_cycles;
         b_mcr_work = mcr_work;
         b_fault = fault;
+        b_protect = protect;
         b_cancel = Wp_util.Cancel.never;
         b_program = program;
       },
       fun () ->
-        Cpu.run ~engine:Sim.Fast ~capacity ?max_cycles ?mcr_work ~fault
+        Cpu.run ~engine:Sim.Fast ~capacity ?max_cycles ?mcr_work ~fault ?protect
           ~machine ~mode ~rs:(Config.to_fun config) program )
   in
   let golden_cycles seed =
@@ -341,6 +406,15 @@ let test_run_batch_matches_run () =
       (* faulted lane: full budget path *)
       mk ~fault:(Fault.of_string ~seed:11 "jitter:10@300") ~mode:Shell.Plain
         ~capacity:2 5;
+      (* unbounded FIFOs, MCR-guided *)
+      mk ~mcr_work:(golden_cycles 6) ~mode:Shell.Plain ~capacity:0 6;
+      (* protected lane: full budget path, as for a fault; the link
+         layer freezes a jittered protected channel where a bare one
+         stops its producer *)
+      mk ~mcr_work:(golden_cycles 7)
+        ~fault:(Fault.of_string ~seed:13 "jitter:10@300")
+        ~protect:(Wp_core.Protect.to_fun (Wp_core.Protect.all ()))
+        ~mode:Shell.Oracle ~capacity:2 7;
     ]
   in
   let batch = Cpu.run_batch ~machine (Array.of_list (List.map fst items)) in
@@ -368,10 +442,7 @@ let spec_of_args ?fault ?protect ?stall_report ?capacity () =
   | Error m -> Alcotest.fail m
 
 let solo_fast ?cancel ?mcr_work (spec : Run_spec.t) ~machine ~mode ~rs program =
-  let protect =
-    if Wp_core.Protect.is_none spec.Run_spec.protect then None
-    else Some (Wp_core.Protect.to_fun spec.Run_spec.protect)
-  in
+  let protect = Run_spec.protect_fun spec in
   Cpu.run ~engine:Sim.Fast ~capacity:spec.Run_spec.capacity ?cancel
     ?max_cycles:spec.Run_spec.max_cycles ?mcr_work ~fault:spec.Run_spec.fault
     ?protect ~telemetry:spec.Run_spec.telemetry ~machine ~mode ~rs program
@@ -457,8 +528,10 @@ let test_run_cpu_battery () =
 
 let matmul2 () = Result.get_ok (Programs.of_string "matmul:2")
 
-(* Specs the batch kernel refuses still run, on the Fast kernel: Batch
-   has no telemetry, no unbounded FIFOs and no link layer. *)
+(* A Batch lane names no engine and carries no telemetry, and a
+   destructive fault could abort the lanes after it: those specs run on
+   Cpu.run.  Capacity 0 and protection ride Batch, which hands them to
+   the Fast kernel.  Either way the result is Fast's. *)
 let test_run_cpu_unbatchable () =
   let machine = Datapath.Pipelined in
   let program = matmul2 () in
@@ -467,15 +540,19 @@ let test_run_cpu_unbatchable () =
   let run spec mode = Run_spec.run_cpu ~mcr_work ~spec ~machine ~mode ~rs program in
   let telemetered = spec_of_args ~stall_report:true () in
   let unbounded = spec_of_args ~capacity:0 () in
-  let protected_ = spec_of_args ~fault:"drop:3:1" ~protect:"all" () in
+  let protected_ = spec_of_args ~protect:"all" () in
+  let protected_jitter = spec_of_args ~fault:"jitter:10" ~protect:"all" () in
+  let protected_drop = spec_of_args ~fault:"drop:3:1" ~protect:"all" () in
   List.iter
-    (fun spec ->
-      checkb (Run_spec.describe spec ^ " unbatchable") false (Run_spec.batchable spec))
+    (fun (spec, batchable) ->
+      checkb (Run_spec.describe spec ^ " batchable") batchable (Run_spec.batchable spec))
     [
-      telemetered;
-      unbounded;
-      protected_;
-      Run_spec.v ~engine:Sim.Reference ();
+      (unbounded, true);
+      (protected_, true);
+      (protected_jitter, true);
+      (telemetered, false);
+      (protected_drop, false);
+      (Run_spec.v ~engine:Sim.Reference (), false);
     ];
   List.iter
     (fun mode ->
@@ -489,7 +566,12 @@ let test_run_cpu_unbatchable () =
             (r.Cpu.outcome = Cpu.Completed && r.Cpu.result_ok);
           checkb (Printf.sprintf "%s %s = Fast" m what) true
             (r = solo_fast ~mcr_work spec ~machine ~mode ~rs program))
-        [ ("capacity 0", unbounded); ("protect all + drop", protected_) ])
+        [
+          ("capacity 0", unbounded);
+          ("protect all", protected_);
+          ("protect all + jitter", protected_jitter);
+          ("protect all + drop", protected_drop);
+        ])
     [ Shell.Plain; Shell.Oracle ]
 
 (* A destructive fault on an unprotected link derails the CU; the error
@@ -518,6 +600,7 @@ let test_run_cpu_destructive_error () =
                   b_max_cycles = None;
                   b_mcr_work = None;
                   b_fault = spec.Run_spec.fault;
+                  b_protect = None;
                   b_cancel = Wp_util.Cancel.never;
                   b_program = program;
                 };
@@ -575,7 +658,7 @@ let observe_replay ?(max_cycles = max_cycles) ~mode net =
 (* Configurations on which WP2 halts while stores still sit in relay
    stations (the early-halt defect the completion predicate is to fix):
    fib with six stations, and eight stations over random:0..24.  Until
-   that fix lands in the shared lane loop their WP2 results stay wrong,
+   that fix lands in the shared run loop their WP2 results stay wrong,
    identically on every kernel. *)
 let early_halt_cases () =
   let config s = Result.get_ok (Config.of_string s) in
@@ -616,6 +699,7 @@ let test_oracle_early_halt () =
                  b_max_cycles = None;
                  b_mcr_work = None;
                  b_fault = Fault.none;
+                 b_protect = None;
                  b_cancel = Wp_util.Cancel.never;
                  b_program = program;
                })
@@ -696,14 +780,19 @@ let () =
         ] );
       ( "rejections",
         [
-          Alcotest.test_case "capacity 0" `Quick test_rejects_capacity_zero;
-          Alcotest.test_case "protection" `Quick test_rejects_protection;
+          Alcotest.test_case "capacity 0" `Quick test_capacity_zero_batches;
+          Alcotest.test_case "protection" `Quick test_protection_batches;
           Alcotest.test_case "mixed topologies batch fine" `Quick
             test_mixed_topologies_batch;
           Alcotest.test_case "mixed machines batch fine" `Quick
             test_mixed_machines_batch;
           Alcotest.test_case "destructive fault raises identically" `Quick
             test_destructive_fault_raises_identically;
+        ] );
+      ( "router",
+        [
+          Alcotest.test_case "mixed lanes = solo Fast = Engine" `Quick
+            test_router_mixed_lanes;
         ] );
       ( "cpu",
         [

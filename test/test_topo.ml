@@ -89,7 +89,7 @@ let prop_seed_stable =
       let d1 = Topology.digest spec and d2 = Topology.digest spec in
       let n1 = Topology.build spec and n2 = Topology.build spec in
       d1 = d2
-      && Topology.signature n1 = Topology.signature n2
+      && Batch.signature n1 = Batch.signature n2
       && List.for_all
            (fun c ->
              Network.relay_stations n1 c = Network.relay_stations n2 c)
