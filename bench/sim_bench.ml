@@ -4,9 +4,9 @@
 
    Usage: dune exec bench/sim_bench.exe -- [--probe core|batch|flow]
             [--smoke] [--out FILE]
-     core  = the Table 1 sweep on the reference interpreter and the
-             compiled Fast kernel, alternating pass by pass (gate: fast
-             >= 2x reference on the median passes), a
+     core  = the Table 1 sweep's runs stepped directly on the reference
+             interpreter and on the Fast handshake, alternating pass by
+             pass (gate: fast >= 2x reference on the median passes), a
              kernel-only stall probe (gates: Fast, Static and an Oracle
              replay allocate nothing; Static is strictly faster than
              Fast), and exact static word-rate checks
@@ -19,13 +19,14 @@
 
    The core workload is the Table 1 configuration sweep (both paper
    workloads, plain and oracle wrappers, golden + Only-X + All-1 + All-2
-   rows), run through Cpu.run exactly as the table driver does.  The
-   kernel-only measurement steps a deadlocked ring — no process ever
-   fires, so every allocated word is the kernel's own. *)
+   rows), each run's datapath built once and its kernel created and run
+   directly (Engine.create / Fast.create), since Cpu.run's [fast] kind
+   routes most of these runs to the replay.  The kernel-only
+   measurement steps a deadlocked ring — no process ever fires, so
+   every allocated word is the kernel's own. *)
 
 module Datapath = Wp_soc.Datapath
 module Programs = Wp_soc.Programs
-module Cpu = Wp_soc.Cpu
 module Shell = Wp_lis.Shell
 module Process = Wp_lis.Process
 module Config = Wp_core.Config
@@ -142,22 +143,39 @@ let median a =
   let n = Array.length a in
   (a.((n - 1) / 2) +. a.(n / 2)) /. 2.0
 
-(* The sweep on the reference interpreter and on Fast, [reps] timed
-   passes each after one warm-up pass each (code paths faulted in, heap
-   steady).  The two sides alternate pass by pass, and so does which of
-   them goes first, so a slow stretch of the host weighs on both; each
-   side reports its median pass: [(reference, fast)]. *)
+(* The sweep on the reference interpreter and on the Fast handshake,
+   [reps] timed passes each after one warm-up pass each (code paths
+   faulted in, heap steady).  Each side creates its kernel directly on
+   every run's datapath network, built once up front, and steps it to
+   completion under the same budget, so both time the same work: a
+   routed [Cpu.run ~engine:Fast] would replay most of these runs and
+   leave the handshake, which still serves faults, protection,
+   telemetry and capacity 0, with no speed floor.  The two sides
+   alternate pass by pass, and so does which of them goes first, so a
+   slow stretch of the host weighs on both; each side reports its
+   median pass: [(reference, fast)]. *)
 let measure_sweep ~reps runs =
+  let budget = 2_000_000 in
+  let nets =
+    List.map
+      (fun (program, mode, config) ->
+        ( (Datapath.build ~machine:Datapath.Pipelined ~rs:(Config.to_fun config) program)
+            .Datapath.network,
+          mode ))
+      runs
+  in
   let execute engine =
     List.fold_left
-      (fun acc (program, mode, config) ->
-        let r =
-          Cpu.run ~engine ~machine:Datapath.Pipelined ~mode
-            ~rs:(Config.to_fun config) program
+      (fun acc (net, mode) ->
+        let outcome =
+          match engine with
+          | Sim.Reference -> Engine.run ~max_cycles:budget (Engine.create ~mode net)
+          | Sim.Fast -> Fast.run ~max_cycles:budget (Fast.create ~mode net)
         in
-        if r.Cpu.outcome <> Cpu.Completed then failwith "sim_bench: sweep run did not complete";
-        acc + r.Cpu.cycles)
-      0 runs
+        match outcome with
+        | Engine.Halted c -> acc + c
+        | _ -> failwith "sim_bench: sweep run did not complete")
+      0 nets
   in
   let engines = [| Sim.Reference; Sim.Fast |] in
   let cycles = Array.map execute engines in
@@ -410,7 +428,7 @@ let measure_batch_workload ?(mode = Shell.Plain) ~reps kind =
         ignore (Fast.run ~max_cycles:batch_max_cycles f))
       dps
   in
-  let run_batch () =
+  let run_lanes () =
     let b = Wp_sim.Batch.create lanes in
     ignore (Wp_sim.Batch.run b)
   in
@@ -423,15 +441,15 @@ let measure_batch_workload ?(mode = Shell.Plain) ~reps kind =
      so does which of them goes first: a slow stretch of the host weighs
      on both.  Each side is its median rep. *)
   run_seq ();
-  run_batch ();
+  run_lanes ();
   let seq_s = Array.make reps 0.0 and batch_s = Array.make reps 0.0 in
   for i = 0 to reps - 1 do
     if i mod 2 = 0 then begin
       seq_s.(i) <- time run_seq;
-      batch_s.(i) <- time run_batch
+      batch_s.(i) <- time run_lanes
     end
     else begin
-      batch_s.(i) <- time run_batch;
+      batch_s.(i) <- time run_lanes;
       seq_s.(i) <- time run_seq
     end
   done;
@@ -440,7 +458,7 @@ let measure_batch_workload ?(mode = Shell.Plain) ~reps kind =
 
 let min_oracle_speedup = 1.3
 
-let run_batch_probe ~smoke : probe_result =
+let batch_probe ~smoke : probe_result =
   let reps = if smoke then 10 else 30 in
   Printf.printf
     "batch probe (%d runs, %d reps, sequential Fast vs Batch's one-lane replays):\n%!"
@@ -616,7 +634,7 @@ let () =
     let fields, failures =
       match probe with
       | `Core -> run_core ~smoke
-      | `Batch -> run_batch_probe ~smoke
+      | `Batch -> batch_probe ~smoke
       | `Flow -> run_flow_probe ~smoke
     in
     write_json out fields;

@@ -860,12 +860,6 @@ let serve_cmd =
                    full queue is answered $(b,Busy) immediately instead of \
                    buffering without bound.")
   in
-  let shard =
-    Arg.(value & opt int 8
-         & info [ "shard" ] ~docv:"N"
-             ~doc:"Requests per batch shard handed to the worker pool (two \
-                   runs each: WP1 and WP2).")
-  in
   let batch_max =
     Arg.(value & opt int 64
          & info [ "batch-max" ] ~docv:"N"
@@ -910,14 +904,14 @@ let serve_cmd =
              ~doc:"How long an open breaker sheds matching requests before \
                    going half-open.")
   in
-  let run socket jobs no_cache cache_dir queue_bound shard batch_max
+  let run socket jobs no_cache cache_dir queue_bound batch_max
       reply_bound idle_timeout io_timeout shed_limit breaker_threshold
       breaker_cooldown =
     let runner =
       Wp_core.Runner.create ?jobs ~cache:(not no_cache) ?cache_dir ()
     in
     let svc =
-      Service.create ~queue_bound ~shard ~batch_max ~reply_bound ~idle_timeout
+      Service.create ~queue_bound ~batch_max ~reply_bound ~idle_timeout
         ~stall_timeout:io_timeout ~write_timeout:io_timeout ~shed_limit
         ~breaker_threshold ~breaker_cooldown ~runner socket
     in
@@ -937,9 +931,13 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the multi-tenant experiment daemon on a Unix socket")
+       ~doc:"Run the multi-tenant experiment daemon on a Unix socket"
+       ~man:[ `S Manpage.s_description;
+              `P "Each dispatch round answers cache hits, expires requests past their \
+                  deadline, and runs every other request as one worker-pool task with \
+                  bounded retries, on the kernel $(b,wp_cli run) would pick." ])
     Term.(const run $ socket_arg $ jobs_arg $ no_cache_arg $ cache_dir
-          $ queue_bound $ shard $ batch_max $ reply_bound $ idle_timeout
+          $ queue_bound $ batch_max $ reply_bound $ idle_timeout
           $ io_timeout $ shed_limit $ breaker_threshold $ breaker_cooldown)
 
 let client_cmd =

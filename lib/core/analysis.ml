@@ -13,25 +13,27 @@ type loop_report = {
 type utilization = node:string -> port:string -> float
 
 (* The static case-study graph: one vertex per block, one edge per
-   channel, edge id -> (connection, consumer block, consumer port). *)
+   channel, edge id -> (connection, consumer block, consumer port).
+   Built once at initialisation, not lazily: worker domains read it
+   concurrently, and a lazy value two domains force at once raises
+   [CamlinternalLazy.Undefined]. *)
 let static_graph =
-  lazy
-    (let g = Digraph.create () in
-     let vertex_of =
-       List.map (fun name -> (name, Digraph.add_vertex g ~label:name)) Datapath.block_names
-     in
-     let v name = List.assoc name vertex_of in
-     let edge_info =
-       List.map
-         (fun (conn, (src_block, src_port), (dst_block, dst_port)) ->
-           let e =
-             Digraph.add_edge g ~src:(v src_block) ~dst:(v dst_block)
-               ~label:(Printf.sprintf "%s.%s" src_block src_port)
-           in
-           (e, (conn, dst_block, dst_port)))
-         Datapath.topology
-     in
-     (g, edge_info))
+  let g = Digraph.create () in
+  let vertex_of =
+    List.map (fun name -> (name, Digraph.add_vertex g ~label:name)) Datapath.block_names
+  in
+  let v name = List.assoc name vertex_of in
+  let edge_info =
+    List.map
+      (fun (conn, (src_block, src_port), (dst_block, dst_port)) ->
+        let e =
+          Digraph.add_edge g ~src:(v src_block) ~dst:(v dst_block)
+            ~label:(Printf.sprintf "%s.%s" src_block src_port)
+        in
+        (e, (conn, dst_block, dst_port)))
+      Datapath.topology
+  in
+  (g, edge_info)
 
 let edge_connection edge_info e =
   let conn, _, _ = List.assoc e edge_info in
@@ -39,13 +41,12 @@ let edge_connection edge_info e =
 
 let static_loops =
   let loops =
-    lazy
-      (let g, edge_info = Lazy.force static_graph in
-       List.map
-         (fun cycle -> (List.length cycle, List.map (edge_connection edge_info) cycle))
-         (Cycles.elementary_cycles g))
+    let g, edge_info = static_graph in
+    List.map
+      (fun cycle -> (List.length cycle, List.map (edge_connection edge_info) cycle))
+      (Cycles.elementary_cycles g)
   in
-  fun () -> Lazy.force loops
+  fun () -> loops
 
 let wp1_bound config =
   let loops = static_loops () in
@@ -74,7 +75,7 @@ let report_of_cycle config (g, edge_info) cycle =
   }
 
 let all_loops config =
-  let g, edge_info = Lazy.force static_graph in
+  let g, edge_info = static_graph in
   let loops =
     List.map (report_of_cycle config (g, edge_info)) (Cycles.elementary_cycles g)
   in
@@ -86,7 +87,7 @@ let critical_loop config =
   | [] -> invalid_arg "Analysis.critical_loop: acyclic netlist"
 
 let wp2_estimate config ~utilization =
-  let g, edge_info = Lazy.force static_graph in
+  let g, edge_info = static_graph in
   let loop_estimate cycle =
     let m = float_of_int (List.length cycle) in
     let weighted_stations =

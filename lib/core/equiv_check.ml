@@ -22,7 +22,7 @@ type verdict = {
 (* Run one system and collect, per "BLOCK.port", the output trace (plus
    the link-layer summary when a protection policy is active).  All run
    parameters come in through one [Run_spec.t]. *)
-let traced_run_spec ~spec ~machine ~mode ~config program =
+let record_run ~spec ~machine ~mode ~config program =
   let protect =
     if Protect.is_none spec.Run_spec.protect then None
     else Some (Protect.to_fun spec.Run_spec.protect)
@@ -51,14 +51,6 @@ let traced_run_spec ~spec ~machine ~mode ~config program =
   in
   (outcome, ports, Sim.link_summary sim)
 
-let traced_run ?engine ?max_cycles ?fault ~machine ~mode ~config program =
-  let outcome, ports, _ =
-    traced_run_spec
-      ~spec:(Run_spec.v ?engine ?max_cycles ?fault ())
-      ~machine ~mode ~config program
-  in
-  (outcome, ports)
-
 let halted = function Engine.Halted _ -> true | _ -> false
 
 let check_spec ~spec ~machine ~mode ~config program =
@@ -66,7 +58,7 @@ let check_spec ~spec ~machine ~mode ~config program =
     (* The reference run is always clean and unprotected: strip the
        perturbing fields but keep the engine/budget/capacity so the two
        runs remain comparable. *)
-    traced_run_spec
+    record_run
       ~spec:
         {
           spec with
@@ -77,7 +69,7 @@ let check_spec ~spec ~machine ~mode ~config program =
       ~machine ~mode:Shell.Plain ~config:Config.zero program
   in
   let wp_outcome, wp, recovery =
-    traced_run_spec ~spec ~machine ~mode ~config program
+    record_run ~spec ~machine ~mode ~config program
   in
   let ports_checked = ref 0 and events = ref 0 in
   (* A value mismatch is pinned to the port whose tau-filtered streams
@@ -132,7 +124,7 @@ let check_spec ~spec ~machine ~mode ~config program =
 
 let check_n_equivalence_spec ~spec ~n ~machine ~mode ~config program =
   let _, golden, _ =
-    traced_run_spec
+    record_run
       ~spec:
         {
           spec with
@@ -142,7 +134,7 @@ let check_n_equivalence_spec ~spec ~n ~machine ~mode ~config program =
         }
       ~machine ~mode:Shell.Plain ~config:Config.zero program
   in
-  let _, wp, _ = traced_run_spec ~spec ~machine ~mode ~config program in
+  let _, wp, _ = record_run ~spec ~machine ~mode ~config program in
   List.for_all
     (fun (port, golden_trace) ->
       match List.assoc_opt port wp with

@@ -13,7 +13,13 @@
     duplication, corruption, spurious injection) must flip it.  To catch
     drops that leave a clean prefix and then wedge the machine, the
     verdict also demands that the WP system halts whenever the golden
-    system does. *)
+    system does.
+
+    Both runs go through {!Wp_sim.Sim.create}, so under the [fast]
+    engine the golden run and every unfaulted, unprotected,
+    uninstrumented WP run replay ({!Wp_sim.Static}), and the rest step
+    the handshake; [--engine ref] holds the verdict against the
+    reference interpreter. *)
 
 type verdict = {
   equivalent : bool;
@@ -32,19 +38,6 @@ type verdict = {
           is [equivalent = true] together with a summary showing the
           faults were absorbed ([retransmissions]/[recoveries] > 0). *)
 }
-
-val traced_run :
-  ?engine:Wp_sim.Sim.kind ->
-  ?max_cycles:int ->
-  ?fault:Wp_sim.Fault.spec ->
-  machine:Wp_soc.Datapath.machine ->
-  mode:Wp_lis.Shell.mode ->
-  config:Config.t ->
-  Wp_soc.Program.t ->
-  Wp_sim.Engine.outcome * (string * int Wp_lis.Token.t list) list
-(** Run one system with trace recording and return the outcome plus the
-    raw (unfiltered) output trace per ["BLOCK.port"].  [max_cycles]
-    defaults to 2_000_000. *)
 
 val check_spec :
   spec:Run_spec.t ->

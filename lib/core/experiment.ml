@@ -71,48 +71,27 @@ let golden ?engine ~machine (program : Program.t) =
     winner
 
 (* The one outcome check: a WP run counts only if it completed with the
-   golden architectural result.  A cancelled run fails with the message
-   its caller reports as an expiry. *)
-let check (r : Cpu.result) (program : Program.t) config =
-  let fail what =
-    Error (Printf.sprintf "%s (%s, %s)" what program.Program.name (Config.describe config))
-  in
-  match r.Cpu.outcome with
-  | Cpu.Completed when r.Cpu.result_ok -> Ok r
-  | Cpu.Completed -> fail "Experiment: wrong architectural result"
-  | Cpu.Deadlocked -> fail "Experiment: deadlock"
-  | Cpu.Out_of_cycles -> fail "Experiment: cycle budget exhausted"
-  | Cpu.Cancelled -> fail (Printf.sprintf "deadline exceeded after %d cycles" r.Cpu.cycles)
-
+   golden architectural result. *)
 let checked_run ?cancel ?mcr_work ~spec ~machine ~mode ~config program =
   let r =
     Run_spec.run_cpu ?cancel ?mcr_work ~spec ~machine ~mode
       ~rs:(Config.to_fun config) program
   in
-  match check r program config with
-  | Ok r -> r
-  | Error m when r.Cpu.outcome = Cpu.Cancelled ->
+  let fail what =
+    Printf.sprintf "%s (%s, %s)" what program.Program.name (Config.describe config)
+  in
+  match r.Cpu.outcome with
+  | Cpu.Completed when r.Cpu.result_ok -> r
+  | Cpu.Completed -> failwith (fail "Experiment: wrong architectural result")
+  | Cpu.Deadlocked -> failwith (fail "Experiment: deadlock")
+  | Cpu.Out_of_cycles -> failwith (fail "Experiment: cycle budget exhausted")
+  | Cpu.Cancelled ->
     (* An exception, not a [failwith]: cancellation is the caller's own
        doing — the {!Runner} converts it to [Expired] without burning
        retries, and nothing below may cache the partial run. *)
-    raise (Wp_util.Cancel.Cancelled m)
-  | Error m -> failwith m
-
-let record ~machine ~config ~golden:g (program : Program.t) wp1 wp2 =
-  let th_wp1 = Cpu.throughput ~golden:g wp1 in
-  let th_wp2 = Cpu.throughput ~golden:g wp2 in
-  {
-    program_name = program.Program.name;
-    machine;
-    config;
-    golden_cycles = g.Cpu.cycles;
-    wp1;
-    wp2;
-    th_wp1;
-    th_wp2;
-    gain_percent = Wp_util.Stats.percent_gain th_wp1 th_wp2;
-    wp1_bound = Analysis.wp1_bound_float config;
-  }
+    raise
+      (Wp_util.Cancel.Cancelled
+         (fail (Printf.sprintf "deadline exceeded after %d cycles" r.Cpu.cycles)))
 
 let run_spec ?cancel ~spec ~machine ~program config =
   (* An already-expired token must not burn a golden run (the memo is
@@ -139,69 +118,20 @@ let run_spec ?cancel ~spec ~machine ~program config =
     checked_run ?cancel ~mcr_work ~spec ~machine ~mode:Shell.Oracle ~config
       program
   in
-  record ~machine ~config ~golden:g program wp1 wp2
-
-
-(* Batched [run_spec]: every request contributes two lanes (WP1 plain +
-   WP2 oracle) of one [Cpu.run_batch], where each unfaulted lane replays
-   the schedule its structure's runs share.  Per-request failures
-   (deadlock, exhausted budget, wrong result) come back as [Error] in
-   place — they must not poison the other lanes — while a kernel-level
-   raise (which only a non-benign fault can cause, and
-   [Run_spec.batchable] excludes those) propagates to the caller. *)
-let run_batch_spec ?cancels ~machine
-    (requests : (Run_spec.t * Program.t * Config.t) array) =
-  let n = Array.length requests in
-  if n = 0 then [||]
-  else begin
-    Array.iter
-      (fun ((spec : Run_spec.t), _, _) ->
-        if spec.Run_spec.engine <> Wp_sim.Sim.Fast then
-          invalid_arg "Experiment.run_batch_spec: engine must be Fast")
-      requests;
-    let cancel_of i =
-      match cancels with
-      | Some cs when Array.length cs = n -> cs.(i)
-      | Some _ ->
-        invalid_arg "Experiment.run_batch_spec: cancels length mismatch"
-      | None -> (
-        match (let s, _, _ = requests.(i) in s.Run_spec.deadline_ms) with
-        | Some ms -> Wp_util.Cancel.create ~deadline_ms:ms ()
-        | None -> Wp_util.Cancel.never)
-    in
-    let lane_cancels = Array.init n cancel_of in
-    let goldens =
-      Array.map
-        (fun ((spec : Run_spec.t), program, _) ->
-          golden ~engine:spec.Run_spec.engine ~machine program)
-        requests
-    in
-    let items =
-      Array.init (2 * n) (fun k ->
-          let i = k / 2 in
-          let (spec : Run_spec.t), program, config = requests.(i) in
-          {
-            Cpu.b_mode = (if k land 1 = 0 then Shell.Plain else Shell.Oracle);
-            b_rs = Config.to_fun config;
-            b_capacity = spec.Run_spec.capacity;
-            b_max_cycles = spec.Run_spec.max_cycles;
-            b_mcr_work = Some goldens.(i).Cpu.cycles;
-            b_fault = spec.Run_spec.fault;
-            b_protect = Run_spec.protect_fun spec;
-            b_cancel = lane_cancels.(i);
-            b_program = program;
-          })
-    in
-    let lane_results = Cpu.run_batch ~machine items in
-    Array.init n (fun i ->
-        let _, program, config = requests.(i) in
-        match
-          ( check lane_results.(2 * i) program config,
-            check lane_results.((2 * i) + 1) program config )
-        with
-        | Error e, _ | _, Error e -> Error e
-        | Ok wp1, Ok wp2 -> Ok (record ~machine ~config ~golden:goldens.(i) program wp1 wp2))
-  end
+  let th_wp1 = Cpu.throughput ~golden:g wp1 in
+  let th_wp2 = Cpu.throughput ~golden:g wp2 in
+  {
+    program_name = program.Program.name;
+    machine;
+    config;
+    golden_cycles = g.Cpu.cycles;
+    wp1;
+    wp2;
+    th_wp1;
+    th_wp2;
+    gain_percent = Wp_util.Stats.percent_gain th_wp1 th_wp2;
+    wp1_bound = Analysis.wp1_bound_float config;
+  }
 
 let wp2_cycles_objective_spec ~spec ~machine ~program config =
   let g = golden ~engine:spec.Run_spec.engine ~machine program in

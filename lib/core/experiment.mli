@@ -35,7 +35,9 @@ val run_spec :
   program:Wp_soc.Program.t ->
   Config.t ->
   record
-(** Simulate WP1 and WP2 under one {!Run_spec.t}.  Unless
+(** Simulate WP1 and WP2 under one {!Run_spec.t}, each through
+    {!Run_spec.run_cpu} (so a [fast] spec replays wherever the replay
+    admits the run, as {!Wp_sim.Sim.create} routes it).  Unless
     [spec.max_cycles] overrides it, each run is capped by the MCR-guided
     bound derived from the golden cycle count ({!Wp_soc.Cpu.run}'s
     [mcr_work]).  [spec.fault] is injected into both WP runs (never the
@@ -54,24 +56,6 @@ val run_spec :
     statistic.
     @raise Wp_util.Cancel.Cancelled when the token fires mid-run; the
     partial result is discarded and never cached. *)
-
-
-val run_batch_spec :
-  ?cancels:Wp_util.Cancel.t array ->
-  machine:Wp_soc.Datapath.machine ->
-  (Run_spec.t * Wp_soc.Program.t * Config.t) array ->
-  (record, string) result array
-(** Batched {!run_spec}: all requests become lanes (WP1 + WP2 each) of
-    one {!Wp_soc.Cpu.run_batch}.  Results are in request order and each
-    record is identical to the corresponding {!run_spec}, [spec.protect]
-    included.  A request whose run deadlocks, exhausts its budget,
-    exceeds its deadline or corrupts the result comes back as [Error]
-    with {!run_spec}'s failure message, without disturbing the other
-    lanes.  [cancels] (one token per request, both of a request's lanes
-    share it) overrides each spec's own [deadline_ms]; its length must
-    equal the request count.  Specs should satisfy
-    {!Run_spec.batchable}.
-    @raise Invalid_argument if any spec's engine is not [Fast]. *)
 
 val wp2_cycles_objective_spec :
   spec:Run_spec.t ->

@@ -120,14 +120,6 @@ let of_args ?engine ?(capacity = 2) ?max_cycles ?fault ?(fault_seed = 0)
   in
   Ok { engine; capacity; max_cycles; fault; protect; telemetry; deadline_ms }
 
-let batchable t =
-  (* Batch runs each lane exactly as [Fast] runs it alone, but a lane
-     names no engine and carries no telemetry.  Destructive (non-benign)
-     faults are excluded because they may legitimately make a process
-     closure raise, identically on every kernel, and a raise in
-     [Batch.run] aborts the lanes after it. *)
-  t.engine = Sim.Fast && Fault.benign t.fault && Telemetry.is_off t.telemetry
-
 let protect_fun t =
   if Protect.is_none t.protect then None else Some (Protect.to_fun t.protect)
 
@@ -140,25 +132,6 @@ let run_cpu ?cancel ?mcr_work ~spec ~machine ~mode ~rs program =
     | None, Some ms -> Wp_util.Cancel.create ~deadline_ms:ms ()
     | None, None -> Wp_util.Cancel.never
   in
-  if batchable spec then
-    (* A one-lane batch: an unfaulted lane replays instead of stepping
-       the handshake wherever the replay admits it, with identical
-       results. *)
-    (Cpu.run_batch ~machine
-       [|
-         {
-           Cpu.b_mode = mode;
-           b_rs = rs;
-           b_capacity = spec.capacity;
-           b_max_cycles = spec.max_cycles;
-           b_mcr_work = mcr_work;
-           b_fault = spec.fault;
-           b_protect = protect_fun spec;
-           b_cancel = cancel;
-           b_program = program;
-         };
-       |]).(0)
-  else
-    Cpu.run ~engine:spec.engine ~capacity:spec.capacity ~cancel
-      ?max_cycles:spec.max_cycles ?mcr_work ~fault:spec.fault
-      ?protect:(protect_fun spec) ~telemetry:spec.telemetry ~machine ~mode ~rs program
+  Cpu.run ~engine:spec.engine ~capacity:spec.capacity ~cancel ?max_cycles:spec.max_cycles
+    ?mcr_work ~fault:spec.fault ?protect:(protect_fun spec) ~telemetry:spec.telemetry ~machine
+    ~mode ~rs program

@@ -82,21 +82,13 @@ val of_args :
 (** The single CLI parser: every subcommand maps its flags onto these
     string/int arguments.  [engine] accepts ["fast"]/["ref"] (default:
     {!Wp_sim.Sim.default_kind}); there is no ["static"], because a
-    batchable ["fast"] spec already replays its firing table wherever
-    one exists (see {!run_cpu}).  [fault] uses the {!Wp_sim.Fault}
+    ["fast"] run already replays wherever the replay admits it (see
+    {!Wp_sim.Sim.create}).  [fault] uses the {!Wp_sim.Fault}
     grammar seeded with [fault_seed]; [protect] uses the {!Protect}
     grammar with [link_window]/[link_timeout] (0 = auto) as defaults;
     [stall_report] enables telemetry counters; [trace_depth > 0]
     additionally enables the bounded event trace.  Any syntax error in
     any field comes back as [Error msg] — no exceptions, no [exit]. *)
-
-val batchable : t -> bool
-(** Whether a spec runs as a {!Wp_sim.Batch} lane: engine [Fast], a
-    benign (stall-only) fault, telemetry off — what a lane can carry,
-    and no destructive fault that could make a closure raise and abort
-    the lanes after it.  The one admission rule: {!run_cpu}, [Runner]'s
-    batched requests and [Sweep]'s shards all route on it, so a spec
-    gets the same kernel whether it runs alone or in a batch. *)
 
 val protect_fun :
   t -> (Wp_soc.Datapath.connection -> Wp_sim.Network.protection option) option
@@ -113,13 +105,10 @@ val run_cpu :
   Wp_soc.Program.t ->
   Wp_soc.Cpu.result
 (** Run one simulation under a spec, so callers above the SoC layer
-    never touch {!Wp_soc.Cpu}'s optional-argument form.  A {!batchable}
-    spec runs as a one-lane {!Wp_soc.Cpu.run_batch}: an unfaulted lane
-    replays ({!Wp_sim.Static}) where the replay admits it, and any other
-    lane steps the handshake ({!Wp_sim.Fast}).  Every other spec
-    ([ref], destructive faults, telemetry) runs on {!Wp_soc.Cpu.run},
-    which for engine [fast] is the [Fast] kernel.  For a batchable spec
-    both paths return structurally equal results.  An explicit [cancel]
+    never touch {!Wp_soc.Cpu}'s optional-argument form: one
+    {!Wp_soc.Cpu.run}, whose [fast] runs {!Wp_sim.Sim.create} routes
+    (an unfaulted spec with telemetry off replays where the replay
+    admits it, any other steps the handshake).  An explicit [cancel]
     token (e.g. the serve daemon's, stamped at request arrival so
     queueing counts against the budget) takes precedence over the spec's
     own [deadline_ms]. *)

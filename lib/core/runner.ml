@@ -353,17 +353,22 @@ let note_telemetry t (r : Experiment.record) =
     | None -> ());
     Mutex.unlock t.mutex
 
-let experiment_spec ?cancel ~spec t ~machine ~program config =
+(* [experiment_spec] under a key its caller already computed (the key
+   digests the whole program). *)
+let experiment_keyed ?cancel ~spec t ~key ~machine ~program config =
   (* A cancelled compute raises out of [lookup] before [store_winner], so
      an abandoned run never poisons the cache; a cache hit on the other
      hand is free and satisfies any deadline. *)
   let r =
-    lookup t t.records ~ns:"rec"
-      (key ~spec ~machine ~program config)
-      (fun () -> Experiment.run_spec ?cancel ~spec ~machine ~program config)
+    lookup t t.records ~ns:"rec" key (fun () ->
+        Experiment.run_spec ?cancel ~spec ~machine ~program config)
   in
   note_telemetry t r;
   r
+
+let experiment_spec ?cancel ~spec t ~machine ~program config =
+  experiment_keyed ?cancel ~spec t ~key:(key ~spec ~machine ~program config) ~machine
+    ~program config
 
 let experiments_spec ~spec t ~machine ~program configs =
   (* Warm the golden memo once before fanning out, so the first parallel
@@ -416,10 +421,11 @@ let repro_line ~spec ~machine ~(program : Program.t) config =
     | Some n -> string_of_int n
     | None -> "default")
 
-let experiment_guarded_spec ~spec ?(attempts = 3) ?(retry_seed = 0) ?cancel t
-    ~machine ~program config =
+(* [experiment_guarded_spec] under its request's key, which the first
+   attempt reuses; an escalated budget is a spec, and a key, of its own. *)
+let guarded ~spec ?(attempts = 3) ?(retry_seed = 0) ?cancel t ~key:k ~machine ~program
+    config =
   let attempts = max 1 attempts in
-  let k = key ~spec ~machine ~program config in
   let cancel_tok = Option.value cancel ~default:Wp_util.Cancel.never in
   let expired msg =
     (* A deadline is not a fault: no retry (the budget is wall-clock and
@@ -430,12 +436,14 @@ let experiment_guarded_spec ~spec ?(attempts = 3) ?(retry_seed = 0) ?cancel t
     Expired msg
   in
   let rng = Random.State.make [| retry_seed; Hashtbl.hash k |] in
-  let spec_for i =
+  let attempt i =
     (* Attempt i gets 2^(i-1) times the caller's budget: a run killed by
        a too-tight timeout converges instead of failing identically. *)
     match spec.Run_spec.max_cycles with
-    | Some m -> { spec with Run_spec.max_cycles = Some (m * (1 lsl (i - 1))) }
-    | None -> spec
+    | Some m when i > 1 ->
+      let spec = { spec with Run_spec.max_cycles = Some (m * (1 lsl (i - 1))) } in
+      experiment_spec ?cancel ~spec t ~machine ~program config
+    | Some _ | None -> experiment_keyed ?cancel ~spec t ~key:k ~machine ~program config
   in
   let rec go i last_error =
     if Wp_util.Cancel.cancelled cancel_tok then
@@ -463,9 +471,7 @@ let experiment_guarded_spec ~spec ?(attempts = 3) ?(retry_seed = 0) ?cancel t
         let jitter = Random.State.float rng base in
         try Unix.sleepf (base +. jitter) with Unix.Unix_error _ -> ()
       end;
-      match experiment_spec ?cancel ~spec:(spec_for i) t ~machine ~program
-              config
-      with
+      match attempt i with
       | r -> Completed r
       | exception Wp_util.Cancel.Cancelled msg -> expired msg
       | exception e -> go (i + 1) (Printexc.to_string e)
@@ -473,27 +479,21 @@ let experiment_guarded_spec ~spec ?(attempts = 3) ?(retry_seed = 0) ?cancel t
   in
   go 1 "not attempted"
 
-let experiments_guarded_spec ~spec ?attempts ?retry_seed t ~machine ~program
-    configs =
-  (* Warm the golden memo, but through the quarantine: a failing
-     reference run surfaces as per-task [Failed]s, not a dead sweep. *)
-  (try ignore (Experiment.golden ~engine:spec.Run_spec.engine ~machine program)
-   with _ -> ());
-  map t
-    (experiment_guarded_spec ~spec ?attempts ?retry_seed t ~machine ~program)
-    configs
+let experiment_guarded_spec ~spec ?attempts ?retry_seed ?cancel t ~machine ~program
+    config =
+  guarded ~spec ?attempts ?retry_seed ?cancel t
+    ~key:(key ~spec ~machine ~program config)
+    ~machine ~program config
 
 (* ------------------------------------------------------------------ *)
-(* Batched experiments: sharding + cache + quarantine.
+(* Request batches: cache probe, expiry, then the guarded path.
 
    The service-facing entry point.  Requests are heterogeneous (any
-   machine / program / config / spec mix); each is first probed against
-   the cache, the batchable misses are grouped by machine and handed to
-   [Experiment.run_batch_spec] in shards across the pool's domains, and
-   everything the batch path cannot serve (non-batchable specs,
-   per-request batch failures) is routed through the guarded
-   retry/quarantine machinery, so a poisoned request degrades exactly as
-   it would in a sequential sweep. *)
+   machine / program / config / spec mix).  Each is first probed against
+   the cache; a miss whose deadline has already passed is answered
+   without compute; every other miss runs through the guarded
+   retry/quarantine machinery as one pool task, so a poisoned request
+   degrades exactly as it would in a sequential sweep. *)
 (* ------------------------------------------------------------------ *)
 
 type request = {
@@ -504,133 +504,51 @@ type request = {
   req_cancel : Wp_util.Cancel.t;
 }
 
-let experiments_batch_spec ?attempts ?retry_seed ?(shard = 8) t requests =
-  let reqs = Array.of_list requests in
-  let n = Array.length reqs in
-  let keys =
-    Array.map
-      (fun r ->
-        key ~spec:r.req_spec ~machine:r.req_machine ~program:r.req_program
-          r.req_config)
-      reqs
-  in
-  let results : (outcome * bool) option array = Array.make n None in
-  (* Phase 1: answer what the cache already holds. *)
-  Array.iteri
-    (fun i _ ->
-      match probe t t.records ~ns:"rec" keys.(i) with
-      | Some record ->
-        Mutex.lock t.mutex;
-        t.cache_hits <- t.cache_hits + 1;
-        Mutex.unlock t.mutex;
-        note_telemetry t record;
-        results.(i) <- Some (Completed record, true)
-      | None -> ())
-    reqs;
-  let misses =
-    List.filter (fun i -> results.(i) = None) (List.init n Fun.id)
-  in
-  (* A request whose deadline already passed gets no compute at all: the
-     cache said no, and burning a lane (or a golden run) on it can only
-     delay its live siblings. *)
-  let dead_misses, misses =
-    List.partition
-      (fun i -> Wp_util.Cancel.cancelled reqs.(i).req_cancel)
-      misses
-  in
-  List.iter
-    (fun i ->
+(* A request after the cache probe: answered, or a miss with its key. *)
+type disposition = Answered of (outcome * bool) | Miss of request * string
+
+let experiments_batch_spec ?attempts ?retry_seed t requests =
+  (* The cache probe and the expiry check, request by request, before
+     anything is computed. *)
+  let dispose r =
+    let k = key ~spec:r.req_spec ~machine:r.req_machine ~program:r.req_program r.req_config in
+    match probe t t.records ~ns:"rec" k with
+    | Some record ->
+      Mutex.lock t.mutex;
+      t.cache_hits <- t.cache_hits + 1;
+      Mutex.unlock t.mutex;
+      note_telemetry t record;
+      Answered (Completed record, true)
+    | None when Wp_util.Cancel.cancelled r.req_cancel ->
+      (* The cache said no, and burning a run (or a golden run) on a
+         request whose deadline already passed can only delay its live
+         siblings. *)
       Mutex.lock t.mutex;
       t.expired <- t.expired + 1;
       Mutex.unlock t.mutex;
-      results.(i) <- Some (Expired "deadline exceeded before dispatch", false))
-    dead_misses;
-  let batch_misses, solo_misses =
-    List.partition (fun i -> Run_spec.batchable reqs.(i).req_spec) misses
+      Answered (Expired "deadline exceeded before dispatch", false)
+    | None -> Miss (r, k)
   in
-  let fallback i =
-    let r = reqs.(i) in
-    let cancel =
-      if Wp_util.Cancel.is_never r.req_cancel then None else Some r.req_cancel
-    in
-    let o =
-      experiment_guarded_spec ~spec:r.req_spec ?attempts ?retry_seed ?cancel t
-        ~machine:r.req_machine ~program:r.req_program r.req_config
-    in
-    results.(i) <- Some (o, false)
+  let dispositions = List.map dispose requests in
+  let computed =
+    map t
+      (fun (r, k) ->
+        let cancel =
+          if Wp_util.Cancel.is_never r.req_cancel then None else Some r.req_cancel
+        in
+        guarded ~spec:r.req_spec ?attempts ?retry_seed ?cancel t ~key:k
+          ~machine:r.req_machine ~program:r.req_program r.req_config)
+      (List.filter_map (function Miss (r, k) -> Some (r, k) | Answered _ -> None) dispositions)
   in
-  (* Phase 2: shard the batchable misses, one machine group at a time
-     ([Experiment.run_batch_spec] takes one machine). *)
-  let groups : (Datapath.machine, int list) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun i ->
-      let m = reqs.(i).req_machine in
-      let prev = Option.value (Hashtbl.find_opt groups m) ~default:[] in
-      Hashtbl.replace groups m (i :: prev))
-    batch_misses;
-  Hashtbl.iter
-    (fun machine idxs_rev ->
-      let idxs = Array.of_list (List.rev idxs_rev) in
-      (* Warm the golden memos through the quarantine: a failing
-         reference run must surface as per-request [Failed]s from the
-         fallback path, never as a dead batch. *)
-      Array.iter
-        (fun i ->
-          try
-            ignore
-              (Experiment.golden ~engine:reqs.(i).req_spec.Run_spec.engine
-                 ~machine reqs.(i).req_program)
-          with _ -> ())
-        idxs;
-      let shard_results =
-        try
-          Pool.map_shards t.pool ~shard
-            (fun chunk ->
-              try
-                Experiment.run_batch_spec ~machine
-                  ~cancels:(Array.map (fun i -> reqs.(i).req_cancel) chunk)
-                  (Array.map
-                     (fun i ->
-                       (reqs.(i).req_spec, reqs.(i).req_program,
-                        reqs.(i).req_config))
-                     chunk)
-              with e ->
-                (* A kernel-level raise poisons the whole shard; every
-                   request in it retries through the solo guarded path. *)
-                Array.map (fun _ -> Error (Printexc.to_string e)) chunk)
-            idxs
-        with e -> Array.map (fun _ -> Error (Printexc.to_string e)) idxs
-      in
-      Array.iteri
-        (fun j i ->
-          match shard_results.(j) with
-          | Ok record ->
-            Mutex.lock t.mutex;
-            t.tasks_run <- t.tasks_run + 1;
-            t.cache_misses <- t.cache_misses + 1;
-            Mutex.unlock t.mutex;
-            let winner = store t t.records ~ns:"rec" keys.(i) record in
-            note_telemetry t winner;
-            results.(i) <- Some (Completed winner, false)
-          | Error msg when Wp_util.Cancel.cancelled reqs.(i).req_cancel ->
-            (* The lane was cancelled mid-batch (its deadline passed while
-               siblings kept running): that is a final disposition, not a
-               failure to retry — keep the batch's message, which carries
-               the cycle count where the lane stopped. *)
-            Mutex.lock t.mutex;
-            t.expired <- t.expired + 1;
-            Mutex.unlock t.mutex;
-            results.(i) <- Some (Expired msg, false)
-          | Error _ ->
-            (* The batch already knows this request fails; the guarded
-               path re-runs it solo (bounded retries, escalating budget)
-               and quarantines it with a repro line if it still fails. *)
-            fallback i)
-        idxs)
-    groups;
-  List.iter fallback solo_misses;
-  Array.to_list
-    (Array.map (function Some x -> x | None -> assert false) results)
+  (* Back into request order: the misses' outcomes, in turn. *)
+  let rec merge ds cs =
+    match ds, cs with
+    | Answered a :: ds, cs -> a :: merge ds cs
+    | Miss _ :: ds, o :: cs -> (o, false) :: merge ds cs
+    | Miss _ :: _, [] -> assert false
+    | [], _ -> []
+  in
+  merge dispositions computed
 
 let timed t name f =
   let t0 = Unix.gettimeofday () in

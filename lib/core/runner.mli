@@ -83,7 +83,8 @@ val cache_enabled : t -> bool
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map on the runner's pool (counted in
-    {!stats}).  The first task exception is re-raised in the caller. *)
+    {!stats}).  The exception of the lowest-index task that raised is
+    re-raised in the caller, as in {!Wp_util.Pool.map}. *)
 
 val experiment_spec :
   ?cancel:Wp_util.Cancel.t ->
@@ -116,9 +117,9 @@ val experiments_spec :
   Experiment.record list
 (** Parallel batch of {!experiment_spec} over one program: the golden
     reference is pre-warmed once, then configurations fan out across the
-    pool.  Results are in input order.  The first task exception kills
-    the batch (see {!experiments_guarded_spec} for the quarantining
-    variant). *)
+    pool.  Results are in input order.  A task exception kills
+    the batch (map {!experiment_guarded_spec} for a quarantining
+    sweep). *)
 
 type failure = {
   failed_key : string;     (** the full cache key of the failed task *)
@@ -161,19 +162,6 @@ val experiment_guarded_spec :
     with no retries (the budget that ran out is wall-clock) and no
     quarantine. *)
 
-val experiments_guarded_spec :
-  spec:Run_spec.t ->
-  ?attempts:int ->
-  ?retry_seed:int ->
-  t ->
-  machine:Wp_soc.Datapath.machine ->
-  program:Wp_soc.Program.t ->
-  Config.t list ->
-  outcome list
-(** Parallel batch of {!experiment_guarded_spec}: one poisoned
-    experiment no longer kills the sweep — it comes back as [Failed] in
-    its input position while every other configuration completes. *)
-
 type request = {
   req_spec : Run_spec.t;
   req_machine : Wp_soc.Datapath.machine;
@@ -190,26 +178,17 @@ type request = {
 val experiments_batch_spec :
   ?attempts:int ->
   ?retry_seed:int ->
-  ?shard:int ->
   t ->
   request list ->
   (outcome * bool) list
-(** Serve a heterogeneous request batch: cache probe first (the [bool]
-    is [true] for requests answered from cache), then the
-    {!Run_spec.batchable} misses grouped by machine and run as lanes of
-    {!Experiment.run_batch_spec} calls, [shard] requests (default 8, i.e.
-    16 lanes) per pool task.  Everything else — non-batchable
-    specs, and requests the batch reports as failing — goes through
-    {!experiment_guarded_spec} with its bounded retries, so a poisoned
-    request returns [Failed] with a repro line instead of killing the
-    batch.  Computed records are stored under the same cache keys as
-    {!experiment_spec}; results are in request order.
-
-    Deadlines: a miss whose [req_cancel] is already cancelled returns
-    [Expired] without touching a lane; a lane cancelled mid-batch stops
-    (the other lanes' results stay byte-identical to a batch that never
-    contained it) and returns [Expired] with the cycle count where it
-    stopped. *)
+(** Serve a heterogeneous request batch, results in request order.
+    First every request is probed against the cache (the [bool] is
+    [true] for requests answered from cache); then a miss whose
+    [req_cancel] has already fired returns [Expired] without compute;
+    then every other miss runs through {!experiment_guarded_spec} (its
+    bounded retries, quarantine and mid-run expiry) as one task of the
+    runner's pool.  Each request's cache key is computed once.  Computed
+    records are stored under the same keys as {!experiment_spec}. *)
 
 val objective_spec :
   spec:Run_spec.t ->

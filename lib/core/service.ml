@@ -45,7 +45,6 @@ type t = {
   path : string;
   queue_bound : int;
   reply_bound : int;
-  shard : int;
   batch_max : int;
   idle_timeout : float;
   stall_timeout : float;
@@ -97,7 +96,7 @@ let drop_client t c =
   let was = Hashtbl.mem t.clients c.id in
   Hashtbl.remove t.clients c.id;
   (* The client is gone, so its work is garbage: cancel every token it
-     owns (queued and in-flight) so running lanes abandon it at the next
+     owns (queued and in-flight) so running simulations abandon it at the next
      poll instead of computing for nobody. *)
   Queue.iter (fun (_, req) -> cancel_request req) c.queue;
   Queue.clear c.queue;
@@ -405,7 +404,7 @@ let drain_round t =
 let dispatch_batch t batch =
   if batch <> [] then begin
     let outcomes =
-      Runner.experiments_batch_spec ~shard:t.shard t.runner
+      Runner.experiments_batch_spec t.runner
         (List.map (fun (_, _, req) -> req) batch)
     in
     List.iter2
@@ -464,7 +463,7 @@ let dispatch_loop t =
   in
   loop ()
 
-let create ?(queue_bound = 32) ?(shard = 8) ?(batch_max = 64) ?(paused = false)
+let create ?(queue_bound = 32) ?(batch_max = 64) ?(paused = false)
     ?(reply_bound = 128) ?(idle_timeout = 300.) ?(stall_timeout = 10.)
     ?(write_timeout = 10.) ?(shed_limit = 256) ?(breaker_threshold = 5)
     ?(breaker_cooldown = 1.0) ?(shed_seed = 0) ~runner path =
@@ -483,7 +482,6 @@ let create ?(queue_bound = 32) ?(shard = 8) ?(batch_max = 64) ?(paused = false)
       path;
       queue_bound;
       reply_bound;
-      shard;
       batch_max;
       idle_timeout;
       stall_timeout;

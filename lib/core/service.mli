@@ -22,10 +22,10 @@
     - one {b dispatcher} thread repeatedly drains a fair batch (round
       robin: at most one request per client per round, oldest clients
       first) and hands it to {!Runner.experiments_batch_spec}, which
-      serves cache hits, shards batchable misses across the pool's
-      domains as {!Wp_sim.Batch} lanes, abandons requests at
-      their deadline ([Deadline_exceeded]), and quarantines poisoned
-      requests through the guarded retry machinery.
+      serves cache hits, abandons requests at their deadline
+      ([Deadline_exceeded]), and runs every other request as one task
+      of the runner's pool through the guarded retry machinery, which
+      quarantines poisoned requests.
 
     Fault boundary:
 
@@ -55,7 +55,6 @@ type counters = {
 
 val create :
   ?queue_bound:int ->
-  ?shard:int ->
   ?batch_max:int ->
   ?paused:bool ->
   ?reply_bound:int ->
@@ -73,8 +72,7 @@ val create :
     replaced), starts the accept and dispatcher threads and returns.
 
     [queue_bound] (default 32) is the per-client pending-request cap
-    beyond which requests get [Busy]; [shard] (default 8) is forwarded
-    to {!Runner.experiments_batch_spec}; [batch_max] (default 64) caps
+    beyond which requests get [Busy]; [batch_max] (default 64) caps
     the requests drained per dispatch round.  [paused] (default false)
     starts the dispatcher idle — requests still enqueue (and overflow to
     [Busy]), nothing is simulated until {!resume}; this makes the

@@ -24,10 +24,11 @@ type report = {
   channels : channel_report list;
 }
 
-let collect_from ~net ~cycles ~node_stats ~delivered =
+let collect_sim sim =
+  let net = Sim.network sim and cycles = Sim.cycles sim in
   let node_report n =
     let proc = Network.node_process net n in
-    let stats = node_stats n in
+    let stats = Sim.node_stats sim n in
     let firings = stats.Shell.firings in
     let util p count =
       ( proc.Process.input_names.(p),
@@ -45,7 +46,7 @@ let collect_from ~net ~cycles ~node_stats ~delivered =
     }
   in
   let channel_report c =
-    let delivered = delivered c in
+    let delivered = Sim.delivered sim c in
     {
       channel_label = Network.channel_label net c;
       relay_stations = Network.relay_stations net c;
@@ -59,14 +60,6 @@ let collect_from ~net ~cycles ~node_stats ~delivered =
     nodes = List.map node_report (Network.nodes net);
     channels = List.map channel_report (Network.channels net);
   }
-
-let collect_sim sim =
-  collect_from ~net:(Sim.network sim) ~cycles:(Sim.cycles sim)
-    ~node_stats:(Sim.node_stats sim) ~delivered:(Sim.delivered sim)
-
-let collect_batch b ~lane =
-  collect_from ~net:(Batch.network b ~lane) ~cycles:(Batch.lane_cycles b ~lane)
-    ~node_stats:(Batch.node_stats b ~lane) ~delivered:(Batch.delivered b ~lane)
 
 let collect engine = collect_sim (Sim.of_engine engine)
 

@@ -27,11 +27,8 @@ type report = {
 }
 
 val collect_sim : Sim.t -> report
-(** Engine-agnostic collection; works with either kernel. *)
-
-val collect_batch : Batch.t -> lane:int -> report
-(** Per-lane collection from a batch kernel; identical to running
-    {!collect_sim} on the lane's solo {!Fast} equivalent. *)
+(** Engine-agnostic collection; works with every kernel {!Sim} routes
+    to. *)
 
 val collect : Engine.t -> report
 (** [collect e] is [collect_sim (Sim.of_engine e)]. *)

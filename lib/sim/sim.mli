@@ -1,19 +1,27 @@
-(** Engine-agnostic simulation facade.
+(** Engine-agnostic simulation facade, and the one place a run is
+    routed to a kernel.
 
-    Every experiment can run on the readable reference interpreter
-    ({!Engine}) or on the library's compiled handshake kernel ({!Fast}).
-    The two are byte-identical in observable behaviour (outcomes, cycle
-    counts, delivered tokens, shell statistics, traces), and the
-    differential test battery asserts it.  This module hides the choice
-    behind one type so callers thread a single [?engine] argument
-    instead of duplicating code paths.
+    Every experiment runs on the readable reference interpreter
+    ({!Engine}) or on a compiled kernel.  They are byte-identical in
+    observable behaviour (outcomes, cycle counts, delivered tokens,
+    shell statistics, traces), and the differential batteries assert
+    it.  This module hides the choice behind one type so callers thread
+    a single [?engine] argument instead of duplicating code paths.
 
-    There is no table-replay kind to select: a [fast] run that goes
-    through {!Batch} already replays wherever the replay admits it,
-    because {!Batch} routes every unfaulted run to {!Static}.  A [Fast]
-    simulation created here is always the handshake, so the
-    differential tests keep an independent compiled kernel to hold the
-    replay against. *)
+    A [Fast] run is routed at {!create}, by one rule:
+
+    - an unfaulted run with telemetry off replays ({!Static}: in Plain
+      mode the memoised firing table, in Oracle mode the transitions
+      runs of its structure have learnt);
+    - a run with a fault spec or telemetry, and a run the replay refuses
+      with {!Static.Unschedulable} (capacity 0, link protection, a Plain
+      recording with no periodic steady state), steps the handshake
+      ({!Fast}).
+
+    There is no table-replay kind to select, and no switch to force the
+    handshake: a test that means the handshake calls {!Fast.create}
+    directly, so the differential batteries keep an independent
+    compiled kernel to hold the replay against. *)
 
 type kind =
   | Reference  (** {!Engine}: boxed tokens, per-cycle allocation, easy to read *)
@@ -41,14 +49,18 @@ val create :
   mode:Wp_lis.Shell.mode ->
   Network.t ->
   t
-(** [engine] defaults to {!default_kind}; the remaining arguments are
-    forwarded to {!Engine.create} / {!Fast.create} unchanged.  Both
-    interpret a [fault] spec through the same {!Fault} policy code, so
+(** [engine] defaults to {!default_kind}; a [Fast] run is routed as
+    described above.  The remaining arguments are forwarded to the
+    chosen kernel's [create] unchanged (a replay takes no [fault] or
+    [telemetry], because it is only chosen without them).  Every kernel
+    interprets a [fault] spec through the same {!Fault} policy code, so
     the differential batteries stay byte-identical even under injected
-    faults. *)
+    faults.
+    @raise Invalid_argument as the chosen kernel's [create] does. *)
 
 val of_engine : Engine.t -> t
 val kind : t -> kind
+(** [Fast] for a replay as for the handshake. *)
 
 val run : ?cancel:Wp_util.Cancel.t -> ?max_cycles:int -> t -> Engine.outcome
 val cycles : t -> int
@@ -56,15 +68,17 @@ val network : t -> Network.t
 val delivered : t -> Network.channel -> int
 
 val fault_injections : t -> int
-(** Destructive fault events performed so far; 0 without a fault spec. *)
+(** Destructive fault events performed so far; 0 without a fault spec
+    (and so for a replay). *)
 
 val link_summary : t -> Link.summary option
-(** Aggregate link-layer statistics; [None] when nothing is protected. *)
+(** Aggregate link-layer statistics; [None] when nothing is protected
+    (and so for a replay). *)
 
 val telemetry_report : t -> Telemetry.report option
 (** Stall-attribution summary and optional event trace; [None] when the
-    run was created with {!Telemetry.off}.  Byte-identical across the
-    engines on the same run. *)
+    run was created with {!Telemetry.off} (and so for a replay).
+    Byte-identical across the engines on the same run. *)
 
 val node_stats : t -> Network.node -> Wp_lis.Shell.stats
 val output_trace : t -> Network.node -> int -> int Wp_lis.Token.t list

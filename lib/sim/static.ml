@@ -96,7 +96,7 @@ let sched_of ~capacity net =
 
 (* A schedule depends only on (capacity, per-channel relay stations,
    topology shape) — never on process data.  A sweep scenario replays
-   one schedule through [Batch] and again for its word check, and the
+   one schedule as its primary run and again for its word check, and the
    serve daemon replays the same machines all day, so schedules are
    memoised across calls.  The key spells out everything the recorder
    reads.  Guarded by a mutex: runner pools call in from several
@@ -203,8 +203,8 @@ let tables ~capacity net =
 (* A transition leaves its state under one mask vector: a byte per
    global input port, a copy, since [required] reuses its array.  Like a
    schedule, transitions depend only on the network's structure, never
-   on process data, so every replay of one structure — the runs of a
-   batch, batch after batch — shares them, memoised under the schedule
+   on process data, so every replay of one structure — a sweep's runs, a
+   daemon's requests — shares them, memoised under the schedule
    key.  A table is stepped on by one replay at a time ([busy], under
    the memo's mutex): a replay that finds its structure's table busy
    learns into one of its own, and counts its visits to each transition
@@ -229,7 +229,7 @@ type learnt = {
 let learnt () = { states = Hashtbl.create 16; all = []; words = 0; busy = false }
 
 (* The word budget is the schedule memo's.  The entry bound is small: a
-   table pays off while replays of its structure keep coming (a batch's
+   table pays off while replays of its structure keep coming (a sweep's
    runs, a daemon's repeated configurations), and a Table 1
    regeneration walks ~70 structures once each, where holding them all
    grew its peak RSS by ~5 MB (over a fifth) and saved little time. *)

@@ -31,10 +31,11 @@
     the schedules' (2M words) but to 16 structures.
 
     This is the library's only table-replay kernel, and one replay is
-    one run.  {!Batch} is what selects it: it routes each unfaulted
-    lane here, and a lane the replay refuses ({!Unschedulable}) to
-    {!Fast}.  No engine kind names the replay.  The sweep's
-    word-rate check, the tests and the benches call {!create} directly.
+    one run.  {!Sim.create} is what selects it: it routes each
+    unfaulted [Fast] run with telemetry off here, and a run the replay
+    refuses ({!Unschedulable}) to {!Fast}.  No engine kind names the
+    replay.  The sweep's word-rate check, the tests and the benches
+    call {!create} directly.
     The handshake, and the run loop the replay runs in ({!Fast.roster}),
     live in {!Fast}.
 

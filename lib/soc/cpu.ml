@@ -95,79 +95,6 @@ let run ?engine ?(capacity = 2) ?cancel ?max_cycles ?mcr_work ?fault ?protect
   if retry ?max_cycles bound result then attempt default_max_cycles
   else result
 
-type batch_item = {
-  b_mode : Wp_lis.Shell.mode;
-  b_rs : Datapath.connection -> int;
-  b_capacity : int;
-  b_max_cycles : int option;
-  b_mcr_work : int option;
-  b_fault : Wp_sim.Fault.spec;
-  b_protect : (Datapath.connection -> Wp_sim.Network.protection option) option;
-  b_cancel : Wp_util.Cancel.t;
-  b_program : Program.t;
-}
-
-let run_batch ~machine (items : batch_item array) =
-  let module Batch = Wp_sim.Batch in
-  let n = Array.length items in
-  if n = 0 then [||]
-  else begin
-    (* As in [run], each lane's datapath is built once and serves both
-       the budget and every attempt. *)
-    let dps =
-      Array.map
-        (fun it ->
-          Datapath.build ?protect:it.b_protect ~machine ~rs:it.b_rs it.b_program)
-        items
-    in
-    let budgets =
-      Array.mapi
-        (fun i it ->
-          budget ?max_cycles:it.b_max_cycles ?mcr_work:it.b_mcr_work
-            ~perturbed:(perturbed ?protect:it.b_protect it.b_fault)
-            dps.(i))
-        items
-    in
-    let attempt idxs bounds =
-      let lanes =
-        Array.mapi
-          (fun j i ->
-            {
-              Batch.net = dps.(i).Datapath.network;
-              mode = items.(i).b_mode;
-              capacity = items.(i).b_capacity;
-              fault = items.(i).b_fault;
-              max_cycles = bounds.(j);
-              cancel = items.(i).b_cancel;
-            })
-          idxs
-      in
-      let b = Batch.create lanes in
-      let outs = Batch.run b in
-      Array.mapi
-        (fun j i ->
-          result_of ~program:items.(i).b_program dps.(i) outs.(j)
-            ~report:(Monitor.collect_batch b ~lane:j) ~telemetry:None)
-        idxs
-    in
-    let all = Array.init n Fun.id in
-    let results = attempt all budgets in
-    let again =
-      Array.of_list
-        (List.filter
-           (fun i ->
-             retry ?max_cycles:items.(i).b_max_cycles budgets.(i) results.(i))
-           (Array.to_list all))
-    in
-    if Array.length again > 0 then begin
-      let fresh =
-        attempt again (Array.map (fun _ -> default_max_cycles) again)
-      in
-      Array.iteri (fun j i -> results.(i) <- fresh.(j)) again
-    end;
-    results
-  end
-
 let run_golden ?engine ~machine program =
   run ?engine ~machine ~mode:Wp_lis.Shell.Plain ~rs:no_relay_stations program
 

@@ -38,8 +38,11 @@ val run :
   rs:(Datapath.connection -> int) ->
   Program.t ->
   result
-(** [engine] selects the simulation kernel (default
-    {!Wp_sim.Sim.default_kind}, i.e. the compiled [Fast] engine);
+(** The one SoC run path.  [engine] selects the simulation kernel
+    (default {!Wp_sim.Sim.default_kind}); a [Fast] run is routed by
+    {!Wp_sim.Sim.create}: an unfaulted, uninstrumented run replays
+    ({!Wp_sim.Static}) where the replay admits it, and any other run
+    steps the handshake ({!Wp_sim.Fast}), with identical results.
     [capacity] is the shell FIFO bound (default 2); [max_cycles]
     defaults to 2_000_000.  When [max_cycles] is absent and [mcr_work]
     is given (typically the golden run's cycle count), the run is first
@@ -60,32 +63,6 @@ val run :
     Callers above the SoC layer should prefer the spec-driven
     [Wp_core.Run_spec.run_cpu], which carries all of these knobs in one
     record with a single cache digest. *)
-
-type batch_item = {
-  b_mode : Wp_lis.Shell.mode;
-  b_rs : Datapath.connection -> int;
-  b_capacity : int;          (** 0 = unbounded, as in {!run} *)
-  b_max_cycles : int option;
-  b_mcr_work : int option;
-  b_fault : Wp_sim.Fault.spec;
-  b_protect : (Datapath.connection -> Wp_sim.Network.protection option) option;
-      (** {!run}'s [?protect] *)
-  b_cancel : Wp_util.Cancel.t;  (** {!Wp_util.Cancel.never} when unused *)
-  b_program : Program.t;
-}
-(** One lane of a batched run: everything {!run} takes except the
-    engine and telemetry, which {!Wp_sim.Batch} lanes do not carry (use
-    {!run} for those specs). *)
-
-val run_batch : machine:Datapath.machine -> batch_item array -> result array
-(** Run all items as lanes of one {!Wp_sim.Batch} and return the
-    results in item order.  Each result is byte-identical to the
-    corresponding sequential {!run} with [engine = Fast]: per-item cycle
-    budgets follow the same rules (explicit [b_max_cycles] wins; a fault
-    or a protection policy disables the MCR fast path; an
-    [Out_of_cycles] at a tight MCR bound is retried at the full budget —
-    retries are themselves batched).  A process closure that raises
-    (only a destructive fault can make one) aborts the call. *)
 
 val run_golden : ?engine:Wp_sim.Sim.kind -> machine:Datapath.machine -> Program.t -> result
 (** Zero relay stations everywhere, plain wrappers: the reference system

@@ -1,7 +1,6 @@
 module Sim = Wp_sim.Sim
 module Static = Wp_sim.Static
 module Engine = Wp_sim.Engine
-module Batch = Wp_sim.Batch
 module Network = Wp_sim.Network
 module Fault = Wp_sim.Fault
 module Telemetry = Wp_sim.Telemetry
@@ -171,8 +170,8 @@ let run_solo ~engine sc net =
    count ({!word_rate_ok} also holds the word's rate against the MCR
    bound).  Both checkpoints are table arithmetic, read from the word
    without stepping past the budget: between them block 0 fires as the
-   word's first cycles say, for as many cycles as the lane ran there.  A
-   lane still running at the budget would run on through both: generated
+   word's first cycles say, for as many cycles as the replay ran there.  A
+   replay still running at the budget would run on through both: generated
    blocks never halt, and a schedule that fires at all never idles for a
    quiescence window.  Returns the view and [(rate, sustained)]. *)
 let replay_check sc net =
@@ -220,146 +219,71 @@ let check_ref sc net =
   Network.node_count net <= 128 && sc.topo.Topology.seed mod 4 = 0
 
 (* --------------------------------------------------------------- *)
-(* Shard execution                                                  *)
+(* One scenario                                                     *)
 (* --------------------------------------------------------------- *)
 
-let process_shard ~check_engines (shard : scenario array) : result array =
-  let n = Array.length shard in
-  let ctx =
-    Array.map
-      (fun sc ->
-        match Topology.build sc.topo with
-        | net ->
-          apply_protection sc.spec net;
-          Ok (sc, net)
-        | exception e -> Error (Printexc.to_string e))
-      shard
-  in
-  let primary : prim option array = Array.make n None in
-  let errors : string option array = Array.make n None in
-  (* Batchable scenarios ride one Batch call, whatever their
-     topologies. *)
-  let batch_ids =
-    List.filter
-      (fun i ->
-        match ctx.(i) with
-        | Ok (sc, _) -> Run_spec.batchable sc.spec
-        | Error _ -> false)
-      (List.init n Fun.id)
-  in
-  (match batch_ids with
-  | [] -> ()
-  | ids -> (
-    let lane_of i =
-      match ctx.(i) with
-      | Ok (sc, net) ->
-        {
-          Batch.net;
-          mode = Shell.Plain;
-          capacity = sc.spec.Run_spec.capacity;
-          fault = sc.spec.Run_spec.fault;
-          max_cycles = budget sc.spec;
-          cancel = Wp_util.Cancel.never;
-        }
-      | Error _ -> assert false
-    in
-    match
-      let lanes = Array.of_list (List.map lane_of ids) in
-      let b = Batch.create lanes in
-      ignore (Batch.run b);
-      b
-    with
-    | b ->
-      List.iteri
-        (fun lane i ->
-          match ctx.(i) with
-          | Ok (_, net) ->
-            let p_view =
-              view net ~outcome:(Option.get (Batch.outcome b ~lane))
-                ~cycles:(Batch.lane_cycles b ~lane) ~stats:(Batch.node_stats b ~lane)
-                ~delivered:(Batch.delivered b ~lane)
-            in
-            primary.(i) <- Some { p_view; p_tele = None }
-          | Error _ -> ())
-        ids
-    | exception _ -> () (* fall through to the solo path below *)))
-  ;
-  (* Solo paths: non-batchable specs, and any batch fallout. *)
-  Array.iteri
-    (fun i c ->
-      match (c, primary.(i)) with
-      | Error e, _ -> errors.(i) <- Some e
-      | Ok _, Some _ -> ()
-      | Ok (sc, net), None -> (
-        match run_solo ~engine:sc.spec.Run_spec.engine sc net with
-        | p -> primary.(i) <- Some p
-        | exception e -> errors.(i) <- Some (Printexc.to_string e)))
-    ctx;
-  (* Cross-engine checks. *)
-  Array.mapi
-    (fun i sc ->
-      match (ctx.(i), primary.(i), errors.(i)) with
-      | Error _, _, _ | Ok _, None, _ ->
-        let e = match errors.(i) with Some e -> e | None -> "no result" in
-        {
-          r_scenario = sc;
-          r_blocks = 0;
-          r_channels = 0;
-          r_outcome = Engine.Deadlocked 0;
-          r_cycles = 0;
-          r_firings = 0;
-          r_bound = Cycle_ratio.make_ratio 0 1;
-          r_word_rate = None;
-          r_word_ok = None;
-          r_disagreements = [];
-          r_telemetry = None;
-          r_error = Some e;
-        }
-      | Ok (_, net), Some p, _ ->
-        let bound = Topology.mcr ~capacity:sc.spec.Run_spec.capacity net in
-        let disagreements = ref [] in
-        let err = ref None in
-        let word = ref None in
-        if check_engines then begin
-          (if schedulable sc.spec then
-             match replay_check sc net with
-             | v, w ->
-               disagreements := compare_views ~who:"static" p.p_view v;
-               word := Some w
-             | exception e ->
-               err := Some (Printf.sprintf "static check: %s" (Printexc.to_string e)));
-          if sc.spec.Run_spec.engine <> Sim.Reference && check_ref sc net then
-            match run_solo ~engine:Sim.Reference sc net with
-            | q ->
-              disagreements :=
-                !disagreements @ compare_views ~who:"ref" p.p_view q.p_view
-            | exception e ->
-              err := Some (Printf.sprintf "ref check: %s" (Printexc.to_string e))
-        end;
-        {
-          r_scenario = sc;
-          r_blocks = Network.node_count net;
-          r_channels = Network.channel_count net;
-          r_outcome = p.p_view.v_outcome;
-          r_cycles = p.p_view.v_cycles;
-          r_firings = p.p_view.v_firings.(0);
-          r_bound = bound;
-          r_word_rate = Option.map fst !word;
-          r_word_ok =
-            Option.map (fun (rate, sustained) -> word_rate_ok ~bound ~rate ~sustained) !word;
-          r_disagreements = !disagreements;
-          r_telemetry = p.p_tele;
-          r_error = !err;
-        })
-    shard
+let failed sc e =
+  {
+    r_scenario = sc;
+    r_blocks = 0;
+    r_channels = 0;
+    r_outcome = Engine.Deadlocked 0;
+    r_cycles = 0;
+    r_firings = 0;
+    r_bound = Cycle_ratio.make_ratio 0 1;
+    r_word_rate = None;
+    r_word_ok = None;
+    r_disagreements = [];
+    r_telemetry = None;
+    r_error = Some e;
+  }
+
+let run_scenario ~check_engines sc =
+  match
+    let net = Topology.build sc.topo in
+    apply_protection sc.spec net;
+    (net, run_solo ~engine:sc.spec.Run_spec.engine sc net)
+  with
+  | exception e -> failed sc (Printexc.to_string e)
+  | net, p ->
+    let bound = Topology.mcr ~capacity:sc.spec.Run_spec.capacity net in
+    let disagreements = ref [] in
+    let err = ref None in
+    let word = ref None in
+    if check_engines then begin
+      (if schedulable sc.spec then
+         match replay_check sc net with
+         | v, w ->
+           disagreements := compare_views ~who:"static" p.p_view v;
+           word := Some w
+         | exception e ->
+           err := Some (Printf.sprintf "static check: %s" (Printexc.to_string e)));
+      if sc.spec.Run_spec.engine <> Sim.Reference && check_ref sc net then
+        match run_solo ~engine:Sim.Reference sc net with
+        | q ->
+          disagreements :=
+            !disagreements @ compare_views ~who:"ref" p.p_view q.p_view
+        | exception e ->
+          err := Some (Printf.sprintf "ref check: %s" (Printexc.to_string e))
+    end;
+    {
+      r_scenario = sc;
+      r_blocks = Network.node_count net;
+      r_channels = Network.channel_count net;
+      r_outcome = p.p_view.v_outcome;
+      r_cycles = p.p_view.v_cycles;
+      r_firings = p.p_view.v_firings.(0);
+      r_bound = bound;
+      r_word_rate = Option.map fst !word;
+      r_word_ok =
+        Option.map (fun (rate, sustained) -> word_rate_ok ~bound ~rate ~sustained) !word;
+      r_disagreements = !disagreements;
+      r_telemetry = p.p_tele;
+      r_error = !err;
+    }
 
 let run ?jobs ?(check_engines = true) scenarios =
-  let arr = Array.of_list scenarios in
-  let out =
-    Pool.with_pool ?jobs (fun pool ->
-        Pool.map_shards pool ~shard:8 (process_shard ~check_engines) arr)
-  in
-  Array.to_list out
+  Pool.with_pool ?jobs (fun pool -> Pool.map pool (run_scenario ~check_engines) scenarios)
 
 let ok r =
   r.r_error = None && r.r_disagreements = [] && r.r_word_ok <> Some false

@@ -2,18 +2,18 @@
 
     A sweep expands a scenario grammar — a list of {!Topology.spec}
     families times a seed count times one {!Wp_core.Run_spec.t} — into
-    concrete scenarios, shards them across the {!Wp_util.Pool}, runs a
-    shard's scenarios as {!Wp_sim.Batch} lanes wherever
-    {!Wp_core.Run_spec.batchable} admits the spec (any mix of
-    topologies), and cross-checks engines against each other:
+    concrete scenarios, runs each as one {!Wp_util.Pool} task on the
+    {!Wp_sim.Sim} its spec names (a [fast] scenario routed as
+    {!Wp_sim.Sim.create} says), and cross-checks engines against each
+    other:
 
     - every statically schedulable scenario (capacity >= 1, no fault,
       no protection, telemetry off) is replayed solo on
       {!Wp_sim.Static} and must agree with the primary engine on
       outcome, cycle count, block firings and delivered tokens.  A
-      batchable [fast] primary already ran on the same table replay
-      through {!Wp_sim.Batch}, so for it this pins the routing, not the
-      kernel; under [ref] it is an independent check;
+      [fast] primary of such a scenario already ran on the same table
+      replay, so for it this pins the routing, not the kernel; under
+      [ref] it is an independent check;
     - the same replay measures block 0's steady-state throughput
       {e exactly} (integer arithmetic, one full period against the
       next) against the balanced firing word's rate, and that rate
@@ -61,7 +61,8 @@ val expand :
     when [seeds < 1]. *)
 
 val run : ?jobs:int -> ?check_engines:bool -> scenario list -> result list
-(** Execute the sweep, [shard]-wise parallel, results in input order.
+(** Execute the sweep, one scenario per pool task, results in input
+    order.
     [check_engines] (default [true]) enables the replay / reference
     cross-checks and the word-rate check; the primary engine comes from
     each scenario's spec.

@@ -151,7 +151,7 @@ let mix h q = (h + ((q + 1) * 0x9e3779b9)) * gold land mask48
 
 (* A synthetic IP block: each firing folds all consumed words with the
    block id and emits one mixed word per output port.  Stateless, so
-   every engine (and every batch lane) reconstructs identical data.
+   every engine (and every replay) reconstructs identical data.
    [fire] runs once per firing on every engine, so it is written as a
    plain loop with literal result arrays for the common fan-outs. *)
 let block_process ~id ~n_in ~n_out =

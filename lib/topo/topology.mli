@@ -4,7 +4,7 @@
     10-link processor.  This generator produces whole families of
     latency-insensitive netlists — rings, meshes, tori and random
     DAG-with-feedback graphs from a handful up to ~10k blocks — so the
-    static scheduler, the batch kernel and the differential batteries
+    static scheduler, the table replay and the differential batteries
     can be stressed at sizes where the marked-graph theory actually
     bites.
 

@@ -83,7 +83,7 @@ let with_pool ?jobs f =
 
 (* Run one batch of [n] indexed tasks and wait for all of them.  [run i]
    must handle its own exceptions (the wrappers below capture them). *)
-let run_batch t n run =
+let run_tasks t n run =
   let remaining = ref n in
   let wrapped i () =
     run i;
@@ -121,18 +121,22 @@ let iteri t f xs =
   | _ when t.jobs <= 1 -> List.iteri f xs
   | _ ->
     let arr = Array.of_list xs in
+    (* The lowest failing index wins, whichever task failed first, so
+       the error a caller sees does not depend on the job count. *)
     let error = ref None in
     let run i =
       try f i arr.(i)
       with e ->
         let bt = Printexc.get_raw_backtrace () in
         Mutex.lock t.mutex;
-        if !error = None then error := Some (e, bt);
+        (match !error with
+        | Some (j, _, _) when j < i -> ()
+        | Some _ | None -> error := Some (i, e, bt));
         Mutex.unlock t.mutex
     in
-    run_batch t (Array.length arr) run;
+    run_tasks t (Array.length arr) run;
     (match !error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ())
 
 let map t f xs =
@@ -145,25 +149,3 @@ let map t f xs =
     iteri t (fun i x -> results.(i) <- Some (f x)) xs;
     Array.to_list
       (Array.map (function Some y -> y | None -> assert false) results)
-
-let map_shards t ~shard f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let shard = max 1 shard in
-    let n_chunks = (n + shard - 1) / shard in
-    let chunk i =
-      let off = i * shard in
-      Array.sub xs off (min shard (n - off))
-    in
-    let mapped =
-      map t
-        (fun c ->
-          let r = f c in
-          if Array.length r <> Array.length c then
-            invalid_arg "Pool.map_shards: chunk result length mismatch";
-          r)
-        (List.init n_chunks chunk)
-    in
-    Array.concat mapped
-  end

@@ -15,9 +15,10 @@
       output list order equals the input order no matter which worker ran
       which task.  For pure task functions the result is byte-identical to
       the sequential run.
-    - Exceptions: the first exception raised by any task is re-raised
-      (with its backtrace) in the caller once the batch has drained; the
-      pool itself stays usable. *)
+    - Exceptions: once the batch has drained, the exception of the
+      lowest-index task that raised is re-raised (with its backtrace) in
+      the caller, whichever task failed first, so the error does not
+      depend on the job count; the pool itself stays usable. *)
 
 type t
 
@@ -47,11 +48,3 @@ val shutdown : t -> unit
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run, and always [shutdown]. *)
-
-val map_shards : t -> shard:int -> ('a array -> 'b array) -> 'a array -> 'b array
-(** [map_shards t ~shard f xs] splits [xs] into contiguous chunks of at
-    most [shard] elements, maps each chunk with [f] as one pool task, and
-    concatenates the results in input order.  [f] must return an array of
-    the same length as its chunk (checked).  Used to hand a batch kernel
-    a few lanes per domain instead of one task per element.  Same
-    scheduling and exception contract as {!map}. *)

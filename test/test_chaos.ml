@@ -339,41 +339,51 @@ let test_concurrent_cache_writers () =
 (* ------------------------------------------------------------------ *)
 
 let test_cancelled_lane_battery () =
-  (* 50 seeds: a batch with one pre-cancelled lane in the middle must
-     produce byte-identical sibling records to the batch that never
-     contained it — compaction may not shift, reorder or re-seed
-     anything. *)
+  (* 50 seeds: a request batch with one pre-cancelled request in the
+     middle must come back [Expired] there and produce byte-identical
+     sibling records to the batch that never contained it — the
+     cancelled request may not shift, reorder or re-seed anything. *)
   let spec = Run_spec.v ~engine:Wp_sim.Sim.Fast () in
   let cfg = config "CU-AL=1" in
-  for seed = 0 to 49 do
-    let a = program (Printf.sprintf "random:%d" (3 * seed)) in
-    let b = program (Printf.sprintf "random:%d" ((3 * seed) + 1)) in
-    let c = program (Printf.sprintf "random:%d" ((3 * seed) + 2)) in
-    let tok = Cancel.create () in
-    Cancel.cancel tok;
-    let with_cancelled =
-      Experiment.run_batch_spec
-        ~cancels:[| Cancel.never; tok; Cancel.never |]
-        ~machine
-        [| (spec, a, cfg); (spec, b, cfg); (spec, c, cfg) |]
-    in
-    let baseline =
-      Experiment.run_batch_spec ~machine [| (spec, a, cfg); (spec, c, cfg) |]
-    in
-    (match with_cancelled.(1) with
-    | Error msg -> checkb "cancelled lane reports expiry" true (msg <> "")
-    | Ok _ -> Alcotest.failf "seed %d: cancelled lane completed" seed);
-    let fp = function
-      | Ok r -> record_fingerprint r
-      | Error e -> Alcotest.failf "seed %d: sibling failed: %s" seed e
-    in
-    Alcotest.(check string)
-      (Printf.sprintf "seed %d: left sibling byte-identical" seed)
-      (fp baseline.(0)) (fp with_cancelled.(0));
-    Alcotest.(check string)
-      (Printf.sprintf "seed %d: right sibling byte-identical" seed)
-      (fp baseline.(1)) (fp with_cancelled.(2))
-  done
+  let runner = Runner.create ~jobs:2 ~cache:false () in
+  Fun.protect ~finally:(fun () -> Runner.shutdown runner) (fun () ->
+      for seed = 0 to 49 do
+        let request ?(cancel = Cancel.never) k =
+          {
+            Runner.req_spec = spec;
+            req_machine = machine;
+            req_program = program (Printf.sprintf "random:%d" ((3 * seed) + k));
+            req_config = cfg;
+            req_cancel = cancel;
+          }
+        in
+        let tok = Cancel.create () in
+        Cancel.cancel tok;
+        let with_cancelled =
+          Runner.experiments_batch_spec runner
+            [ request 0; request ~cancel:tok 1; request 2 ]
+        in
+        let baseline = Runner.experiments_batch_spec runner [ request 0; request 2 ] in
+        let fp = function
+          | Runner.Completed r, _ -> record_fingerprint r
+          | (Runner.Failed _ | Runner.Expired _), _ ->
+            Alcotest.failf "seed %d: a sibling did not complete" seed
+        in
+        match (with_cancelled, baseline) with
+        | [ left; (cancelled, from_cache); right ], [ left0; right0 ] ->
+          (match cancelled with
+          | Runner.Expired msg -> checkb "cancelled request reports expiry" true (msg <> "")
+          | Runner.Completed _ | Runner.Failed _ ->
+            Alcotest.failf "seed %d: cancelled request did not expire" seed);
+          checkb "expired request not from cache" false from_cache;
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d: left sibling byte-identical" seed)
+            (fp left0) (fp left);
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d: right sibling byte-identical" seed)
+            (fp right0) (fp right)
+        | _ -> Alcotest.failf "seed %d: one outcome per request" seed
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* File-descriptor hygiene                                            *)

@@ -12,8 +12,6 @@ module Network = Wp_sim.Network
 module Engine = Wp_sim.Engine
 module Fast = Wp_sim.Fast
 module Static = Wp_sim.Static
-module Batch = Wp_sim.Batch
-module Fault = Wp_sim.Fault
 module Sim = Wp_sim.Sim
 module Monitor = Wp_sim.Monitor
 
@@ -244,7 +242,7 @@ let test_oracle_drop_accounting () =
 
 let test_halting_all_kernels () =
   (* A source halted at reset ([limit = 0]) and one that halts after 50
-     firings, on Reference, Fast, Static and a 1-lane Batch.  The
+     firings, on Reference, Fast, Static and a routed Sim.  The
      compiled kernels keep a sticky halt flag that is seeded from the
      fresh instances and then probed right after each firing; the reset
      case pins the seeding. *)
@@ -256,38 +254,26 @@ let test_halting_all_kernels () =
       let e = Engine.create ~capacity:2 ~mode:Shell.Plain net in
       let f = Fast.create ~capacity:2 ~mode:Shell.Plain net in
       let s = Static.create ~capacity:2 ~mode:Shell.Plain net in
-      let b =
-        Batch.create
-          [|
-            {
-              Batch.net;
-              mode = Shell.Plain;
-              capacity = 2;
-              fault = Fault.none;
-              max_cycles;
-              cancel = Wp_util.Cancel.never;
-            };
-          |]
-      in
+      let r = Sim.create ~engine:Sim.Fast ~capacity:2 ~mode:Shell.Plain net in
       let outcomes =
         [
           Engine.run ~max_cycles e;
           Fast.run ~max_cycles f;
           Static.run ~max_cycles s;
-          (Batch.run b).(0);
+          Sim.run ~max_cycles r;
         ]
       in
       let expected = Engine.Halted (if limit = 0 then 0 else Engine.cycles e) in
       List.iter (fun o -> checkb (case ^ ": halted, same cycle") true (o = expected)) outcomes;
       List.iter
         (fun c -> checki (case ^ ": cycle count") (Engine.cycles e) c)
-        [ Fast.cycles f; Static.cycles s; Batch.lane_cycles b ~lane:0 ];
+        [ Fast.cycles f; Static.cycles s; Sim.cycles r ];
       List.iter
         (fun n ->
           let se = Shell.stats (Engine.shell e n) in
           checkb (case ^ ": Fast stats") true (se = Fast.node_stats f n);
           checkb (case ^ ": Static stats") true (se = Static.node_stats s n);
-          checkb (case ^ ": Batch stats") true (se = Batch.node_stats b ~lane:0 n))
+          checkb (case ^ ": routed Sim stats") true (se = Sim.node_stats r n))
         (Network.nodes net);
       checki (case ^ ": source firings") limit (Shell.stats (Engine.shell e 0)).Shell.firings)
     [ (0, 0); (0, 2); (50, 0); (50, 2) ]

@@ -78,6 +78,27 @@ let test_pool_iteri () =
         (Array.init 50 (fun i -> 2 * i))
         slots)
 
+(* Two tasks fail, the higher index first (the lower one sleeps): the
+   lower index's exception comes out, so the error a caller reports does
+   not depend on the job count or on timing. *)
+let test_pool_lowest_failure () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          match
+            Pool.iteri p
+              (fun i () ->
+                if i = 1 then begin
+                  Unix.sleepf 0.05;
+                  raise (Boom 1)
+                end
+                else if i = 2 then raise (Boom 2))
+              [ (); (); (); () ]
+          with
+          | () -> Alcotest.failf "expected a failure (jobs=%d)" jobs
+          | exception Boom k -> checki (Printf.sprintf "jobs=%d: lowest index" jobs) 1 k))
+    [ 1; 4 ]
+
 let test_pool_env_default () =
   let set v = Unix.putenv "WIREPIPE_JOBS" v in
   let saved = Sys.getenv_opt "WIREPIPE_JOBS" in
@@ -332,8 +353,10 @@ let test_runner_guarded_quarantine () =
   (* An impossible 1-cycle budget (even escalated to 2 and 4 cycles)
      must come back as Failed in every slot — the sweep survives. *)
   let outcomes =
-    Runner.experiments_guarded_spec ~spec:(Run_spec.v ~max_cycles:1 ()) ~attempts:3 runner
-      ~machine:Datapath.Pipelined ~program:small_sort three_configs
+    Runner.map runner
+      (Runner.experiment_guarded_spec ~spec:(Run_spec.v ~max_cycles:1 ()) ~attempts:3 runner
+         ~machine:Datapath.Pipelined ~program:small_sort)
+      three_configs
   in
   checki "every slot reported" 3 (List.length outcomes);
   List.iter
@@ -459,6 +482,8 @@ let () =
           Alcotest.test_case "clamps jobs" `Quick test_pool_clamps_jobs;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagation;
           Alcotest.test_case "iteri" `Quick test_pool_iteri;
+          Alcotest.test_case "lowest-index failure re-raised" `Quick
+            test_pool_lowest_failure;
           Alcotest.test_case "WIREPIPE_JOBS default" `Quick test_pool_env_default;
         ] );
       ( "runner",

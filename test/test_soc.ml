@@ -522,11 +522,18 @@ let engine_differential ~(note : string -> unit) ~seed ~machine ~mode ~rs progra
   let note fmt = Printf.ksprintf note fmt in
   let build () = (Datapath.build ~machine ~rs program).Datapath.network in
   let max_cycles = 2_000_000 in
-  let exec kind =
-    let sim = Sim.create ~engine:kind ~record_traces:true ~mode (build ()) in
+  let reference () =
+    let sim = Sim.create ~engine:Sim.Reference ~record_traces:true ~mode (build ()) in
     let o_outcome = Sim.run ~max_cycles sim in
     { o_outcome; o_cycles = Sim.cycles sim; o_delivered = Sim.delivered sim;
       o_stats = Sim.node_stats sim; o_trace = Sim.output_trace sim }
+  in
+  (* The handshake itself: a [Sim] of kind [Fast] would replay. *)
+  let handshake () =
+    let f = Wp_sim.Fast.create ~record_traces:true ~mode (build ()) in
+    let o_outcome = Wp_sim.Fast.run ~max_cycles f in
+    { o_outcome; o_cycles = Wp_sim.Fast.cycles f; o_delivered = Wp_sim.Fast.delivered f;
+      o_stats = Wp_sim.Fast.node_stats f; o_trace = Wp_sim.Fast.output_trace f }
   in
   let replay () =
     let st = Wp_sim.Static.create ~record_traces:true ~mode (build ()) in
@@ -535,7 +542,7 @@ let engine_differential ~(note : string -> unit) ~seed ~machine ~mode ~rs progra
       o_stats = Wp_sim.Static.node_stats st; o_trace = Wp_sim.Static.output_trace st }
   in
   let ctx = Printf.sprintf "%s/%s" (Datapath.machine_name machine) (mode_name mode) in
-  match exec Sim.Reference with
+  match reference () with
   | exception e -> note "seed %d: reference engine raised %s" seed (Printexc.to_string e)
   | r ->
     let net = build () in
@@ -567,7 +574,7 @@ let engine_differential ~(note : string -> unit) ~seed ~machine ~mode ~rs progra
               proc.Process.output_names)
           (Wp_sim.Network.nodes net)
     in
-    compare_to "fast engine" (fun () -> exec Sim.Fast);
+    compare_to "fast engine" handshake;
     compare_to "table replay" replay
 
 (* Seed policy (documented in EXPERIMENTS.md): program seeds are

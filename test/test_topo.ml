@@ -9,8 +9,8 @@
      and the recorded firing table against the reference Engine;
    - a >= 30-topology differential battery running Reference, Fast and
      the Static table replay on every instance (byte-identical outcomes, cycles,
-     delivered counts, stats and traces) plus one heterogeneous Batch
-     call over all instances at once — failures are shrunk with
+     delivered counts, stats and traces) plus a routed Sim of every
+     instance held against Fast — failures are shrunk with
      Wp_util.Shrink to a minimal spec and written to a .sexp repro with
      a replay command;
    - sweep-harness checks: the exact word-rate assertion every
@@ -336,6 +336,8 @@ type observed = {
   o_trace : Network.node -> int -> int Wp_lis.Token.t list;
 }
 
+(* A [Sim] of [engine]; one of kind [Fast] is routed, so it replays
+   where the replay admits the net. *)
 let run_engine ?(capacity = 2) engine net =
   let sim =
     Sim.create ~engine ~capacity ~record_traces:true ~mode:Shell.Plain net
@@ -343,6 +345,13 @@ let run_engine ?(capacity = 2) engine net =
   let o_outcome = Sim.run ~max_cycles:battery_cycles sim in
   { o_outcome; o_cycles = Sim.cycles sim; o_delivered = Sim.delivered sim;
     o_stats = Sim.node_stats sim; o_trace = Sim.output_trace sim }
+
+(* The handshake itself, which a routed [Sim] would not run here. *)
+let run_handshake ~capacity net =
+  let f = Fast.create ~capacity ~record_traces:true ~mode:Shell.Plain net in
+  let o_outcome = Fast.run ~max_cycles:battery_cycles f in
+  { o_outcome; o_cycles = Fast.cycles f; o_delivered = Fast.delivered f;
+    o_stats = Fast.node_stats f; o_trace = Fast.output_trace f }
 
 (* The table replay, solo, on the same net. *)
 let run_replay ~capacity net =
@@ -356,42 +365,44 @@ let run_replay ~capacity net =
    replay at odd ring bounds [C + 2k + 2]. *)
 let battery_capacities (spec : Topology.spec) = [ 2; 1 + (2 * (spec.seed mod 2)) ]
 
-(* First engine disagreement of one spec at one capacity, or None.
-   Compares outcome, cycles, per-channel delivered counts, per-node
-   stats and full output traces for Fast vs Reference and Fast vs the
+(* The first observable on which [other] differs from [base]: outcome,
+   cycles, per-channel delivered counts, per-node stats, then full
+   output traces. *)
+let mismatch net ~base who other =
+  let complain fmt = Printf.ksprintf Option.some fmt in
+  if other.o_outcome <> base.o_outcome then complain "%s: outcome differs" who
+  else if other.o_cycles <> base.o_cycles then
+    complain "%s: cycles %d vs %d" who other.o_cycles base.o_cycles
+  else
+    let bad = ref None in
+    List.iter
+      (fun c ->
+        if !bad = None && other.o_delivered c <> base.o_delivered c then
+          bad := complain "%s: delivered(%d) differs" who c)
+      (Network.channels net);
+    List.iter
+      (fun n ->
+        if !bad = None && other.o_stats n <> base.o_stats n then
+          bad := complain "%s: stats(%d) differs" who n;
+        if !bad = None then
+          Array.iteri
+            (fun p _ ->
+              if !bad = None && other.o_trace n p <> base.o_trace n p then
+                bad := complain "%s: trace(%d.%d) differs" who n p)
+            (Network.node_process net n).Process.output_names)
+      (Network.nodes net);
+    !bad
+
+(* First engine disagreement of one spec at one capacity, or None: the
+   Fast handshake against the reference interpreter and against the
    table replay. *)
 let diff_engines ~capacity spec =
   let net = Topology.build spec in
-  let fast = run_engine ~capacity Sim.Fast net in
-  let mismatch who other =
-    let complain fmt = Printf.ksprintf Option.some fmt in
-    if other.o_outcome <> fast.o_outcome then complain "%s: outcome differs" who
-    else if other.o_cycles <> fast.o_cycles then
-      complain "%s: cycles %d vs %d" who other.o_cycles fast.o_cycles
-    else
-      let bad = ref None in
-      List.iter
-        (fun c ->
-          if !bad = None && other.o_delivered c <> fast.o_delivered c then
-            bad := complain "%s: delivered(%d) differs" who c)
-        (Network.channels net);
-      List.iter
-        (fun n ->
-          if !bad = None && other.o_stats n <> fast.o_stats n then
-            bad := complain "%s: stats(%d) differs" who n;
-          if !bad = None then
-            Array.iteri
-              (fun p _ ->
-                if !bad = None && other.o_trace n p <> fast.o_trace n p then
-                  bad := complain "%s: trace(%d.%d) differs" who n p)
-              (Network.node_process net n).Process.output_names)
-        (Network.nodes net);
-      !bad
-  in
+  let base = run_handshake ~capacity net in
   let found =
-    match mismatch "ref" (run_engine ~capacity Sim.Reference net) with
+    match mismatch net ~base "ref" (run_engine ~capacity Sim.Reference net) with
     | Some m -> Some m
-    | None -> mismatch "static" (run_replay ~capacity net)
+    | None -> mismatch net ~base "static" (run_replay ~capacity net)
   in
   Option.map (Printf.sprintf "capacity %d, %s" capacity) found
 
@@ -426,55 +437,16 @@ let test_differential_battery () =
         (battery_capacities spec))
     battery_specs
 
-(* All battery topologies as lanes of ONE heterogeneous batch call —
-   the topology-generic signature grouping at work — each lane
-   byte-identical to its solo Fast run. *)
+(* Every battery topology as a routed [Sim] (what a Batch lane is), one
+   after another: each byte-identical to its solo Fast handshake run. *)
 let test_battery_batch_matches_fast () =
-  let nets = List.map Topology.build battery_specs in
-  let lanes =
-    Array.of_list
-      (List.map
-         (fun net ->
-           {
-             Batch.net;
-             mode = Shell.Plain;
-             capacity = 2;
-             fault = Fault.none;
-             max_cycles = battery_cycles;
-             cancel = Wp_util.Cancel.never;
-           })
-         nets)
-  in
-  let b = Batch.create ~record_traces:true lanes in
-  let out = Batch.run b in
-  List.iteri
-    (fun lane spec ->
-      let net = lanes.(lane).Batch.net in
-      let solo = run_engine Sim.Fast net in
-      let fail fmt =
-        Printf.ksprintf
-          (fun m ->
-            Alcotest.failf "batch lane %d (%s): %s" lane
-              (Topology.to_string spec) m)
-          fmt
-      in
-      if out.(lane) <> solo.o_outcome then fail "outcome differs from solo Fast";
-      if Batch.lane_cycles b ~lane <> solo.o_cycles then fail "cycles differ";
-      List.iter
-        (fun c ->
-          if Batch.delivered b ~lane c <> solo.o_delivered c then
-            fail "delivered(%d) differs" c)
-        (Network.channels net);
-      List.iter
-        (fun n ->
-          if Batch.node_stats b ~lane n <> solo.o_stats n then
-            fail "stats(%d) differs" n;
-          Array.iteri
-            (fun p _ ->
-              if Batch.output_trace b ~lane n p <> solo.o_trace n p
-              then fail "trace(%d.%d) differs" n p)
-            (Network.node_process net n).Process.output_names)
-        (Network.nodes net))
+  List.iter
+    (fun spec ->
+      let net = Topology.build spec in
+      let base = run_handshake ~capacity:2 net in
+      match mismatch net ~base "routed Sim" (run_engine Sim.Fast net) with
+      | None -> ()
+      | Some m -> Alcotest.failf "%s: %s" (Topology.to_string spec) m)
     battery_specs
 
 (* ------------------------------------------------------------------ *)
@@ -604,7 +576,8 @@ let test_expand_and_replay () =
 (* ------------------------------------------------------------------ *)
 
 (* [Static.tables] memoises by topology, relay-station counts and
-   capacity, and [Static.create] and [Batch.create] share the memo.
+   capacity, and every replay ([Static.create] or a routed [Sim.create])
+   shares the memo.
    Observed through physical equality of the returned tables. *)
 
 let build_of s =
