@@ -22,20 +22,6 @@ let default_search =
       { Wp_util.Anneal.steps = 2000; initial_temperature = 0.2; cooling = 0.95; plateau = 40 };
   }
 
-let search_digest s =
-  String.concat "|"
-    [
-      Printf.sprintf "b%d" s.budget;
-      Printf.sprintf "m%d" s.per_connection_max;
-      Printf.sprintf "x%s"
-        (String.concat "+" (List.map Datapath.connection_name s.exclude));
-      Printf.sprintf "c%d" s.candidates;
-      Printf.sprintf "s%d" s.seed;
-      Printf.sprintf "a%dt%gx%gp%d" s.schedule.Wp_util.Anneal.steps
-        s.schedule.Wp_util.Anneal.initial_temperature s.schedule.Wp_util.Anneal.cooling
-        s.schedule.Wp_util.Anneal.plateau;
-    ]
-
 (* The one validation of a placement space: [slots] connections, at most
    [per_connection_max] stations each, exactly [budget] in total. *)
 let check_budget who ~budget ~per_connection_max slots =

@@ -25,9 +25,6 @@ val default_search : search
 (** budget 9, per-connection max 2, CU-IC excluded, 24 candidates,
     seed 42, the annealer's classic 2000-step schedule. *)
 
-val search_digest : search -> string
-(** Stable pipe-joined key over every field (cache/artifact naming). *)
-
 val enumerate :
   budget:int ->
   per_connection_max:int ->

@@ -197,10 +197,11 @@ val objective_spec :
   program:Wp_soc.Program.t ->
   Config.t ->
   float
-(** Cached {!Experiment.wp2_cycles_objective_spec}, sharing the cache
-    with {!experiment_spec} batches (an objective probe for a
-    configuration whose full record is already cached is free, and vice
-    versa). *)
+(** Cached {!Experiment.wp2_cycles_objective_spec}, in a table of its
+    own.  It shares {!experiment_spec}'s key scheme and, mapped with
+    {!map}, the runner's pool, but not its entries: a probe for a
+    configuration whose full record is cached still runs, and a probed
+    objective fills no record. *)
 
 val timed : t -> string -> (unit -> 'a) -> 'a * section
 (** Run a section under the wall clock and record it in {!stats},

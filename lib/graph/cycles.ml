@@ -55,8 +55,6 @@ let elementary_cycles ?(max_cycles = 1_000_000) g =
   done;
   List.rev !results
 
-let cycle_vertices g cycle = List.map (Digraph.edge_src g) cycle
-
 let is_elementary_cycle g = function
   | [] -> false
   | first :: _ as cycle ->

@@ -10,8 +10,5 @@ val elementary_cycles : ?max_cycles:int -> Digraph.t -> Digraph.edge list list
     [1_000_000]) bounds the enumeration as a safety valve; reaching the bound
     raises [Failure]. *)
 
-val cycle_vertices : Digraph.t -> Digraph.edge list -> Digraph.vertex list
-(** Vertices visited by a cycle, in order, one per edge. *)
-
 val is_elementary_cycle : Digraph.t -> Digraph.edge list -> bool
 (** Checks that the edge list is a closed walk visiting distinct vertices. *)

@@ -26,7 +26,6 @@ type t = {
   link : Link.t option;
   telemetry : Telemetry.t option;
   mutable clock : int;
-  mutable last_fired : bool;
   mutable quiet_cycles : int;
   quiescence : int;
 }
@@ -130,7 +129,6 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
     link;
     telemetry = Telemetry.make telemetry net;
     clock = 0;
-    last_fired = false;
     quiet_cycles = 0;
     quiescence;
   }
@@ -144,13 +142,8 @@ let delivered t c =
   let chain = t.chains.(c) in
   chain.delivered
 
-let fired_last_cycle t = t.last_fired
-let quiescence_window t = t.quiescence
-
 let fault_injections t =
   match t.fault with Some f -> Fault.injections f | None -> 0
-
-let link_stats t = match t.link with Some l -> Link.stats l | None -> []
 
 let link_summary t = Option.map Link.summary t.link
 
@@ -303,7 +296,6 @@ let step t =
       Telemetry.commit_cycle tl
         ~delivered:(Array.map (fun chain -> chain.delivered) t.chains));
   t.clock <- t.clock + 1;
-  t.last_fired <- !fired_any;
   if !fired_any then t.quiet_cycles <- 0 else t.quiet_cycles <- t.quiet_cycles + 1
 
 let any_halted t = Array.exists Shell.halted t.shells

@@ -70,17 +70,9 @@ val shell : t -> Network.node -> Wp_lis.Shell.t
 val delivered : t -> Network.channel -> int
 (** Valid tokens delivered end-to-end on a channel so far. *)
 
-val fired_last_cycle : t -> bool
-
-val quiescence_window : t -> int
-(** Cycles without any firing after which {!run} declares deadlock. *)
-
 val fault_injections : t -> int
 (** Destructive fault events actually performed so far ({!Fault.injections});
     0 when no fault spec was given. *)
-
-val link_stats : t -> Link.chan_stats list
-(** Per-protected-channel ARQ statistics; [[]] when nothing is protected. *)
 
 val link_summary : t -> Link.summary option
 (** Aggregate link-layer statistics; [None] when nothing is protected. *)

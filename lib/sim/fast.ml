@@ -424,8 +424,9 @@ let link_stops t k =
    bulk protocol; one cross-module call per phase, not per element).
    Firing pops only a shell's own FIFOs and [required] is pure, so
    classifying before any shell fires sees what the firing loop sees.
-   The decision tree mirrors Telemetry.classify / cls_code exactly (the
-   cross-engine differential tests pin the agreement). *)
+   The oracle probe runs, as in {!Engine.step}, only for a shell that is
+   not ready and whose outputs are clear: [required] allocates inside
+   process closures. *)
 let observe t tl =
   let occ = Telemetry.occ_scratch tl
   and stop = Telemetry.stop_scratch tl
@@ -450,17 +451,18 @@ let observe t tl =
       let c = t.out_chan_ids.(j) in
       if Bytes.get t.producer_stop c = '\001' then first := c
     done;
+    let outputs_clear = !first < 0 in
     let ready =
       not (missing (if t.oracle then inst.Process.required () else t.plain_masks.(n)))
     in
+    let oracle_ready =
+      (not ready) && outputs_clear && not (missing (inst.Process.required ()))
+    in
+    let link_blocked = ready && (not outputs_clear) && Bytes.get t.hook !first = '\002' in
     cls.(n) <-
-      (if ready && !first < 0 then 0 (* fired *)
-       else if ready then
-         if Bytes.get t.hook !first = '\002' then 4 (* link-credit *)
-         else 3 (* output-backpressure *)
-       else if !first < 0 && not (missing (inst.Process.required ())) then
-         1 (* oracle-skip *)
-       else 2 (* missing-input *))
+      Telemetry.cls_code
+        (Telemetry.classify ~fired:(ready && outputs_clear) ~ready ~outputs_clear ~oracle_ready
+           ~link_blocked)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -686,12 +688,10 @@ let output_trace t node port = List.rev t.traces.(t.out_base.(node) + port)
 
 type table_cycle = {
   tc_fired : int array;  (* shells firing this cycle, ascending *)
-  tc_starved : int array;  (* stalled, missing an input *)
   tc_blocked : int array;  (* stalled, ready but backpressured *)
   tc_deliver : int array;  (* channels delivering a token *)
   tc_consumed : int array;  (* input ports the firing shells read *)
   tc_dropped : int array;  (* input ports that discarded a token *)
-  tc_any : bool;
 }
 
 (* A kernel of placeholder processes: [fire] returns one
@@ -769,9 +769,11 @@ let moved scratch counts n =
   done;
   if !k = 0 then [||] else Array.sub scratch 0 !k
 
-(* Every shell is counted as fired, blocked or starved each cycle, and
-   a port's reads and discards move by one at most (a pending drop means
-   an empty FIFO), so the counters' moves over one [advance] are the row. *)
+(* A shell's firing and blocked counters, a channel's delivered count
+   and a port's reads and discards move by one at most per cycle (a
+   pending drop means an empty FIFO), so the counters' moves over one
+   [advance] are the row; a shell that neither fired nor blocked
+   starved. *)
 let transition r ~masks key =
   let k = r.k in
   if key != r.last then restore r key;
@@ -783,16 +785,13 @@ let transition r ~masks key =
   done;
   advance k;
   let moved = moved r.scratch in
-  let fired = moved k.firings k.n_nodes in
   let row =
     {
-      tc_fired = fired;
-      tc_starved = moved k.input_starved k.n_nodes;
+      tc_fired = moved k.firings k.n_nodes;
       tc_blocked = moved k.output_blocked k.n_nodes;
       tc_deliver = moved k.chan_delivered k.n_chans;
       tc_consumed = moved k.required_counts k.n_in;
       tc_dropped = moved k.dropped k.n_in;
-      tc_any = Array.length fired > 0;
     }
   in
   (row, state r)

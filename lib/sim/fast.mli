@@ -148,15 +148,16 @@ val run_roster :
 
 type table_cycle = {
   tc_fired : int array;  (** shells firing this cycle, ascending *)
-  tc_starved : int array;  (** stalled, missing an input *)
   tc_blocked : int array;  (** stalled, ready but backpressured *)
   tc_deliver : int array;  (** channels delivering a token *)
   tc_consumed : int array;  (** global input ports the firing shells read, ascending *)
   tc_dropped : int array;
       (** global input ports that discarded a token, at a firing that
           skipped it or on its arrival, ascending *)
-  tc_any : bool;  (** did any shell fire *)
 }
+(** One cycle of the handshake.  Every shell fires, blocks or starves
+    each cycle, so a shell in neither [tc_fired] nor [tc_blocked]
+    starved: it was missing an input. *)
 
 type recorder
 

@@ -20,7 +20,6 @@ type t = {
   timeout : int array;
   fwd_lat : int array; (* = rs_count: same latency as the chain it replaces *)
   ack_lat : int array; (* = rs_count + 1: ack path is never combinational *)
-  labels : string array;
   (* sender *)
   replay : int array array; (* window slots of unacked payloads *)
   s_base : int array; (* oldest unacknowledged sequence number *)
@@ -64,7 +63,6 @@ type t = {
   st_naks : int array;
   st_crc_fail : int array;
   st_dedup : int array;
-  st_delivered : int array;
   st_recoveries : int array;
   st_max_rec : int array;
   (* per-cycle frame scratch (no tuples on the hot path) *)
@@ -110,7 +108,6 @@ let make ?fault net =
     let timeout = Array.make n 0 in
     let fwd_lat = Array.make n 0 in
     let ack_lat = Array.make n 1 in
-    let labels = Array.make n "" in
     let empty_i = [||] and empty_b = [||] in
     let replay = Array.make n empty_i in
     let w_seq = Array.make n empty_i in
@@ -137,7 +134,6 @@ let make ?fault net =
           timeout.(c) <- tmo;
           fwd_lat.(c) <- rs;
           ack_lat.(c) <- rs + 1;
-          labels.(c) <- Network.channel_label net c;
           replay.(c) <- Array.make w 0;
           w_seq.(c) <- Array.make rs 0;
           w_pay.(c) <- Array.make rs 0;
@@ -158,7 +154,6 @@ let make ?fault net =
         timeout;
         fwd_lat;
         ack_lat;
-        labels;
         replay;
         s_base = Array.make n 0;
         s_next_tx = Array.make n 0;
@@ -195,7 +190,6 @@ let make ?fault net =
         st_naks = Array.make n 0;
         st_crc_fail = Array.make n 0;
         st_dedup = Array.make n 0;
-        st_delivered = Array.make n 0;
         st_recoveries = Array.make n 0;
         st_max_rec = Array.make n 0;
         sc_valid = false;
@@ -206,8 +200,6 @@ let make ?fault net =
   end
 
 let is_protected t ~chan = t.protected_.(chan)
-let window t ~chan = t.window.(chan)
-let timeout t ~chan = t.timeout.(chan)
 
 let producer_stop t ~chan =
   t.s_next_new.(chan) - t.s_base.(chan) >= t.window.(chan)
@@ -386,7 +378,6 @@ let channel_step t ~chan:c ~cycle ~produced_valid ~produced_value ~can_accept
       accept t.rwin.(c).(t.r_head.(c));
       t.r_head.(c) <- (t.r_head.(c) + 1) mod t.window.(c);
       t.r_len.(c) <- t.r_len.(c) - 1;
-      t.st_delivered.(c) <- t.st_delivered.(c) + 1;
       t.r_credit_pending.(c) <- t.r_credit_pending.(c) + 1
     end;
     (* 8. emit this cycle's ack record into the slot freed in step 1. *)
@@ -402,46 +393,6 @@ let channel_step t ~chan:c ~cycle ~produced_valid ~produced_value ~can_accept
   end
 
 (* --- measurement ---------------------------------------------------- *)
-
-type chan_stats = {
-  chan : int;
-  label : string;
-  window : int;
-  timeout : int;
-  sent : int;
-  retransmissions : int;
-  timeouts : int;
-  naks : int;
-  crc_detected : int;
-  dedup_drops : int;
-  delivered : int;
-  recoveries : int;
-  max_recovery_latency : int;
-}
-
-let stats t =
-  let out = ref [] in
-  for c = Array.length t.protected_ - 1 downto 0 do
-    if t.protected_.(c) then
-      out :=
-        {
-          chan = c;
-          label = t.labels.(c);
-          window = t.window.(c);
-          timeout = t.timeout.(c);
-          sent = t.st_sent.(c);
-          retransmissions = t.st_retrans.(c);
-          timeouts = t.st_timeouts.(c);
-          naks = t.st_naks.(c);
-          crc_detected = t.st_crc_fail.(c);
-          dedup_drops = t.st_dedup.(c);
-          delivered = t.st_delivered.(c);
-          recoveries = t.st_recoveries.(c);
-          max_recovery_latency = t.st_max_rec.(c);
-        }
-        :: !out
-  done;
-  !out
 
 type summary = {
   protected_channels : int;

@@ -45,12 +45,6 @@ val make : ?fault:Fault.t -> Network.t -> t option
 
 val is_protected : t -> chan:int -> bool
 
-val window : t -> chan:int -> int
-(** Resolved window (frames) for a protected channel. *)
-
-val timeout : t -> chan:int -> int
-(** Resolved retransmission timeout (cycles) for a protected channel. *)
-
 val producer_stop : t -> chan:int -> bool
 (** Phase-1 hook: the producer shell must stall iff the replay window is
     full or the sender is out of credits.  Replaces the propagated stop
@@ -80,27 +74,6 @@ val quiescence_bonus : t -> int
     up to a few timeouts plus round trips. *)
 
 (** {1 Measurement} *)
-
-type chan_stats = {
-  chan : int;
-  label : string;
-  window : int;
-  timeout : int;
-  sent : int;  (** frames transmitted, including retransmissions *)
-  retransmissions : int;
-  timeouts : int;
-  naks : int;
-  crc_detected : int;  (** corrupted frames caught by the CRC check *)
-  dedup_drops : int;  (** stale duplicates discarded at the receiver *)
-  delivered : int;  (** payloads released to the consumer shell *)
-  recoveries : int;  (** loss episodes healed *)
-  max_recovery_latency : int;
-      (** worst cycles from first loss detection to the in-order
-          acceptance that healed it *)
-}
-
-val stats : t -> chan_stats list
-(** One entry per protected channel, in channel order. *)
 
 type summary = {
   protected_channels : int;

@@ -4,25 +4,26 @@
    In Plain mode with no faults, FIFO lengths and relay-station fills
    determine firing exactly.  {!Fast.record} steps Fast's own handshake
    on placeholder processes until that state repeats, which yields a
-   transient prefix plus a period, and per-cycle rows of fired /
-   starved / blocked shells and delivering channels.  This module keeps
-   the memo of those tables and replays them; the run loop around the
-   replay (clock, termination check) is Fast's.  In Oracle mode the
-   masks a shell fires on depend on data, but the handshake is still a
-   finite automaton over (occupancy state, with pending drops; every
-   shell's masks): an Oracle replay looks each cycle's pair up among the
-   transitions met so far, and asks {!Fast.transition} on a miss.
+   transient prefix plus a period, and per-cycle rows of fired and
+   blocked shells, delivering channels and the input ports read or
+   discarded; a shell in neither list starved.  In Oracle mode the masks
+   a shell fires on depend on data, but the handshake is still a finite
+   automaton over (occupancy state, with pending drops; every shell's
+   masks): an Oracle replay looks each cycle's pair up among the
+   transitions met so far, and asks {!Fast.transition} on a miss.  This
+   module keeps one memo of both per structure and replays them; the
+   run loop around the replay (clock, termination check) is Fast's.
 
    The replay kernel below is the library's only table-replay loop, one
-   run per kernel; runs of one structure share its schedule or learnt
-   transitions through the memos, not by stepping together.  A replay
-   cycle touches only the shells that fire: they fire their
-   real process closures on real data, and the stall counters and
-   delivered counts come from cumulative schedule tables built once per
-   schedule (Plain), or from each cycle's row (Oracle).  Stall-heavy
-   configurations — exactly the wire-pipelined ones this library
-   studies — cost almost nothing per cycle, and everything observable
-   stays byte-identical to the dynamic engines. *)
+   run per kernel; runs of one structure share its table or learnt
+   transitions through the memo, not by stepping together.  A replay
+   cycle touches only the shells that fire: they fire their real process
+   closures on real data.  The stall counters and delivered counts are
+   rows times their visits, summed when an observable is read (Plain)
+   or settled as an Oracle replay releases its transitions.
+   Stall-heavy configurations — exactly the wire-pipelined ones this
+   library studies — cost almost nothing per cycle, and everything
+   observable stays byte-identical to the dynamic engines. *)
 
 module Shell = Wp_lis.Shell
 module Token = Wp_lis.Token
@@ -37,12 +38,10 @@ let unschedulable fmt = Printf.ksprintf (fun s -> raise (Unschedulable s)) fmt
 
 type table_cycle = Fast.table_cycle = {
   tc_fired : int array;
-  tc_starved : int array;
   tc_blocked : int array;
   tc_deliver : int array;
   tc_consumed : int array;
   tc_dropped : int array;
-  tc_any : bool;
 }
 
 (* A generous ceiling: the reachable occupancy space of the paper's
@@ -50,70 +49,72 @@ type table_cycle = Fast.table_cycle = {
    could wander longer before closing its orbit. *)
 let record_budget = 1 lsl 16
 
-(* Cumulative schedule counts: row [j] covers cycles [0, j), rows
-   0 .. transient + period; beyond that, counts extrapolate by whole
-   periods.  Every shell fires, blocks or starves in each cycle, so the
-   starved counts are what the other two leave. *)
-type cum = {
-  cum_fired : int array; (* (row * n_nodes) + n *)
-  cum_blocked : int array;
-  cum_deliver : int array; (* (row * n_chans) + c *)
-}
-
-let cum_of net (transient, period, table) =
-  let tp = transient + period in
-  let build n_ent proj =
-    let cum = Array.make (max 1 ((tp + 1) * n_ent)) 0 in
-    for j = 0 to tp - 1 do
-      Array.blit cum (j * n_ent) cum ((j + 1) * n_ent) n_ent;
-      let ids = proj table.(j) in
-      for i = 0 to Array.length ids - 1 do
-        let e = ((j + 1) * n_ent) + ids.(i) in
-        cum.(e) <- cum.(e) + 1
-      done
-    done;
-    cum
-  in
-  {
-    cum_fired = build (Network.node_count net) (fun tc -> tc.tc_fired);
-    cum_blocked = build (Network.node_count net) (fun tc -> tc.tc_blocked);
-    cum_deliver = build (Network.channel_count net) (fun tc -> tc.tc_deliver);
-  }
-
-(* A schedule: the table and the cumulative counts replays read. *)
-type sched = { s_tables : int * int * table_cycle array; s_cum : cum }
-
-let sched_of ~capacity net =
-  match Fast.record ~max_cycles:record_budget ~capacity net with
-  | Some tables -> { s_tables = tables; s_cum = cum_of net tables }
-  | None ->
-    unschedulable "no periodic steady state within %d cycles (capacity %d)"
-      record_budget capacity
-
 (* ------------------------------------------------------------------ *)
-(* Schedule memo                                                      *)
+(* The memo                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A schedule depends only on (capacity, per-channel relay stations,
-   topology shape) — never on process data.  A sweep scenario replays
-   one schedule as its primary run and again for its word check, and the
-   serve daemon replays the same machines all day, so schedules are
-   memoised across calls.  The key spells out everything the recorder
-   reads.  Guarded by a mutex: runner pools call in from several
-   domains.  Cached schedules are immutable once built, so sharing them
-   is safe.
+(* A Plain table and the transitions Oracle replays learn depend only on
+   (capacity, per-channel relay stations, topology shape) — never on
+   process data.  A sweep scenario replays one table as its primary run
+   and again for its word check, and the serve daemon replays the same
+   machines all day, so both are memoised across calls, in one entry per
+   structure.  The key spells out everything the recorder reads.
+   Guarded by a mutex: runner pools call in from several domains.
 
-   The memo is bounded by entries and by the words its schedules
-   retain: an insert that would cross either bound empties it first,
-   and a schedule larger than the whole word budget is returned
-   uncached. *)
+   A table is immutable once recorded, so sharing it is safe.  Learnt
+   transitions are immutable but for a visit count, so an entry's
+   transitions are stepped on by one replay at a time ([busy], under the
+   mutex): a replay that finds its structure's entry busy learns into
+   one of its own, and counts its visits to each transition until its
+   release.  A replay may keep following any transition it has met.
 
-let memo_entries = 256
+   The memo is bounded by entries and by the words they retain: an
+   insert that would cross either bound empties it first, and a table
+   larger than the whole word budget is returned uncached.  The entry
+   bound is small: an entry pays off while replays of its structure keep
+   coming (a sweep's runs, a daemon's repeated configurations), and a
+   Table 1 regeneration walks ~70 structures once each, where holding
+   all of their transitions grew its peak RSS by ~5 MB (over a fifth)
+   and saved little time; re-recording its 1–4-row tables costs it
+   about 1%. *)
+
+let memo_entries = 16
 let memo_words = 2_000_000 (* 16 MB of 64-bit words *)
 
-let memo : (string, sched) Hashtbl.t = Hashtbl.create 64
+(* A transition leaves its state under one mask vector: a byte per
+   global input port, a copy, since [required] reuses its array. *)
+type trans = {
+  t_masks : Bytes.t;
+  t_row : table_cycle;
+  t_next : state;
+  mutable t_visits : int;
+}
+
+and state = { s_key : string; mutable s_out : trans array }
+
+type entry = {
+  mutable table : (int * int * table_cycle array) option; (* Plain *)
+  mutable table_words : int;
+  states : (string, state) Hashtbl.t; (* Oracle *)
+  mutable all : trans list; (* the transitions in [states] *)
+  mutable words : int; (* retained by [states] *)
+  mutable busy : bool;
+}
+
+let entry () =
+  { table = None; table_words = 0; states = Hashtbl.create 16; all = []; words = 0; busy = false }
+
+let memo : (string, entry) Hashtbl.t = Hashtbl.create memo_entries
 let memo_mutex = Mutex.create ()
-let memo_held = ref 0 (* words retained by [memo]'s schedules *)
+
+(* Under [memo_mutex]: the words the memo's entries retain. *)
+let held () = Hashtbl.fold (fun _ e acc -> acc + e.table_words + e.words) memo 0
+
+(* Under [memo_mutex]: [e] becomes [key]'s entry, the memo emptied first
+   when it is full. *)
+let insert key e =
+  if Hashtbl.length memo >= memo_entries then Hashtbl.reset memo;
+  Hashtbl.add memo key e
 
 let schedule_key ~capacity net =
   let b = Buffer.create 128 in
@@ -132,21 +133,12 @@ let schedule_key ~capacity net =
   done;
   Buffer.contents b
 
-(* Heap words of one row: a 7-field record and six int arrays, with
+(* Heap words of one row: a 5-field record and five int arrays, with
    their headers. *)
 let row_words tc =
-  14 + Array.length tc.tc_fired + Array.length tc.tc_starved
-  + Array.length tc.tc_blocked + Array.length tc.tc_deliver
-  + Array.length tc.tc_consumed + Array.length tc.tc_dropped
-
-(* Heap words of a schedule: one slot per table row and the rows, plus
-   the three cumulative arrays and the two records holding it all. *)
-let sched_words s =
-  let _, _, table = s.s_tables in
-  let c = s.s_cum in
-  Array.fold_left (fun acc tc -> acc + row_words tc) (1 + Array.length table) table
-  + Array.length c.cum_fired + Array.length c.cum_blocked
-  + Array.length c.cum_deliver + 14
+  11 + Array.length tc.tc_fired + Array.length tc.tc_blocked
+  + Array.length tc.tc_deliver + Array.length tc.tc_consumed
+  + Array.length tc.tc_dropped
 
 (* The recorder would drive a protected wire through the link layer,
    whose state no key holds, and an unbounded FIFO has no finite
@@ -159,82 +151,48 @@ let check ~capacity net =
       unschedulable "channel %d is link-protected" c
   done
 
-let lookup ~capacity net compute =
+let tables ~capacity net =
   check ~capacity net;
   let key = schedule_key ~capacity net in
-  Mutex.lock memo_mutex;
-  let hit = Hashtbl.find_opt memo key in
-  Mutex.unlock memo_mutex;
-  match hit with
+  let cached () =
+    match Hashtbl.find_opt memo key with Some { table = Some s; _ } -> Some s | _ -> None
+  in
+  match Mutex.protect memo_mutex cached with
   | Some s -> s
   | None ->
-    let s = compute () in
-    let words = sched_words s in
-    Mutex.lock memo_mutex;
-    (* Another domain may have cached the same key meanwhile: keep its
-       copy, so every caller shares one schedule. *)
-    let s =
-      match Hashtbl.find_opt memo key with
-      | Some s' -> s'
+    let ((_, _, rows) as s) =
+      match Fast.record ~max_cycles:record_budget ~capacity net with
+      | Some s -> s
       | None ->
-        if words <= memo_words then begin
-          if
-            Hashtbl.length memo >= memo_entries
-            || !memo_held + words > memo_words
-          then begin
-            Hashtbl.reset memo;
-            memo_held := 0
-          end;
-          Hashtbl.add memo key s;
-          memo_held := !memo_held + words
-        end;
-        s
+        unschedulable "no periodic steady state within %d cycles (capacity %d)"
+          record_budget capacity
     in
-    Mutex.unlock memo_mutex;
-    s
-
-let tables ~capacity net =
-  (lookup ~capacity net (fun () -> sched_of ~capacity net)).s_tables
+    (* The triple, the row array and its rows. *)
+    let words = Array.fold_left (fun acc tc -> acc + row_words tc) (5 + Array.length rows) rows in
+    Mutex.protect memo_mutex (fun () ->
+        (* Another domain may have cached the same key meanwhile: keep
+           its copy, so every caller shares one table. *)
+        match cached () with
+        | Some s' -> s'
+        | None ->
+          if words <= memo_words then begin
+            if held () + words > memo_words then Hashtbl.reset memo;
+            let e =
+              match Hashtbl.find_opt memo key with
+              | Some e -> e
+              | None ->
+                let e = entry () in
+                insert key e;
+                e
+            in
+            e.table <- Some s;
+            e.table_words <- words
+          end;
+          s)
 
 (* ------------------------------------------------------------------ *)
 (* Learnt transitions (Oracle mode)                                   *)
 (* ------------------------------------------------------------------ *)
-
-(* A transition leaves its state under one mask vector: a byte per
-   global input port, a copy, since [required] reuses its array.  Like a
-   schedule, transitions depend only on the network's structure, never
-   on process data, so every replay of one structure — a sweep's runs, a
-   daemon's requests — shares them, memoised under the schedule
-   key.  A table is stepped on by one replay at a time ([busy], under
-   the memo's mutex): a replay that finds its structure's table busy
-   learns into one of its own, and counts its visits to each transition
-   in the table until its release.  Transitions are immutable but for
-   that count, so a replay may keep following any it has met. *)
-type trans = {
-  t_masks : Bytes.t;
-  t_row : table_cycle;
-  t_next : state;
-  mutable t_visits : int;
-}
-
-and state = { s_key : string; mutable s_out : trans array }
-
-type learnt = {
-  states : (string, state) Hashtbl.t;
-  mutable all : trans list; (* the transitions in [states] *)
-  mutable words : int; (* retained by [states] *)
-  mutable busy : bool;
-}
-
-let learnt () = { states = Hashtbl.create 16; all = []; words = 0; busy = false }
-
-(* The word budget is the schedule memo's.  The entry bound is small: a
-   table pays off while replays of its structure keep coming (a sweep's
-   runs, a daemon's repeated configurations), and a Table 1
-   regeneration walks ~70 structures once each, where holding them all
-   grew its peak RSS by ~5 MB (over a fifth) and saved little time. *)
-let learnt_entries = 16
-let learnt_memo : (string, learnt) Hashtbl.t = Hashtbl.create learnt_entries
 
 let intern g key =
   match Hashtbl.find g.states key with
@@ -245,18 +203,9 @@ let intern g key =
     g.words <- g.words + (String.length key / 8) + 9;
     s
 
-(* One Oracle replay: its recorder, the table it stepped on last, where it
-   is, this cycle's masks and the shells that fired last (only those
-   can have changed theirs: [required] is a function of process state,
-   which only [fire] advances), and its stats (visits times rows,
-   settled at each release): per node, channel or input port. *)
-type oracle = {
-  o_key : string;
-  o_recorder : Fast.recorder;
-  mutable o_table : learnt;
-  mutable o_cur : state;
-  o_masks : Bytes.t;
-  mutable o_fired : int array;
+(* A run's stats: per node, channel or input port, each row's ids times
+   its visits. *)
+type totals = {
   fired : int array;
   blocked : int array;
   deliver : int array;
@@ -264,20 +213,45 @@ type oracle = {
   dropped : int array;
 }
 
-let own o = if o.o_table.busy then learnt () else o.o_table
+let add ids v counts =
+  for i = 0 to Array.length ids - 1 do
+    counts.(ids.(i)) <- counts.(ids.(i)) + v
+  done
 
-(* Before stepping: the structure's memoised table unless another replay
-   is on it, then the replay's state in it. *)
+let add_row s r v =
+  add r.tc_fired v s.fired;
+  add r.tc_blocked v s.blocked;
+  add r.tc_deliver v s.deliver;
+  add r.tc_consumed v s.consumed;
+  add r.tc_dropped v s.dropped
+
+(* One Oracle replay: its recorder, the entry it stepped on last, where
+   it is, this cycle's masks and the shells that fired last (only those
+   can have changed theirs: [required] is a function of process state,
+   which only [fire] advances). *)
+type oracle = {
+  o_key : string;
+  o_recorder : Fast.recorder;
+  mutable o_table : entry;
+  mutable o_cur : state;
+  o_masks : Bytes.t;
+  mutable o_fired : int array;
+}
+
+let own o = if o.o_table.busy then entry () else o.o_table
+
+(* Before stepping: the structure's entry unless another replay is on
+   it, then the replay's state in it.  Runs once per [step], so it
+   allocates nothing on a hit. *)
 let acquire o =
   Mutex.lock memo_mutex;
   let g =
-    match Hashtbl.find learnt_memo o.o_key with
+    match Hashtbl.find memo o.o_key with
     | g when not g.busy -> g
     | _ -> own o
     | exception Not_found ->
       let g = own o in
-      if Hashtbl.length learnt_memo >= learnt_entries then Hashtbl.reset learnt_memo;
-      Hashtbl.add learnt_memo o.o_key g;
+      insert o.o_key g;
       g
   in
   g.busy <- true;
@@ -285,44 +259,33 @@ let acquire o =
   o.o_table <- g;
   o.o_cur <- intern g o.o_cur.s_key
 
-let add totals ids v =
-  for i = 0 to Array.length ids - 1 do
-    totals.(ids.(i)) <- totals.(ids.(i)) + v
-  done
-
-let rec settle o = function
+let rec settle s = function
   | [] -> ()
   | tr :: rest ->
-    let v = tr.t_visits and r = tr.t_row in
-    if v > 0 then begin
-      add o.fired r.tc_fired v;
-      add o.blocked r.tc_blocked v;
-      add o.deliver r.tc_deliver v;
-      add o.consumed r.tc_consumed v;
-      add o.dropped r.tc_dropped v;
+    if tr.t_visits > 0 then begin
+      add_row s tr.t_row tr.t_visits;
       tr.t_visits <- 0
     end;
-    settle o rest
+    settle s rest
 
-let release o =
-  settle o o.o_table.all;
+let release s o =
+  settle s o.o_table.all;
   Mutex.lock memo_mutex;
   o.o_table.busy <- false;
   Mutex.unlock memo_mutex
 
 (* The transition out of the replay's state under its masks, recorded.
    An insert that would take the memo past [memo_words] empties it
-   first, and one that would take this table past it empties the table,
-   keeping the replay's state. *)
-let learn g o =
+   first, and one that would take this entry's transitions past it
+   empties them, keeping the replay's state. *)
+let learn s g o =
   let row, key = Fast.transition o.o_recorder ~masks:o.o_masks o.o_cur.s_key in
   let words = row_words row + (Bytes.length o.o_masks / 8) + 8 in
   Mutex.lock memo_mutex;
-  if Hashtbl.fold (fun _ t held -> held + t.words) learnt_memo words > memo_words then
-    Hashtbl.reset learnt_memo;
+  if held () + words > memo_words then Hashtbl.reset memo;
   Mutex.unlock memo_mutex;
   if g.words + words > memo_words then begin
-    settle o g.all;
+    settle s g.all;
     Hashtbl.reset g.states;
     g.all <- [];
     g.words <- 0;
@@ -336,7 +299,7 @@ let learn g o =
 
 (* The replay's transition under this cycle's masks.  A hit swaps to the
    front: runs mostly repeat what they did last. *)
-let find g o =
+let find s g o =
   let out = o.o_cur.s_out in
   let i = ref 0 in
   while
@@ -344,7 +307,7 @@ let find g o =
   do
     incr i
   done;
-  if !i = Array.length out then learn g o
+  if !i = Array.length out then learn s g o
   else begin
     let tr = Array.unsafe_get out !i in
     if !i > 0 then begin
@@ -371,20 +334,19 @@ let find g o =
    A channel with capacity [C] and [k] relay stations holds at most
    [C + 2k] tokens in flight at a cycle boundary, plus one transiently
    when a producer fires earlier in the row than its consumer.  After
-   its producer's [f]-th firing it holds [2 + f - count consumer], which
+   its producer's [f]-th firing it holds [2 + f - firings consumer], which
    must stay within [C + 2k + 2]; ring sizes round that bound up to a
    power of two, so no live slot is overwritten.  A pending drop only
    puts the consumer's count ahead: the dropped token's slot is written
    and never read. *)
 
 type plan =
-  | Periodic of sched (* Plain: the memoised table *)
+  | Periodic of (int * int * table_cycle array) (* Plain: the memoised table *)
   | Learnt of oracle (* Oracle: transitions learnt as the run meets them *)
 
 type t = {
   record_traces : bool;
   n_nodes : int;
-  n_chans : int;
   instances : Process.instance array; (* per node *)
   in_base : int array;
   out_base : int array;
@@ -393,7 +355,7 @@ type t = {
   masks : Bytes.t; (* per global input port: all ones, or the [o_masks] *)
   inputs_scratch : int option array array; (* per node, reused *)
   traces : int Token.t list array; (* per output port; newest first *)
-  count : int array; (* per node: firings so far *)
+  firings : int array; (* per node: firings so far *)
   q_val : int array;
   ip_ring : int array; (* global input port -> its ring's base *)
   ip_mask : int array; (* ... and slot mask *)
@@ -401,27 +363,22 @@ type t = {
   op_mask : int array;
   op_bound : int array; (* ... the tokens its channel may hold *)
   op_dst : int array; (* ... and the node that channel feeds *)
+  totals : totals;
+  mutable summed : int; (* Plain: the clock [totals] were summed at *)
   ro : Fast.roster;
 }
 
-(* An Oracle run's recorder and stats, at reset. *)
+(* An Oracle run's recorder, at reset. *)
 let learner ~capacity m net =
   check ~capacity net;
-  let n_in = m.Fast.m_in_base.(m.m_n_nodes) in
   let recorder = Fast.recorder ~capacity net in
-  let zeros n = Array.make (max 1 n) 0 in
   {
     o_key = schedule_key ~capacity net;
     o_recorder = recorder;
-    o_table = learnt ();
+    o_table = entry ();
     o_cur = { s_key = Fast.state recorder; s_out = [||] };
-    o_masks = Bytes.make n_in '\000';
+    o_masks = Bytes.make m.Fast.m_in_base.(m.m_n_nodes) '\000';
     o_fired = Array.init m.m_n_nodes Fun.id;
-    fired = zeros m.m_n_nodes;
-    blocked = zeros m.m_n_nodes;
-    deliver = zeros m.m_n_chans;
-    consumed = Array.make n_in 0;
-    dropped = Array.make n_in 0;
   }
 
 let create ?(capacity = 2) ?(record_traces = false) ~mode net =
@@ -430,10 +387,11 @@ let create ?(capacity = 2) ?(record_traces = false) ~mode net =
   let m = Fast.meta_of net in
   let plan =
     match mode with
-    | Shell.Plain -> Periodic (lookup ~capacity net (fun () -> sched_of ~capacity net))
+    | Shell.Plain -> Periodic (tables ~capacity net)
     | Shell.Oracle -> Learnt (learner ~capacity m net)
   in
   let n_nodes = m.m_n_nodes and n_chans = m.m_n_chans in
+  let n_in = m.m_in_base.(n_nodes) in
   let rs_base = m.m_chan_rs_base in
   let bound c = capacity + (2 * (rs_base.(c + 1) - rs_base.(c))) + 2 in
   let rec pow2 s b = if s >= b then s else pow2 (2 * s) b in
@@ -446,11 +404,11 @@ let create ?(capacity = 2) ?(record_traces = false) ~mode net =
   let per chans f = Array.map (fun c -> if c < 0 then 0 else f c) chans in
   let proc n = Network.node_process net n in
   let instances = Array.init n_nodes (fun n -> (proc n).Process.make ()) in
+  let zeros n = Array.make (max 1 n) 0 in
   let t =
     {
       record_traces;
       n_nodes;
-      n_chans;
       instances;
       in_base = m.m_in_base;
       out_base = m.m_out_base;
@@ -458,20 +416,29 @@ let create ?(capacity = 2) ?(record_traces = false) ~mode net =
       row = 0;
       masks =
         (match plan with
-        | Periodic _ -> Bytes.make m.m_in_base.(n_nodes) '\001'
+        | Periodic _ -> Bytes.make n_in '\001'
         | Learnt o -> o.o_masks);
       inputs_scratch =
         Array.init n_nodes (fun n ->
             Array.make (m.m_in_base.(n + 1) - m.m_in_base.(n)) None);
       traces = Array.make (max 1 m.m_out_base.(n_nodes)) [];
-      count = Array.make (max 1 n_nodes) 0;
-      q_val = Array.make (max 1 q_base.(n_chans)) 0;
+      firings = zeros n_nodes;
+      q_val = zeros q_base.(n_chans);
       ip_ring = per m.m_ip_chan (Array.get q_base);
       ip_mask = per m.m_ip_chan mask;
       op_ring = per m.m_op_chan (Array.get q_base);
       op_mask = per m.m_op_chan mask;
       op_bound = per m.m_op_chan bound;
       op_dst = per m.m_op_chan (fun c -> fst (Network.channel_dst net c));
+      totals =
+        {
+          fired = zeros n_nodes;
+          blocked = zeros n_nodes;
+          deliver = zeros n_chans;
+          consumed = zeros n_in;
+          dropped = zeros n_in;
+        };
+      summed = 0;
       ro = Fast.roster m instances;
     }
   in
@@ -494,7 +461,7 @@ let take t o =
       Bytes.unsafe_set m (ib + p) (if Array.unsafe_get req p then '\001' else '\000')
     done
   done;
-  let tr = find o.o_table o in
+  let tr = find t.totals o.o_table o in
   tr.t_visits <- tr.t_visits + 1;
   o.o_cur <- tr.t_next;
   o.o_fired <- tr.t_row.tc_fired;
@@ -504,7 +471,7 @@ let advance t =
   let ro = t.ro in
   let tc =
     match t.plan with
-    | Periodic { s_tables = transient, period, table; _ } ->
+    | Periodic (transient, period, table) ->
       let r = t.row in
       t.row <- (if r + 1 < transient + period then r + 1 else transient);
       table.(r)
@@ -513,7 +480,7 @@ let advance t =
   let fired = tc.tc_fired in
   for i = 0 to Array.length fired - 1 do
     let n = Array.unsafe_get fired i in
-    let f = Array.unsafe_get t.count n in
+    let f = Array.unsafe_get t.firings n in
     let ib = Array.unsafe_get t.in_base n in
     let n_in = Array.unsafe_get t.in_base (n + 1) - ib in
     let op0 = Array.unsafe_get t.out_base n in
@@ -550,31 +517,31 @@ let advance t =
     (* Then each output channel's fill is checked: a consumer later in
        the row has not fired yet, and a self-loop's count already
        includes this firing. *)
-    Array.unsafe_set t.count n (f + 1);
+    Array.unsafe_set t.firings n (f + 1);
     for q = 0 to n_out - 1 do
       let op = op0 + q in
       if
-        2 + f - Array.unsafe_get t.count (Array.unsafe_get t.op_dst op)
+        2 + f - Array.unsafe_get t.firings (Array.unsafe_get t.op_dst op)
         > Array.unsafe_get t.op_bound op
       then failwith "Static replay: value ring overflow (schedule violated)"
     done
   done;
+  (* Every shell the row does not fire emits a void token: one walk
+     beside the ascending fired list finds them. *)
   if t.record_traces then begin
-    let voids cls =
-      for i = 0 to Array.length cls - 1 do
-        let n = cls.(i) in
+    let j = ref 0 in
+    for n = 0 to t.n_nodes - 1 do
+      if !j < Array.length fired && fired.(!j) = n then incr j
+      else
         for op = t.out_base.(n) to t.out_base.(n + 1) - 1 do
           t.traces.(op) <- Token.Void :: t.traces.(op)
         done
-      done
-    in
-    voids tc.tc_starved;
-    voids tc.tc_blocked
+    done
   end;
   ro.clock <- ro.clock + 1;
-  ro.quiet <- (if tc.tc_any then 0 else ro.quiet + 1)
+  ro.quiet <- (if Array.length fired > 0 then 0 else ro.quiet + 1)
 
-(* An Oracle replay steps holding its table. *)
+(* An Oracle replay steps holding its entry. *)
 let holding t f x =
   match t.plan with
   | Periodic _ -> f x
@@ -582,10 +549,10 @@ let holding t f x =
     acquire o;
     match f x with
     | r ->
-      release o;
+      release t.totals o;
       r
     | exception e ->
-      release o;
+      release t.totals o;
       raise e)
 
 let step t = holding t advance t
@@ -594,51 +561,43 @@ let run ?(cancel = Wp_util.Cancel.never) ?(max_cycles = 1_000_000) t =
   holding t (fun t -> Fast.run_roster t.ro advance t ~budget:max_cycles ~cancel) t
 
 (* ------------------------------------------------------------------ *)
-(* Accessors: table arithmetic                                        *)
+(* Accessors                                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* Occurrences of entity [e] during cycles [0, cycles) of a schedule. *)
-let count s cum n_ent e cycles =
-  let transient, period, _ = s.s_tables in
-  let tp = transient + period in
-  if cycles <= tp then cum.((cycles * n_ent) + e)
-  else begin
-    let r = (cycles - transient) mod period in
-    let k = (cycles - transient) / period in
-    cum.(((transient + r) * n_ent) + e)
-    + (k * (cum.((tp * n_ent) + e) - cum.((transient * n_ent) + e)))
-  end
 
 let cycles t = t.ro.clock
 
-let delivered t c =
-  match t.plan with
-  | Periodic s -> count s s.s_cum.cum_deliver t.n_chans c (cycles t)
-  | Learnt o -> o.deliver.(c)
+(* The run's totals so far.  An Oracle replay settled its visits at its
+   last release.  A Plain replay sums its rows times their visits when
+   its clock has moved since the last sum: by clock [e], transient row
+   [r] was replayed once if [r < e], and periodic row [r] once per
+   period from cycle [r] on. *)
+let totals t =
+  (match t.plan with
+  | Periodic (transient, period, table) when t.summed <> cycles t ->
+    let e = cycles t and s = t.totals in
+    List.iter
+      (fun a -> Array.fill a 0 (Array.length a) 0)
+      [ s.fired; s.blocked; s.deliver; s.consumed; s.dropped ];
+    for r = 0 to min e (Array.length table) - 1 do
+      add_row s table.(r) (if r < transient then 1 else 1 + ((e - 1 - r) / period))
+    done;
+    t.summed <- e
+  | _ -> ());
+  t.totals
+
+let delivered t c = (totals t).deliver.(c)
 
 let node_stats t n =
-  let e = cycles t in
+  let s = totals t in
+  let e = cycles t and f = s.fired.(n) and blocked = s.blocked.(n) in
   let lo = t.in_base.(n) and hi = t.in_base.(n + 1) in
-  let f, blocked, required_counts, dropped =
-    match t.plan with
-    | Periodic s ->
-      let f = count s s.s_cum.cum_fired t.n_nodes n e in
-      (* Plain mode consumes every input port once per firing and never
-         skips a token. *)
-      ( f,
-        count s s.s_cum.cum_blocked t.n_nodes n e,
-        Array.make (hi - lo) f,
-        Array.make (hi - lo) 0 )
-    | Learnt o ->
-      (o.fired.(n), o.blocked.(n), Array.sub o.consumed lo (hi - lo), Array.sub o.dropped lo (hi - lo))
-  in
   {
     Shell.firings = f;
     stalls = e - f;
     input_starved = e - f - blocked;
     output_blocked = blocked;
-    required_counts;
-    dropped;
+    required_counts = Array.sub s.consumed lo (hi - lo);
+    dropped = Array.sub s.dropped lo (hi - lo);
   }
 
 let output_trace t node port = List.rev t.traces.(t.out_base.(node) + port)
@@ -649,7 +608,7 @@ let output_trace t node port = List.rev t.traces.(t.out_base.(node) + port)
 
 let periodic what t =
   match t.plan with
-  | Periodic s -> s.s_tables
+  | Periodic s -> s
   | Learnt _ -> invalid_arg ("Static." ^ what ^ ": an Oracle replay has no periodic table")
 
 let transient t =
@@ -721,7 +680,7 @@ let schedule ?capacity net =
 let throughput_bound net =
   Cycle_ratio.ratio_to_float (mcr ~capacity:0 net)
 
-let cycle_bound ?(slack_num = 1) ?(slack_den = 4) ~work_cycles net =
+let cycle_bound ~work_cycles net =
   if work_cycles < 0 then invalid_arg "Static.cycle_bound: negative work";
   let th = throughput_bound net in
   let total_rs =
@@ -734,4 +693,4 @@ let cycle_bound ?(slack_num = 1) ?(slack_den = 4) ~work_cycles net =
      needs headroom for pipeline fill/drain plus a full quiescence
      window for deadlock detection.  Callers that must be exact treat an
      [Exhausted] at this bound as "re-run with the full budget". *)
-  base + (base * slack_num / slack_den) + 64 + (8 * structure)
+  base + (base / 4) + 64 + (8 * structure)

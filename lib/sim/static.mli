@@ -15,8 +15,8 @@
     counting.  Values need no FIFO cursors either: a shell's [f]-th
     firing reads slot [f] and writes slot [f + 1] of its channels'
     rings, so one firing counter per shell addresses every value.
-    Statistics are reconstructed on demand from cumulative schedule
-    tables built once per schedule.
+    Statistics are the table's rows times their visit counts, summed
+    when an observable is read.
 
     In {!Shell.Oracle} mode a shell fires on the masks its process's
     oracle returns, which depend on data, so no table exists up front.
@@ -25,10 +25,10 @@
     transitions again and again.  Each cycle an Oracle replay reads
     every shell's masks, and only a (state, masks) pair not met yet
     costs a {!Fast.transition}; every other cycle is a lookup plus the
-    firings the row lists, and statistics are visit counts times rows.
-    Transitions depend on the structure alone, so replays of one
-    structure share them, one replay at a time, in a memo bounded like
-    the schedules' (2M words) but to 16 structures.
+    firings the row lists, and statistics are visit counts times rows,
+    settled as the replay releases its transitions.  Transitions depend
+    on the structure alone, so replays of one structure share them, one
+    replay at a time, in the memo that holds its Plain table ({!tables}).
 
     This is the library's only table-replay kernel, and one replay is
     one run.  {!Sim.create} is what selects it: it routes each
@@ -87,13 +87,12 @@ val output_trace : t -> Network.node -> int -> int Wp_lis.Token.t list
 
 type table_cycle = Fast.table_cycle = {
   tc_fired : int array;  (** shells firing this cycle, ascending *)
-  tc_starved : int array;  (** stalled, missing an input *)
   tc_blocked : int array;  (** stalled, ready but backpressured *)
   tc_deliver : int array;  (** channels delivering a token *)
   tc_consumed : int array;  (** global input ports the firing shells read *)
   tc_dropped : int array;  (** global input ports that discarded a token *)
-  tc_any : bool;  (** did any shell fire *)
 }
+(** A shell in neither [tc_fired] nor [tc_blocked] starved. *)
 
 val tables : capacity:int -> Network.t -> int * int * table_cycle array
 (** [(transient, period, table)] for a Plain, unfaulted, unprotected
@@ -104,12 +103,13 @@ val tables : capacity:int -> Network.t -> int * int * table_cycle array
     every simulation sharing those.
 
     Memoised process-wide under a mutex, keyed by exactly those inputs,
-    together with the replay's cumulative count tables.  Every replay
-    reads the same memo, so a network replayed twice pays for one
-    recording, and a repeated call returns the physically same tables
-    while they stay cached.  The memo holds at most 256 schedules and
-    2M heap words of them: an insert that would cross either bound
-    empties it first, and a schedule larger than the word budget is
+    in one memo whose entry for a structure holds its table and the
+    transitions Oracle replays of it have learnt.  Every replay reads
+    the same memo, so a network replayed twice pays for one recording,
+    and a repeated call returns the physically same table while it
+    stays cached.  The memo holds at most 16 structures and 2M heap
+    words of tables and transitions: an insert that would cross either
+    bound empties it first, and a table larger than the word budget is
     returned without being cached.
     @raise Unschedulable as for {!create}, including when no state
     repeats within 65,536 cycles. *)
@@ -181,10 +181,9 @@ val throughput_bound : Network.t -> float
     (unbounded FIFOs, so no slot edges) as a float; [1.0] for acyclic
     networks. *)
 
-val cycle_bound : ?slack_num:int -> ?slack_den:int -> work_cycles:int -> Network.t -> int
+val cycle_bound : work_cycles:int -> Network.t -> int
 (** [cycle_bound ~work_cycles net] is a provable-with-margin cycle
     budget for a run that needs [work_cycles] firings of the critical
-    process: [ceil (work / Th)] plus [slack_num/slack_den] relative
-    slack (default 1/4) plus absolute headroom for pipeline fill and a
-    quiescence window.  Callers treat [Exhausted] at this bound as
+    process: [ceil (work / Th)] plus a quarter of that as relative slack
+    plus absolute headroom for pipeline fill and a quiescence window.  Callers treat [Exhausted] at this bound as
     "re-run with the full budget". *)

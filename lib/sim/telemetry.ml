@@ -20,7 +20,6 @@ let with_trace ?(depth = 65536) () =
   { counters = true; trace_depth = depth }
 
 let is_off s = (not s.counters) && s.trace_depth = 0
-let spec_equal a b = a.counters = b.counters && a.trace_depth = b.trace_depth
 
 let spec_digest s =
   if is_off s then "notel"
@@ -44,13 +43,6 @@ let cls_code = function
   | Missing_input -> 2
   | Output_backpressure -> 3
   | Link_credit -> 4
-
-let cls_name = function
-  | Fired -> "fired"
-  | Oracle_skip -> "oracle-skip"
-  | Missing_input -> "missing-input"
-  | Output_backpressure -> "output-backpressure"
-  | Link_credit -> "link-credit"
 
 let n_classes = 5
 

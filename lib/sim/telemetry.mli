@@ -55,7 +55,6 @@ val with_trace : ?depth:int -> unit -> spec
     65536) cycles. *)
 
 val is_off : spec -> bool
-val spec_equal : spec -> spec -> bool
 
 val spec_digest : spec -> string
 (** Stable short digest for cache keys: ["notel"], ["tel"] or
@@ -72,8 +71,6 @@ type cls =
 
 val cls_code : cls -> int
 (** Stable codes 0..4 in declaration order (used by the trace ring). *)
-
-val cls_name : cls -> string
 
 val classify :
   fired:bool ->

@@ -17,8 +17,6 @@ let create ?deadline_ms () =
   in
   { flag = Atomic.make false; deadline }
 
-let with_deadline_at deadline = { flag = Atomic.make false; deadline }
-
 (* [never] is shared by every default [?cancel] argument; cancelling it
    would cancel the world, so it is pinned un-cancellable. *)
 let cancel t = if t != never then Atomic.set t.flag true
@@ -31,9 +29,3 @@ let cancelled t =
 
 let check ?(what = "run") t =
   if cancelled t then raise (Cancelled (what ^ ": cancelled"))
-
-let deadline_ms_left t =
-  if t.deadline = infinity then None
-  else
-    Some
-      (max 0 (int_of_float (ceil ((t.deadline -. Unix.gettimeofday ()) *. 1000.))))

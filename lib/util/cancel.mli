@@ -31,12 +31,6 @@ val create : ?deadline_ms:int -> unit -> t
 (** Fresh token; with [deadline_ms] it auto-cancels once that many
     wall-clock milliseconds have elapsed from the call. *)
 
-val with_deadline_at : float -> t
-(** Fresh token auto-cancelling at an absolute [Unix.gettimeofday]
-    instant — the serve daemon stamps requests with
-    [arrival +. deadline_ms/1000.] so queue time counts against the
-    budget. *)
-
 val cancel : t -> unit
 (** Flip the flag (idempotent, thread-safe).  No-op on {!never}. *)
 
@@ -48,7 +42,3 @@ val cancelled : t -> bool
 
 val check : ?what:string -> t -> unit
 (** @raise Cancelled when {!cancelled}. *)
-
-val deadline_ms_left : t -> int option
-(** Milliseconds until the deadline (clamped at 0), [None] if the token
-    has no deadline — the retry-after hint material. *)

@@ -39,7 +39,8 @@ let data_digest net =
   (Static.cycles st, Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* MD5 over every row of the capacity-2 firing table: the fired,
-   starved and blocked shells and the delivering channels. *)
+   starved and blocked shells and the delivering channels.  A row lists
+   no starved shells: they are those it neither fires nor blocks. *)
 let table_digest net =
   let _, _, rows = Static.tables ~capacity:2 net in
   let b = Buffer.create 4096 in
@@ -50,7 +51,11 @@ let table_digest net =
   Array.iter
     (fun tc ->
       ids tc.Static.tc_fired;
-      ids tc.tc_starved;
+      ids
+        (Array.of_list
+           (List.filter
+              (fun n -> not (Array.mem n tc.tc_fired || Array.mem n tc.tc_blocked))
+              (Network.nodes net)));
       ids tc.tc_blocked;
       ids tc.tc_deliver;
       Buffer.add_char b '\n')

@@ -139,6 +139,14 @@ let engine_row e net =
     Array.of_list
       (List.filter (fun i -> d1.(i) > d0.(i)) (List.init (Array.length chans) Fun.id)) )
 
+(* The shells a row neither fires nor blocks: every shell fires, blocks
+   or starves each cycle, so these starved. *)
+let starved net tc =
+  Array.of_list
+    (List.filter
+       (fun n -> not (Array.mem n tc.Static.tc_fired || Array.mem n tc.tc_blocked))
+       (Network.nodes net))
+
 let prop_table_replays_engine =
   QCheck2.Test.make ~count:50
     ~name:"recorded table is periodic and replays Engine"
@@ -157,8 +165,45 @@ let prop_table_replays_engine =
                           else transient + ((cycle - transient) mod period))
                  in
                  engine_row e net
-                 = (tc.Static.tc_fired, tc.tc_starved, tc.tc_blocked, tc.tc_deliver))
+                 = (tc.Static.tc_fired, starved net tc, tc.tc_blocked, tc.tc_deliver))
                (List.init (transient + (2 * period)) Fun.id))
+        [ 1; 2; 3 ])
+
+(* A replay's statistics are its rows times their visit counts, read
+   off at whatever clock an observable is asked: inside the transient,
+   at a period boundary or mid-period.  Step the replay and the
+   handshake together and compare every observable after every cycle,
+   in both modes. *)
+let prop_replay_stats_every_clock =
+  QCheck2.Test.make ~count:30 ~name:"replay stats match Fast at every clock"
+    ~print:Topology.to_string gen_spec (fun spec ->
+      let net = Topology.build spec in
+      let agree st f =
+        Static.cycles st = Fast.cycles f
+        && List.for_all
+             (fun n -> Static.node_stats st n = Fast.node_stats f n)
+             (Network.nodes net)
+        && List.for_all
+             (fun c -> Static.delivered st c = Fast.delivered f c)
+             (Network.channels net)
+      in
+      List.for_all
+        (fun capacity ->
+          let transient, period, _ = Static.tables ~capacity net in
+          let horizon = min 600 (transient + (3 * period)) in
+          List.for_all
+            (fun mode ->
+              let st = Static.create ~capacity ~mode net in
+              let f = Fast.create ~capacity ~mode net in
+              let rec go i =
+                i = horizon
+                ||
+                (Static.step st;
+                 Fast.step f;
+                 agree st f && go (i + 1))
+              in
+              agree st f && go 0)
+            [ Shell.Plain; Shell.Oracle ])
         [ 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ *)
@@ -666,6 +711,7 @@ let () =
             prop_grammar_roundtrip;
             prop_schedule_accepted;
             prop_table_replays_engine;
+            prop_replay_stats_every_clock;
           ] );
       ( "generator units",
         [
