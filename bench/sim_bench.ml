@@ -7,9 +7,9 @@
      core  = the Table 1 sweep's runs stepped directly on the reference
              interpreter and on the Fast handshake, alternating pass by
              pass (gate: fast >= 2x reference on the median passes), a
-             kernel-only stall probe (gates: Fast, Static and an Oracle
-             replay allocate nothing; Static is strictly faster than
-             Fast), and exact static word-rate checks
+             kernel-only stall probe (gates: the reference, Fast, Static
+             and an Oracle replay allocate nothing; Static is strictly
+             faster than Fast), and exact static word-rate checks
      batch = 64 runs through Batch's one-lane replays vs the same runs
              on Fast, one after another (gates: >= 2x on Plain runs,
              >= 1.3x on Oracle runs)
@@ -222,39 +222,72 @@ let two_ring ~rs =
   ignore (Network.connect net ~src:(b, "o") ~dst:(a, "i") ());
   net
 
-let probe_cycles = 200_000
+(* Each kernel's timed window lasts about this long.  The kernels'
+   stalled step rates differ ~20x (Static ~100M/s, the Oracle replay
+   ~5M/s), so one step count for all would time Static over a
+   millisecond or two, too short for its ratio to Fast to mean
+   anything. *)
+let window_seconds = 0.025
+let windows = 5
 
-let measure_kernel_steps ~engine ~capacity net =
-  let step =
-    match engine with
-    | Reference ->
-      let e = Engine.create ~capacity ~mode:Shell.Plain net in
-      fun () -> Engine.step e
-    | Fast ->
-      let f = Fast.create ~capacity ~mode:Shell.Plain net in
-      fun () -> Fast.step f
-    | Static ->
-      let s = Static.create ~capacity ~mode:Shell.Plain net in
-      fun () -> Static.step s
-    | Oracle ->
-      let s = Static.create ~capacity ~mode:Shell.Oracle net in
-      fun () -> Static.step s
-  in
-  for _ = 1 to 1_000 do step () done;
-  (* Each timed window is only tens of milliseconds, so a single sample
-     is at the mercy of scheduler noise: keep the fastest of three, and
-     the most any of them allocated. *)
-  let best = ref infinity and words = ref 0.0 in
-  for _ = 1 to 3 do
-    Gc.full_major ();
-    let w0 = Gc.minor_words () in
+(* Steps in one timed window: a doubling calibration run (which also
+   warms the kernel up) until it lasts half a window, scaled to
+   [window_seconds]. *)
+let calibrate step =
+  let rec go n =
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to probe_cycles do step () done;
-    let seconds = Unix.gettimeofday () -. t0 in
-    words := Float.max !words (Gc.minor_words () -. w0);
-    best := Float.min !best seconds
+    for _ = 1 to n do step () done;
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt >= window_seconds /. 2.0 then
+      max 1 (int_of_float (float_of_int n *. window_seconds /. dt))
+    else go (2 * n)
+  in
+  go 1_000
+
+let stepper ~capacity net = function
+  | Reference ->
+    let e = Engine.create ~capacity ~mode:Shell.Plain net in
+    fun () -> Engine.step e
+  | Fast ->
+    let f = Fast.create ~capacity ~mode:Shell.Plain net in
+    fun () -> Fast.step f
+  | Static ->
+    let s = Static.create ~capacity ~mode:Shell.Plain net in
+    fun () -> Static.step s
+  | Oracle ->
+    let s = Static.create ~capacity ~mode:Shell.Oracle net in
+    fun () -> Static.step s
+
+(* [engines] stepping [net], each over [windows] timed windows of its
+   calibrated length.  The host's speed drifts by up to ~1.4x over
+   tenths of a second, so the kernels take their windows in turn,
+   round by round, and each keeps its fastest: a ratio of two kernels
+   then compares windows from the same stretch of time.  Each also
+   keeps the most any of its windows allocated. *)
+let measure_kernel_steps ~capacity net engines =
+  let kernels =
+    List.map
+      (fun engine ->
+        let step = stepper ~capacity net engine in
+        (engine, step, calibrate step, ref infinity, ref 0.0))
+      engines
+  in
+  for _ = 1 to windows do
+    List.iter
+      (fun (_, step, steps, best, words) ->
+        Gc.full_major ();
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to steps do step () done;
+        let seconds = Unix.gettimeofday () -. t0 in
+        words := Float.max !words (Gc.minor_words () -. w0);
+        best := Float.min !best seconds)
+      kernels
   done;
-  { runs = 1; total_cycles = probe_cycles; seconds = !best; minor_words = !words }
+  List.map
+    (fun (engine, _, steps, best, words) ->
+      (engine, { runs = 1; total_cycles = steps; seconds = !best; minor_words = !words }))
+    kernels
 
 (* The firing word the recorded table holds must sustain precisely
    the rate of the balanced-word schedule on the capacity-extended
@@ -277,30 +310,24 @@ let min_speedup = 2.0
 let run_core ~smoke : probe_result =
   Printf.printf "Simulation kernel benchmark — Table 1 sweep (%s workloads)\n%!"
     (if smoke then "smoke" else "full");
-  let measure_each label f engines =
-    List.map
-      (fun engine ->
-        let m = f engine in
-        print_measurement (label engine) m;
-        (engine, m))
-      engines
+  let show label entries =
+    List.iter (fun (engine, m) -> print_measurement (label engine) m) entries;
+    entries
   in
   let sweep =
     let reference, fast = measure_sweep ~reps:(if smoke then 11 else 5) (sweep_runs ~smoke) in
-    measure_each engine_name (function Fast -> fast | _ -> reference) [ Reference; Fast ]
+    show engine_name [ (Reference, reference); (Fast, fast) ]
   in
   print_endline "kernel-only stall probe (deadlocked ring, no process firings):";
   let stall =
-    measure_each engine_name
-      (fun engine -> measure_kernel_steps ~engine ~capacity:1 (two_ring ~rs:0))
-      [ Reference; Fast; Static; Oracle ]
+    show engine_name
+      (measure_kernel_steps ~capacity:1 (two_ring ~rs:0) [ Reference; Fast; Static; Oracle ])
   in
   print_endline "live ring (rate 2/3, capacity 2):";
   let live =
-    measure_each
+    show
       (fun e -> engine_name e ^ "/live")
-      (fun engine -> measure_kernel_steps ~engine ~capacity:2 (two_ring ~rs:1))
-      [ Fast; Static ]
+      (measure_kernel_steps ~capacity:2 (two_ring ~rs:1) [ Fast; Static ])
   in
   let stall_speedup = speedup (List.assoc Static stall) (List.assoc Fast stall) in
   let live_speedup = speedup (List.assoc Static live) (List.assoc Fast live) in
@@ -315,8 +342,8 @@ let run_core ~smoke : probe_result =
         (fun engine ->
           let m = List.assoc engine stall in
           gate (m.minor_words = 0.0) "%s allocated %.0f minor words over the %d-cycle stall probe"
-            (engine_name engine) m.minor_words probe_cycles)
-        [ Fast; Static; Oracle ]
+            (engine_name engine) m.minor_words m.total_cycles)
+        [ Reference; Fast; Static; Oracle ]
     @ gate static_pass "static kernel not strictly faster than fast on the stall probe (%.2fx)"
         stall_speedup
     @ gate (fast_speedup >= min_speedup) "fast/reference ratio %.2f below required %.2f"

@@ -1436,7 +1436,7 @@ let sweep_cmd =
                 let pp = Wp_graph.Cycle_ratio.ratio_pp in
                 Format.asprintf "word-rate mismatch (word %a, bound %a)" pp word pp
                   r.Sweep.r_bound
-              | _ -> String.concat "; " r.Sweep.r_disagreements
+              | _ -> Sweep.summarise_disagreements r.Sweep.r_disagreements
           in
           let path = Sweep.write_repro r.Sweep.r_scenario ~reason in
           Printf.eprintf "FAIL %s: %s\n  repro:  %s\n  replay: %s\n"

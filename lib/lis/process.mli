@@ -12,7 +12,10 @@
     - [fire] is called once per firing (= one clock cycle of the original
       synchronous system).  The array holds [Some v] for every port the
       oracle required at this firing — plain wrappers supply all ports —
-      and the process must not read ports it did not require.
+      and [None] on the others, which the process must not read.  It is
+      valid only during the call: every kernel hands each process the
+      same array at every firing and rewrites it in between, so a
+      process that keeps inputs must copy them out.
     - [fire] returns one word per output port; the wrapper turns them into
       valid tokens (or into tau when the wrapper stalls, in which case
       [fire] is not called at all).

@@ -27,6 +27,10 @@ type t = {
   mutable output_blocked : int;
   required_counts : int array;
   dropped : int array;
+  (* Allocated once: a stall allocates nothing, a firing only its tokens. *)
+  plain_mask : bool array; (* all true: a Plain firing reads every port *)
+  inputs : int option array; (* [Process.fire]'s argument, rewritten at every firing *)
+  taus : int Token.t array; (* what [stall] returns *)
 }
 
 let create ?(capacity = 2) ?(record_traces = false) ~mode proc =
@@ -48,6 +52,9 @@ let create ?(capacity = 2) ?(record_traces = false) ~mode proc =
     output_blocked = 0;
     required_counts = Array.make n_in 0;
     dropped = Array.make n_in 0;
+    plain_mask = Array.make n_in true;
+    inputs = Array.make n_in None;
+    taus = Array.make (Process.n_outputs proc) Token.Void;
   }
 
 let process t = t.proc
@@ -59,50 +66,48 @@ let input_stop t port =
 
 let required_mask t =
   match t.shell_mode with
-  | Plain -> Array.make (Array.length t.fifos) true
+  | Plain -> t.plain_mask
   | Oracle -> t.instance.Process.required ()
 
-let oracle_ready t =
-  let mask = t.instance.Process.required () in
+(* Every port [mask] names holds a token. *)
+let has_required t mask =
   let ok = ref true in
-  Array.iteri
-    (fun p need -> if need && Ring_fifo.is_empty t.fifos.(p) then ok := false)
-    mask;
+  for p = 0 to Array.length mask - 1 do
+    if mask.(p) && Ring_fifo.is_empty t.fifos.(p) then ok := false
+  done;
   !ok
 
-let ready t =
-  let mask = required_mask t in
-  let ok = ref true in
-  Array.iteri (fun p need -> if need && Ring_fifo.is_empty t.fifos.(p) then ok := false) mask;
-  !ok
+let oracle_ready t = has_required t (t.instance.Process.required ())
+let ready t = has_required t (required_mask t)
 
 let record t outputs =
   if t.record_traces then
-    Array.iteri (fun p tok -> t.traces.(p) <- tok :: t.traces.(p)) outputs
+    for p = 0 to Array.length outputs - 1 do
+      t.traces.(p) <- outputs.(p) :: t.traces.(p)
+    done
 
 let fire t =
-  if not (ready t) then invalid_arg (name t ^ ": fire while not ready");
   let mask = required_mask t in
-  let inputs =
-    Array.mapi
-      (fun p need ->
-        if need then begin
-          t.required_counts.(p) <- t.required_counts.(p) + 1;
-          Some (Ring_fifo.pop_exn t.fifos.(p))
-        end
-        else begin
-          (* The oracle skips this port: the token of the current tag is
-             useless.  Discard it now if buffered, or on arrival. *)
-          if not (Ring_fifo.is_empty t.fifos.(p)) then begin
-            Ring_fifo.drop_exn t.fifos.(p);
-            t.dropped.(p) <- t.dropped.(p) + 1
-          end
-          else t.drop_pending.(p) <- t.drop_pending.(p) + 1;
-          None
-        end)
-      mask
-  in
-  let words = t.instance.Process.fire inputs in
+  if not (has_required t mask) then invalid_arg (name t ^ ": fire while not ready");
+  (* Every slot is written, so no value of an earlier firing survives
+     in a port this one skips. *)
+  for p = 0 to Array.length mask - 1 do
+    if mask.(p) then begin
+      t.required_counts.(p) <- t.required_counts.(p) + 1;
+      t.inputs.(p) <- Some (Ring_fifo.pop_exn t.fifos.(p))
+    end
+    else begin
+      (* The oracle skips this port: the token of the current tag is
+         useless.  Discard it now if buffered, or on arrival. *)
+      if not (Ring_fifo.is_empty t.fifos.(p)) then begin
+        Ring_fifo.drop_exn t.fifos.(p);
+        t.dropped.(p) <- t.dropped.(p) + 1
+      end
+      else t.drop_pending.(p) <- t.drop_pending.(p) + 1;
+      t.inputs.(p) <- None
+    end
+  done;
+  let words = t.instance.Process.fire t.inputs in
   t.firings <- t.firings + 1;
   let outputs = Array.map (fun w -> Token.Valid w) words in
   record t outputs;
@@ -113,9 +118,8 @@ let stall t ~reason =
   (match reason with
   | `Input -> t.input_starved <- t.input_starved + 1
   | `Output -> t.output_blocked <- t.output_blocked + 1);
-  let outputs = Array.make (Process.n_outputs t.proc) Token.Void in
-  record t outputs;
-  outputs
+  record t t.taus;
+  t.taus
 
 let accept t ~port tok =
   match tok with

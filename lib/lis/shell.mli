@@ -59,11 +59,15 @@ val oracle_ready : t -> bool
 val fire : t -> int Token.t array
 (** Consume inputs per the mode, run the process, return the valid output
     tokens.  Must only be called when [ready] and when the engine has
-    established that every output channel accepts.
+    established that every output channel accepts.  The process is handed
+    the shell's one input array, rewritten at every firing ([None] on
+    each port the oracle skips).
     @raise Invalid_argument when not [ready]. *)
 
 val stall : t -> reason:[ `Input | `Output ] -> int Token.t array
-(** Record a stalled cycle and return tau on every output. *)
+(** Record a stalled cycle and return tau on every output.  The array is
+    the shell's own, allocated once and returned by every call: read it,
+    never mutate it. *)
 
 val accept : t -> port:int -> int Token.t -> unit
 (** Token arriving on an input port at the end of the cycle.  Voids are

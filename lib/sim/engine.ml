@@ -3,9 +3,25 @@ module Relay_station = Wp_lis.Relay_station
 module Token = Wp_lis.Token
 module Process = Wp_lis.Process
 
+(* The reference interpreter: the executable spec every compiled kernel
+   is tested against.  It keeps the object model ({!Shell},
+   {!Relay_station}, {!Token}), the three phases in their order and the
+   termination scan, and shares no code with the compiled kernels.  What
+   it does not keep is per-cycle garbage: chains carry their endpoints,
+   resolved at [create], and each cycle's emissions and relay outputs go
+   into scratch that belongs to the run.  A cycle in which nothing fires
+   allocates nothing; a firing allocates its tokens ([Token.Valid] and
+   option boxes, the array [Shell.fire] returns) and whatever its
+   process allocates. *)
+
 type chain = {
   channel : Network.channel;
+  src_node : Network.node;
+  src_port : int;
+  dst : Shell.t; (* the consumer *)
+  dst_port : int;
   relays : int Relay_station.t array; (* index 0 nearest the producer *)
+  relay_outs : int Token.t array; (* scratch: each relay's emission this cycle *)
   mutable delivered : int;
   (* scratch, refreshed each cycle *)
   mutable producer_stop : bool;
@@ -21,7 +37,9 @@ type t = {
   engine_mode : Shell.mode;
   shells : Shell.t array;
   chains : chain array;
-  out_channels : Network.channel list array; (* per node *)
+  out_chains : chain array array; (* per node, in channel order *)
+  emissions : int Token.t array array; (* per node: this cycle's [fire] or [stall] *)
+  delivered_now : int array; (* per channel: telemetry's per-cycle read *)
   fault : Fault.t option;
   link : Link.t option;
   telemetry : Telemetry.t option;
@@ -62,8 +80,9 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
          (fun c ->
            let rs = Network.relay_stations net c in
            let label = Network.channel_label net c in
+           let src_node, src_port = Network.channel_src net c in
            let dst_node, dst_port = Network.channel_dst net c in
-           let sh = shells.(dst_node) in
+           let dst = shells.(dst_node) in
            let protected_ =
              match link with
              | Some l -> Link.is_protected l ~chan:c
@@ -72,15 +91,20 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
            let chain =
              {
                channel = c;
+               src_node;
+               src_port;
+               dst;
+               dst_port;
                relays =
                  Array.init rs (fun i ->
                      Relay_station.create ~name:(Printf.sprintf "%s/rs%d" label i) ());
+               relay_outs = Array.make rs Token.Void;
                delivered = 0;
                producer_stop = false;
                consumer_stop = false;
                stage_stops = Array.make rs false;
                protected_;
-               link_can_accept = (fun () -> not (Shell.input_stop sh dst_port));
+               link_can_accept = (fun () -> not (Shell.input_stop dst dst_port));
                link_accept = ignore;
              }
            in
@@ -89,16 +113,18 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
            chain.link_accept <-
              (fun v ->
                chain.delivered <- chain.delivered + 1;
-               Shell.accept sh ~port:dst_port (Token.Valid v));
+               Shell.accept dst ~port:dst_port (Token.Valid v));
            chain)
          (Network.channels net))
   in
-  let out_channels = Array.make (Network.node_count net) [] in
-  List.iter
-    (fun c ->
-      let src, _ = Network.channel_src net c in
-      out_channels.(src) <- c :: out_channels.(src))
-    (List.rev (Network.channels net));
+  let out_chains =
+    let lists = Array.make (Network.node_count net) [] in
+    for i = Array.length chains - 1 downto 0 do
+      let ch = chains.(i) in
+      lists.(ch.src_node) <- ch :: lists.(ch.src_node)
+    done;
+    Array.map Array.of_list lists
+  in
   let total_rs =
     List.fold_left (fun acc c -> acc + Network.relay_stations net c) 0 (Network.channels net)
   in
@@ -111,10 +137,10 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
      producer's output register, latched in the consumer FIFO. *)
   Array.iter
     (fun ch ->
-      let src_node, src_port = Network.channel_src net ch.channel in
-      let dst_node, dst_port = Network.channel_dst net ch.channel in
-      let reset_value = (Network.node_process net src_node).Process.reset_outputs.(src_port) in
-      Shell.accept shells.(dst_node) ~port:dst_port (Token.Valid reset_value);
+      let reset_value =
+        (Network.node_process net ch.src_node).Process.reset_outputs.(ch.src_port)
+      in
+      Shell.accept ch.dst ~port:ch.dst_port (Token.Valid reset_value);
       match fault_rt with
       | Some f -> Fault.note_reset f ~chan:ch.channel ~value:reset_value
       | None -> ())
@@ -124,7 +150,9 @@ let create ?(capacity = 2) ?(record_traces = false) ?fault
     engine_mode = mode;
     shells;
     chains;
-    out_channels;
+    out_chains;
+    emissions = Array.make (Array.length shells) [||];
+    delivered_now = Array.make (Array.length chains) 0;
     fault = fault_rt;
     link;
     telemetry = Telemetry.make telemetry net;
@@ -166,9 +194,8 @@ let compute_stops t chain =
       | None -> false)
   end
   else begin
-  let dst_node, dst_port = Network.channel_dst t.net chain.channel in
   chain.consumer_stop <-
-    (Shell.input_stop t.shells.(dst_node) dst_port
+    (Shell.input_stop chain.dst chain.dst_port
     ||
     match t.fault with
     | None -> false
@@ -182,119 +209,103 @@ let compute_stops t chain =
   chain.producer_stop <- !stop
   end
 
+(* The index of a node's first out-chain that stops its producer this
+   cycle, in channel order (the order the Fast kernel's CSR rows scan);
+   [Array.length chains] when every output accepts. *)
+let rec first_stopped chains i =
+  if i = Array.length chains || chains.(i).producer_stop then i
+  else first_stopped chains (i + 1)
+
+(* Phase 2 for one node: fire or stall, and leave its output tokens in
+   [t.emissions]. *)
+let decide t n =
+  let sh = t.shells.(n) and outs = t.out_chains.(n) in
+  let stopped = first_stopped outs 0 in
+  let outputs_clear = stopped = Array.length outs in
+  let ready = Shell.ready sh in
+  let fired = ready && outputs_clear in
+  (match t.telemetry with
+  | None -> ()
+  | Some tl ->
+      let oracle_ready = (not ready) && outputs_clear && Shell.oracle_ready sh in
+      let link_blocked = ready && (not outputs_clear) && outs.(stopped).protected_ in
+      (Telemetry.cls_scratch tl).(n) <-
+        Telemetry.cls_code
+          (Telemetry.classify ~fired ~ready ~outputs_clear ~oracle_ready ~link_blocked));
+  t.emissions.(n) <-
+    (if fired then Shell.fire sh else Shell.stall sh ~reason:(if ready then `Output else `Input));
+  fired
+
+let token_value = function Token.Valid v -> v | Token.Void -> 0
+
+(* Phase 3 for one chain: shift its relays and hand the consumer what
+   leaves the last one. *)
+let move t chain =
+  let produced = t.emissions.(chain.src_node).(chain.src_port) in
+  if chain.protected_ then begin
+    let link = match t.link with Some l -> l | None -> assert false in
+    Link.channel_step link ~chan:chain.channel ~cycle:t.clock
+      ~produced_valid:(Token.is_valid produced) ~produced_value:(token_value produced)
+      ~can_accept:chain.link_can_accept ~accept:chain.link_accept
+  end
+  else begin
+  let k = Array.length chain.relays in
+  let to_consumer =
+    if k = 0 then produced
+    else begin
+      for i = 0 to k - 1 do
+        chain.relay_outs.(i) <- Relay_station.emit chain.relays.(i) ~stop_in:chain.stage_stops.(i)
+      done;
+      Relay_station.accept chain.relays.(0) produced;
+      for i = 1 to k - 1 do
+        Relay_station.accept chain.relays.(i) chain.relay_outs.(i - 1)
+      done;
+      chain.relay_outs.(k - 1)
+    end
+  in
+  match t.fault with
+  | None ->
+      if Token.is_valid to_consumer then chain.delivered <- chain.delivered + 1;
+      Shell.accept chain.dst ~port:chain.dst_port to_consumer
+  | Some f ->
+      Fault.deliver f ~chan:chain.channel ~valid:(Token.is_valid to_consumer)
+        ~value:(token_value to_consumer) ~can_accept:chain.link_can_accept
+        ~accept:chain.link_accept
+  end
+
 let step t =
-  Array.iter (fun chain -> compute_stops t chain) t.chains;
+  for i = 0 to Array.length t.chains - 1 do
+    compute_stops t t.chains.(i)
+  done;
   (match t.telemetry with
   | None -> ()
   | Some tl ->
       (* Start-of-cycle observables: consumer-FIFO depth and the
          producer-visible stop, per channel. *)
       let occ = Telemetry.occ_scratch tl and stop = Telemetry.stop_scratch tl in
-      Array.iter
-        (fun chain ->
-          let dst_node, dst_port = Network.channel_dst t.net chain.channel in
-          occ.(chain.channel) <- Shell.buffered t.shells.(dst_node) dst_port;
-          stop.(chain.channel) <- chain.producer_stop)
-        t.chains);
-  (* Phase 2: firing decisions; collect every node's output tokens. *)
+      for i = 0 to Array.length t.chains - 1 do
+        let chain = t.chains.(i) in
+        occ.(chain.channel) <- Shell.buffered chain.dst chain.dst_port;
+        stop.(chain.channel) <- chain.producer_stop
+      done);
+  (* Phase 2: firing decisions; every node's output tokens. *)
   let fired_any = ref false in
-  let emissions =
-    Array.mapi
-      (fun n sh ->
-        let outputs_clear =
-          List.for_all (fun c -> not t.chains.(c).producer_stop) t.out_channels.(n)
-        in
-        let ready = Shell.ready sh in
-        let fired = ready && outputs_clear in
-        (match t.telemetry with
-        | None -> ()
-        | Some tl ->
-            let oracle_ready =
-              (not ready) && outputs_clear && Shell.oracle_ready sh
-            in
-            let link_blocked =
-              ready && (not outputs_clear)
-              &&
-              (* first refusing output channel, in channel order — the
-                 same scan order the Fast kernel's CSR rows use *)
-              match
-                List.find_opt
-                  (fun c -> t.chains.(c).producer_stop)
-                  t.out_channels.(n)
-              with
-              | Some c -> t.chains.(c).protected_
-              | None -> false
-            in
-            (Telemetry.cls_scratch tl).(n) <-
-              Telemetry.cls_code
-                (Telemetry.classify ~fired ~ready ~outputs_clear ~oracle_ready
-                   ~link_blocked));
-        if fired then begin
-          fired_any := true;
-          Shell.fire sh
-        end
-        else Shell.stall sh ~reason:(if ready then `Output else `Input))
-      t.shells
-  in
-  (* Phase 3: move tokens.  All relay emissions are computed before any
-     acceptance so the shift is simultaneous. *)
-  Array.iter
-    (fun chain ->
-      let src_node, src_port = Network.channel_src t.net chain.channel in
-      let dst_node, dst_port = Network.channel_dst t.net chain.channel in
-      let produced = emissions.(src_node).(src_port) in
-      if chain.protected_ then begin
-        let link = match t.link with Some l -> l | None -> assert false in
-        let produced_valid, produced_value =
-          match produced with
-          | Token.Valid v -> (true, v)
-          | Token.Void -> (false, 0)
-        in
-        Link.channel_step link ~chan:chain.channel ~cycle:t.clock
-          ~produced_valid ~produced_value ~can_accept:chain.link_can_accept
-          ~accept:chain.link_accept
-      end
-      else begin
-      let k = Array.length chain.relays in
-      let to_consumer =
-        if k = 0 then produced
-        else begin
-          let outs =
-            Array.mapi
-              (fun i rs -> Relay_station.emit rs ~stop_in:chain.stage_stops.(i))
-              chain.relays
-          in
-          Relay_station.accept chain.relays.(0) produced;
-          for i = 1 to k - 1 do
-            Relay_station.accept chain.relays.(i) outs.(i - 1)
-          done;
-          outs.(k - 1)
-        end
-      in
-      (match t.fault with
-      | None ->
-          if Token.is_valid to_consumer then
-            chain.delivered <- chain.delivered + 1;
-          Shell.accept t.shells.(dst_node) ~port:dst_port to_consumer
-      | Some f ->
-          let sh = t.shells.(dst_node) in
-          let valid, value =
-            match to_consumer with
-            | Token.Valid v -> (true, v)
-            | Token.Void -> (false, 0)
-          in
-          Fault.deliver f ~chan:chain.channel ~valid ~value
-            ~can_accept:(fun () -> not (Shell.input_stop sh dst_port))
-            ~accept:(fun v ->
-              chain.delivered <- chain.delivered + 1;
-              Shell.accept sh ~port:dst_port (Token.Valid v)))
-      end)
-    t.chains;
+  for n = 0 to Array.length t.shells - 1 do
+    if decide t n then fired_any := true
+  done;
+  (* Phase 3: move tokens.  All of a chain's relay emissions are taken
+     before any of its relays accepts, so the shift is simultaneous. *)
+  for i = 0 to Array.length t.chains - 1 do
+    move t t.chains.(i)
+  done;
   (match t.telemetry with
   | None -> ()
   | Some tl ->
-      Telemetry.commit_cycle tl
-        ~delivered:(Array.map (fun chain -> chain.delivered) t.chains));
+      for i = 0 to Array.length t.chains - 1 do
+        let chain = t.chains.(i) in
+        t.delivered_now.(chain.channel) <- chain.delivered
+      done;
+      Telemetry.commit_cycle tl ~delivered:t.delivered_now);
   t.clock <- t.clock + 1;
   if !fired_any then t.quiet_cycles <- 0 else t.quiet_cycles <- t.quiet_cycles + 1
 

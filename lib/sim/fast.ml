@@ -1,10 +1,12 @@
 (* Compiled handshake kernel.
 
-   [Engine] is the readable reference interpreter: every cycle it boxes
-   tokens ([Token.Valid]), allocates emission arrays, pops options out of
-   ring FIFOs and walks channel lists through closures.  This module
-   compiles a validated network into flat integer arrays once, then
-   steps it with no per-cycle allocation of its own while nothing fires.
+   [Engine] is the readable reference interpreter: it steps the object
+   model ({!Wp_lis.Shell}, {!Wp_lis.Relay_station}), so every token it
+   moves is a boxed [Token.Valid] that lands in an option cell of a
+   ring FIFO, and each channel and relay station is a record it visits
+   in turn.  This module compiles a validated network into flat integer
+   arrays once, then steps it with no per-cycle allocation of its own
+   while nothing fires.
    A firing allocates: the kernel boxes each input it reads as [Some v]
    (two words; [Process.fire] takes an [int option array]), the
    user-supplied [Process.instance] closures allocate what they

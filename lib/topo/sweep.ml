@@ -124,6 +124,38 @@ let compare_views ~who a b =
     a.v_delivered;
   List.rev !ds
 
+(* The checker and kind of one [compare_views] entry: ["ref: node 3
+   firings 9 vs 10"] is [("ref", "firings")]. *)
+let entry_kind d =
+  let who, rest =
+    match String.index_opt d ':' with
+    | Some i -> (String.sub d 0 i, String.trim (String.sub d (i + 1) (String.length d - i - 1)))
+    | None -> ("", d)
+  in
+  let word = match String.index_opt rest ' ' with Some j -> String.sub rest 0 j | None -> rest in
+  (who, match word with "node" -> "firings" | "channel" -> "delivered" | w -> w)
+
+let summarise_disagreements ds =
+  let tagged = List.map entry_kind ds in
+  let checkers =
+    List.fold_left (fun acc (who, _) -> if List.mem who acc then acc else acc @ [ who ]) [] tagged
+  in
+  let counts who =
+    String.concat ", "
+      (List.filter_map
+         (fun kind ->
+           match List.length (List.filter (( = ) (who, kind)) tagged) with
+           | 0 -> None
+           | n -> Some (Printf.sprintf "%d %s" n kind))
+         [ "outcome"; "cycles"; "firings"; "delivered" ])
+  in
+  let n = List.length ds in
+  Printf.sprintf "%d disagreement%s (%s): %s%s" n
+    (if n = 1 then "" else "s")
+    (String.concat "; " (List.map (fun who -> who ^ ": " ^ counts who) checkers))
+    (String.concat "; " (List.filteri (fun i _ -> i < 3) ds))
+    (if n > 3 then "; ..." else "")
+
 (* One engine's observables, read through its accessors. *)
 let view net ~outcome ~cycles ~stats ~delivered =
   {

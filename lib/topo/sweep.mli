@@ -81,6 +81,14 @@ val ok : result -> bool
 (** No error, no disagreement, and the word-rate check (when performed)
     passed. *)
 
+val summarise_disagreements : string list -> string
+(** A failing scenario's [r_disagreements] in one line: how many per
+    checker and kind (outcome, cycles, firings, delivered), then the
+    first three entries and ["..."] when there are more, e.g. [115
+    disagreements (static: 2 firings, 113 delivered): <first three>;
+    ...].  The entries themselves would run to one per channel on a net
+    whose checker disagrees everywhere. *)
+
 val replay_command : scenario -> string
 (** A [wp_cli sweep] invocation reproducing exactly this scenario. *)
 

@@ -230,7 +230,10 @@ let test_process_unrequired_read_rejected () =
 
 (* A two-input process whose oracle alternates: even firings read only
    port 0 (emit 2*a), odd firings read both (emit a+b). *)
-let modal_process =
+(* Reads a on every firing and b only on odd ones.  [oracle_only]
+   instances fail an even firing that is handed b, which a Plain shell
+   always does. *)
+let modal ~oracle_only =
   {
     Process.name = "modal";
     input_names = [| "a"; "b" |];
@@ -245,7 +248,14 @@ let modal_process =
             (fun inputs ->
               let a = match inputs.(0) with Some v -> v | None -> assert false in
               let out =
-                if !k mod 2 = 0 then 2 * a
+                if !k mod 2 = 0 then begin
+                  (* An Oracle shell must pass the skipped port as [None]:
+                     a value here is one the oracle never asked for, such
+                     as the last firing's, left in a reused array. *)
+                  if oracle_only && inputs.(1) <> None then
+                    failwith "modal: even firing received port b";
+                  2 * a
+                end
                 else a + (match inputs.(1) with Some v -> v | None -> assert false)
               in
               incr k;
@@ -253,6 +263,8 @@ let modal_process =
           halted = (fun () -> false);
         });
   }
+
+let modal_process = modal ~oracle_only:false
 
 let test_shell_plain_fire_cycle () =
   let u = Process.unary ~name:"inc" ~input_name:"i" ~output_name:"o" ~reset:0 succ in
@@ -305,7 +317,7 @@ let test_shell_unbounded () =
   checki "all buffered" 100 (Shell.buffered sh 0)
 
 let test_shell_oracle_fires_without_unneeded () =
-  let sh = Shell.create ~mode:Shell.Oracle modal_process in
+  let sh = Shell.create ~mode:Shell.Oracle (modal ~oracle_only:true) in
   (* Even firing: only port a is needed. *)
   Shell.accept sh ~port:0 (Token.Valid 5);
   checkb "ready without b" true (Shell.ready sh);
@@ -321,9 +333,14 @@ let test_shell_oracle_fires_without_unneeded () =
   checkb "ready with both" true (Shell.ready sh);
   let outs = Shell.fire sh in
   Alcotest.check token_testable "a+b" (Token.Valid 7) outs.(0);
+  (* Even firing right after one that read b: b must arrive as [None]
+     again, not as the 4 of the firing before. *)
+  Shell.accept sh ~port:0 (Token.Valid 6);
+  let outs = Shell.fire sh in
+  Alcotest.check token_testable "2*a after a+b" (Token.Valid 12) outs.(0);
   let stats = Shell.stats sh in
   checki "b required once" 1 stats.Shell.required_counts.(1);
-  checki "a required twice" 2 stats.Shell.required_counts.(0);
+  checki "a required three times" 3 stats.Shell.required_counts.(0);
   checki "one b token dropped" 1 stats.Shell.dropped.(1)
 
 let test_shell_oracle_discards_buffered () =

@@ -503,7 +503,7 @@ let fail_sweep r =
     (Topology.to_string r.Sweep.r_scenario.Sweep.topo)
     (match (r.Sweep.r_error, r.Sweep.r_disagreements) with
     | Some e, _ -> e
-    | None, d :: _ -> d
+    | None, (_ :: _ as ds) -> Sweep.summarise_disagreements ds
     | None, [] -> "word-rate check failed")
     (Sweep.replay_command r.Sweep.r_scenario)
 
@@ -615,6 +615,22 @@ let test_expand_and_replay () =
   checkb "seeds advance from the base" true (seeds = [ 5; 6; 7 ]);
   let cmd = Sweep.replay_command (List.hd scs) in
   checkb "replay names the seed" true (contains cmd "ring:4:seed5")
+
+(* A failing scenario's FAIL line counts its disagreements per checker
+   and kind and shows the first three, however many channels disagree. *)
+let test_disagreement_summary () =
+  let checks = Alcotest.(check string) in
+  checks "a single entry" "1 disagreement (ref: 1 outcome): ref: outcome halted@9 vs exhausted@64"
+    (Sweep.summarise_disagreements [ "ref: outcome halted@9 vs exhausted@64" ]);
+  let delivered = List.init 113 (Printf.sprintf "static: channel %d delivered 7 vs 8") in
+  let ds =
+    ("static: cycles 64 vs 63" :: "static: node 3 firings 9 vs 10" :: delivered)
+    @ [ "ref: node 0 firings 5 vs 4" ]
+  in
+  checks "counts per checker and kind, then the first three"
+    "116 disagreements (static: 1 cycles, 1 firings, 113 delivered; ref: 1 firings): static: \
+     cycles 64 vs 63; static: node 3 firings 9 vs 10; static: channel 0 delivered 7 vs 8; ..."
+    (Sweep.summarise_disagreements ds)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule memo                                                       *)
@@ -741,6 +757,7 @@ let () =
             test_sweep_faulted_runs;
           Alcotest.test_case "capacity-0 bound" `Quick test_sweep_capacity0_bound;
           Alcotest.test_case "expand and replay" `Quick test_expand_and_replay;
+          Alcotest.test_case "disagreement summary" `Quick test_disagreement_summary;
         ] );
       ( "schedule memo",
         [
