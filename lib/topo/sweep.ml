@@ -13,6 +13,8 @@ module Cycle_ratio = Wp_graph.Cycle_ratio
 
 type scenario = { topo : Topology.spec; spec : Run_spec.t }
 
+type disagreement = { d_checker : string; d_kind : string; d_text : string }
+
 type result = {
   r_scenario : scenario;
   r_blocks : int;
@@ -23,7 +25,7 @@ type result = {
   r_bound : Cycle_ratio.ratio;
   r_word_rate : Cycle_ratio.ratio option;
   r_word_ok : bool option;
-  r_disagreements : string list;
+  r_disagreements : disagreement list;
   r_telemetry : Telemetry.summary option;
   r_error : string option;
 }
@@ -103,57 +105,53 @@ let outcome_str = function
   | Engine.Cancelled c -> Printf.sprintf "cancelled@%d" c
 
 (* [b] is the checking engine, [a] the primary; any difference is a
-   cross-engine bug worth a repro file. *)
+   cross-engine bug worth a repro file.  Each entry is tagged with its
+   checker and kind where it is made. *)
 let compare_views ~who a b =
   let ds = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> ds := s :: !ds) fmt in
+  let add kind fmt =
+    Printf.ksprintf
+      (fun s ->
+        ds := { d_checker = who; d_kind = kind; d_text = who ^ ": " ^ s } :: !ds)
+      fmt
+  in
   if a.v_outcome <> b.v_outcome then
-    add "%s: outcome %s vs %s" who (outcome_str a.v_outcome)
+    add "outcome" "outcome %s vs %s" (outcome_str a.v_outcome)
       (outcome_str b.v_outcome);
   if a.v_cycles <> b.v_cycles then
-    add "%s: cycles %d vs %d" who a.v_cycles b.v_cycles;
+    add "cycles" "cycles %d vs %d" a.v_cycles b.v_cycles;
   Array.iteri
     (fun n f ->
       if f <> b.v_firings.(n) then
-        add "%s: node %d firings %d vs %d" who n f b.v_firings.(n))
+        add "firings" "node %d firings %d vs %d" n f b.v_firings.(n))
     a.v_firings;
   Array.iteri
     (fun c d ->
       if d <> b.v_delivered.(c) then
-        add "%s: channel %d delivered %d vs %d" who c d b.v_delivered.(c))
+        add "delivered" "channel %d delivered %d vs %d" c d b.v_delivered.(c))
     a.v_delivered;
   List.rev !ds
 
-(* The checker and kind of one [compare_views] entry: ["ref: node 3
-   firings 9 vs 10"] is [("ref", "firings")]. *)
-let entry_kind d =
-  let who, rest =
-    match String.index_opt d ':' with
-    | Some i -> (String.sub d 0 i, String.trim (String.sub d (i + 1) (String.length d - i - 1)))
-    | None -> ("", d)
-  in
-  let word = match String.index_opt rest ' ' with Some j -> String.sub rest 0 j | None -> rest in
-  (who, match word with "node" -> "firings" | "channel" -> "delivered" | w -> w)
+(* The distinct elements of [xs], in order of first appearance. *)
+let distinct xs =
+  List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
 
 let summarise_disagreements ds =
-  let tagged = List.map entry_kind ds in
-  let checkers =
-    List.fold_left (fun acc (who, _) -> if List.mem who acc then acc else acc @ [ who ]) [] tagged
-  in
   let counts who =
+    let mine = List.filter (fun d -> d.d_checker = who) ds in
+    let count kind = List.length (List.filter (fun d -> d.d_kind = kind) mine) in
     String.concat ", "
-      (List.filter_map
-         (fun kind ->
-           match List.length (List.filter (( = ) (who, kind)) tagged) with
-           | 0 -> None
-           | n -> Some (Printf.sprintf "%d %s" n kind))
-         [ "outcome"; "cycles"; "firings"; "delivered" ])
+      (List.map
+         (fun kind -> Printf.sprintf "%d %s" (count kind) kind)
+         (distinct (List.map (fun d -> d.d_kind) mine)))
   in
+  let checkers = distinct (List.map (fun d -> d.d_checker) ds) in
   let n = List.length ds in
   Printf.sprintf "%d disagreement%s (%s): %s%s" n
     (if n = 1 then "" else "s")
     (String.concat "; " (List.map (fun who -> who ^ ": " ^ counts who) checkers))
-    (String.concat "; " (List.filteri (fun i _ -> i < 3) ds))
+    (String.concat "; "
+       (List.filteri (fun i _ -> i < 3) (List.map (fun d -> d.d_text) ds)))
     (if n > 3 then "; ..." else "")
 
 (* One engine's observables, read through its accessors. *)

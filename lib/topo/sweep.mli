@@ -31,6 +31,14 @@
 
 type scenario = { topo : Topology.spec; spec : Wp_core.Run_spec.t }
 
+type disagreement = {
+  d_checker : string;  (** the checking engine: ["static"] or ["ref"] *)
+  d_kind : string;  (** ["outcome"], ["cycles"], ["firings"] or ["delivered"] *)
+  d_text : string;  (** the whole entry, e.g. ["ref: node 3 firings 9 vs 10"] *)
+}
+(** One observable on which a checking engine differs from the
+    primary. *)
+
 type result = {
   r_scenario : scenario;
   r_blocks : int;  (** nodes incl. adapter halves *)
@@ -46,7 +54,9 @@ type result = {
       (** as [r_word_rate]: measured steady-state throughput equals the
           word rate, and the word rate equals [r_bound], exactly
           ({!word_rate_ok}) *)
-  r_disagreements : string list;  (** cross-engine mismatches, [] = agree *)
+  r_disagreements : disagreement list;
+      (** cross-engine mismatches, one per differing observable, [] =
+          agree *)
   r_telemetry : Wp_sim.Telemetry.summary option;
   r_error : string option;  (** scenario died with this exception *)
 }
@@ -81,13 +91,13 @@ val ok : result -> bool
 (** No error, no disagreement, and the word-rate check (when performed)
     passed. *)
 
-val summarise_disagreements : string list -> string
+val summarise_disagreements : disagreement list -> string
 (** A failing scenario's [r_disagreements] in one line: how many per
-    checker and kind (outcome, cycles, firings, delivered), then the
-    first three entries and ["..."] when there are more, e.g. [115
-    disagreements (static: 2 firings, 113 delivered): <first three>;
-    ...].  The entries themselves would run to one per channel on a net
-    whose checker disagrees everywhere. *)
+    checker and per kind, in the order they first appear, then the
+    first three entries' texts and ["..."] when there are more, e.g.
+    [115 disagreements (static: 2 firings, 113 delivered): <first
+    three>; ...].  The entries themselves would run to one per channel
+    on a net whose checker disagrees everywhere. *)
 
 val replay_command : scenario -> string
 (** A [wp_cli sweep] invocation reproducing exactly this scenario. *)

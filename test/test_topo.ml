@@ -620,17 +620,27 @@ let test_expand_and_replay () =
    and kind and shows the first three, however many channels disagree. *)
 let test_disagreement_summary () =
   let checks = Alcotest.(check string) in
+  let d checker kind text =
+    { Sweep.d_checker = checker; d_kind = kind; d_text = checker ^ ": " ^ text }
+  in
   checks "a single entry" "1 disagreement (ref: 1 outcome): ref: outcome halted@9 vs exhausted@64"
-    (Sweep.summarise_disagreements [ "ref: outcome halted@9 vs exhausted@64" ]);
-  let delivered = List.init 113 (Printf.sprintf "static: channel %d delivered 7 vs 8") in
+    (Sweep.summarise_disagreements [ d "ref" "outcome" "outcome halted@9 vs exhausted@64" ]);
+  let delivered =
+    List.init 113 (fun c -> d "static" "delivered" (Printf.sprintf "channel %d delivered 7 vs 8" c))
+  in
   let ds =
-    ("static: cycles 64 vs 63" :: "static: node 3 firings 9 vs 10" :: delivered)
-    @ [ "ref: node 0 firings 5 vs 4" ]
+    (d "static" "cycles" "cycles 64 vs 63" :: d "static" "firings" "node 3 firings 9 vs 10"
+    :: delivered)
+    @ [ d "ref" "firings" "node 0 firings 5 vs 4" ]
   in
   checks "counts per checker and kind, then the first three"
     "116 disagreements (static: 1 cycles, 1 firings, 113 delivered; ref: 1 firings): static: \
      cycles 64 vs 63; static: node 3 firings 9 vs 10; static: channel 0 delivered 7 vs 8; ..."
-    (Sweep.summarise_disagreements ds)
+    (Sweep.summarise_disagreements ds);
+  checks "a kind is counted however it is named"
+    "2 disagreements (ref: 2 latency): ref: latency 3 vs 4; ref: latency 5 vs 6"
+    (Sweep.summarise_disagreements
+       [ d "ref" "latency" "latency 3 vs 4"; d "ref" "latency" "latency 5 vs 6" ])
 
 (* ------------------------------------------------------------------ *)
 (* Schedule memo                                                       *)
